@@ -1,19 +1,24 @@
-"""Average-reward dominance-constrained LP: build, solve, dual recovery, checks.
+"""Occupation-measure LP for both modes: build, solve, dual recovery, checks.
 
-The primal optimizes over occupation measures x(s,a): flow balance per state,
-total mass one, and one shortfall row per benchmark support point. The dual
-of the normalization row is the gain g, balance-row duals give the cost-to-go
-h, and the dominance multipliers reconstruct a piecewise linear increasing
-concave utility u, so that at the optimum
+Average and discounted problems are one LP over pair weights x(s,a). The
+balance rows read
 
-    g + h(s) = max_a { r(s,a) + u(z(s,a)) + sum_j P(j|s,a) h(j) }
+    sum_a x(j,a) - delta sum_{s,a} P(j|s,a) x(s,a) = b(j)
+
+with delta = 1 and b = 0 plus a normalization row sum x = 1 in average mode,
+and delta = discount and b = initial, without normalization, in discounted
+mode. Dominance rows, one per benchmark support point (or per family
+parameter), follow. Balance-row duals give the cost-to-go h (the value
+function v in discounted mode), the normalization dual gives the gain g
+(0 in discounted mode), and the dominance multipliers reconstruct a
+piecewise linear increasing concave utility u, so that at the optimum
+
+    g + h(s) = max_a { r(s,a) + u(z(s,a)) + delta sum_j P(j|s,a) h(j) }
 
 holds at every state the optimal measure visits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,59 +54,62 @@ ZERO_MARGINAL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
-def _pair_labels(inst: MdpInstance) -> list[str]:
-    return [f"x[{s},{a}]" for s, acts in enumerate(inst.actions) for a in acts]
+def _occupation_lp(
+    inst: MdpInstance,
+    bench: Benchmark,
+    family: GeneratorFamily | None,
+    mode: str,
+    convex: bool = False,
+) -> tuple[LpProblem, np.ndarray]:
+    """(LP, dominance grid): etas, or parameter indices for a family.
 
-
-def _balance_block(inst: MdpInstance) -> np.ndarray:
-    """Rows sum_a x(j,a) - sum_{s,a} P(j|s,a) x(s,a), one per state j."""
-    B = -inst.kernel.T.copy()
-    B[inst.state_of_pair(), np.arange(inst.num_pairs)] += 1.0
-    return B
-
-
-def _dominance_block(
-    inst: MdpInstance, bench: Benchmark, family: GeneratorFamily | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(matrix, rhs, grid) for the dominance rows."""
+    convex=True gives the cost variant: minimize, with E[(z-eta)_+] rows
+    capped at the benchmark's.
+    """
+    require_valid(inst)
+    if inst.mode != mode:
+        raise ValueError(f"{mode} builder got mode {inst.mode!r}")
+    S, K = inst.num_states, inst.num_pairs
+    B = -inst.delta * inst.kernel.T
+    B[inst.state_of_pair(), np.arange(K)] += 1.0
     if family is not None:
         D, rhs = family_rows(family, inst.reward_z)
         grid = np.arange(len(family.params), dtype=float)
-        return D, rhs, grid
-    if inst.reward_z.ndim != 1:
-        raise ValueError("vector z requires a generator family")
-    etas = bench.support
-    D = np.array([shortfall_minus(inst.reward_z, eta) for eta in etas])
-    rhs = benchmark_curve(bench, etas).curve
-    return D, rhs, etas
+        dom_labels = [f"dominance[xi={i}]" for i in range(len(grid))]
+    else:
+        if inst.reward_z.ndim != 1:
+            raise ValueError("vector z requires a generator family")
+        grid = bench.support
+        kink = shortfall_plus if convex else shortfall_minus
+        D = np.array([kink(inst.reward_z, eta) for eta in grid])
+        rhs = benchmark_plus_curve(bench, grid) if convex else benchmark_curve(bench, grid).curve
+        dom_labels = [f"dominance[eta={float(eta)!r}]" for eta in grid]
+    row_labels = [f"balance[{j}]" for j in range(S)]
+    if mode == AVERAGE:
+        A = np.vstack([B, np.ones((1, K)), D])
+        b = np.concatenate([np.zeros(S), [1.0], rhs])
+        row_labels.append("normalize")
+    else:
+        A = np.vstack([B, D])
+        b = np.concatenate([inst.initial, rhs])
+    lp = LpProblem(
+        sense="min" if convex else "max",
+        c=inst.reward_r.copy(),
+        A=A,
+        row_senses=[EQ] * len(row_labels) + [LE if convex else GE] * len(grid),
+        b=b,
+        lower=np.zeros(K),
+        row_labels=row_labels + dom_labels,
+        col_labels=[f"x[{s},{a}]" for s, acts in enumerate(inst.actions) for a in acts],
+    )
+    return lp, grid
 
 
 def build_average_primal(
     inst: MdpInstance, bench: Benchmark, family: GeneratorFamily | None = None
 ) -> LpProblem:
     """Reward-maximizing LP over stable occupation measures."""
-    require_valid(inst)
-    if inst.mode != AVERAGE:
-        raise ValueError(f"average builder got mode {inst.mode!r}")
-    S, K = inst.num_states, inst.num_pairs
-    D, rhs, grid = _dominance_block(inst, bench, family)
-    A = np.vstack([_balance_block(inst), np.ones((1, K)), D])
-    b = np.concatenate([np.zeros(S), [1.0], rhs])
-    row_labels = [f"balance[{j}]" for j in range(S)] + ["normalize"]
-    if family is None:
-        row_labels += [f"dominance[eta={float(eta)!r}]" for eta in grid]
-    else:
-        row_labels += [f"dominance[xi={i}]" for i in range(len(grid))]
-    return LpProblem(
-        sense="max",
-        c=inst.reward_r.copy(),
-        A=A,
-        row_senses=[EQ] * (S + 1) + [GE] * len(grid),
-        b=b,
-        lower=np.zeros(K),
-        row_labels=row_labels,
-        col_labels=_pair_labels(inst),
-    )
+    return _occupation_lp(inst, bench, family, AVERAGE)[0]
 
 
 def build_average_cost_primal(inst: MdpInstance, bench: Benchmark) -> LpProblem:
@@ -110,32 +118,7 @@ def build_average_cost_primal(inst: MdpInstance, bench: Benchmark) -> LpProblem:
     reward_r is read as a cost c and reward_z as a cost; the dominance rows
     cap sum x(s,a) (z(s,a)-eta)_+ at E[(Y-eta)_+] per eta in supp Y.
     """
-    require_valid(inst)
-    if inst.mode != AVERAGE:
-        raise ValueError(f"average builder got mode {inst.mode!r}")
-    if inst.reward_z.ndim != 1:
-        raise ValueError("cost variant requires scalar z")
-    S, K = inst.num_states, inst.num_pairs
-    etas = bench.support
-    D = np.array([shortfall_plus(inst.reward_z, eta) for eta in etas])
-    rhs = benchmark_plus_curve(bench, etas)
-    A = np.vstack([_balance_block(inst), np.ones((1, K)), D])
-    b = np.concatenate([np.zeros(S), [1.0], rhs])
-    row_labels = (
-        [f"balance[{j}]" for j in range(S)]
-        + ["normalize"]
-        + [f"dominance[eta={float(eta)!r}]" for eta in etas]
-    )
-    return LpProblem(
-        sense="min",
-        c=inst.reward_r.copy(),
-        A=A,
-        row_senses=[EQ] * (S + 1) + [LE] * len(etas),
-        b=b,
-        lower=np.zeros(K),
-        row_labels=row_labels,
-        col_labels=_pair_labels(inst),
-    )
+    return _occupation_lp(inst, bench, None, AVERAGE, convex=True)[0]
 
 
 def extract_policy(occ: OccupationMeasure) -> Policy:
@@ -187,52 +170,43 @@ def check_slackness(report: SolveReport) -> SlacknessSummary:
     """Complementary slackness residuals: multiplier times constraint slack.
 
     Dominance side: |lam_q (sum_x row_q - rhs_q)| per row. Pair side:
-    |x(s,a) (g + h(s) - sum_j P h - r - u(z))| per pair, with the discounted
-    analog v(s) - delta sum_j P v when the report is discounted.
+    |x(s,a) (g + h(s) - delta sum_j P h - r - u(z))| per pair.
     """
     if report.status != "optimal":
         raise ValueError("slackness is only defined for optimal reports")
     occ = report.occupation
     inst = occ.inst
+    dual = report.dual
     row_vals = report.dominance_matrix @ occ.weights
-    dom = np.abs(report.dual.lam * (row_vals - report.dominance_rhs))
-    if report.mode == AVERAGE:
-        slack = (
-            report.dual.g
-            + report.dual.h[inst.state_of_pair()]
-            - inst.kernel @ report.dual.h
-            - inst.reward_r
-            - report.dual.u_of_z
-        )
-    else:
-        delta = float(inst.discount)
-        slack = (
-            report.dual.v[inst.state_of_pair()]
-            - delta * (inst.kernel @ report.dual.v)
-            - inst.reward_r
-            - report.dual.u_of_z
-        )
+    dom = np.abs(dual.lam * (row_vals - report.dominance_rhs))
+    slack = (
+        dual.g
+        + dual.h[inst.state_of_pair()]
+        - inst.delta * (inst.kernel @ dual.h)
+        - inst.reward_r
+        - dual.u_of_z
+    )
     pairs = np.abs(occ.weights * slack)
     return SlacknessSummary(dominance=dom, pairs=pairs)
 
 
 def optimality_residual(report: SolveReport, inst: MdpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state residual of the modified average optimality equations.
+    """Per-state residual of the modified optimality equations.
 
-    Returns (residuals, visited): only states whose occupation marginal
-    exceeds 1e-9 are required to satisfy the equation; the rest are reported
-    unconstrained.
+    g + h(s) = max_a { r(s,a) + u(z(s,a)) + delta sum_j P(j|s,a) h(j) }, with
+    g = 0 and h = v in discounted mode. Returns (residuals, visited): only
+    states whose occupation marginal exceeds 1e-9 are required to satisfy
+    the equation; the rest are reported unconstrained.
     """
     if report.status != "optimal":
         raise ValueError("optimality residuals require an optimal report")
-    occ = report.occupation
-    q = inst.reward_r + report.dual.u_of_z + inst.kernel @ report.dual.h
+    dual = report.dual
+    q = inst.reward_r + dual.u_of_z + inst.delta * (inst.kernel @ dual.h)
     residuals = np.zeros(inst.num_states)
-    marginal = occ.state_marginal()
     for s in range(inst.num_states):
         best = q[inst.pair_offsets[s] : inst.pair_offsets[s + 1]].max()
-        residuals[s] = abs(report.dual.g + report.dual.h[s] - best)
-    return residuals, marginal > VISIT_TOL
+        residuals[s] = abs(dual.g + dual.h[s] - best)
+    return residuals, report.occupation.state_marginal() > VISIT_TOL
 
 
 def relative_value_iteration(
@@ -261,49 +235,44 @@ def relative_value_iteration(
     raise RuntimeError("relative value iteration did not converge")
 
 
-def _utility_from_lambda(bench, lam, family, D):
-    if family is None:
-        return reconstruct_utility(bench.support, lam), lam @ D
-    return None, lam @ D
-
-
-def solve_average(
+def _solve(
     inst: MdpInstance,
     bench: Benchmark,
-    family: GeneratorFamily | None = None,
-    feas_tol: float = FEAS_TOL,
+    mode: str,
+    family: GeneratorFamily | None,
+    feas_tol: float,
+    benchmark_rescaled: bool = False,
 ) -> SolveReport:
-    """Solve the dominance-constrained average-reward problem with full dual recovery."""
-    lp = build_average_primal(inst, bench, family)
+    """Either mode's solve: LP, then dual recovery and every residual filled in."""
+    lp, grid = _occupation_lp(inst, bench, family, mode)
     S = inst.num_states
-    D, rhs, grid = _dominance_block(inst, bench, family)
+    first = S + (mode == AVERAGE)
     sol = solve_lp(lp, feas_tol=feas_tol)
+    flags = dict(
+        mode=mode, family_mode=family is not None, benchmark_rescaled=benchmark_rescaled
+    )
     if sol.status != "optimal":
-        report = SolveReport(status=sol.status, mode=AVERAGE, family_mode=family is not None)
+        report = SolveReport(status=sol.status, **flags)
         if sol.status == "infeasible":
             cert = sol.certificate
             scale = float(np.abs(cert).max(initial=0.0))
-            report.certificate = [
-                (lp.row_labels[i], float(cert[i]))
-                for i in range(len(cert))
-                if abs(cert[i]) > 1e-9 * (1.0 + scale)
-            ]
-            report.binding_etas = [
-                float(grid[i - S - 1])
-                for i in range(S + 1, len(cert))
-                if abs(cert[i]) > 1e-9 * (1.0 + scale)
-            ]
+            keep = [i for i in range(len(cert)) if abs(cert[i]) > 1e-9 * (1.0 + scale)]
+            report.certificate = [(lp.row_labels[i], float(cert[i])) for i in keep]
+            report.binding_etas = [float(grid[i - first]) for i in keep if i >= first]
         return report
-    occ = OccupationMeasure(inst=inst, weights=np.maximum(sol.x, 0.0), mode=AVERAGE)
-    h = sol.y[:S]
-    g = float(sol.y[S])
-    lam = np.maximum(sol.y[S + 1 :], 0.0)
-    utility, u_of_z = _utility_from_lambda(bench, lam, family, D)
-    dual = DualSolution(g=g, h=h, lam=lam, utility=utility, u_of_z=u_of_z)
+    D, rhs = lp.A[first:], lp.b[first:]
+    occ = OccupationMeasure(inst=inst, weights=np.maximum(sol.x, 0.0), mode=mode)
+    lam = np.maximum(sol.y[first:], 0.0)
+    dual = DualSolution(
+        g=float(sol.y[S]) if mode == AVERAGE else 0.0,
+        h=sol.y[:S],
+        lam=lam,
+        utility=reconstruct_utility(grid, lam) if family is None else None,
+        u_of_z=lam @ D,
+    )
     policy = extract_policy(occ)
     report = SolveReport(
         status="optimal",
-        mode=AVERAGE,
         objective=sol.objective,
         dual_objective=sol.dual_objective,
         gap=abs(sol.objective - sol.dual_objective),
@@ -315,9 +284,19 @@ def solve_average(
         dominance_rhs=rhs,
         dominance_margins=D @ occ.weights - rhs,
         multichain=len(recurrent_classes(policy_kernel(policy, inst))) > 1,
-        family_mode=family is not None,
         lp_iterations=sol.iterations,
+        **flags,
     )
     report.slackness = check_slackness(report)
     report.optimality_residuals, report.visited_states = optimality_residual(report, inst)
     return report
+
+
+def solve_average(
+    inst: MdpInstance,
+    bench: Benchmark,
+    family: GeneratorFamily | None = None,
+    feas_tol: float = FEAS_TOL,
+) -> SolveReport:
+    """Solve the dominance-constrained average-reward problem with full dual recovery."""
+    return _solve(inst, bench, AVERAGE, family, feas_tol)

@@ -123,19 +123,22 @@ def _cmd_solve(args) -> int:
     loaded = jsonio.parse_instance(_load_json(args.instance))
     inst = loaded.instance
     bench = _require_benchmark(loaded)
-    rescaled = False
-    if inst.mode == AVERAGE:
-        if args.rescale_benchmark:
+    if args.rescale_benchmark:
+        if inst.mode == AVERAGE:
             raise ValueError("--rescale-benchmark applies to discounted instances only")
+        if loaded.family is not None:
+            # The family's benchmark values were fixed from the unscaled benchmark.
+            raise ValueError("--rescale-benchmark cannot rescale a generator family")
+        bench = Benchmark(support=bench.support / (1.0 - inst.discount), probs=bench.probs)
+    if inst.mode == AVERAGE:
         report = solve_average(inst, bench, family=loaded.family, feas_tol=args.tol)
     else:
-        if args.rescale_benchmark:
-            bench = Benchmark(
-                support=bench.support / (1.0 - inst.discount), probs=bench.probs
-            )
-            rescaled = True
         report = solve_discounted(
-            inst, bench, benchmark_rescaled=rescaled, feas_tol=args.tol
+            inst,
+            bench,
+            benchmark_rescaled=args.rescale_benchmark,
+            feas_tol=args.tol,
+            family=loaded.family,
         )
     obj = report.to_obj()
     if (

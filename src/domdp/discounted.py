@@ -1,4 +1,9 @@
-"""Discounted-reward dominance-constrained LP and its value-iteration oracle.
+"""Discounted-reward entry points and the value-iteration oracle.
+
+The discounted problem is the occupation-measure LP of ``domdp.average``
+with delta = discount in the balance rows, b = initial on their right-hand
+side and no normalization row; its balance-row duals are the value function
+v (the dual's h, with gain g = 0).
 
 Benchmark units: the dominance rows compare the discounted SUM of per-period
 shortfalls against E[(Y-eta)_-] directly, so the benchmark must live in
@@ -11,73 +16,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .average import check_slackness, extract_policy
-from .dominance import benchmark_curve, reconstruct_utility, shortfall_minus
-from .lp import EQ, FEAS_TOL, GE, LpProblem, solve_lp
-from .mdp import (
-    DISCOUNTED,
-    Benchmark,
-    MdpInstance,
-    Policy,
-    policy_kernel,
-    recurrent_classes,
-    require_valid,
-)
-from .results import DiscountedDual, OccupationMeasure, SolveReport
+from .average import _occupation_lp, _solve, optimality_residual
+from .dominance import GeneratorFamily
+from .lp import FEAS_TOL, LpProblem
+from .mdp import DISCOUNTED, Benchmark, MdpInstance, Policy, deterministic_policy, require_valid
+from .results import SolveReport
 
-VISIT_TOL = 1e-9
+# Bound only so per-layer tracing can look them up here; the solve runs in average.
+from .average import check_slackness  # noqa: F401
+from .lp import solve_lp  # noqa: F401
+from .mdp import policy_kernel, recurrent_classes  # noqa: F401
 
 
-def build_discounted_primal(inst: MdpInstance, bench: Benchmark) -> LpProblem:
+def build_discounted_primal(
+    inst: MdpInstance, bench: Benchmark, family: GeneratorFamily | None = None
+) -> LpProblem:
     """LP over discounted occupation measures, anchored at the initial distribution."""
-    require_valid(inst)
-    if inst.mode != DISCOUNTED:
-        raise ValueError(f"discounted builder got mode {inst.mode!r}")
-    if inst.discount is None or inst.initial is None:
-        raise ValueError("discounted mode requires discount and initial")
-    if inst.reward_z.ndim != 1:
-        raise ValueError("discounted solver requires scalar z")
-    S, K = inst.num_states, inst.num_pairs
-    delta = float(inst.discount)
-    B = -delta * inst.kernel.T.copy()
-    B[inst.state_of_pair(), np.arange(K)] += 1.0
-    etas = bench.support
-    D = np.array([shortfall_minus(inst.reward_z, eta) for eta in etas])
-    rhs = benchmark_curve(bench, etas).curve
-    A = np.vstack([B, D])
-    b = np.concatenate([inst.initial, rhs])
-    row_labels = [f"balance[{j}]" for j in range(S)] + [
-        f"dominance[eta={float(eta)!r}]" for eta in etas
-    ]
-    col_labels = [f"x[{s},{a}]" for s, acts in enumerate(inst.actions) for a in acts]
-    return LpProblem(
-        sense="max",
-        c=inst.reward_r.copy(),
-        A=A,
-        row_senses=[EQ] * S + [GE] * len(etas),
-        b=b,
-        lower=np.zeros(K),
-        row_labels=row_labels,
-        col_labels=col_labels,
-    )
+    return _occupation_lp(inst, bench, family, DISCOUNTED)[0]
 
 
-def bellman_residual(report: SolveReport, inst: MdpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of the modified discounted optimality equations per state.
-
-    v(s) = max_a { r(s,a) + u(z(s,a)) + delta sum_j P(j|s,a) v(j) } is required
-    only where the occupation marginal is positive; (residuals, visited).
-    """
-    if report.status != "optimal":
-        raise ValueError("bellman residuals require an optimal report")
-    delta = float(inst.discount)
-    q = inst.reward_r + report.dual.u_of_z + delta * (inst.kernel @ report.dual.v)
-    residuals = np.zeros(inst.num_states)
-    for s in range(inst.num_states):
-        best = q[inst.pair_offsets[s] : inst.pair_offsets[s + 1]].max()
-        residuals[s] = abs(report.dual.v[s] - best)
-    marginal = report.occupation.state_marginal()
-    return residuals, marginal > VISIT_TOL
+# v(s) = max_a { r(s,a) + u(z(s,a)) + delta sum_j P(j|s,a) v(j) } is the
+# optimality equation with g = 0 and h = v.
+bellman_residual = optimality_residual
 
 
 def value_iteration_unconstrained(
@@ -104,12 +64,7 @@ def value_iteration_unconstrained(
         raise RuntimeError("value iteration did not converge")
     q = inst.reward_r + delta * (inst.kernel @ v)
     choices = [int(np.argmax(q[offsets[s] : offsets[s + 1]])) for s in range(inst.num_states)]
-    rows = []
-    for s, a in enumerate(choices):
-        row = np.zeros(len(inst.actions[s]))
-        row[a] = 1.0
-        rows.append(row)
-    return v, Policy(tuple(rows))
+    return v, deterministic_policy(inst, choices)
 
 
 def solve_discounted(
@@ -117,55 +72,7 @@ def solve_discounted(
     bench: Benchmark,
     benchmark_rescaled: bool = False,
     feas_tol: float = FEAS_TOL,
+    family: GeneratorFamily | None = None,
 ) -> SolveReport:
     """Solve the discounted problem; v from balance-row duals, lambda from dominance rows."""
-    lp = build_discounted_primal(inst, bench)
-    S = inst.num_states
-    etas = bench.support
-    D = np.array([shortfall_minus(inst.reward_z, eta) for eta in etas])
-    rhs = benchmark_curve(bench, etas).curve
-    sol = solve_lp(lp, feas_tol=feas_tol)
-    if sol.status != "optimal":
-        report = SolveReport(
-            status=sol.status, mode=DISCOUNTED, benchmark_rescaled=benchmark_rescaled
-        )
-        if sol.status == "infeasible":
-            cert = sol.certificate
-            scale = float(np.abs(cert).max(initial=0.0))
-            report.certificate = [
-                (lp.row_labels[i], float(cert[i]))
-                for i in range(len(cert))
-                if abs(cert[i]) > 1e-9 * (1.0 + scale)
-            ]
-            report.binding_etas = [
-                float(etas[i - S])
-                for i in range(S, len(cert))
-                if abs(cert[i]) > 1e-9 * (1.0 + scale)
-            ]
-        return report
-    occ = OccupationMeasure(inst=inst, weights=np.maximum(sol.x, 0.0), mode=DISCOUNTED)
-    v = sol.y[:S]
-    lam = np.maximum(sol.y[S:], 0.0)
-    utility = reconstruct_utility(etas, lam)
-    dual = DiscountedDual(v=v, lam=lam, utility=utility, u_of_z=lam @ D)
-    policy = extract_policy(occ)
-    report = SolveReport(
-        status="optimal",
-        mode=DISCOUNTED,
-        objective=sol.objective,
-        dual_objective=sol.dual_objective,
-        gap=abs(sol.objective - sol.dual_objective),
-        occupation=occ,
-        dual=dual,
-        policy=policy,
-        dominance_grid=etas,
-        dominance_matrix=D,
-        dominance_rhs=rhs,
-        dominance_margins=D @ occ.weights - rhs,
-        multichain=len(recurrent_classes(policy_kernel(policy, inst))) > 1,
-        benchmark_rescaled=benchmark_rescaled,
-        lp_iterations=sol.iterations,
-    )
-    report.slackness = check_slackness(report)
-    report.optimality_residuals, report.visited_states = bellman_residual(report, inst)
-    return report
+    return _solve(inst, bench, DISCOUNTED, family, feas_tol, benchmark_rescaled)

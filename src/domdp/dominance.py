@@ -85,18 +85,13 @@ def _distribution(values, probs) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-def check_icv(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> DominanceCheck:
-    """Does the given distribution dominate the benchmark in increasing concave order?
-
-    Checks E[(X-eta)_-] >= E[(Y-eta)_-] - tol at every eta in supp Y, which is
-    sufficient for finitely supported benchmarks.
-    """
+def _check(values, probs, bench: Benchmark, kink, tol: float) -> DominanceCheck:
+    """Margins E[kink(X-eta)] - E[kink(Y-eta)] at every eta in supp Y."""
     values, probs = _distribution(values, probs)
     etas = bench.support
     margins = np.array(
         [
-            float(probs @ shortfall_minus(values, eta))
-            - float(bench.probs @ shortfall_minus(bench.support, eta))
+            float(probs @ kink(values, eta)) - float(bench.probs @ kink(bench.support, eta))
             for eta in etas
         ]
     )
@@ -108,6 +103,15 @@ def check_icv(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> Domina
         etas=etas,
         margins=margins,
     )
+
+
+def check_icv(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> DominanceCheck:
+    """Does the given distribution dominate the benchmark in increasing concave order?
+
+    Checks E[(X-eta)_-] >= E[(Y-eta)_-] - tol at every eta in supp Y, which is
+    sufficient for finitely supported benchmarks.
+    """
+    return _check(values, probs, bench, shortfall_minus, tol)
 
 
 def check_icx(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> DominanceCheck:
@@ -117,23 +121,7 @@ def check_icx(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> Domina
     direction (shortfalls at most the benchmark's) and reads the per-eta
     margins directly.
     """
-    values, probs = _distribution(values, probs)
-    etas = bench.support
-    margins = np.array(
-        [
-            float(probs @ shortfall_plus(values, eta))
-            - float(bench.probs @ shortfall_plus(bench.support, eta))
-            for eta in etas
-        ]
-    )
-    worst = int(np.argmin(margins))
-    return DominanceCheck(
-        satisfied=bool(np.all(margins >= -tol)),
-        worst_eta=float(etas[worst]),
-        margin=float(margins[worst]),
-        etas=etas,
-        margins=margins,
-    )
+    return _check(values, probs, bench, shortfall_plus, tol)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,11 @@ class MdpInstance:
         return int(self.pair_offsets[-1])
 
     @property
+    def delta(self) -> float:
+        """Discount on the balance rows' inflow: 1.0 in average mode."""
+        return 1.0 if self.mode == AVERAGE else float(self.discount)
+
+    @property
     def z_dim(self) -> int:
         return 1 if self.reward_z.ndim == 1 else int(self.reward_z.shape[1])
 

@@ -64,7 +64,10 @@ class OccupationMeasure:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Average-mode dual: gain g, cost-to-go h, dominance multipliers lambda."""
+    """Dual of the occupation LP: gain g, cost-to-go h, dominance multipliers lambda.
+
+    In discounted mode g is 0.0 and h is the value function, also read as v.
+    """
 
     g: float
     h: np.ndarray
@@ -72,27 +75,14 @@ class DualSolution:
     utility: UtilityFunction | None
     u_of_z: np.ndarray   # utility evaluated at z(s,a), one entry per pair
 
-    def feasibility_residual(self, inst: MdpInstance) -> float:
-        """Max violation of r(s,a) + u(z(s,a)) <= g + h(s) - sum_j P(j|s,a) h(j)."""
-        lhs = inst.reward_r + self.u_of_z
-        rhs = self.g + self.h[inst.state_of_pair()] - inst.kernel @ self.h
-        return float(np.maximum(lhs - rhs, 0.0).max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class DiscountedDual:
-    """Discounted-mode dual: value function v and dominance multipliers lambda."""
-
-    v: np.ndarray
-    lam: np.ndarray
-    utility: UtilityFunction | None
-    u_of_z: np.ndarray
+    @property
+    def v(self) -> np.ndarray:
+        return self.h
 
     def feasibility_residual(self, inst: MdpInstance) -> float:
-        """Max violation of r(s,a) + u(z(s,a)) <= v(s) - delta sum_j P(j|s,a) v(j)."""
-        delta = float(inst.discount)
+        """Max violation of r(s,a) + u(z(s,a)) <= g + h(s) - delta sum_j P(j|s,a) h(j)."""
         lhs = inst.reward_r + self.u_of_z
-        rhs = self.v[inst.state_of_pair()] - delta * (inst.kernel @ self.v)
+        rhs = self.g + self.h[inst.state_of_pair()] - inst.delta * (inst.kernel @ self.h)
         return float(np.maximum(lhs - rhs, 0.0).max(initial=0.0))
 
 
@@ -120,7 +110,7 @@ class SolveReport:
     dual_objective: float | None = None
     gap: float | None = None
     occupation: OccupationMeasure | None = None
-    dual: DualSolution | DiscountedDual | None = None
+    dual: DualSolution | None = None
     policy: Policy | None = None
     dominance_grid: np.ndarray | None = None       # etas, or param indices for families
     dominance_matrix: np.ndarray | None = None     # LP dominance block, rows x pairs

@@ -11,6 +11,7 @@ from domdp.average import (
     solve_average,
     stationary_distribution,
 )
+from domdp.discounted import solve_discounted
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
 from domdp.results import OccupationMeasure
@@ -250,21 +251,33 @@ def test_vacuous_matches_unconstrained_lp():
         assert abs(constrained.objective - unconstrained.objective) <= 1e-8
 
 
-def test_multivariate_family_mode():
+@pytest.mark.parametrize(
+    "mode, extra, eta, expected",
+    [
+        ("average", {}, 4.0, 2.0),
+        ("discounted", {"discount": 0.5, "initial": np.array([1.0])}, 8.0, 4.0),
+    ],
+    ids=["average", "discounted"],
+)
+def test_multivariate_family_mode(mode, extra, eta, expected):
     inst = MdpInstance(
         num_states=1,
         actions=(("a", "b"),),
         kernel=np.ones((2, 1)),
         reward_r=np.array([2.0, 5.0]),
         reward_z=np.array([[10.0, 10.0], [0.0, 0.0]]),
-        mode="average",
+        mode=mode,
+        **extra,
     )
     from domdp.dominance import weighted_kink_family
 
-    bench = Benchmark(support=[[4.0, 4.0]], probs=[1.0])
-    fam = weighted_kink_family([[0.5, 0.5]], [4.0], bench)
-    report = solve_average(inst, bench, family=fam)
+    bench = Benchmark(support=[[eta, eta]], probs=[1.0])
+    fam = weighted_kink_family([[0.5, 0.5]], [eta], bench)
+    if mode == "average":
+        report = solve_average(inst, bench, family=fam)
+    else:
+        report = solve_discounted(inst, bench, family=fam)
     # Same structure as scalar TI-1: action b is excluded by the family row.
     assert report.status == "optimal"
-    assert report.objective == pytest.approx(2.0, abs=1e-8)
+    assert report.objective == pytest.approx(expected, abs=1e-8)
     assert report.family_mode

@@ -238,3 +238,30 @@ def test_family_instance_via_cli(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["objective"] == pytest.approx(2.0, abs=1e-8)
     assert report["family"] is True
+
+
+def test_solve_discounted_honors_family(tmp_path, capsys):
+    # Total mass 2: the family row gives -180 (a) or -200 (b), never >= E[(Y-100)_-] = -96.
+    obj = ti1_obj(
+        mode="discounted",
+        discount=0.5,
+        initial=[1.0],
+        family={"weights": [[1.0]], "etas": [100.0]},
+    )
+    path = write_json(tmp_path / "d.json", obj)
+    assert run(["solve", "--instance", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "infeasible"
+    assert report["binding_etas"] == [0.0]  # the family's first parameter
+
+
+def test_rescale_with_family_rejected(tmp_path, capsys):
+    obj = ti1_obj(
+        mode="discounted",
+        discount=0.5,
+        initial=[1.0],
+        family={"weights": [[1.0]], "etas": [4.0]},
+    )
+    path = write_json(tmp_path / "d.json", obj)
+    assert run(["solve", "--instance", path, "--rescale-benchmark"]) == 1
+    assert "generator family" in capsys.readouterr().err
