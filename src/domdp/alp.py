@@ -34,7 +34,8 @@ class BasisSet:
         if H.ndim != 2 or H.shape[0] == 0:
             raise ValueError("h_bases must be a nonempty (m, num_states) matrix")
         object.__setattr__(self, "h_bases", H)
-        if _pivoted_rank(H) < H.shape[0]:
+        scale = max(np.abs(H).max(initial=0.0), 1.0)
+        if np.linalg.matrix_rank(H, tol=RANK_TOL * scale) < H.shape[0]:
             raise ValueError("h bases are linearly dependent")
 
     @property
@@ -44,24 +45,6 @@ class BasisSet:
     @property
     def num_u(self) -> int:
         return len(self.u_bases)
-
-
-def _pivoted_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Rank by Gaussian elimination with partial pivoting."""
-    A = np.array(M, dtype=float)
-    rows, cols = A.shape
-    rank = 0
-    scale = max(np.abs(A).max(initial=0.0), 1.0)
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(A[rank:, col])))
-        if abs(A[piv, col]) <= tol * scale:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        A[rank + 1 :] -= np.outer(A[rank + 1 :, col] / A[rank, col], A[rank])
-        rank += 1
-    return rank
 
 
 def complete_basis(inst: MdpInstance, bench: Benchmark) -> BasisSet:
@@ -133,6 +116,8 @@ def build_alp(
         raise ValueError("ALP requires scalar z")
     average = inst.mode == AVERAGE
     H = bases.h_bases
+    if H.shape[1] != inst.num_states:
+        raise ValueError(f"h bases have {H.shape[1]} columns for {inst.num_states} states")
     mh, nu = bases.num_h, bases.num_u
     u_of_z = np.zeros((nu, inst.num_pairs))
     for i, u in enumerate(bases.u_bases):
@@ -140,21 +125,15 @@ def build_alp(
     exp_u = np.array([u.expectation(bench) for u in bases.u_bases])
     state_of = inst.state_of_pair()
     # (gamma.H)(s) - [delta] sum_j P(j|s,a) (gamma.H)(j), per pair and h-basis.
-    weight = 1.0 if average else float(inst.discount)
-    h_term = H.T[state_of] - weight * (inst.kernel @ H.T)
+    h_term = H.T[state_of] - inst.delta * (inst.kernel @ H.T)
     k_vars = mh + (1 if average else 0) + nu
     A = np.zeros((samples.size, k_vars))
-    b = np.zeros(samples.size)
-    labels = []
-    for i, pair in enumerate(samples):
-        A[i, :mh] = -h_term[pair]
-        col = mh
-        if average:
-            A[i, col] = -1.0
-            col += 1
-        A[i, col:] = u_of_z[:, pair]
-        b[i] = -inst.reward_r[pair]
-        labels.append(f"sample[{i}]@pair[{pair}]")
+    A[:, :mh] = -h_term[samples]
+    if average:
+        A[:, mh] = -1.0
+    A[:, k_vars - nu :] = u_of_z[:, samples].T
+    b = -inst.reward_r[samples]
+    labels = [f"sample[{i}]@pair[{pair}]" for i, pair in enumerate(samples)]
     c = np.zeros(k_vars)
     lower = np.full(k_vars, -np.inf)
     col_labels = [f"gamma[{j}]" for j in range(mh)]
@@ -229,11 +208,10 @@ def _constraint_violations(
     tol: float = 1e-9,
 ) -> float:
     average = inst.mode == AVERAGE
-    weight = 1.0 if average else float(inst.discount)
     H = bases.h_bases
     state_of = inst.state_of_pair()
     h_of = gamma @ H
-    h_term = h_of[state_of[pairs]] - weight * (inst.kernel[pairs] @ h_of)
+    h_term = h_of[state_of[pairs]] - inst.delta * (inst.kernel[pairs] @ h_of)
     u_val = np.zeros(pairs.size)
     for a_i, u in zip(alpha, bases.u_bases):
         u_val += a_i * u(inst.reward_z[pairs])

@@ -48,7 +48,6 @@ from .results import (
     SolveReport,
 )
 
-GAP_TOL = 1e-6
 VISIT_TOL = 1e-9
 ZERO_MARGINAL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -202,10 +201,7 @@ def optimality_residual(report: SolveReport, inst: MdpInstance) -> tuple[np.ndar
         raise ValueError("optimality residuals require an optimal report")
     dual = report.dual
     q = inst.reward_r + dual.u_of_z + inst.delta * (inst.kernel @ dual.h)
-    residuals = np.zeros(inst.num_states)
-    for s in range(inst.num_states):
-        best = q[inst.pair_offsets[s] : inst.pair_offsets[s + 1]].max()
-        residuals[s] = abs(dual.g + dual.h[s] - best)
+    residuals = np.abs(dual.g + dual.h - np.maximum.reduceat(q, inst.pair_offsets[:-1]))
     return residuals, report.occupation.state_marginal() > VISIT_TOL
 
 
@@ -218,14 +214,12 @@ def relative_value_iteration(
     and stops when the span of the Bellman update is below tol; the returned
     gain is then within tol/2 of optimal for unichain instances.
     """
-    state_of = inst.state_of_pair()
+    require_valid(inst)
     kernel = 0.5 * inst.kernel.copy()
-    kernel[np.arange(inst.num_pairs), state_of] += 0.5
+    kernel[np.arange(inst.num_pairs), inst.state_of_pair()] += 0.5
     h = np.zeros(inst.num_states)
-    offsets = inst.pair_offsets
     for _ in range(max_iter):
-        q = inst.reward_r + kernel @ h
-        Th = np.array([q[offsets[s] : offsets[s + 1]].max() for s in range(inst.num_states)])
+        Th = np.maximum.reduceat(inst.reward_r + kernel @ h, inst.pair_offsets[:-1])
         w = Th - h
         span = float(w.max() - w.min())
         if span <= tol:

@@ -1,7 +1,9 @@
 """Command-line entry point: solve, simulate, check-dominance, alp, gen-portfolio, oracle.
 
-Exit codes: 0 success/optimal, 1 input error, 2 infeasible (certificate in the
-report; also a failed dominance check or an empty oracle), 3 unbounded.
+Exit codes: 0 success/optimal, 1 input error (also a malformed input file), 2
+infeasible (certificate in the report; also a failed dominance check or an
+empty oracle), 3 unbounded, 4 numerical failure (singular matrix, duality-gap
+guard, iteration cap).
 Reports go to --out when given, otherwise to standard output. All randomness
 flows from --seed (default 0); identical inputs produce byte-identical
 reports.
@@ -20,6 +22,7 @@ from .alp import BasisSet, solve_alp
 from .average import solve_average
 from .discounted import solve_discounted
 from .dominance import (
+    _expected_kink,
     benchmark_curve,
     check_icv,
     check_icx,
@@ -40,6 +43,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
+EXIT_NUMERICAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,12 +152,10 @@ def _cmd_solve(args) -> int:
     ):
         # Diagnostic margins on the user grid; the LP rows use supp Y only.
         grid = np.unique(np.concatenate([bench.support, loaded.extra_grid]))
-        curve = benchmark_curve(bench, grid).curve
         x = report.occupation.weights
-        obj["extra_grid_margins"] = [
-            [float(eta), float(x @ shortfall_minus(inst.reward_z, eta) - y)]
-            for eta, y in zip(grid, curve)
-        ]
+        margins = _expected_kink(inst.reward_z, x, shortfall_minus, grid)
+        margins -= benchmark_curve(bench, grid).curve
+        obj["extra_grid_margins"] = [[float(eta), float(m)] for eta, m in zip(grid, margins)]
     _emit(obj, args.out)
     if report.status == "infeasible":
         return EXIT_INFEASIBLE
@@ -182,7 +184,7 @@ def _cmd_simulate(args) -> int:
         burn = args.horizon // 10
     else:
         zr = (float(inst.reward_z.min()), float(inst.reward_z.max()))
-        ests = estimate_discounted_shortfalls(trajs, grid, float(inst.discount), z_range=zr)
+        ests = estimate_discounted_shortfalls(trajs, grid, inst.delta, z_range=zr)
         burn = 0
     out = {
         "mode": inst.mode,
@@ -222,11 +224,14 @@ def _cmd_check_dominance(args) -> int:
 
 
 def _parse_basis(obj: dict) -> BasisSet:
-    if "h" not in obj:
+    if not isinstance(obj, dict) or "h" not in obj:
         raise ValueError("basis file needs 'h': list of per-state value rows")
+    try:
+        lambdas = [[(float(e), float(w)) for e, w in lam] for lam in obj.get("u_lambdas", [])]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'u_lambdas' must hold lists of [eta, weight] pairs: {exc}") from exc
     u_bases = tuple(
-        reconstruct_utility([float(e) for e, _ in lam], [float(w) for _, w in lam])
-        for lam in obj.get("u_lambdas", [])
+        reconstruct_utility([e for e, _ in lam], [w for _, w in lam]) for lam in lambdas
     )
     return BasisSet(h_bases=np.asarray(obj["h"], dtype=float), u_bases=u_bases)
 
@@ -307,6 +312,10 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first.
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -49,13 +49,12 @@ def value_iteration_unconstrained(
     returned v within tol/2 of the optimal value function.
     """
     require_valid(inst)
-    delta = float(inst.discount)
+    delta = inst.delta
     threshold = tol * (1.0 - delta) / (2.0 * delta)
     offsets = inst.pair_offsets
     v = np.zeros(inst.num_states)
     for _ in range(max_iter):
-        q = inst.reward_r + delta * (inst.kernel @ v)
-        v_new = np.array([q[offsets[s] : offsets[s + 1]].max() for s in range(inst.num_states)])
+        v_new = np.maximum.reduceat(inst.reward_r + delta * (inst.kernel @ v), offsets[:-1])
         if float(np.abs(v_new - v).max()) <= threshold:
             v = v_new
             break

@@ -29,6 +29,11 @@ def shortfall_plus(x, eta):
     return np.maximum(np.asarray(x, dtype=float) - eta, 0.0)[()]
 
 
+def _expected_kink(values, probs, kink, grid) -> np.ndarray:
+    """sum_k probs[k] kink(values[k] - eta) per eta; probs may be an occupation measure."""
+    return np.array([float(probs @ kink(values, eta)) for eta in grid])
+
+
 @dataclass(frozen=True)
 class ShortfallGrid:
     """Benchmark shortfall curve y(eta) = E[(Y-eta)_-] on an eta grid."""
@@ -54,18 +59,13 @@ def benchmark_curve(bench: Benchmark, grid: Sequence[float]) -> ShortfallGrid:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    curve = np.array(
-        [float(bench.probs @ shortfall_minus(bench.support, eta)) for eta in grid]
-    )
+    curve = _expected_kink(bench.support, bench.probs, shortfall_minus, grid)
     return ShortfallGrid(grid=grid, curve=curve)
 
 
 def benchmark_plus_curve(bench: Benchmark, grid: Sequence[float]) -> np.ndarray:
     """E[(Y-eta)_+] at every grid point, for the increasing convex variant."""
-    grid = np.asarray(grid, dtype=float)
-    return np.array(
-        [float(bench.probs @ shortfall_plus(bench.support, eta)) for eta in grid]
-    )
+    return _expected_kink(bench.support, bench.probs, shortfall_plus, grid)
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,8 @@ def _check(values, probs, bench: Benchmark, kink, tol: float) -> DominanceCheck:
     """Margins E[kink(X-eta)] - E[kink(Y-eta)] at every eta in supp Y."""
     values, probs = _distribution(values, probs)
     etas = bench.support
-    margins = np.array(
-        [
-            float(probs @ kink(values, eta)) - float(bench.probs @ kink(bench.support, eta))
-            for eta in etas
-        ]
-    )
+    bench_side = _expected_kink(bench.support, bench.probs, kink, etas)
+    margins = _expected_kink(values, probs, kink, etas) - bench_side
     worst = int(np.argmin(margins))
     return DominanceCheck(
         satisfied=bool(np.all(margins >= -tol)),

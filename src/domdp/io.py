@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import GeneratorFamily, weighted_kink_family
+from .dominance import GeneratorFamily, _distribution, weighted_kink_family
 from .mdp import Benchmark, MdpInstance, Policy
 from .portfolio import PortfolioConfig
 
@@ -53,7 +53,7 @@ class LoadedInstance:
 
 
 def parse_benchmark(obj: dict) -> Benchmark:
-    if "support" not in obj or "probs" not in obj:
+    if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise ValueError("benchmark needs 'support' and 'probs'")
     return Benchmark(support=np.asarray(obj["support"], dtype=float), probs=obj["probs"])
 
@@ -155,8 +155,12 @@ def parse_policy(obj, inst: MdpInstance) -> Policy:
         rows_spec = obj["policy"]
     else:
         rows_spec = obj
+    if not isinstance(rows_spec, list):
+        raise ValueError("policy must be a list of [state, [probs...]] entries")
     rows: list[np.ndarray | None] = [None] * inst.num_states
     for entry in rows_spec:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ValueError(f"policy entry {entry!r} is not [state, [probs...]]")
         s, probs = int(entry[0]), np.asarray(entry[1], dtype=float)
         if not 0 <= s < inst.num_states:
             raise ValueError(f"policy references unknown state {s}")
@@ -170,10 +174,9 @@ def parse_policy(obj, inst: MdpInstance) -> Policy:
 
 
 def parse_distribution(obj: dict) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(obj["support"], dtype=float)
-    probs = np.asarray(obj["probs"], dtype=float)
-    if values.shape != probs.shape or values.size == 0:
-        raise ValueError("distribution needs matching 'support' and 'probs'")
+    if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
+        raise ValueError("distribution needs 'support' and 'probs'")
+    values, probs = _distribution(obj["support"], obj["probs"])
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("'probs' must be a probability vector")
     return values, probs

@@ -96,10 +96,6 @@ class MdpInstance:
         """Discount on the balance rows' inflow: 1.0 in average mode."""
         return 1.0 if self.mode == AVERAGE else float(self.discount)
 
-    @property
-    def z_dim(self) -> int:
-        return 1 if self.reward_z.ndim == 1 else int(self.reward_z.shape[1])
-
     def pair_index(self, state: int, action_pos: int) -> int:
         return int(self.pair_offsets[state]) + action_pos
 
@@ -108,9 +104,6 @@ class MdpInstance:
         return np.repeat(
             np.arange(self.num_states), np.diff(self.pair_offsets).astype(int)
         )
-
-    def pairs_of_state(self, state: int) -> range:
-        return range(int(self.pair_offsets[state]), int(self.pair_offsets[state + 1]))
 
 
 @dataclass(frozen=True)

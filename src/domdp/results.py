@@ -10,7 +10,6 @@ from .dominance import UtilityFunction
 from .mdp import AVERAGE, DISCOUNTED, MdpInstance, Policy
 
 MASS_TOL = 1e-8
-MARGINAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,12 @@ class OccupationMeasure:
 
     def residuals(self) -> dict[str, float]:
         """Invariant residuals: mass defect and flow-balance sup norm."""
-        marginal = self.state_marginal()
+        delta = self.inst.delta
+        average = self.mode == AVERAGE
         inflow = self.weights @ self.inst.kernel
-        if self.mode == AVERAGE:
-            mass = abs(float(self.weights.sum()) - 1.0)
-            balance = float(np.abs(marginal - inflow).max())
-        else:
-            delta = float(self.inst.discount)
-            mass = abs(float(self.weights.sum()) - 1.0 / (1.0 - delta))
-            balance = float(np.abs(marginal - delta * inflow - self.inst.initial).max())
+        b = 0.0 if average else self.inst.initial
+        mass = abs(float(self.weights.sum()) - (1.0 if average else 1.0 / (1.0 - delta)))
+        balance = float(np.abs(self.state_marginal() - delta * inflow - b).max())
         return {"mass": mass, "balance": balance}
 
     def is_valid(self, tol: float = MASS_TOL) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import benchmark_curve, shortfall_minus
+from .dominance import _expected_kink, benchmark_curve, shortfall_minus
 from .mdp import (
     AVERAGE,
     Benchmark,
@@ -38,9 +38,6 @@ class Trajectory:
     actions: np.ndarray   # action index within A(s_t)
     rewards: np.ndarray
     z: np.ndarray
-
-    def steps(self):
-        return zip(self.states, self.actions, self.rewards, self.z)
 
 
 def _path_uniforms(seed: int, path: int, count: int) -> np.ndarray:
@@ -183,26 +180,23 @@ class OracleResult:
     skipped_multichain: int
 
 
-def _policy_shortfalls(inst, mu, pair, etas):
-    return np.array([float(mu @ shortfall_minus(inst.reward_z[pair], eta)) for eta in etas])
+def _evaluate(inst: MdpInstance, choices) -> tuple[Policy, np.ndarray, np.ndarray] | None:
+    """(policy, state weights x, chosen pairs) from (I - delta P_phi^T) x = b.
 
-
-def _evaluate_average(inst, choices):
+    In average mode the last row is the normalization sum x = 1, and a
+    multichain policy gives None.
+    """
     pol = deterministic_policy(inst, choices)
     P = policy_kernel(pol, inst)
+    pair = inst.pair_offsets[:-1] + np.asarray(choices)
+    M = np.eye(inst.num_states) - inst.delta * P.T
+    if inst.mode != AVERAGE:
+        return pol, np.linalg.solve(M, inst.initial), pair
     if len(recurrent_classes(P)) != 1:
         return None
-    S = inst.num_states
-    M = (np.eye(S) - P).T
     M[-1] = 1.0
-    rhs = np.zeros(S)
-    rhs[-1] = 1.0
-    mu = np.linalg.solve(M, rhs)
-    mu = np.maximum(mu, 0.0)
-    mu /= mu.sum()
-    pair = np.array([inst.pair_index(s, a) for s, a in enumerate(choices)])
-    value = float(mu @ inst.reward_r[pair])
-    return pol, mu, pair, value
+    x = np.maximum(np.linalg.solve(M, np.eye(inst.num_states)[-1]), 0.0)
+    return pol, x / x.sum(), pair
 
 
 def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResult | None:
@@ -217,25 +211,14 @@ def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResu
     best: OracleResult | None = None
     feasible = 0
     skipped = 0
-    S = inst.num_states
     for choices in itertools.product(*(range(len(a)) for a in inst.actions)):
-        if inst.mode == AVERAGE:
-            ev = _evaluate_average(inst, choices)
-            if ev is None:
-                skipped += 1
-                continue
-            pol, mu, pair, value = ev
-            shortfalls = _policy_shortfalls(inst, mu, pair, etas)
-        else:
-            pol = deterministic_policy(inst, choices)
-            P = policy_kernel(pol, inst)
-            delta = float(inst.discount)
-            x_state = np.linalg.solve(np.eye(S) - delta * P.T, inst.initial)
-            pair = np.array([inst.pair_index(s, a) for s, a in enumerate(choices)])
-            value = float(x_state @ inst.reward_r[pair])
-            shortfalls = np.array(
-                [float(x_state @ shortfall_minus(inst.reward_z[pair], eta)) for eta in etas]
-            )
+        ev = _evaluate(inst, choices)
+        if ev is None:
+            skipped += 1
+            continue
+        pol, x, pair = ev
+        value = float(x @ inst.reward_r[pair])
+        shortfalls = _expected_kink(inst.reward_z[pair], x, shortfall_minus, etas)
         if np.all(shortfalls >= rhs - FEAS_TOL):
             feasible += 1
             if best is None or value > best.value:

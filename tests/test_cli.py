@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import domdp
 from domdp.cli import run
 from domdp.io import dumps, instance_to_obj, parse_instance
 from helpers import TI1_BENCH, ti1
@@ -265,3 +270,83 @@ def test_rescale_with_family_rejected(tmp_path, capsys):
     path = write_json(tmp_path / "d.json", obj)
     assert run(["solve", "--instance", path, "--rescale-benchmark"]) == 1
     assert "generator family" in capsys.readouterr().err
+
+
+DIST = {"support": [1.0], "probs": [1.0]}
+TWO_STATES = {
+    "states": 2,
+    "actions": [["a", "b"], ["a"]],
+    "P": [[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0]]],
+    "r": [[1.0, 0.0], [0.5]],
+    "z": [[1.0, 0.0], [2.0]],
+    "mode": "average",
+    "benchmark": {"support": [0.5], "probs": [1.0]},
+}
+MALFORMED = [
+    pytest.param("check-dominance", "x", {"probs": [1.0]}, id="x-without-support"),
+    pytest.param("check-dominance", "x", [1.0, 2.0], id="x-json-list"),
+    pytest.param("check-dominance", "benchmark", 3.0, id="benchmark-number"),
+    pytest.param("simulate", "policy", {"policy": [[0]]}, id="policy-short-entry"),
+    pytest.param("simulate", "policy", 7, id="policy-number"),
+    pytest.param("alp", "basis", {"h": [[1.0]], "u_lambdas": [[1.0]]}, id="basis-bare-lambda"),
+    pytest.param("alp", "basis", {"h": [[1.0]]}, id="basis-one-column-two-states"),
+]
+
+
+@pytest.mark.parametrize("command, role, content", MALFORMED)
+def test_malformed_input_file_exits_one(tmp_path, capsys, command, role, content):
+    """The malformed file, passed as --<role>, ends in an error line and exit 1."""
+    bad = write_json(tmp_path / "bad.json", content)
+    inst = write_json(tmp_path / "inst.json", TWO_STATES)
+    good = write_json(tmp_path / "good.json", DIST)
+    argv = {
+        "check-dominance": ["check-dominance", "--x", good, "--benchmark", good],
+        "simulate": ["simulate", "--instance", inst, "--policy", good],
+        "alp": ["alp", "--instance", inst, "--epsilon", "0.25", "--delta", "0.1", "--basis", good],
+    }[command]
+    argv[argv.index(f"--{role}") + 1] = bad
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        np.linalg.LinAlgError("Singular matrix"),
+        ArithmeticError("duality gap 1 exceeds tolerance"),
+        RuntimeError("simplex exceeded 10 iterations"),
+    ],
+    ids=["LinAlgError", "ArithmeticError", "RuntimeError"],
+)
+def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("domdp.cli.solve_average", fail)
+    path = write_json(tmp_path / "ti1.json", ti1_obj())
+    assert run(["solve", "--instance", path]) == 4
+    assert capsys.readouterr().err == f"error: numerical failure: {exc}\n"
+
+
+def test_plain_value_error_still_exits_one(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr("domdp.cli.solve_average", fail)
+    path = write_json(tmp_path / "ti1.json", ti1_obj())
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
+def test_import_loads_no_scipy():
+    # SciPy costs about 0.4 s and 32 MiB per process; domdp must not pull it in.
+    code = (
+        "import sys, domdp, domdp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(domdp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

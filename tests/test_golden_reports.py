@@ -1,9 +1,12 @@
-"""`domdp solve` reports on the 1-state instances, pinned byte for byte.
+"""CLI reports on the 1-state instances, pinned byte for byte.
 
 The files under tests/golden hold the exact report bytes; regenerate one
-only when a change to the report is intended, with
+only when a change to the report is intended, by rerunning its command
+line below with --out tests/golden/<file>, for example
 
     domdp solve --instance instances/<name>.json [--rescale-benchmark] --out tests/golden/<file>
+
+The inputs have one state, so the bytes do not depend on the BLAS build.
 """
 
 from pathlib import Path
@@ -14,17 +17,38 @@ from domdp.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 
+
+def inst(name):
+    return str(ROOT / "instances" / name)
+
+
+ALP = ["--epsilon", "0.25", "--delta", "0.1", "--basis", inst("ti1_basis.json")]
+
 CASES = [
-    ("ti1.json", [], "ti1.json", 0),
-    ("ti1_unattainable.json", [], "ti1_unattainable.json", 2),
-    ("ti1_discounted.json", [], "ti1_discounted.json", 0),
-    ("ti1_discounted.json", ["--rescale-benchmark"], "ti1_discounted_rescaled.json", 0),
+    (["solve", "--instance", inst("ti1.json")], "ti1.json", 0),
+    (["solve", "--instance", inst("ti1_unattainable.json")], "ti1_unattainable.json", 2),
+    (["solve", "--instance", inst("ti1_discounted.json")], "ti1_discounted.json", 0),
+    (
+        ["solve", "--instance", inst("ti1_discounted.json"), "--rescale-benchmark"],
+        "ti1_discounted_rescaled.json",
+        0,
+    ),
+    (["oracle", "--instance", inst("ti1.json")], "oracle_ti1.json", 0),
+    (["oracle", "--instance", inst("ti1_unattainable.json")], "oracle_ti1_unattainable.json", 2),
+    (["oracle", "--instance", inst("ti1_discounted.json")], "oracle_ti1_discounted.json", 0),
+    (
+        ["simulate", "--instance", inst("ti1.json"), "--policy", inst("ti1_policy.json"),
+         "--paths", "3", "--horizon", "1000", "--seed", "0"],
+        "simulate_ti1.json",
+        0,
+    ),
+    (["alp", "--instance", inst("ti1.json")] + ALP, "alp_ti1.json", 0),
+    (["alp", "--instance", inst("ti1_discounted.json")] + ALP, "alp_ti1_discounted.json", 0),
 ]
 
 
-@pytest.mark.parametrize("instance, flags, golden, code", CASES, ids=[c[2] for c in CASES])
-def test_report_bytes_unchanged(tmp_path, capsys, instance, flags, golden, code):
+@pytest.mark.parametrize("argv, golden, code", CASES, ids=[c[1] for c in CASES])
+def test_report_bytes_unchanged(tmp_path, capsys, argv, golden, code):
     out = tmp_path / "report.json"
-    argv = ["solve", "--instance", str(ROOT / "instances" / instance), "--out", str(out)]
-    assert run(argv + flags) == code
+    assert run(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
