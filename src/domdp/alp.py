@@ -33,6 +33,8 @@ class BasisSet:
         H = np.asarray(self.h_bases, dtype=float)
         if H.ndim != 2 or H.shape[0] == 0:
             raise ValueError("h_bases must be a nonempty (m, num_states) matrix")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("h bases must be finite")
         object.__setattr__(self, "h_bases", H)
         scale = max(np.abs(H).max(initial=0.0), 1.0)
         if np.linalg.matrix_rank(H, tol=RANK_TOL * scale) < H.shape[0]:

@@ -124,6 +124,8 @@ def _require_benchmark(loaded) -> Benchmark:
 
 
 def _cmd_solve(args) -> int:
+    if not args.tol >= 0.0:
+        raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
     loaded = jsonio.parse_instance(_load_json(args.instance))
     inst = loaded.instance
     bench = _require_benchmark(loaded)
@@ -165,6 +167,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.paths < 1 or args.horizon < 1:
+        raise ValueError("--paths and --horizon must be at least 1")
     loaded = jsonio.parse_instance(_load_json(args.instance))
     inst = loaded.instance
     policy = jsonio.parse_policy(_load_json(args.policy), inst)

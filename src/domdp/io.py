@@ -106,6 +106,8 @@ def parse_instance(obj: dict) -> LoadedInstance:
             raise ValueError("'family' needs 'weights' and 'etas'")
         family = weighted_kink_family(fam["weights"], fam["etas"], benchmark)
     extra = np.asarray(obj["extra_grid"], dtype=float) if "extra_grid" in obj else None
+    if extra is not None and not np.all(np.isfinite(extra)):
+        raise ValueError("'extra_grid' must be finite")
     return LoadedInstance(instance=inst, benchmark=benchmark, family=family, extra_grid=extra)
 
 
@@ -177,6 +179,8 @@ def parse_distribution(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise ValueError("distribution needs 'support' and 'probs'")
     values, probs = _distribution(obj["support"], obj["probs"])
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
+        raise ValueError("distribution support and probs must be finite")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("'probs' must be a probability vector")
     return values, probs

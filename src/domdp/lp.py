@@ -82,12 +82,10 @@ class LpSolution:
 class StandardForm:
     """min c.x, A x = b with b >= 0, x >= 0, plus the exact inverse mapping."""
 
-    problem: LpProblem
     obj_sign: float
     pos_col: np.ndarray
     neg_col: np.ndarray      # -1 where the variable was not split
     slack_col: np.ndarray    # -1 for equality rows
-    slack_sign: np.ndarray   # +1 slack, -1 surplus, 0 none
     row_flip: np.ndarray
 
     def map_primal(self, x_std: np.ndarray) -> np.ndarray:
@@ -96,106 +94,72 @@ class StandardForm:
         x[split] -= x_std[self.neg_col[split]]
         return x
 
-    def embed_primal(self, x: np.ndarray, orig: LpProblem) -> np.ndarray:
-        out = np.zeros(self.problem.num_cols)
-        out[self.pos_col] = np.maximum(x, 0.0)
-        split = self.neg_col >= 0
-        out[self.pos_col[split]] = np.maximum(x[split], 0.0)
-        out[self.neg_col[split]] = np.maximum(-x[split], 0.0)
-        resid = orig.b - orig.A @ x
-        for i in range(orig.num_rows):
-            if self.slack_col[i] >= 0:
-                out[self.slack_col[i]] = self.slack_sign[i] * resid[i]
-        return out
-
     def map_duals(self, y_std: np.ndarray, orig: LpProblem) -> tuple[np.ndarray, np.ndarray]:
         y_raw = self.obj_sign * self.row_flip * y_std
-        norm = np.ones(orig.num_rows)
-        for i, rs in enumerate(orig.row_senses):
-            if rs == EQ:
-                continue
-            natural_le = orig.sense == "max"
-            norm[i] = 1.0 if (rs == LE) == natural_le else -1.0
+        # Inequality rows that oppose the objective's sense get their sign flipped.
+        against = GE if orig.sense == "max" else LE
+        norm = np.where(np.asarray(orig.row_senses, dtype=str) == against, -1.0, 1.0)
         return y_raw, norm * y_raw
 
 
 def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
-    """Slack/surplus per inequality, split free variables, flip rows so b >= 0."""
+    """Slack/surplus per inequality, split free variables, flip rows so b >= 0.
+
+    Columns: each variable, directly followed by its negated copy when it is
+    free, then one slack per inequality row in row order. A is C-ordered:
+    the summation order of the products the simplex takes follows the layout.
+    """
     m, n = p.num_rows, p.num_cols
     obj_sign = 1.0 if p.sense == "min" else -1.0
-    cols: list[np.ndarray] = []
-    costs: list[float] = []
-    labels: list[str] = []
-    pos_col = np.zeros(n, dtype=int)
-    neg_col = np.full(n, -1, dtype=int)
-    for j in range(n):
-        pos_col[j] = len(cols)
-        cols.append(p.A[:, j].copy())
-        costs.append(obj_sign * p.c[j])
-        labels.append(p.col_labels[j])
-        if np.isneginf(p.lower[j]):
-            neg_col[j] = len(cols)
-            cols.append(-p.A[:, j])
-            costs.append(-obj_sign * p.c[j])
-            labels.append(p.col_labels[j] + "__neg")
-    slack_col = np.full(m, -1, dtype=int)
-    slack_sign = np.zeros(m)
-    for i, rs in enumerate(p.row_senses):
-        if rs == EQ:
-            continue
-        slack_sign[i] = 1.0 if rs == LE else -1.0
-        col = np.zeros(m)
-        col[i] = slack_sign[i]
-        slack_col[i] = len(cols)
-        cols.append(col)
-        costs.append(0.0)
-        labels.append(f"__slack[{i}]")
-    A = np.column_stack(cols) if cols else np.zeros((m, 0))
-    b = p.b.copy()
-    row_flip = np.ones(m)
-    flip = b < 0
-    row_flip[flip] = -1.0
+    free = np.isneginf(p.lower)
+    width = 1 + free
+    pos_col = np.cumsum(width) - width
+    neg_col = np.where(free, pos_col + 1, -1)
+    src = np.repeat(np.arange(n), width)
+    k = src.size
+    sign = np.ones(k)
+    sign[neg_col[free]] = -1.0
+    senses = np.asarray(p.row_senses, dtype=str)
+    ineq = np.flatnonzero(senses != EQ)
+    slack_col = np.full(m, -1)
+    slack_col[ineq] = k + np.arange(ineq.size)
+    A = np.zeros((m, k + ineq.size))
+    np.multiply(p.A[:, src], sign, out=A[:, :k])
+    A[ineq, slack_col[ineq]] = np.where(senses[ineq] == LE, 1.0, -1.0)
+    flip = p.b < 0
+    row_flip = np.where(flip, -1.0, 1.0)
     A[flip] *= -1.0
-    b[flip] *= -1.0
+    labels = np.asarray(p.col_labels, dtype=object)[src]
+    labels[neg_col[free]] += "__neg"
     std = LpProblem(
         sense="min",
-        c=np.array(costs),
+        c=np.concatenate([obj_sign * p.c[src] * sign, np.zeros(ineq.size)]),
         A=A,
         row_senses=[EQ] * m,
-        b=b,
-        lower=np.zeros(len(cols)),
+        b=p.b * row_flip,
+        lower=np.zeros(A.shape[1]),
         row_labels=list(p.row_labels),
-        col_labels=labels,
+        col_labels=labels.tolist() + np.char.mod("__slack[%d]", ineq).tolist(),
     )
-    return std, StandardForm(
-        problem=std,
-        obj_sign=obj_sign,
-        pos_col=pos_col,
-        neg_col=neg_col,
-        slack_col=slack_col,
-        slack_sign=slack_sign,
-        row_flip=row_flip,
-    )
+    return std, StandardForm(obj_sign, pos_col, neg_col, slack_col, row_flip)
 
 
 class _Simplex:
     """Revised simplex with an explicit basis inverse and eta updates."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, feas_tol: float):
+    def __init__(self, A: np.ndarray, b: np.ndarray, feas_tol: float, basis, B_inv=None):
         self.A = A
         self.b = b
         self.m, self.n = A.shape
         self.feas_tol = feas_tol
-        self.basis: np.ndarray = np.empty(0, dtype=int)
-        self.B_inv: np.ndarray = np.empty((0, 0))
+        self.basis = basis
         self.bland = False
         self.degenerate_pivots = 0
         self.pivots = 0
         self.iterations = 0
-
-    def set_basis(self, basis: np.ndarray) -> None:
-        self.basis = basis.astype(int)
-        self.refactorize()
+        self.B_inv = B_inv
+        if B_inv is None:
+            self.refactorize()
 
     def refactorize(self) -> None:
         self.B_inv = np.linalg.inv(self.A[:, self.basis])
@@ -250,6 +214,18 @@ class _Simplex:
         raise RuntimeError(f"simplex exceeded {max_iter} iterations")
 
 
+def _start_basis(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per row, the first zero-cost unit column with +1 in that row; -1 if none."""
+    nz = A != 0.0
+    unit = np.flatnonzero((nz.sum(axis=0) == 1) & (c == 0.0))
+    _, row_of = np.nonzero(nz[:, unit].T)
+    plus = A[row_of, unit] == 1.0
+    rows, first = np.unique(row_of[plus], return_index=True)
+    basis = np.full(A.shape[0], -1)
+    basis[rows] = unit[plus][first]
+    return basis
+
+
 def _solve_standard(std: LpProblem, feas_tol: float):
     """Two-phase simplex on a standard-form problem.
 
@@ -260,27 +236,19 @@ def _solve_standard(std: LpProblem, feas_tol: float):
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
     max_iter = 5000 + 200 * (m + n)
-    basis = np.full(m, -1, dtype=int)
-    for j in range(n):
-        col = A[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 1 and col[nz[0]] == 1.0 and basis[nz[0]] == -1 and c[j] == 0.0:
-            basis[nz[0]] = j
-    need_art = np.where(basis == -1)[0]
-    n_work = n + need_art.size
-    if need_art.size:
-        A_work = np.hstack([A, np.zeros((m, need_art.size))])
-        for k, i in enumerate(need_art):
-            A_work[i, n + k] = 1.0
-            basis[i] = n + k
-    else:
-        A_work = A
-    sx = _Simplex(A_work, b, feas_tol)
-    sx.set_basis(basis)
+    # An artificial column covers each row without a unit column.
+    basis = _start_basis(A, c)
+    need_art = np.flatnonzero(basis == -1)
+    n_art = need_art.size
+    basis[need_art] = n + np.arange(n_art)
+    A_work = np.hstack([A, np.zeros((m, n_art))]) if n_art else A
+    A_work[need_art, basis[need_art]] = 1.0
+    # Every start basis column is a unit column, so its inverse is the identity.
+    sx = _Simplex(A_work, b, feas_tol, basis, np.eye(m))
 
     kept = np.arange(m)
-    if need_art.size:
-        c1 = np.zeros(n_work)
+    if n_art:
+        c1 = np.zeros(n + n_art)
         c1[n:] = 1.0
         status, _, _ = sx.run(c1, max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
@@ -291,30 +259,27 @@ def _solve_standard(std: LpProblem, feas_tol: float):
             cert = sx.B_inv.T @ c1[sx.basis]
             return "infeasible", None, None, cert, None, kept, sx.iterations
         # Drive artificials out of the basis; rows that resist are redundant.
+        # A pivot only changes its own row's basic column, so the rows to
+        # visit are known up front.
         redundant = []
-        for row in range(m):
-            if sx.basis[row] < n:
-                continue
+        for row in np.flatnonzero(sx.basis >= n):
             tableau_row = sx.B_inv[row] @ A
             tableau_row[sx.basis[sx.basis < n]] = 0.0
-            cands = np.where(np.abs(tableau_row) > PIVOT_TOL)[0]
+            cands = np.flatnonzero(np.abs(tableau_row) > PIVOT_TOL)
             if cands.size:
-                enter = int(cands[0])
-                d = sx.B_inv @ A_work[:, enter]
-                sx._pivot(row, enter, d)
+                sx._pivot(row, int(cands[0]), sx.B_inv @ A_work[:, cands[0]])
             else:
                 redundant.append(row)
-        # Rebuild without artificial columns (and without redundant rows) for
-        # phase 2.
+        # Phase 2 drops the artificial columns and the redundant rows, and
+        # starts from a fresh inverse of the phase-1 basis.
         if redundant:
-            kept = np.array([i for i in range(m) if i not in set(redundant)], dtype=int)
+            kept = np.delete(kept, redundant)
             A = A[kept]
             b = b[kept]
-        sx2 = _Simplex(A, b, feas_tol)
+        sx2 = _Simplex(A, b, feas_tol, sx.basis[kept])
         sx2.iterations = sx.iterations
         sx2.degenerate_pivots = sx.degenerate_pivots
         sx2.bland = sx.bland
-        sx2.set_basis(sx.basis[kept])
         sx = sx2
 
     status, enter, d = sx.run(c, max_iter)
@@ -333,30 +298,16 @@ def _solve_standard(std: LpProblem, feas_tol: float):
 
 
 def _residuals(p: LpProblem, x: np.ndarray, y_raw: np.ndarray):
-    Ax = p.A @ x
-    prim = 0.0
-    slack = 0.0
-    for i, rs in enumerate(p.row_senses):
-        gap = Ax[i] - p.b[i]
-        if rs == LE:
-            prim = max(prim, gap)
-        elif rs == GE:
-            prim = max(prim, -gap)
-        else:
-            prim = max(prim, abs(gap))
-        slack = max(slack, abs(y_raw[i] * gap))
-    nonneg = ~np.isneginf(p.lower)
-    if nonneg.any():
-        prim = max(prim, float(np.maximum(-x[nonneg], 0.0).max(initial=0.0)))
+    """Largest primal violation, dual violation and complementary product."""
+    gap = p.A @ x - p.b
+    senses = np.asarray(p.row_senses, dtype=str)
+    row_viol = np.where(senses == LE, gap, np.where(senses == GE, -gap, np.abs(gap)))
     rc = p.c - p.A.T @ y_raw
-    dual = 0.0
-    for j in range(p.num_cols):
-        if np.isneginf(p.lower[j]):
-            dual = max(dual, abs(rc[j]))
-        else:
-            viol = rc[j] if p.sense == "max" else -rc[j]
-            dual = max(dual, viol)
-            slack = max(slack, abs(x[j] * rc[j]))
+    free = np.isneginf(p.lower)
+    col_viol = np.where(free, np.abs(rc), rc if p.sense == "max" else -rc)
+    prim = max(0.0, row_viol.max(initial=0.0), (-x[~free]).max(initial=0.0))
+    dual = max(0.0, col_viol.max(initial=0.0))
+    slack = max(np.abs(y_raw * gap).max(initial=0.0), np.abs(x * rc)[~free].max(initial=0.0))
     return float(prim), float(dual), float(slack)
 
 

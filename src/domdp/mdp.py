@@ -120,6 +120,8 @@ class Benchmark:
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+            raise ValueError("benchmark support and probs must be finite")
         if support.ndim == 1:
             if support.shape != probs.shape or support.size == 0:
                 raise ValueError("support and probs must be equal-length and nonempty")
@@ -177,6 +179,18 @@ class Policy:
 def validate_instance(inst: MdpInstance) -> list[Violation]:
     """Check every MdpInstance invariant; violations are data, not failures."""
     out: list[Violation] = []
+    state_of = inst.state_of_pair()
+    for name, values in (("P", inst.kernel), ("r", inst.reward_r), ("z", inst.reward_z)):
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        for k in np.flatnonzero(~finite):
+            s = int(state_of[k])
+            label = inst.actions[s][k - int(inst.pair_offsets[s])]
+            at = f"(.|{s},{label})" if name == "P" else f"({s},{label})"
+            message = f"{name}{at} must be finite"
+            out.append(Violation(kind="non_finite", state=s, action=label, message=message))
+    for name, value in (("discount", inst.discount), ("initial", inst.initial)):
+        if value is not None and not np.all(np.isfinite(value)):
+            out.append(Violation(kind="non_finite", message=f"{name} must be finite"))
     for s, acts in enumerate(inst.actions):
         if len(acts) == 0:
             out.append(
@@ -194,7 +208,6 @@ def validate_instance(inst: MdpInstance) -> list[Violation]:
                     message=f"state {s} repeats an action label",
                 )
             )
-    state_of = inst.state_of_pair()
     for k in range(inst.num_pairs):
         s = int(state_of[k])
         label = inst.actions[s][k - int(inst.pair_offsets[s])]

@@ -24,6 +24,7 @@ from .mdp import (
     deterministic_policy,
     policy_kernel,
     recurrent_classes,
+    require_valid,
 )
 
 MAX_POLICIES = 10**6
@@ -160,14 +161,19 @@ def estimate_discounted_shortfalls(
     return out
 
 
-def enumerate_deterministic_policies(inst: MdpInstance):
-    """Every deterministic stationary policy exactly once, lexicographic order."""
+def _choices(inst: MdpInstance):
+    """Action index per state for every deterministic policy, lexicographic order."""
     total = 1
     for acts in inst.actions:
         total *= len(acts)
         if total > MAX_POLICIES:
             raise ValueError(f"too many deterministic policies ({total}+ > {MAX_POLICIES})")
-    for choices in itertools.product(*(range(len(a)) for a in inst.actions)):
+    return itertools.product(*(range(len(a)) for a in inst.actions))
+
+
+def enumerate_deterministic_policies(inst: MdpInstance):
+    """Every deterministic stationary policy exactly once, lexicographic order."""
+    for choices in _choices(inst):
         yield deterministic_policy(inst, choices)
 
 
@@ -205,13 +211,15 @@ def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResu
     Evaluates objective and per-eta shortfalls by linear solves, never
     simulation. Average mode skips (and counts) multichain policies; returns
     None when no deterministic policy meets every dominance row within 1e-9.
+    Raises ValueError on an invalid instance or more than MAX_POLICIES policies.
     """
+    require_valid(inst)
     etas = bench.support
     rhs = benchmark_curve(bench, etas).curve
     best: OracleResult | None = None
     feasible = 0
     skipped = 0
-    for choices in itertools.product(*(range(len(a)) for a in inst.actions)):
+    for choices in _choices(inst):
         ev = _evaluate(inst, choices)
         if ev is None:
             skipped += 1

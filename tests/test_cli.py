@@ -350,3 +350,71 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+NAN = float("nan")
+NON_FINITE = [
+    pytest.param("solve", ti1_obj(P=[[[NAN], [1.0]]]), id="solve-P-nan"),
+    pytest.param("oracle", ti1_obj(P=[[[NAN], [1.0]]]), id="oracle-P-nan"),
+    pytest.param("solve", ti1_obj(r=[[NAN, 5.0]]), id="solve-r-nan"),
+    pytest.param("solve", ti1_obj(r=[[float("inf"), 5.0]]), id="solve-r-inf"),
+    pytest.param("solve", ti1_obj(z=[[10.0, NAN]]), id="solve-z-nan"),
+    pytest.param(
+        "solve",
+        ti1_obj(mode="discounted", discount=0.5, initial=[NAN]),
+        id="solve-initial-nan",
+    ),
+    pytest.param("solve", ti1_obj(benchmark_probs=(NAN,)), id="solve-probs-nan"),
+    pytest.param("oracle", ti1_obj(benchmark_probs=(NAN,)), id="oracle-probs-nan"),
+    pytest.param("solve", ti1_obj(benchmark_support=(NAN,)), id="solve-support-nan"),
+    pytest.param("solve", ti1_obj(extra_grid=[NAN]), id="solve-extra-grid-nan"),
+    pytest.param("alp", {"h": [[NAN]]}, id="alp-basis-nan"),
+    pytest.param("check-dominance", {"support": [NAN], "probs": [1.0]}, id="x-nan"),
+]
+
+
+@pytest.mark.parametrize("command, content", NON_FINITE)
+def test_non_finite_input_exits_one(tmp_path, capsys, command, content):
+    bad = write_json(tmp_path / "bad.json", content)
+    ti1_path = write_json(tmp_path / "ti1.json", ti1_obj())
+    argv = {
+        "solve": ["solve", "--instance", bad],
+        "oracle": ["oracle", "--instance", bad],
+        "alp": ["alp", "--instance", ti1_path, "--epsilon", "0.25", "--delta", "0.1",
+                "--basis", bad],
+        "check-dominance": ["check-dominance", "--x", bad, "--benchmark", bad],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+def test_oracle_policy_limit_exits_one(tmp_path, capsys, monkeypatch):
+    # domdp/__init__.py rebinds the name "simulate" to the function.
+    monkeypatch.setattr(sys.modules["domdp.simulate"], "MAX_POLICIES", 3)
+    two_by_two = {
+        **TWO_STATES,
+        "actions": [["a", "b"], ["a", "b"]],
+        "P": [[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.5, 0.5]]],
+        "r": [[1.0, 0.0], [0.5, 2.0]],
+        "z": [[1.0, 0.0], [2.0, 0.5]],
+    }
+    path = write_json(tmp_path / "two.json", two_by_two)
+    assert run(["oracle", "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("error: too many deterministic policies")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("solve", "--tol", "-1"), ("simulate", "--paths", "0"), ("simulate", "--horizon", "0")],
+)
+def test_out_of_range_argument_exits_one(tmp_path, capsys, command, flag, value):
+    path = write_json(tmp_path / "ti1.json", ti1_obj())
+    policy = write_json(tmp_path / "pol.json", [[0, [1.0, 0.0]]])
+    argv = {
+        "solve": ["solve", "--instance", path],
+        "simulate": ["simulate", "--instance", path, "--policy", policy],
+    }[command]
+    assert run(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err

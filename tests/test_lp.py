@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from domdp.lp import LE, EQ, GE, LpProblem, solve_lp, to_standard_form
+from domdp.lp import EQ, GE, LE, LpProblem, _residuals, _start_basis, solve_lp, to_standard_form
 
 
 def box_problem():
@@ -41,24 +41,38 @@ def test_standard_form_surplus_for_ge_row():
     assert std.A[0, rec.slack_col[0]] == -1.0
 
 
-def test_standard_form_free_variable_round_trip():
+def test_standard_form_layout():
+    # Columns: each variable, its negated copy right after it when free, then
+    # one slack per inequality row; rows with b < 0 are negated, slacks too.
     p = LpProblem(
-        sense="min",
-        c=np.array([1.0, 2.0]),
-        A=np.array([[1.0, 1.0], [1.0, -1.0]]),
-        row_senses=[LE, GE],
-        b=np.array([4.0, -3.0]),
-        lower=np.array([0.0, -np.inf]),
-        row_labels=["r0", "r1"],
-        col_labels=["x", "v"],
+        sense="max",
+        c=np.array([1.0, 2.0, -3.0]),
+        A=np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [4.0, 0.0, 5.0]]),
+        row_senses=[LE, GE, EQ],
+        b=np.array([4.0, -3.0, -2.0]),
+        lower=np.array([0.0, -np.inf, 0.0]),
+        row_labels=["le", "ge", "eq"],
+        col_labels=["x", "v", "w"],
     )
     std, rec = to_standard_form(p)
-    for v in (-2.75, 0.0, 3.5):
-        x = np.array([1.25, v])
-        assert np.allclose(rec.map_primal(rec.embed_primal(x, p)), x)
-        # The embedded point satisfies the standard-form equalities exactly.
-        emb = rec.embed_primal(x, p)
-        assert np.allclose(std.A @ emb, std.b)
+    assert np.array_equal(
+        std.A,
+        [
+            [1.0, 2.0, -2.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, -1.0, -3.0, 0.0, 1.0],
+            [-4.0, 0.0, 0.0, -5.0, 0.0, 0.0],
+        ],
+    )
+    assert std.A.flags.c_contiguous
+    assert np.array_equal(std.c, [-1.0, -2.0, 2.0, 3.0, 0.0, 0.0])
+    assert np.array_equal(std.b, [4.0, 3.0, 2.0])
+    assert std.col_labels == ["x", "v", "v__neg", "w", "__slack[0]", "__slack[1]"]
+    assert rec.pos_col.tolist() == [0, 1, 3]
+    assert rec.neg_col.tolist() == [-1, 2, -1]
+    assert rec.slack_col.tolist() == [4, 5, -1]
+    assert rec.row_flip.tolist() == [1.0, -1.0, -1.0]
+    x_std = np.array([1.5, 0.25, 2.0, 0.5, 9.0, 9.0])
+    assert rec.map_primal(x_std).tolist() == [1.5, -1.75, 0.5]
 
 
 def test_dimension_mismatch_rejected():
@@ -236,3 +250,46 @@ def test_degenerate_problem_terminates():
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-8)
+
+
+def _loop_start_basis(A, c):
+    """Reference: per row, the first zero-cost unit column with +1 there."""
+    basis = np.full(A.shape[0], -1)
+    for j in range(A.shape[1]):
+        nz = np.nonzero(A[:, j])[0]
+        if nz.size == 1 and A[nz[0], j] == 1.0 and basis[nz[0]] == -1 and c[j] == 0.0:
+            basis[nz[0]] = j
+    return basis
+
+
+def _loop_residuals(p, x, y_raw):
+    """Reference: the residual maxima taken one row and one column at a time."""
+    Ax = p.A @ x
+    prim = dual = slack = 0.0
+    for i, rs in enumerate(p.row_senses):
+        gap = Ax[i] - p.b[i]
+        prim = max(prim, gap if rs == LE else -gap if rs == GE else abs(gap))
+        slack = max(slack, abs(y_raw[i] * gap))
+    rc = p.c - p.A.T @ y_raw
+    for j in range(p.num_cols):
+        if np.isneginf(p.lower[j]):
+            dual = max(dual, abs(rc[j]))
+        else:
+            prim = max(prim, -x[j])
+            dual = max(dual, rc[j] if p.sense == "max" else -rc[j])
+            slack = max(slack, abs(x[j] * rc[j]))
+    return float(prim), float(dual), float(slack)
+
+
+def test_array_glue_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, n = rng.integers(0, 8), rng.integers(1, 12)
+        A = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0, 2.0], size=(m, n))
+        c = rng.choice([0.0, 0.0, 1.0, -1.5], size=n)
+        assert np.array_equal(_start_basis(A, c), _loop_start_basis(A, c))
+    for _ in range(50):
+        p = _random_feasible_bounded(rng)
+        sol = solve_lp(p)
+        for x, y in ((sol.x, sol.y_raw), (sol.x + rng.normal(size=p.num_cols), -sol.y_raw)):
+            assert _residuals(p, x, y) == _loop_residuals(p, x, y)
