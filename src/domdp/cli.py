@@ -174,6 +174,8 @@ def _cmd_simulate(args) -> int:
     policy = jsonio.parse_policy(_load_json(args.policy), inst)
     if args.grid:
         grid = np.array([float(v) for v in args.grid.split(",")])
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("--grid values must be finite")
     elif loaded.benchmark is not None:
         grid = loaded.benchmark.support
     else:

@@ -136,6 +136,8 @@ class UtilityFunction:
         w = np.asarray(self.weights, dtype=float)
         if bp.shape != w.shape or bp.ndim != 1 or bp.size == 0:
             raise ValueError("breakpoints and weights must be equal-length vectors")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(w))):
+            raise ValueError("breakpoints and weights must be finite")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(w < 0):
@@ -208,9 +210,13 @@ def weighted_kink_family(
     for w in ws:
         if w.shape != (n,):
             raise ValueError("weight vectors must share one dimension")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight vectors must be finite")
         if np.any(w < 0):
             raise ValueError("weight vectors must be nonnegative")
     etas = np.asarray(etas, dtype=float)
+    if not np.all(np.isfinite(etas)):
+        raise ValueError("family etas must be finite")
     support = bench.support if bench.is_vector else bench.support[:, None]
     if support.shape[1] != n:
         raise ValueError(f"benchmark dimension {support.shape[1]} != family dimension {n}")

@@ -166,6 +166,8 @@ class Policy:
         for s, row in enumerate(rows):
             if row.ndim != 1 or row.size == 0:
                 raise ValueError(f"policy row for state {s} must be a nonempty vector")
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"policy row for state {s} must be finite")
             if np.any(row < -POLICY_TOL):
                 raise ValueError(f"policy row for state {s} has negative entries")
             if abs(row.sum() - 1.0) > POLICY_TOL:

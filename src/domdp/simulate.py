@@ -22,7 +22,6 @@ from .mdp import (
     MdpInstance,
     Policy,
     deterministic_policy,
-    policy_kernel,
     recurrent_classes,
     require_valid,
 )
@@ -32,23 +31,17 @@ FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    seed: int
-    path: int
-    states: np.ndarray
-    actions: np.ndarray   # action index within A(s_t)
-    rewards: np.ndarray
-    z: np.ndarray
+class Trajectories:
+    """Row p is path p; column t is step t."""
+
+    states: np.ndarray    # (num_paths, T)
+    actions: np.ndarray   # (num_paths, T), action index within A(s_t)
+    z: np.ndarray         # (num_paths, T) for scalar z, (num_paths, T, d) for vector z
 
 
 def _path_uniforms(seed: int, path: int, count: int) -> np.ndarray:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).random(count)
-
-
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized per-row inverse CDF: first index with cumulative >= u."""
-    return (cum < u[:, None]).sum(axis=1)
 
 
 def simulate(
@@ -58,50 +51,38 @@ def simulate(
     T: int,
     num_paths: int,
     seed: int,
-) -> list[Trajectory]:
+) -> Trajectories:
     """num_paths independent length-T trajectories; path p is keyed by (seed, p)."""
     S = inst.num_states
     max_a = max(len(a) for a in inst.actions)
-    # Joint per-state cumulative over (action, next state), action-major,
-    # padded with ones so draws never land beyond the last real cell.
+    # Joint per-state cumulative over (action, next state), action-major. The
+    # last real cell is 1.0 and the padding is ones, so a uniform in [0, 1)
+    # never counts past the last real cell, even when the sum ends below 1.
     joint = np.ones((S, max_a * S))
     for s, row in enumerate(policy.rows):
         block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
         probs = (row[:, None] * block).ravel()
-        joint[s, : probs.size] = np.cumsum(probs)
-    offsets = inst.pair_offsets[:-1]
-    counts = np.diff(inst.pair_offsets)
+        joint[s, : probs.size - 1] = np.cumsum(probs)[:-1]
     nu_cum = np.cumsum(np.asarray(nu, dtype=float))
+    nu_cum[-1] = 1.0
 
     U = np.stack([_path_uniforms(seed, p, 1 + T) for p in range(num_paths)])
-    state = np.searchsorted(nu_cum, U[:, 0], side="left")
-    np.clip(state, 0, S - 1, out=state)
-
-    states = np.empty((num_paths, T), dtype=np.int64)
-    actions = np.empty((num_paths, T), dtype=np.int64)
-    pairs = np.empty((num_paths, T), dtype=np.int64)
+    start = np.searchsorted(nu_cum, U[:, 0], side="left")
+    cells = np.empty((num_paths, T), dtype=np.int64)
+    state = start
     for t in range(T):
-        idx = _inverse_cdf(joint[state], U[:, 1 + t])
-        np.minimum(idx, counts[state] * S - 1, out=idx)
-        a, nxt = np.divmod(idx, S)
-        states[:, t] = state
-        actions[:, t] = a
-        pairs[:, t] = offsets[state] + a
-        state = nxt
+        cells[:, t] = (joint[state] < U[:, 1 + t, None]).sum(axis=1)
+        state = cells[:, t] % S
+    del U
 
-    out = []
-    for p in range(num_paths):
-        out.append(
-            Trajectory(
-                seed=seed,
-                path=p,
-                states=states[p],
-                actions=actions[p],
-                rewards=inst.reward_r[pairs[p]],
-                z=inst.reward_z[pairs[p]],
-            )
-        )
-    return out
+    states = np.empty_like(cells)
+    states[:, 0] = start
+    np.remainder(cells[:, :-1], S, out=states[:, 1:])
+    actions = cells // S
+    del cells
+    pairs = inst.pair_offsets[:-1][states]
+    pairs += actions
+    return Trajectories(states=states, actions=actions, z=inst.reward_z[pairs])
 
 
 @dataclass(frozen=True)
@@ -112,28 +93,27 @@ class ShortfallEstimate:
     truncation_bound: float = 0.0
 
 
-def estimate_average_shortfalls(trajs: list[Trajectory], grid) -> list[ShortfallEstimate]:
+def estimate_average_shortfalls(trajs: Trajectories, grid) -> list[ShortfallEstimate]:
     """Per-eta long-run average shortfall, paths as batches for the standard error.
 
     The first T//10 steps of every path are discarded as burn-in.
     """
     grid = np.asarray(grid, dtype=float)
-    if trajs[0].z.ndim != 1:
+    if trajs.z.ndim != 2:
         raise ValueError("shortfall estimation requires scalar z")
-    T = trajs[0].z.size
-    burn = T // 10
-    zmat = np.stack([tr.z[burn:] for tr in trajs])
+    n, T = trajs.z.shape
+    zmat = trajs.z[:, T // 10 :]
     out = []
     for eta in grid:
         path_means = shortfall_minus(zmat, eta).mean(axis=1)
         est = float(path_means.mean())
-        se = float(path_means.std(ddof=1) / np.sqrt(len(trajs))) if len(trajs) > 1 else 0.0
+        se = float(path_means.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         out.append(ShortfallEstimate(eta=float(eta), estimate=est, stderr=se))
     return out
 
 
 def estimate_discounted_shortfalls(
-    trajs: list[Trajectory], grid, delta: float, z_range: tuple[float, float] | None = None
+    trajs: Trajectories, grid, delta: float, z_range: tuple[float, float] | None = None
 ) -> list[ShortfallEstimate]:
     """Per-eta discounted shortfall sum over the truncated horizon.
 
@@ -142,10 +122,10 @@ def estimate_discounted_shortfalls(
     range is used.
     """
     grid = np.asarray(grid, dtype=float)
-    if trajs[0].z.ndim != 1:
+    zmat = trajs.z
+    if zmat.ndim != 2:
         raise ValueError("shortfall estimation requires scalar z")
-    T = trajs[0].z.size
-    zmat = np.stack([tr.z for tr in trajs])
+    n, T = zmat.shape
     if z_range is None:
         z_range = (float(zmat.min()), float(zmat.max()))
     disc = delta ** np.arange(T)
@@ -153,7 +133,7 @@ def estimate_discounted_shortfalls(
     for eta in grid:
         totals = shortfall_minus(zmat, eta) @ disc
         est = float(totals.mean())
-        se = float(totals.std(ddof=1) / np.sqrt(len(trajs))) if len(trajs) > 1 else 0.0
+        se = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         bound = delta**T * max(abs(z_range[0] - eta), abs(z_range[1] - eta)) / (1.0 - delta)
         out.append(
             ShortfallEstimate(eta=float(eta), estimate=est, stderr=se, truncation_bound=bound)
@@ -186,23 +166,22 @@ class OracleResult:
     skipped_multichain: int
 
 
-def _evaluate(inst: MdpInstance, choices) -> tuple[Policy, np.ndarray, np.ndarray] | None:
-    """(policy, state weights x, chosen pairs) from (I - delta P_phi^T) x = b.
+def _evaluate(inst: MdpInstance, choices) -> tuple[np.ndarray, np.ndarray] | None:
+    """(state weights x, chosen pairs) from (I - delta P_phi^T) x = b.
 
-    In average mode the last row is the normalization sum x = 1, and a
-    multichain policy gives None.
+    P_phi is the chosen pairs' kernel rows. In average mode the last row is
+    the normalization sum x = 1, and a multichain policy gives None.
     """
-    pol = deterministic_policy(inst, choices)
-    P = policy_kernel(pol, inst)
     pair = inst.pair_offsets[:-1] + np.asarray(choices)
+    P = inst.kernel[pair]
     M = np.eye(inst.num_states) - inst.delta * P.T
     if inst.mode != AVERAGE:
-        return pol, np.linalg.solve(M, inst.initial), pair
+        return np.linalg.solve(M, inst.initial), pair
     if len(recurrent_classes(P)) != 1:
         return None
     M[-1] = 1.0
     x = np.maximum(np.linalg.solve(M, np.eye(inst.num_states)[-1]), 0.0)
-    return pol, x / x.sum(), pair
+    return x / x.sum(), pair
 
 
 def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResult | None:
@@ -216,7 +195,7 @@ def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResu
     require_valid(inst)
     etas = bench.support
     rhs = benchmark_curve(bench, etas).curve
-    best: OracleResult | None = None
+    best = None   # (value, choices, shortfalls)
     feasible = 0
     skipped = 0
     for choices in _choices(inst):
@@ -224,25 +203,20 @@ def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResu
         if ev is None:
             skipped += 1
             continue
-        pol, x, pair = ev
+        x, pair = ev
         value = float(x @ inst.reward_r[pair])
         shortfalls = _expected_kink(inst.reward_z[pair], x, shortfall_minus, etas)
         if np.all(shortfalls >= rhs - FEAS_TOL):
             feasible += 1
-            if best is None or value > best.value:
-                best = OracleResult(
-                    value=value,
-                    policy=pol,
-                    shortfalls=shortfalls,
-                    feasible_count=0,
-                    skipped_multichain=0,
-                )
+            if best is None or value > best[0]:
+                best = (value, choices, shortfalls)
     if best is None:
         return None
+    value, choices, shortfalls = best
     return OracleResult(
-        value=best.value,
-        policy=best.policy,
-        shortfalls=best.shortfalls,
+        value=value,
+        policy=deterministic_policy(inst, choices),
+        shortfalls=shortfalls,
         feasible_count=feasible,
         skipped_multichain=skipped,
     )

@@ -13,8 +13,9 @@ corpus covers ``solve`` (plain, ``--rescale-benchmark`` and ``--tol``),
 and icx) on seeded random instances in both modes (some with
 ``extra_grid``, some with a generator family, some with an infeasible
 benchmark), the shipped ``instances/ti1*`` files, non-finite inputs, an
-oracle over more policies than its limit, and out-of-range numeric
-arguments. pytest does not collect this file.
+oracle over more policies than its limit, out-of-range numeric arguments
+and one long ``simulate`` on a random instance of 6 to 8 states.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -197,10 +198,23 @@ def _edge_cases(c: _Corpus) -> None:
         c.add(f"nonfinite-{name}/solve", ["solve", "--instance", path])
         c.add(f"nonfinite-{name}/oracle", ["oracle", "--instance", path])
     ti1 = str(INSTANCES / "ti1.json")
-    nan_basis = c.file("nonfinite-basis", {"h": [[NAN]]})
+    bad_bases = {"basis": {"h": [[NAN]]}, "u-eta": {"h": [[1.0]], "u_lambdas": [[[NAN, 1.0]]]}}
+    for name, obj in bad_bases.items():
+        basis = c.file(f"nonfinite-{name}", obj)
+        c.add(
+            f"nonfinite-{name}/alp",
+            ["alp", "--instance", ti1, "--epsilon", "0.25", "--delta", "0.1", "--basis", basis],
+        )
+    for name, family in {"weight": {"weights": [[NAN]], "etas": [4.0]},
+                         "eta": {"weights": [[1.0]], "etas": [NAN]}}.items():
+        path = c.file(f"nonfinite-family-{name}", _ti1_obj(family=family))
+        c.add(f"nonfinite-family-{name}/solve", ["solve", "--instance", path])
+    nan_policy = c.file("nonfinite-policy", {"policy": [[0, [NAN, 1.0]]]})
+    c.add("nonfinite-policy/simulate", ["simulate", "--instance", ti1, "--policy", nan_policy])
     c.add(
-        "nonfinite-basis/alp",
-        ["alp", "--instance", ti1, "--epsilon", "0.25", "--delta", "0.1", "--basis", nan_basis],
+        "nonfinite-grid/simulate",
+        ["simulate", "--instance", ti1, "--policy", str(INSTANCES / "ti1_policy.json"),
+         "--grid", "nan"],
     )
     nan_x = c.file("nonfinite-x", {"support": [NAN], "probs": [1.0]})
     good = c.file("dist-point", {"support": [1.0], "probs": [1.0]})
@@ -222,6 +236,26 @@ def _edge_cases(c: _Corpus) -> None:
             f"range/simulate{flag}-0",
             ["simulate", "--instance", ti1, "--policy", policy, flag, "0"],
         )
+
+
+def _long_simulation(c: _Corpus, rng: np.random.Generator) -> None:
+    """One multi-state simulation long enough to drive the step loop at length."""
+    inst = random_instance(rng, max_states=8, max_actions=4)
+    while inst.num_states < 6:
+        inst = random_instance(rng, max_states=8, max_actions=4)
+    path = c.file("long", _instance_obj(inst, random_benchmark(rng, inst, max_support=4)))
+    rows = []
+    for s, acts in enumerate(inst.actions):
+        row = rng.dirichlet(np.ones(len(acts))) * (rng.random(len(acts)) > 0.3)
+        if row.sum() == 0.0:
+            row[0] = 1.0
+        rows.append([s, (row / row.sum()).tolist()])
+    policy = c.file("long-policy", rows)
+    c.add(
+        "long/simulate",
+        ["simulate", "--instance", path, "--policy", policy, "--paths", "4",
+         "--horizon", "30000", "--seed", "11"],
+    )
 
 
 def _run_case(argv: list[str], patch: dict) -> list:
@@ -258,6 +292,7 @@ def main(argv: list[str]) -> int:
         _dominance_cases(c, rng, 30)
         _shipped_cases(c)
         _edge_cases(c)
+        _long_simulation(c, rng)
         digests = {name: _run_case(args, patch) for name, args, patch in c.cases}
     Path(argv[0]).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} cases -> {argv[0]}")

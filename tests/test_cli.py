@@ -369,7 +369,16 @@ NON_FINITE = [
     pytest.param("solve", ti1_obj(benchmark_support=(NAN,)), id="solve-support-nan"),
     pytest.param("solve", ti1_obj(extra_grid=[NAN]), id="solve-extra-grid-nan"),
     pytest.param("alp", {"h": [[NAN]]}, id="alp-basis-nan"),
+    pytest.param("alp", {"h": [[1.0]], "u_lambdas": [[[NAN, 1.0]]]}, id="alp-u-eta-nan"),
     pytest.param("check-dominance", {"support": [NAN], "probs": [1.0]}, id="x-nan"),
+    pytest.param(
+        "solve", ti1_obj(family={"weights": [[NAN]], "etas": [4.0]}), id="solve-family-weight-nan"
+    ),
+    pytest.param(
+        "solve", ti1_obj(family={"weights": [[1.0]], "etas": [NAN]}), id="solve-family-eta-nan"
+    ),
+    pytest.param("simulate", {"policy": [[0, [NAN, 1.0]]]}, id="simulate-policy-nan"),
+    pytest.param("simulate-grid-nan", {"policy": [[0, [1.0, 0.0]]]}, id="simulate-grid-nan"),
 ]
 
 
@@ -383,6 +392,9 @@ def test_non_finite_input_exits_one(tmp_path, capsys, command, content):
         "alp": ["alp", "--instance", ti1_path, "--epsilon", "0.25", "--delta", "0.1",
                 "--basis", bad],
         "check-dominance": ["check-dominance", "--x", bad, "--benchmark", bad],
+        "simulate": ["simulate", "--instance", ti1_path, "--policy", bad],
+        "simulate-grid-nan":
+            ["simulate", "--instance", ti1_path, "--policy", bad, "--grid", "nan"],
     }[command]
     assert run(argv) == 1
     err = capsys.readouterr().err

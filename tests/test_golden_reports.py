@@ -1,4 +1,4 @@
-"""CLI reports on the 1-state instances, pinned byte for byte.
+"""CLI reports on the shipped instances, pinned byte for byte.
 
 The files under tests/golden hold the exact report bytes; regenerate one
 only when a change to the report is intended, by rerunning its command
@@ -6,7 +6,9 @@ line below with --out tests/golden/<file>, for example
 
     domdp solve --instance instances/<name>.json [--rescale-benchmark] --out tests/golden/<file>
 
-The inputs have one state, so the bytes do not depend on the BLAS build.
+The bytes do not depend on the BLAS build: the solve, oracle and alp inputs
+have one state, and the multi-state ms5 simulation is in average mode,
+whose estimates are means, not BLAS products.
 """
 
 from pathlib import Path
@@ -40,6 +42,12 @@ CASES = [
         ["simulate", "--instance", inst("ti1.json"), "--policy", inst("ti1_policy.json"),
          "--paths", "3", "--horizon", "1000", "--seed", "0"],
         "simulate_ti1.json",
+        0,
+    ),
+    (
+        ["simulate", "--instance", inst("ms5.json"), "--policy", inst("ms5_policy.json"),
+         "--paths", "5", "--horizon", "20000", "--seed", "0"],
+        "simulate_ms5.json",
         0,
     ),
     (["alp", "--instance", inst("ti1.json")] + ALP, "alp_ti1.json", 0),

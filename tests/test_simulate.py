@@ -1,6 +1,11 @@
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from domdp import io as jsonio
 from domdp.average import solve_average
 from domdp.discounted import solve_discounted
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy, uniform_policy
@@ -11,7 +16,20 @@ from domdp.simulate import (
     estimate_discounted_shortfalls,
     simulate,
 )
-from helpers import TI1_BENCH, VACUOUS_BENCH, all_rows_slack, feasible_pair, ti1, ti2
+from helpers import (
+    TI1_BENCH,
+    VACUOUS_BENCH,
+    all_rows_slack,
+    feasible_pair,
+    random_instance,
+    ti1,
+    ti2,
+)
+
+# domdp/__init__.py rebinds the name "simulate" to the function.
+SIM = importlib.import_module("domdp.simulate")
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+BELOW_ONE = 1.0 - 2.0**-53   # the largest uniform Philox can return
 
 
 def test_constant_chain_trajectory():
@@ -24,10 +42,11 @@ def test_constant_chain_trajectory():
         mode="average",
     )
     trajs = simulate(inst, uniform_policy(inst), np.array([1.0]), T=50, num_paths=3, seed=1)
-    for tr in trajs:
-        assert np.all(tr.states == 0)
-        assert np.all(tr.rewards == 3.0)
-        assert np.all(tr.z == 7.0)
+    assert trajs.states.shape == trajs.actions.shape == trajs.z.shape == (3, 50)
+    rewards = inst.reward_r[inst.pair_offsets[:-1][trajs.states] + trajs.actions]
+    assert np.all(trajs.states == 0)
+    assert np.all(rewards == 3.0)
+    assert np.all(trajs.z == 7.0)
 
 
 def test_swap_chain_alternates():
@@ -35,7 +54,7 @@ def test_swap_chain_alternates():
     trajs = simulate(
         inst, uniform_policy(inst), np.array([1.0, 0.0]), T=10, num_paths=1, seed=0
     )
-    assert trajs[0].states.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert trajs.states.tolist() == [[0, 1, 0, 1, 0, 1, 0, 1, 0, 1]]
 
 
 def test_same_seed_reproduces_trajectories():
@@ -44,11 +63,101 @@ def test_same_seed_reproduces_trajectories():
     nu = np.full(inst.num_states, 1.0 / inst.num_states)
     a = simulate(inst, report.policy, nu, T=100, num_paths=4, seed=42)
     b = simulate(inst, report.policy, nu, T=100, num_paths=4, seed=42)
-    for ta, tb in zip(a, b):
-        assert np.array_equal(ta.states, tb.states)
-        assert np.array_equal(ta.actions, tb.actions)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.actions, b.actions)
     c = simulate(inst, report.policy, nu, T=100, num_paths=4, seed=43)
-    assert any(not np.array_equal(ta.states, tc.states) for ta, tc in zip(a, c))
+    assert any(not np.array_equal(sa, sc) for sa, sc in zip(a.states, c.states))
+
+
+def _reference_simulate(inst, policy, nu, T, num_paths, seed):
+    """The per-step loop the simulator used to run, kept as a reference.
+
+    Joint rows hold the full cumulative sums padded with ones; a draw past a
+    sum that ends below 1 is clamped to the state's last real cell, the cell
+    splits by divmod, and the start state is clipped to S - 1.
+    """
+    S = inst.num_states
+    max_a = max(len(a) for a in inst.actions)
+    joint = np.ones((S, max_a * S))
+    for s, row in enumerate(policy.rows):
+        block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
+        probs = (row[:, None] * block).ravel()
+        joint[s, : probs.size] = np.cumsum(probs)
+    offsets = inst.pair_offsets[:-1]
+    counts = np.diff(inst.pair_offsets)
+    nu_cum = np.cumsum(np.asarray(nu, dtype=float))
+
+    U = np.stack([SIM._path_uniforms(seed, p, 1 + T) for p in range(num_paths)])
+    state = np.searchsorted(nu_cum, U[:, 0], side="left")
+    np.clip(state, 0, S - 1, out=state)
+    states = np.empty((num_paths, T), dtype=np.int64)
+    actions = np.empty((num_paths, T), dtype=np.int64)
+    for t in range(T):
+        idx = (joint[state] < U[:, 1 + t, None]).sum(axis=1)
+        np.minimum(idx, counts[state] * S - 1, out=idx)
+        a, nxt = np.divmod(idx, S)
+        states[:, t] = state
+        actions[:, t] = a
+        state = nxt
+    return states, actions, inst.reward_z[offsets[states] + actions]
+
+
+def _sparse_policy(rng, inst):
+    """Random policy with about a third of its cells at probability zero."""
+    rows = []
+    for acts in inst.actions:
+        row = rng.dirichlet(np.ones(len(acts))) * (rng.random(len(acts)) > 0.35)
+        if row.sum() == 0.0:
+            row[rng.integers(len(acts))] = 1.0
+        rows.append(row / row.sum())
+    return Policy(tuple(rows))
+
+
+def _reference_cases():
+    rng = np.random.default_rng(4242)
+    for _ in range(6):
+        inst = random_instance(rng, max_states=6, max_actions=4)
+        nu = rng.dirichlet(np.ones(inst.num_states))
+        nu[-1] = 0.0
+        yield inst, _sparse_policy(rng, inst), nu / nu.sum()
+    loaded = jsonio.parse_instance(json.loads((INSTANCES / "ms5.json").read_text()))
+    inst = loaded.instance
+    policy = jsonio.parse_policy(json.loads((INSTANCES / "ms5_policy.json").read_text()), inst)
+    # Sums to 1 - 2^-52, below the largest uniform; the last state has weight 0.
+    yield inst, policy, np.array([0.25, 0.25, 0.25, 0.25 - 2.0**-52, 0.0])
+
+
+@pytest.mark.parametrize("uniforms", ["philox", "below-one"])
+def test_step_loop_matches_reference(monkeypatch, uniforms):
+    if uniforms == "below-one":
+        philox = SIM._path_uniforms
+
+        def tail_heavy(seed, path, count):
+            # Every start draw and every later draw above 0.7 is the largest uniform.
+            u = philox(seed, path, count)
+            u[u > 0.7] = BELOW_ONE
+            u[0] = BELOW_ONE
+            return u
+
+        monkeypatch.setattr(SIM, "_path_uniforms", tail_heavy)
+    cases = list(_reference_cases())
+    # The cases must exercise padded rows, zero-probability cells, and start
+    # and joint rows whose cumulative sum ends below the largest uniform.
+    assert any(len({len(a) for a in inst.actions}) > 1 for inst, _, _ in cases)
+    assert any(np.any(np.concatenate(pol.rows) == 0.0) for _, pol, _ in cases)
+    assert min(np.cumsum(nu)[-1] for _, _, nu in cases) < BELOW_ONE
+    ends = [
+        np.cumsum(row[:, None] * inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]])[-1]
+        for inst, pol, _ in cases
+        for s, row in enumerate(pol.rows)
+    ]
+    assert min(ends) < BELOW_ONE
+    for i, (inst, policy, nu) in enumerate(cases):
+        got = simulate(inst, policy, nu, T=1500, num_paths=4, seed=i)
+        states, actions, z = _reference_simulate(inst, policy, nu, T=1500, num_paths=4, seed=i)
+        assert np.array_equal(got.states, states)
+        assert np.array_equal(got.actions, actions)
+        assert np.array_equal(got.z, z)
 
 
 def test_average_shortfall_constant_z():
