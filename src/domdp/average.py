@@ -16,6 +16,20 @@ piecewise linear increasing concave utility u, so that at the optimum
     g + h(s) = max_a { r(s,a) + u(z(s,a)) + delta sum_j P(j|s,a) h(j) }
 
 holds at every state the optimal measure visits.
+
+The simplex starts from the unconstrained greedy policy phi, found by value
+iteration (relative value iteration in average mode): phi's pair columns
+go on the balance rows, the dominance rows keep their slacks, and only a
+dominance row that phi violates takes an artificial. In discounted mode the
+block I - delta P_phi^T is nonsingular and its solution is phi's discounted
+occupation measure. In average mode the S balance rows sum to zero, so
+phi's columns go on balance rows 1..S-1 and the normalization row, and
+balance row 0 keeps an artificial that phase 1 finds redundant; dropping
+that row fixes the gauge of the cost-to-go at h(0) = 0, the gauge relative
+value iteration uses. The LP starts as it would without phi (artificials on
+every balance row) when the iteration does not converge within
+CRASH_SWEEPS sweeps, when phi is multichain in average mode, or when the
+simplex rejects the start (see ``domdp.lp``).
 """
 
 from __future__ import annotations
@@ -37,6 +51,8 @@ from .mdp import (
     Benchmark,
     MdpInstance,
     Policy,
+    deterministic_policy,
+    is_unichain,
     policy_kernel,
     recurrent_classes,
     require_valid,
@@ -51,6 +67,7 @@ from .results import (
 VISIT_TOL = 1e-9
 ZERO_MARGINAL = 1e-12
 STATIONARY_TOL = 1e-10
+CRASH_SWEEPS = 1000
 
 
 def _occupation_lp(
@@ -215,7 +232,7 @@ def relative_value_iteration(
     gain is then within tol/2 of optimal for unichain instances.
     """
     require_valid(inst)
-    kernel = 0.5 * inst.kernel.copy()
+    kernel = 0.5 * inst.kernel
     kernel[np.arange(inst.num_pairs), inst.state_of_pair()] += 0.5
     h = np.zeros(inst.num_states)
     for _ in range(max_iter):
@@ -227,6 +244,63 @@ def relative_value_iteration(
             return g, Th - Th[0]
         h = Th - Th[0]
     raise RuntimeError("relative value iteration did not converge")
+
+
+def value_iteration_unconstrained(
+    inst: MdpInstance, tol: float = 1e-8, max_iter: int = 1_000_000
+) -> tuple[np.ndarray, Policy]:
+    """Classic discounted value iteration, the vacuous-benchmark oracle.
+
+    Iterates to sup-norm difference tol*(1-delta)/(2*delta), which leaves the
+    returned v within tol/2 of the optimal value function.
+    """
+    require_valid(inst)
+    delta = inst.delta
+    threshold = tol * (1.0 - delta) / (2.0 * delta)
+    offsets = inst.pair_offsets
+    v = np.zeros(inst.num_states)
+    for _ in range(max_iter):
+        v_new = np.maximum.reduceat(inst.reward_r + delta * (inst.kernel @ v), offsets[:-1])
+        if float(np.abs(v_new - v).max()) <= threshold:
+            v = v_new
+            break
+        v = v_new
+    else:
+        raise RuntimeError("value iteration did not converge")
+    q = inst.reward_r + delta * (inst.kernel @ v)
+    return v, deterministic_policy(inst, _greedy_pairs(inst, q) - offsets[:-1])
+
+
+def _greedy_pairs(inst: MdpInstance, q: np.ndarray) -> np.ndarray:
+    """Per state, the pair index of its first action maximizing q."""
+    offsets = inst.pair_offsets[:-1]
+    hits = np.flatnonzero(q == np.maximum.reduceat(q, offsets)[inst.state_of_pair()])
+    return hits[np.searchsorted(hits, offsets)]
+
+
+def _greedy_start(inst: MdpInstance, num_rows: int) -> np.ndarray | None:
+    """Start columns of the greedy policy per LP row (-1 for none), or None.
+
+    See the module docstring for the layout and when there is no start.
+    """
+    try:
+        if inst.mode == AVERAGE:
+            _, h = relative_value_iteration(inst, max_iter=CRASH_SWEEPS)
+            # Greedy for RVI's damped kernel (I + P)/2: the h(s)/2 term is
+            # the same for every action of s.
+            q = inst.reward_r + 0.5 * (inst.kernel @ h)
+        else:
+            v, _ = value_iteration_unconstrained(inst, max_iter=CRASH_SWEEPS)
+            q = inst.reward_r + inst.delta * (inst.kernel @ v)
+    except RuntimeError:
+        return None
+    pairs = _greedy_pairs(inst, q)
+    first = int(inst.mode == AVERAGE)
+    if first and not is_unichain(inst.kernel[pairs]):
+        return None
+    start = np.full(num_rows, -1)
+    start[first : first + inst.num_states] = pairs
+    return start
 
 
 def _solve(
@@ -241,7 +315,7 @@ def _solve(
     lp, grid = _occupation_lp(inst, bench, family, mode)
     S = inst.num_states
     first = S + (mode == AVERAGE)
-    sol = solve_lp(lp, feas_tol=feas_tol)
+    sol = solve_lp(lp, feas_tol=feas_tol, start=_greedy_start(inst, lp.num_rows))
     flags = dict(
         mode=mode, family_mode=family is not None, benchmark_rescaled=benchmark_rescaled
     )
@@ -277,7 +351,7 @@ def _solve(
         dominance_matrix=D,
         dominance_rhs=rhs,
         dominance_margins=D @ occ.weights - rhs,
-        multichain=len(recurrent_classes(policy_kernel(policy, inst))) > 1,
+        multichain=not is_unichain(policy_kernel(policy, inst)),
         lp_iterations=sol.iterations,
         **flags,
     )

@@ -1,4 +1,4 @@
-"""Discounted-reward entry points and the value-iteration oracle.
+"""Discounted-reward entry points (value iteration is in ``domdp.average``).
 
 The discounted problem is the occupation-measure LP of ``domdp.average``
 with delta = discount in the balance rows, b = initial on their right-hand
@@ -14,12 +14,15 @@ silent; see the CLI's --rescale-benchmark flag.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .average import _occupation_lp, _solve, optimality_residual
+from .average import (  # noqa: F401 - value iteration is re-exported here
+    _occupation_lp,
+    _solve,
+    optimality_residual,
+    value_iteration_unconstrained,
+)
 from .dominance import GeneratorFamily
 from .lp import FEAS_TOL, LpProblem
-from .mdp import DISCOUNTED, Benchmark, MdpInstance, Policy, deterministic_policy, require_valid
+from .mdp import DISCOUNTED, Benchmark, MdpInstance
 from .results import SolveReport
 
 # Bound only so per-layer tracing can look them up here; the solve runs in average.
@@ -38,32 +41,6 @@ def build_discounted_primal(
 # v(s) = max_a { r(s,a) + u(z(s,a)) + delta sum_j P(j|s,a) v(j) } is the
 # optimality equation with g = 0 and h = v.
 bellman_residual = optimality_residual
-
-
-def value_iteration_unconstrained(
-    inst: MdpInstance, tol: float = 1e-8, max_iter: int = 1_000_000
-) -> tuple[np.ndarray, Policy]:
-    """Classic discounted value iteration, the vacuous-benchmark oracle.
-
-    Iterates to sup-norm difference tol*(1-delta)/(2*delta), which leaves the
-    returned v within tol/2 of the optimal value function.
-    """
-    require_valid(inst)
-    delta = inst.delta
-    threshold = tol * (1.0 - delta) / (2.0 * delta)
-    offsets = inst.pair_offsets
-    v = np.zeros(inst.num_states)
-    for _ in range(max_iter):
-        v_new = np.maximum.reduceat(inst.reward_r + delta * (inst.kernel @ v), offsets[:-1])
-        if float(np.abs(v_new - v).max()) <= threshold:
-            v = v_new
-            break
-        v = v_new
-    else:
-        raise RuntimeError("value iteration did not converge")
-    q = inst.reward_r + delta * (inst.kernel @ v)
-    choices = [int(np.argmax(q[offsets[s] : offsets[s + 1]])) for s in range(inst.num_states)]
-    return v, deterministic_policy(inst, choices)
 
 
 def solve_discounted(

@@ -4,6 +4,19 @@ The solver is deterministic: identical inputs produce identical pivot
 sequences. Duals are read from the final basis and mapped back to the
 original rows, both raw (signed, for duality checks) and normalized per row
 sense (nonnegative multipliers for inequality rows).
+
+Start basis. Basis slot i belongs to row i. Without a start, each row takes
+its first zero-cost unit column with +1 there (a slack), or else an
+artificial +e_i, so the basis inverse is the identity. A caller may place
+structural start columns on some rows (``solve_lp(start=...)``); the
+occupation-measure LP places a deterministic policy's pair columns on its
+balance rows. Every other row keeps its slack when the slack's value is
+nonnegative and otherwise takes an artificial, negated where the row's
+residual is negative so that every artificial starts at a value >= 0. The
+start is dropped in favour of the unit one when its columns are singular
+or one of their values is below -feas_tol. An artificial always sits in its
+own row's slot: phase 1 finds a redundant row by the slot of an artificial
+it cannot drive out, and drops the row of that index.
 """
 
 from __future__ import annotations
@@ -75,7 +88,9 @@ class LpSolution:
     slackness_residual: float = 0.0
     ray: np.ndarray | None = None         # unbounded direction, original variables
     certificate: np.ndarray | None = None  # phase-1 dual weights per original row
-    iterations: int = 0
+    iterations: int = 0                   # both phases together
+    phase1_iterations: int = 0
+    crash: bool = False                   # the caller's start columns were used
 
 
 @dataclass
@@ -226,25 +241,58 @@ def _start_basis(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _solve_standard(std: LpProblem, feas_tol: float):
+def _crash(A: np.ndarray, b: np.ndarray, basis: np.ndarray, start: np.ndarray, feas_tol: float):
+    """The start columns in their rows' slots; None when they cannot start.
+
+    basis is the unit start. Returns (basis, B_inv, negate): the basis with -1
+    on every row that takes an artificial, its inverse, and the rows whose
+    artificial is -e_i. Rows outside the start keep +e_i in the start
+    matrix; a negative value there turns the slot into -e_i, which negates
+    that row of the inverse.
+    """
+    rows = np.flatnonzero(start >= 0)
+    if rows.size == 0:
+        return None
+    B = np.eye(A.shape[0])
+    B[:, rows] = A[:, start[rows]]
+    try:
+        B_inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    x_B = B_inv @ b
+    if not np.isfinite(x_B).all() or x_B[rows].min() < -feas_tol:
+        return None
+    negate = x_B < 0.0
+    negate[rows] = False
+    B_inv[negate] *= -1.0
+    basis = basis.copy()
+    basis[rows] = start[rows]
+    basis[negate] = -1
+    return basis, B_inv, negate
+
+
+def _solve_standard(std: LpProblem, feas_tol: float, start: np.ndarray | None) -> LpSolution:
     """Two-phase simplex on a standard-form problem.
 
-    Returns (status, x, y_std_full, cert, ray_std, kept_rows, iterations).
-    y_std_full has one entry per original standard row; rows found redundant
-    in phase 1 carry dual 0.
+    Returns x, y_raw and the certificate or ray over the standard form's
+    columns and rows, with the counters; rows found redundant in phase 1
+    carry dual 0. start holds a column per row, -1 where none is placed.
     """
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
     max_iter = 5000 + 200 * (m + n)
-    # An artificial column covers each row without a unit column.
     basis = _start_basis(A, c)
+    crash = None if start is None else _crash(A, b, basis, start, feas_tol)
+    # The unit start's columns are all +e_i, so its inverse is the identity.
+    basis, B_inv, negate = crash or (basis, np.eye(m), np.zeros(m, dtype=bool))
+    # An artificial column covers each row left without a basic column.
     need_art = np.flatnonzero(basis == -1)
     n_art = need_art.size
     basis[need_art] = n + np.arange(n_art)
     A_work = np.hstack([A, np.zeros((m, n_art))]) if n_art else A
-    A_work[need_art, basis[need_art]] = 1.0
-    # Every start basis column is a unit column, so its inverse is the identity.
-    sx = _Simplex(A_work, b, feas_tol, basis, np.eye(m))
+    A_work[need_art, basis[need_art]] = np.where(negate[need_art], -1.0, 1.0)
+    sx = _Simplex(A_work, b, feas_tol, basis, B_inv)
+    counts = dict(crash=crash is not None)
 
     kept = np.arange(m)
     if n_art:
@@ -253,11 +301,12 @@ def _solve_standard(std: LpProblem, feas_tol: float):
         status, _, _ = sx.run(c1, max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 reported unbounded")
+        counts["phase1_iterations"] = sx.iterations
         x_B = sx.B_inv @ b
         obj1 = c1[sx.basis] @ x_B
         if obj1 > feas_tol * (1.0 + np.abs(b).max(initial=0.0)):
             cert = sx.B_inv.T @ c1[sx.basis]
-            return "infeasible", None, None, cert, None, kept, sx.iterations
+            return LpSolution("infeasible", certificate=cert, iterations=sx.iterations, **counts)
         # Drive artificials out of the basis; rows that resist are redundant.
         # A pivot only changes its own row's basic column, so the rows to
         # visit are known up front.
@@ -287,14 +336,13 @@ def _solve_standard(std: LpProblem, feas_tol: float):
         ray = np.zeros(n)
         ray[enter] = 1.0
         ray[sx.basis] = -d
-        return "unbounded", None, None, None, ray, kept, sx.iterations
+        return LpSolution("unbounded", ray=ray, iterations=sx.iterations, **counts)
     x = np.zeros(n)
     x[sx.basis] = sx.B_inv @ sx.b
     np.maximum(x, 0.0, out=x)
-    y_kept = sx.B_inv.T @ c[sx.basis]
     y_full = np.zeros(m)
-    y_full[kept] = y_kept
-    return "optimal", x, y_full, None, None, kept, sx.iterations
+    y_full[kept] = sx.B_inv.T @ c[sx.basis]
+    return LpSolution("optimal", x=x, y_raw=y_full, iterations=sx.iterations, **counts)
 
 
 def _residuals(p: LpProblem, x: np.ndarray, y_raw: np.ndarray):
@@ -311,18 +359,28 @@ def _residuals(p: LpProblem, x: np.ndarray, y_raw: np.ndarray):
     return float(prim), float(dual), float(slack)
 
 
-def solve_lp(p: LpProblem, feas_tol: float = FEAS_TOL) -> LpSolution:
-    """Solve to optimality, infeasibility (with certificate) or unboundedness."""
+def solve_lp(
+    p: LpProblem, feas_tol: float = FEAS_TOL, *, start: np.ndarray | None = None
+) -> LpSolution:
+    """Solve to optimality, infeasibility (with certificate) or unboundedness.
+
+    start optionally names a column of p per row (-1 for none) to start
+    from; see the module docstring for how the rest of the basis is filled
+    in and when the start is dropped.
+    """
     std, rec = to_standard_form(p)
-    status, x_std, y_std, cert, ray_std, kept, iters = _solve_standard(std, feas_tol)
-    if status == "infeasible":
-        cert_orig = rec.row_flip * cert
-        return LpSolution(status="infeasible", certificate=cert_orig, iterations=iters)
-    if status == "unbounded":
-        ray = rec.map_primal(ray_std)
-        return LpSolution(status="unbounded", ray=ray, iterations=iters)
-    x = rec.map_primal(x_std)
-    y_raw, y = rec.map_duals(y_std, p)
+    if start is not None:
+        start = np.where(start >= 0, rec.pos_col[start], -1)
+    res = _solve_standard(std, feas_tol, start)
+    counts = dict(
+        iterations=res.iterations, phase1_iterations=res.phase1_iterations, crash=res.crash
+    )
+    if res.status == "infeasible":
+        return LpSolution("infeasible", certificate=rec.row_flip * res.certificate, **counts)
+    if res.status == "unbounded":
+        return LpSolution("unbounded", ray=rec.map_primal(res.ray), **counts)
+    x = rec.map_primal(res.x)
+    y_raw, y = rec.map_duals(res.y_raw, p)
     objective = float(p.c @ x)
     dual_objective = float(p.b @ y_raw)
     prim, dual, slack = _residuals(p, x, y_raw)
@@ -341,5 +399,5 @@ def solve_lp(p: LpProblem, feas_tol: float = FEAS_TOL) -> LpSolution:
         primal_residual=prim,
         dual_residual=dual,
         slackness_residual=slack,
-        iterations=iters,
+        **counts,
     )

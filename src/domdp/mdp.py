@@ -13,6 +13,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 KERNEL_TOL = 1e-12
+EDGE_TOL = 1e-15  # a transition counts as an edge of the chain above this
 BENCH_TOL = 1e-12
 POLICY_TOL = 1e-9
 
@@ -35,8 +36,14 @@ class Violation:
         return self.message or self.kind
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Read-only contiguous float array; with tol, entries in [-tol, 0) become 0.
+
+    Entries below -tol are kept for validation to report.
+    """
     a = np.ascontiguousarray(a, dtype=float)
+    if tol is not None and a.size and a.min() < 0.0:
+        a = np.where((a < 0.0) & (a >= -tol), 0.0, a)
     a.flags.writeable = False
     return a
 
@@ -71,7 +78,7 @@ class MdpInstance:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         num_pairs = int(offsets[-1])
         object.__setattr__(self, "pair_offsets", offsets)
-        object.__setattr__(self, "kernel", _freeze(self.kernel))
+        object.__setattr__(self, "kernel", _freeze(self.kernel, KERNEL_TOL))
         object.__setattr__(self, "reward_r", _freeze(self.reward_r))
         object.__setattr__(self, "reward_z", _freeze(self.reward_z))
         if self.kernel.shape != (num_pairs, self.num_states):
@@ -161,7 +168,7 @@ class Policy:
     rows: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(_freeze(np.asarray(r, dtype=float)) for r in self.rows)
+        rows = tuple(_freeze(np.asarray(r, dtype=float), POLICY_TOL) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         for s, row in enumerate(rows):
             if row.ndim != 1 or row.size == 0:
@@ -210,12 +217,13 @@ def validate_instance(inst: MdpInstance) -> list[Violation]:
                     message=f"state {s} repeats an action label",
                 )
             )
-    for k in range(inst.num_pairs):
+    defects = inst.kernel.sum(axis=1) - 1.0
+    suspect = (inst.kernel < -KERNEL_TOL).any(axis=1) | (np.abs(defects) > KERNEL_TOL)
+    for k in np.flatnonzero(suspect):
         s = int(state_of[k])
         label = inst.actions[s][k - int(inst.pair_offsets[s])]
         row = inst.kernel[k]
-        neg = np.where(row < -KERNEL_TOL)[0]
-        for j in neg:
+        for j in np.flatnonzero(row < -KERNEL_TOL):
             out.append(
                 Violation(
                     kind="negative_transition",
@@ -226,7 +234,7 @@ def validate_instance(inst: MdpInstance) -> list[Violation]:
                     message=f"P({int(j)}|{s},{label}) = {row[j]!r} < 0",
                 )
             )
-        defect = float(row.sum() - 1.0)
+        defect = float(defects[k])
         if abs(defect) > KERNEL_TOL:
             out.append(
                 Violation(
@@ -310,9 +318,9 @@ def policy_kernel(policy: Policy, inst: MdpInstance) -> np.ndarray:
 
 
 def recurrent_classes(P: np.ndarray) -> list[list[int]]:
-    """Closed communicating classes of a row-stochastic matrix (edges P > 1e-15)."""
+    """Closed communicating classes of a row-stochastic matrix (edges P > EDGE_TOL)."""
     n = P.shape[0]
-    adj = [np.where(P[i] > 1e-15)[0] for i in range(n)]
+    adj = [np.where(P[i] > EDGE_TOL)[0] for i in range(n)]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -365,3 +373,12 @@ def recurrent_classes(P: np.ndarray) -> list[list[int]]:
         if all(comp[int(j)] == ci for i in scc for j in adj[i]):
             closed.append(scc)
     return sorted(closed)
+
+
+def is_unichain(P: np.ndarray) -> bool:
+    """Whether P has exactly one closed class.
+
+    A state entered from every state lies in every closed class, which
+    settles dense kernels without the class search.
+    """
+    return bool((P > EDGE_TOL).all(axis=0).any()) or len(recurrent_classes(P)) == 1

@@ -22,7 +22,7 @@ from .mdp import (
     MdpInstance,
     Policy,
     deterministic_policy,
-    recurrent_classes,
+    is_unichain,
     require_valid,
 )
 
@@ -177,7 +177,7 @@ def _evaluate(inst: MdpInstance, choices) -> tuple[np.ndarray, np.ndarray] | Non
     M = np.eye(inst.num_states) - inst.delta * P.T
     if inst.mode != AVERAGE:
         return np.linalg.solve(M, inst.initial), pair
-    if len(recurrent_classes(P)) != 1:
+    if not is_unichain(P):
         return None
     M[-1] = 1.0
     x = np.maximum(np.linalg.solve(M, np.eye(inst.num_states)[-1]), 0.0)

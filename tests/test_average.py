@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from domdp.average import (
+    CRASH_SWEEPS,
+    _greedy_start,
     build_average_cost_primal,
     build_average_primal,
     check_slackness,
@@ -14,6 +18,7 @@ from domdp.average import (
 from domdp.discounted import solve_discounted
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
+from domdp.portfolio import PortfolioConfig, build_portfolio_instance
 from domdp.results import OccupationMeasure
 from helpers import TI1_BENCH, VACUOUS_BENCH, feasible_pair, ti1, ti2
 
@@ -281,3 +286,80 @@ def test_multivariate_family_mode(mode, extra, eta, expected):
     assert report.status == "optimal"
     assert report.objective == pytest.approx(expected, abs=1e-8)
     assert report.family_mode
+
+
+def _recording_solve_lp(monkeypatch):
+    """Record every LpSolution the solve pipeline gets back."""
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(solve_lp(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr("domdp.average.solve_lp", record)
+    return seen
+
+
+def test_multichain_greedy_policy_falls_back_to_the_unit_start(monkeypatch):
+    # Two isolated self-loops: relative value iteration never converges, so
+    # the solve starts from artificials on every balance row, as without a
+    # greedy start, and gets the same answer.
+    inst = MdpInstance(
+        num_states=2,
+        actions=(("stay",), ("stay",)),
+        kernel=np.eye(2),
+        reward_r=np.array([10.0, 0.0]),
+        reward_z=np.array([0.0, 10.0]),
+        mode="average",
+    )
+    with pytest.raises(RuntimeError):
+        relative_value_iteration(inst, max_iter=CRASH_SWEEPS)
+    seen = _recording_solve_lp(monkeypatch)
+    start = time.perf_counter()
+    report = solve_average(inst, Benchmark(support=[0.0, 4.0], probs=[0.25, 0.75]))
+    assert time.perf_counter() - start < 5.0
+    assert not seen[0].crash
+    assert report.objective == 2.5
+
+
+def test_converged_multichain_greedy_policy_falls_back(monkeypatch):
+    # Staying pays 1 in both states: relative value iteration converges at
+    # once, but the greedy policy keeps two closed classes.
+    inst = MdpInstance(
+        num_states=2,
+        actions=(("stay", "go"), ("stay", "go")),
+        kernel=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+        reward_r=np.array([1.0, 0.0, 1.0, 0.0]),
+        reward_z=np.zeros(4),
+        mode="average",
+    )
+    relative_value_iteration(inst, max_iter=CRASH_SWEEPS)
+    assert _greedy_start(inst, num_rows=4) is None
+    seen = _recording_solve_lp(monkeypatch)
+    report = solve_average(inst, VACUOUS_BENCH)
+    assert not seen[0].crash
+    assert report.objective == pytest.approx(1.0, abs=1e-12)
+
+
+def test_greedy_start_on_portfolio_resolution_2(monkeypatch):
+    # The benchmark's 3-asset portfolio config: 639 iterations from the unit start.
+    cfg = PortfolioConfig(
+        price_levels=((1.0, 1.2), (1.0, 0.8), (1.0, 1.1)),
+        price_transitions=(np.array([[0.7, 0.3], [0.4, 0.6]]),) * 3,
+        resolution=2,
+        discount=0.9,
+        benchmark=Benchmark(support=[-0.4, 0.0], probs=[0.5, 0.5]),
+    )
+    seen = _recording_solve_lp(monkeypatch)
+    report = solve_discounted(build_portfolio_instance(cfg), cfg.benchmark)
+    sol = seen[0]
+    assert sol.crash
+    assert sol.phase1_iterations < sol.iterations < 639
+    assert report.objective == pytest.approx(-0.1302222349721469, abs=1e-12)
+
+
+def test_average_gauge_is_h0_zero():
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        inst, _, report = feasible_pair(rng, max_states=6, max_actions=3)
+        assert report.dual.h[0] == 0.0

@@ -9,7 +9,8 @@ import pytest
 
 import domdp
 from domdp.cli import run
-from domdp.io import dumps, instance_to_obj, parse_instance
+from domdp.io import dumps, instance_to_obj, parse_instance, parse_portfolio_config
+from domdp.portfolio import build_portfolio_instance
 from helpers import TI1_BENCH, ti1
 
 
@@ -189,6 +190,30 @@ def test_gen_portfolio_smoke(tmp_path, capsys):
     assert info["violations"] == 0
     loaded = parse_instance(json.loads(out_path.read_text()))
     assert loaded.instance.mode == "discounted"
+
+
+def test_portfolio_resolution_4_solves(tmp_path, capsys):
+    # The benchmark's 3-asset config at resolution 4 (960 states). From the
+    # unit start the simplex ran 2311 pivots and hit a singular basis (exit
+    # 4); HiGHS puts the optimum at 0. The instance file is written with the
+    # standard json module, which is much faster than gen-portfolio's writer
+    # on this 8 MB kernel and reads back to the same floats.
+    cfg = parse_portfolio_config(
+        {
+            "price_levels": [[1.0, 1.2], [1.0, 0.8], [1.0, 1.1]],
+            "price_transitions": [[[0.7, 0.3], [0.4, 0.6]]] * 3,
+            "resolution": 4,
+            "discount": 0.9,
+            "benchmark": {"support": [-0.4, 0.0], "probs": [0.5, 0.5]},
+        }
+    )
+    inst = build_portfolio_instance(cfg)
+    assert inst.num_states == 960
+    path = write_json(tmp_path / "inst.json", instance_to_obj(inst, cfg.benchmark))
+    assert run(["solve", "--instance", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "optimal"
+    assert abs(report["objective"]) <= 1e-9
 
 
 def test_unknown_flag_exits_one(capsys):

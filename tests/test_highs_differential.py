@@ -1,0 +1,142 @@
+"""Differential test against HiGHS, an independent LP solver.
+
+``scipy.optimize.linprog(method="highs")`` solves the same occupation-measure
+LP that ``solve_average``/``solve_discounted`` build. SciPy is imported here
+only; ``domdp`` itself never loads it.
+"""
+
+import numpy as np
+import pytest
+
+from domdp.average import build_average_primal, solve_average
+from domdp.discounted import build_discounted_primal, solve_discounted
+from domdp.dominance import weighted_kink_family
+from domdp.lp import EQ, GE, LE
+from domdp.mdp import Benchmark
+from domdp.portfolio import PortfolioConfig, build_portfolio_instance
+from helpers import random_benchmark, random_instance
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+TOL = 1e-7
+QUANTILES = np.array([0.55, 0.7, 0.85, 1.0])
+
+
+def _highs(lp):
+    """(status, objective, duals): duals signed like LpSolution.y_raw."""
+    senses = np.asarray(lp.row_senses)
+    sign = -1.0 if lp.sense == "max" else 1.0
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
+    ub = np.flatnonzero(le | ge)
+    flip = np.where(ge[ub], -1.0, 1.0)
+    res = linprog(
+        sign * lp.c,
+        A_ub=lp.A[ub] * flip[:, None] if ub.size else None,
+        b_ub=lp.b[ub] * flip if ub.size else None,
+        A_eq=lp.A[eq],
+        b_eq=lp.b[eq],
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return "infeasible", None, None
+    assert res.status == 0, res.message
+    y = np.zeros(lp.num_rows)
+    y[eq] = sign * res.eqlin.marginals
+    if ub.size:
+        y[ub] = sign * flip * res.ineqlin.marginals
+    return "optimal", sign * res.fun, y
+
+
+def _draws():
+    """Seeded instances in both modes: binding, family, infeasible and drawn benchmarks."""
+    rng = np.random.default_rng(8080)
+    for i in range(32):
+        mode = "average" if i % 2 == 0 else "discounted"
+        inst = random_instance(rng, max_states=8, max_actions=4, mode=mode)
+        # Support between min z and the smallest per-state best z: the
+        # z-greedy policy is feasible, the reward-greedy one often is not.
+        z = inst.reward_z
+        lo, top = float(z.min()), float(np.maximum.reduceat(z, inst.pair_offsets[:-1]).min())
+        bench = Benchmark(support=lo + (top - lo) * QUANTILES, probs=rng.dirichlet(np.ones(4)))
+        family = None
+        kind = (i // 2) % 4
+        if kind == 1:
+            family = weighted_kink_family([[1.0], [0.5]], bench.support[:2], bench)
+        elif kind == 2:  # every support point far above z: infeasible
+            scale = 1.0 / (1.0 - inst.discount) if mode == "discounted" else 1.0
+            span = float(z.max() - z.min()) + 1.0
+            bench = Benchmark(support=bench.support + span * scale, probs=bench.probs)
+        elif kind == 3:
+            bench = random_benchmark(rng, inst, max_support=4)
+        yield pytest.param(inst, bench, family, id=f"{mode}-{i:02d}-k{kind}")
+    cfg = PortfolioConfig(
+        price_levels=((1.0, 1.2), (1.0, 0.8), (1.0, 1.1)),
+        price_transitions=(np.array([[0.7, 0.3], [0.4, 0.6]]),) * 3,
+        resolution=2,
+        discount=0.9,
+        benchmark=Benchmark(support=[-0.4, 0.0], probs=[0.5, 0.5]),
+    )
+    yield pytest.param(build_portfolio_instance(cfg), cfg.benchmark, None, id="portfolio-r2")
+
+
+def _farkas_problems(lp, report):
+    """Sign conditions of a Farkas certificate y for {x >= 0, A x (senses) b}.
+
+    y.A <= 0 on every column, y >= 0 on >= rows, y <= 0 on <= rows and
+    y.b > 0: then no x >= 0 satisfies the rows.
+    """
+    weights = dict(report.certificate)
+    y = np.array([weights.get(label, 0.0) for label in lp.row_labels])
+    scale = np.abs(y).max() * (1.0 + np.abs(lp.A).max() + np.abs(lp.b).max())
+    senses = np.asarray(lp.row_senses)
+    problems = []
+    if (y @ lp.A).max() > TOL * scale:
+        problems.append(f"y.A reaches {(y @ lp.A).max()!r}")
+    if (y[senses == GE]).min(initial=0.0) < -TOL * scale:
+        problems.append("negative weight on a >= row")
+    if (y[senses == LE]).max(initial=0.0) > TOL * scale:
+        problems.append("positive weight on a <= row")
+    if y @ lp.b <= TOL * scale:
+        problems.append(f"y.b = {y @ lp.b!r} is not positive")
+    return problems
+
+
+@pytest.mark.parametrize("inst,bench,family", _draws())
+def test_matches_highs(inst, bench, family):
+    average = inst.mode == "average"
+    build = build_average_primal if average else build_discounted_primal
+    lp = build(inst, bench, family)
+    report = (solve_average if average else solve_discounted)(inst, bench, family=family)
+    status, objective, y = _highs(lp)
+    assert report.status == status
+    if status == "infeasible":
+        assert _farkas_problems(lp, report) == []
+        return
+    scale = 1.0 + abs(objective)
+    assert report.objective == pytest.approx(objective, abs=TOL * scale)
+    # The reported (g, h, lambda) must be an optimal dual: feasible, with
+    # HiGHS's optimum as its objective. The optimal dual is rarely unique (the
+    # row at the bottom support point is always tight), so HiGHS's own
+    # lambda and h may be another optimal dual; where they agree, so do ours.
+    dual = report.dual
+    ours = np.concatenate([dual.h, [dual.g] if average else [], -dual.lam])
+    assert dual.lam.min() >= 0.0
+    assert (lp.c - lp.A.T @ ours).max() <= TOL * scale
+    assert lp.b @ ours == pytest.approx(objective, abs=TOL * scale)
+    assert lp.b @ y == pytest.approx(objective, abs=TOL * scale)
+    # Complementary slackness with HiGHS's dual: every pair we use is tight
+    # there too.
+    used = report.occupation.weights > 1e-9
+    assert np.abs((lp.c - lp.A.T @ y)[used]).max() <= TOL * scale * (1.0 + np.abs(y).max())
+    S = inst.num_states
+    if not np.allclose(dual.lam, -y[S + average :], atol=TOL * scale):
+        return
+    # The same lambda fixes h (v) on the visited states, up to a constant in
+    # average mode, where the two gauges differ.
+    visited = report.visited_states
+    shift = dual.h[visited] - y[:S][visited]
+    if average:
+        assert dual.g == pytest.approx(y[S], abs=TOL * scale)
+        shift = shift - shift.mean()
+    assert np.abs(shift).max() <= TOL * scale * (1.0 + np.abs(y[:S]).max())

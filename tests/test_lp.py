@@ -293,3 +293,62 @@ def test_array_glue_matches_loop_reference():
         sol = solve_lp(p)
         for x, y in ((sol.x, sol.y_raw), (sol.x + rng.normal(size=p.num_cols), -sol.y_raw)):
             assert _residuals(p, x, y) == _loop_residuals(p, x, y)
+
+
+def test_start_columns_are_used_when_they_form_a_feasible_basis():
+    # x1 and x2 on their own rows: the start is the optimum, no phase 1.
+    sol = solve_lp(box_problem(), start=np.array([0, 1]))
+    assert sol.crash
+    assert sol.phase1_iterations == 0
+    assert sol.iterations == 1
+    assert sol.objective == 3.0
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.array([0, 0]), np.array([-1, -1])],
+    ids=["singular", "empty"],
+)
+def test_unusable_start_falls_back_to_the_unit_start(start):
+    plain = solve_lp(box_problem())
+    sol = solve_lp(box_problem(), start=start)
+    assert not sol.crash
+    assert sol.iterations == plain.iterations
+    assert np.array_equal(sol.x, plain.x)
+
+
+def test_start_with_a_negative_value_falls_back():
+    # x1 alone on row 0 of x1 - x2 = -1 would take the value -1.
+    p = LpProblem(
+        sense="min",
+        c=np.array([1.0, 1.0]),
+        A=np.array([[1.0, -1.0], [1.0, 1.0]]),
+        row_senses=[EQ, LE],
+        b=np.array([-1.0, 3.0]),
+        lower=np.zeros(2),
+        row_labels=["r0", "r1"],
+        col_labels=["x1", "x2"],
+    )
+    sol = solve_lp(p, start=np.array([0, -1]))
+    assert not sol.crash
+    assert sol.objective == pytest.approx(1.0)
+
+
+def test_start_row_whose_slack_would_be_negative_gets_an_artificial():
+    # x1 = 3 from row 0 violates x1 <= 2: row 1 starts on a negated artificial,
+    # and phase 1 proves the system infeasible.
+    p = LpProblem(
+        sense="max",
+        c=np.array([1.0]),
+        A=np.array([[1.0], [1.0]]),
+        row_senses=[EQ, LE],
+        b=np.array([3.0, 2.0]),
+        lower=np.zeros(1),
+        row_labels=["r0", "r1"],
+        col_labels=["x1"],
+    )
+    sol = solve_lp(p, start=np.array([0, -1]))
+    assert sol.crash
+    assert sol.status == "infeasible"
+    cert = sol.certificate
+    assert cert @ p.b > 0 and cert @ p.A[:, 0] <= 1e-12 and cert[1] <= 0.0

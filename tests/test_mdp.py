@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from domdp.mdp import (
+    KERNEL_TOL,
     Benchmark,
     MdpInstance,
     Policy,
@@ -138,3 +139,73 @@ def test_recurrent_classes_multichain_and_transient():
     # Two absorbing states fed by a transient one.
     P = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert recurrent_classes(P) == [[1], [2]]
+
+
+def test_tolerated_negative_entries_are_stored_as_zero():
+    # Entries down to -KERNEL_TOL / -POLICY_TOL pass validation and are kept
+    # as 0; larger negatives are kept so that validation reports them.
+    kernel = np.array([[1.0, -1e-13], [0.5, 0.5]])
+    inst = MdpInstance(
+        num_states=2,
+        actions=(("a",), ("a",)),
+        kernel=kernel,
+        reward_r=np.zeros(2),
+        reward_z=np.zeros(2),
+        mode="average",
+    )
+    assert inst.kernel[0, 1] == 0.0
+    assert kernel[0, 1] == -1e-13  # the caller's array is not written to
+    assert validate_instance(inst) == []
+    bad = MdpInstance(
+        num_states=2,
+        actions=(("a",), ("a",)),
+        kernel=np.array([[1.0 + 1e-11, -1e-11], [0.5, 0.5]]),
+        reward_r=np.zeros(2),
+        reward_z=np.zeros(2),
+        mode="average",
+    )
+    assert [v.kind for v in validate_instance(bad)] == ["negative_transition"]
+    assert Policy((np.array([1.0, -1e-10]),)).rows[0].tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="negative"):
+        Policy((np.array([1.0 + 1e-8, -1e-8]),))
+
+
+def _loop_kernel_violations(inst):
+    """Reference: the per-pair loop the kernel checks used to run."""
+    out = []
+    state_of = inst.state_of_pair()
+    for k in range(inst.num_pairs):
+        s = int(state_of[k])
+        label = inst.actions[s][k - int(inst.pair_offsets[s])]
+        row = inst.kernel[k]
+        for j in np.where(row < -KERNEL_TOL)[0]:
+            out.append(("negative_transition", s, label, int(j), float(row[j])))
+        defect = float(row.sum() - 1.0)
+        if abs(defect) > KERNEL_TOL:
+            out.append(("kernel_row_sum", s, label, None, defect))
+    return out
+
+
+def test_kernel_checks_match_loop_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        S = int(rng.integers(1, 8))
+        counts = rng.integers(1, 4, size=S)
+        K = int(counts.sum())
+        P = rng.dirichlet(np.ones(S), size=K)
+        hit = rng.random(P.shape) < 0.05
+        P[hit] = rng.choice([-1e-13, -1e-11, -0.1, np.nan, 0.3], size=hit.sum())
+        inst = MdpInstance(
+            num_states=S,
+            actions=tuple(tuple(f"a{i}" for i in range(c)) for c in counts),
+            kernel=P,
+            reward_r=np.zeros(K),
+            reward_z=np.zeros(K),
+            mode="average",
+        )
+        got = [
+            (v.kind, v.state, v.action, v.next_state, v.magnitude)
+            for v in validate_instance(inst)
+            if v.kind in ("negative_transition", "kernel_row_sum")
+        ]
+        assert got == _loop_kernel_violations(inst)

@@ -160,6 +160,28 @@ def test_step_loop_matches_reference(monkeypatch, uniforms):
         assert np.array_equal(got.z, z)
 
 
+def test_tolerated_negative_policy_entry_never_drawn(monkeypatch):
+    # The entry -1e-10 is within POLICY_TOL and is stored as 0, so a draw just
+    # below 1 cannot pick its action; the reference loop agrees.
+    inst = MdpInstance(
+        num_states=2,
+        actions=(("a", "b"), ("a", "b")),
+        kernel=np.full((4, 2), 0.5),
+        reward_r=np.zeros(4),
+        reward_z=np.array([1.0, 2.0, 3.0, 4.0]),
+        mode="average",
+    )
+    policy = Policy((np.array([1.0, -1e-10]), np.array([1.0, -1e-10])))
+    monkeypatch.setattr(SIM, "_path_uniforms", lambda seed, path, n: np.full(n, 1 - 7.5e-11))
+    nu = np.array([0.5, 0.5])
+    got = simulate(inst, policy, nu, T=20, num_paths=2, seed=0)
+    states, actions, z = _reference_simulate(inst, policy, nu, T=20, num_paths=2, seed=0)
+    assert np.all(got.actions == 0)
+    assert np.array_equal(got.states, states)
+    assert np.array_equal(got.actions, actions)
+    assert np.array_equal(got.z, z)
+
+
 def test_average_shortfall_constant_z():
     inst = MdpInstance(
         num_states=1,
