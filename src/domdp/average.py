@@ -22,12 +22,14 @@ iteration (relative value iteration in average mode): phi's pair columns
 go on the balance rows, the dominance rows keep their slacks, and only a
 dominance row that phi violates takes an artificial. In discounted mode the
 block I - delta P_phi^T is nonsingular and its solution is phi's discounted
-occupation measure. In average mode the S balance rows sum to zero, so
-phi's columns go on balance rows 1..S-1 and the normalization row, and
-balance row 0 keeps an artificial that phase 1 finds redundant; dropping
-that row fixes the gauge of the cost-to-go at h(0) = 0, the gauge relative
-value iteration uses. The LP starts as it would without phi (artificials on
-every balance row) when the iteration does not converge within
+occupation measure for every deterministic phi, so when value iteration
+does not converge within CRASH_SWEEPS sweeps the last sweep's greedy
+policy starts the simplex all the same. In average mode the S balance rows
+sum to zero, so phi's columns go on balance rows 1..S-1 and the
+normalization row, and balance row 0 keeps an artificial that phase 1 finds
+redundant; dropping that row fixes the gauge of the cost-to-go at
+h(0) = 0, the gauge relative value iteration uses. The LP starts as it would without phi (artificials on
+every balance row) when relative value iteration does not converge within
 CRASH_SWEEPS sweeps, when phi is multichain in average mode, or when the
 simplex rejects the start (see ``domdp.lp``).
 """
@@ -255,20 +257,29 @@ def value_iteration_unconstrained(
     returned v within tol/2 of the optimal value function.
     """
     require_valid(inst)
+    v, converged = _value_sweeps(inst, max_iter, tol)
+    if not converged:
+        raise RuntimeError("value iteration did not converge")
+    q = inst.reward_r + inst.delta * (inst.kernel @ v)
+    return v, deterministic_policy(inst, _greedy_pairs(inst, q) - inst.pair_offsets[:-1])
+
+
+def _value_sweeps(
+    inst: MdpInstance, max_iter: int, tol: float = 1e-8
+) -> tuple[np.ndarray, bool]:
+    """(last v, converged) of at most max_iter discounted Bellman sweeps from v = 0."""
     delta = inst.delta
     threshold = tol * (1.0 - delta) / (2.0 * delta)
-    offsets = inst.pair_offsets
     v = np.zeros(inst.num_states)
     for _ in range(max_iter):
-        v_new = np.maximum.reduceat(inst.reward_r + delta * (inst.kernel @ v), offsets[:-1])
-        if float(np.abs(v_new - v).max()) <= threshold:
-            v = v_new
-            break
+        v_new = np.maximum.reduceat(
+            inst.reward_r + delta * (inst.kernel @ v), inst.pair_offsets[:-1]
+        )
+        step = float(np.abs(v_new - v).max())
         v = v_new
-    else:
-        raise RuntimeError("value iteration did not converge")
-    q = inst.reward_r + delta * (inst.kernel @ v)
-    return v, deterministic_policy(inst, _greedy_pairs(inst, q) - offsets[:-1])
+        if step <= threshold:
+            return v, True
+    return v, False
 
 
 def _greedy_pairs(inst: MdpInstance, q: np.ndarray) -> np.ndarray:
@@ -283,17 +294,19 @@ def _greedy_start(inst: MdpInstance, num_rows: int) -> np.ndarray | None:
 
     See the module docstring for the layout and when there is no start.
     """
-    try:
-        if inst.mode == AVERAGE:
+    if inst.mode == AVERAGE:
+        try:
             _, h = relative_value_iteration(inst, max_iter=CRASH_SWEEPS)
-            # Greedy for RVI's damped kernel (I + P)/2: the h(s)/2 term is
-            # the same for every action of s.
-            q = inst.reward_r + 0.5 * (inst.kernel @ h)
-        else:
-            v, _ = value_iteration_unconstrained(inst, max_iter=CRASH_SWEEPS)
-            q = inst.reward_r + inst.delta * (inst.kernel @ v)
-    except RuntimeError:
-        return None
+        except RuntimeError:
+            return None
+        # Greedy for RVI's damped kernel (I + P)/2: the h(s)/2 term is the
+        # same for every action of s.
+        q = inst.reward_r + 0.5 * (inst.kernel @ h)
+    else:
+        # Every deterministic policy is a valid discounted start, so the
+        # last sweep's greedy policy serves even when the sweeps run out.
+        v, _ = _value_sweeps(inst, CRASH_SWEEPS)
+        q = inst.reward_r + inst.delta * (inst.kernel @ v)
     pairs = _greedy_pairs(inst, q)
     first = int(inst.mode == AVERAGE)
     if first and not is_unichain(inst.kernel[pairs]):

@@ -103,9 +103,6 @@ class MdpInstance:
         """Discount on the balance rows' inflow: 1.0 in average mode."""
         return 1.0 if self.mode == AVERAGE else float(self.discount)
 
-    def pair_index(self, state: int, action_pos: int) -> int:
-        return int(self.pair_offsets[state]) + action_pos
-
     def state_of_pair(self) -> np.ndarray:
         """Dense pair index -> state, as an int array of length num_pairs."""
         return np.repeat(
@@ -293,10 +290,6 @@ def require_valid(inst: MdpInstance) -> None:
 def enumerate_pairs(inst: MdpInstance) -> list[tuple[int, str]]:
     """Feasible (state, action label) pairs, state-major; position = dense index."""
     return [(s, a) for s, acts in enumerate(inst.actions) for a in acts]
-
-
-def uniform_policy(inst: MdpInstance) -> Policy:
-    return Policy(tuple(np.full(len(a), 1.0 / len(a)) for a in inst.actions))
 
 
 def deterministic_policy(inst: MdpInstance, choices: Sequence[int]) -> Policy:

@@ -3,9 +3,30 @@
 Randomness is counter-based and splittable: path p of a run seeded with s
 draws from Philox keyed by (s, p), so trajectories are bit-reproducible
 across runs and platforms. The first uniform of a path selects the starting
-state by inverse CDF; each subsequent uniform selects the joint
+state by inverse CDF; each subsequent uniform u selects the joint
 (action, next state) cell of the current state's distribution
-phi(a|s) P(j|s,a), flattened action-major.
+phi(a|s) P(j|s,a), flattened action-major: the cell is the number of
+entries of the state's cumulative row that are below u.
+
+Each step finds that count with one ``searchsorted`` for all paths, over a
+sorted integer table keyed by ranks (the table-lookup form of inverse-CDF
+sampling, Chen & Asau, J. Chinese Inst. Engineers, 1974), exactly:
+
+- Every cumulative entry is capped at 1.0, and a state's last real cell and
+  its padding up to W = max_a * S cells are 1.0. A uniform lies in [0, 1), so
+  it never counts an entry >= 1: the counts are unchanged, and every row is
+  nondecreasing.
+- With ``values`` the distinct entries in increasing order and an entry's
+  rank its position there, an entry is below u exactly when its rank is
+  below rank(u) = searchsorted(values, u), the number of values below u.
+- Row s's ranks plus s * span, with span = len(values) + 1, lie in
+  [s * span, (s + 1) * span), so the rows laid end to end form one sorted
+  table. Searching it for s * span + rank(u) gives s * W plus the count, and
+  the next query's row offset is span times the cell's next state.
+
+A path's step ranks are computed as soon as its uniforms are drawn, so the
+step loop compares integers only, and the uniforms of only one path are
+held at a time.
 """
 
 from __future__ import annotations
@@ -53,36 +74,53 @@ def simulate(
     seed: int,
 ) -> Trajectories:
     """num_paths independent length-T trajectories; path p is keyed by (seed, p)."""
+    if num_paths < 1 or T < 1:
+        raise ValueError("num_paths and T must be at least 1")
     S = inst.num_states
-    max_a = max(len(a) for a in inst.actions)
-    # Joint per-state cumulative over (action, next state), action-major. The
-    # last real cell is 1.0 and the padding is ones, so a uniform in [0, 1)
-    # never counts past the last real cell, even when the sum ends below 1.
-    joint = np.ones((S, max_a * S))
+    W = max(len(a) for a in inst.actions) * S
+    # Joint per-state cumulative over (action, next state), capped at 1.0 and
+    # padded with ones, then the rank-keyed table (see the module docstring).
+    joint = np.ones((S, W))
     for s, row in enumerate(policy.rows):
         block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
         probs = (row[:, None] * block).ravel()
-        joint[s, : probs.size - 1] = np.cumsum(probs)[:-1]
+        np.minimum(np.cumsum(probs)[:-1], 1.0, out=joint[s, : probs.size - 1])
+    values, ranks = np.unique(joint, return_inverse=True)
+    span = values.size + 1
+    table = (ranks.reshape(S, W) + span * np.arange(S)[:, None]).ravel()
+    next_base = span * (np.arange(S * W) % S)
+    del joint, ranks
     nu_cum = np.cumsum(np.asarray(nu, dtype=float))
     nu_cum[-1] = 1.0
 
-    U = np.stack([_path_uniforms(seed, p, 1 + T) for p in range(num_paths)])
-    start = np.searchsorted(nu_cum, U[:, 0], side="left")
+    # cells[p, t] holds the rank of step t's uniform until step t replaces it
+    # with the table position it lands at.
+    first = np.empty(num_paths)
     cells = np.empty((num_paths, T), dtype=np.int64)
-    state = start
-    for t in range(T):
-        cells[:, t] = (joint[state] < U[:, 1 + t, None]).sum(axis=1)
-        state = cells[:, t] % S
-    del U
+    for p in range(num_paths):
+        u = _path_uniforms(seed, p, 1 + T)
+        first[p] = u[0]
+        cells[p] = np.searchsorted(values, u[1:], side="left")
+    del u
+    start = np.searchsorted(nu_cum, first, side="left")
+    base = span * start
+    find = table.searchsorted   # the bound method skips np.searchsorted's dispatch
+    for column in cells.T:
+        g = find(base + column)
+        column[:] = g
+        base = next_base[g]
+    del table, next_base
+    cells %= W
 
     states = np.empty_like(cells)
     states[:, 0] = start
     np.remainder(cells[:, :-1], S, out=states[:, 1:])
-    actions = cells // S
-    del cells
-    pairs = inst.pair_offsets[:-1][states]
-    pairs += actions
-    return Trajectories(states=states, actions=actions, z=inst.reward_z[pairs])
+    actions = np.floor_divide(cells, S, out=cells)
+    offsets = inst.pair_offsets[:-1]
+    z = np.empty(actions.shape + inst.reward_z.shape[1:], dtype=inst.reward_z.dtype)
+    for p in range(num_paths):
+        z[p] = inst.reward_z[offsets[states[p]] + actions[p]]
+    return Trajectories(states=states, actions=actions, z=z)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """Byte-identity differential: digests of a seeded corpus of domdp CLI runs.
 
-Run it from the repository root, once for each checkout to compare:
+Run it from the repository root of the older checkout to write its digests,
+then from the newer one with ``--compare`` to check against them:
 
     PYTHONPATH=src python tests/cli_digests.py digests.json
+    PYTHONPATH=src python tests/cli_digests.py --compare digests.json
 
 Every case calls ``domdp.cli.run`` in-process and records
 ``[exit code, sha256 of stdout, first line of stderr]`` under the case name.
 Two checkouts write identical files when no report byte, exit code or error
-line changed, so ``diff`` of the two files lists every changed case. The
+line changed. ``--compare OLD.json`` runs the corpus, prints the name of
+every case whose digest differs from OLD.json's or that only one side has,
+then a count of identical cases, and exits 1 if any case differs. The
 corpus covers ``solve`` (plain, ``--rescale-benchmark`` and ``--tol``),
 ``oracle``, ``alp`` at two seeds, ``simulate`` and ``check-dominance`` (icv
 and icx) on seeded random instances in both modes (some with
@@ -281,10 +285,7 @@ def _run_case(argv: list[str], patch: dict) -> list:
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), first_err]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/cli_digests.py OUT.json", file=sys.stderr)
-        return 1
+def _digests() -> dict:
     rng = np.random.default_rng(20260401)
     with tempfile.TemporaryDirectory() as tmp:
         c = _Corpus(Path(tmp))
@@ -293,7 +294,23 @@ def main(argv: list[str]) -> int:
         _shipped_cases(c)
         _edge_cases(c)
         _long_simulation(c, rng)
-        digests = {name: _run_case(args, patch) for name, args, patch in c.cases}
+        return {name: _run_case(args, patch) for name, args, patch in c.cases}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--compare":
+        old = json.loads(Path(argv[1]).read_text())
+        new = json.loads(json.dumps(_digests()))  # lists, as read back from a file
+        names = old.keys() | new.keys()
+        changed = sorted(name for name in names if old.get(name) != new.get(name))
+        for name in changed:
+            print(name)
+        print(f"{len(names) - len(changed)}/{len(names)} cases identical")
+        return 1 if changed else 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python tests/cli_digests.py OUT.json | --compare OLD.json", file=sys.stderr)
+        return 1
+    digests = _digests()
     Path(argv[0]).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} cases -> {argv[0]}")
     return 0

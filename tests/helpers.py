@@ -6,7 +6,7 @@ import numpy as np
 
 from domdp.average import solve_average
 from domdp.discounted import solve_discounted
-from domdp.mdp import Benchmark, MdpInstance
+from domdp.mdp import Benchmark, MdpInstance, Policy
 
 
 def ti1(mode="average", discount=None):
@@ -22,6 +22,11 @@ def ti1(mode="average", discount=None):
         discount=discount if discounted else None,
         initial=np.array([1.0]) if discounted else None,
     )
+
+
+def uniform_policy(inst):
+    """Every action of every state equally likely."""
+    return Policy(tuple(np.full(len(a), 1.0 / len(a)) for a in inst.actions))
 
 
 TI1_BENCH = Benchmark(support=[4.0], probs=[1.0])

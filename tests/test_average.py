@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -14,13 +15,22 @@ from domdp.average import (
     relative_value_iteration,
     solve_average,
     stationary_distribution,
+    value_iteration_unconstrained,
 )
 from domdp.discounted import solve_discounted
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
 from domdp.portfolio import PortfolioConfig, build_portfolio_instance
 from domdp.results import OccupationMeasure
-from helpers import TI1_BENCH, VACUOUS_BENCH, feasible_pair, ti1, ti2
+from helpers import (
+    TI1_BENCH,
+    VACUOUS_BENCH,
+    feasible_pair,
+    random_benchmark,
+    random_instance,
+    ti1,
+    ti2,
+)
 
 
 def test_build_shapes_one_state():
@@ -339,6 +349,33 @@ def test_converged_multichain_greedy_policy_falls_back(monkeypatch):
     report = solve_average(inst, VACUOUS_BENCH)
     assert not seen[0].crash
     assert report.objective == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("discount", [0.98, 0.99, 0.995])
+def test_discounted_greedy_start_past_the_sweep_budget(monkeypatch, discount):
+    # Value iteration misses its tolerance within CRASH_SWEEPS sweeps at these
+    # discounts. The last sweep's greedy policy still starts the simplex, and
+    # the solve keeps the unit start's status and objective.
+    rng = np.random.default_rng(3)
+    seen = _recording_solve_lp(monkeypatch)
+    statuses = []
+    for _ in range(10):
+        drawn = random_instance(rng, max_states=10, mode="discounted")
+        inst = dataclasses.replace(drawn, discount=discount)
+        bench = random_benchmark(rng, inst)
+        with pytest.raises(RuntimeError):
+            value_iteration_unconstrained(inst, max_iter=CRASH_SWEEPS)
+        report = solve_discounted(inst, bench)
+        assert seen[-1].crash
+        with monkeypatch.context() as m:
+            m.setattr("domdp.average._greedy_start", lambda inst, num_rows: None)
+            unit = solve_discounted(inst, bench)
+        assert not seen[-1].crash
+        assert report.status == unit.status
+        if unit.status == "optimal":
+            assert report.objective == pytest.approx(unit.objective, rel=1e-9, abs=1e-9)
+        statuses.append(unit.status)
+    assert "optimal" in statuses
 
 
 def test_greedy_start_on_portfolio_resolution_2(monkeypatch):

@@ -1,14 +1,17 @@
 import importlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domdp import io as jsonio
 from domdp.average import solve_average
 from domdp.discounted import solve_discounted
-from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy, uniform_policy
+from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
 from domdp.simulate import (
     brute_force_best_feasible,
     enumerate_deterministic_policies,
@@ -24,6 +27,7 @@ from helpers import (
     random_instance,
     ti1,
     ti2,
+    uniform_policy,
 )
 
 # domdp/__init__.py rebinds the name "simulate" to the function.
@@ -55,6 +59,14 @@ def test_swap_chain_alternates():
         inst, uniform_policy(inst), np.array([1.0, 0.0]), T=10, num_paths=1, seed=0
     )
     assert trajs.states.tolist() == [[0, 1, 0, 1, 0, 1, 0, 1, 0, 1]]
+
+
+@pytest.mark.parametrize("T, num_paths", [(0, 2), (5, 0)])
+def test_empty_simulation_is_rejected(T, num_paths):
+    inst = ti2()
+    nu = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="at least 1"):
+        simulate(inst, uniform_policy(inst), nu, T=T, num_paths=num_paths, seed=0)
 
 
 def test_same_seed_reproduces_trajectories():
@@ -125,6 +137,21 @@ def _reference_cases():
     policy = jsonio.parse_policy(json.loads((INSTANCES / "ms5_policy.json").read_text()), inst)
     # Sums to 1 - 2^-52, below the largest uniform; the last state has weight 0.
     yield inst, policy, np.array([0.25, 0.25, 0.25, 0.25 - 2.0**-52, 0.0])
+    # Wide rows: 64 states x 5 actions, 320 cells a row, about half of them
+    # at probability zero.
+    rng = np.random.default_rng(6405)
+    S, A = 64, 5
+    kernel = rng.dirichlet(np.full(S, 0.4), size=S * A)
+    kernel[kernel < 1e-3] = 0.0
+    inst = MdpInstance(
+        num_states=S,
+        actions=tuple(tuple(f"a{i}" for i in range(A)) for _ in range(S)),
+        kernel=kernel / kernel.sum(axis=1, keepdims=True),
+        reward_r=np.zeros(S * A),
+        reward_z=rng.uniform(-2.0, 2.0, size=S * A),
+        mode="average",
+    )
+    yield inst, _sparse_policy(rng, inst), rng.dirichlet(np.ones(S))
 
 
 @pytest.mark.parametrize("uniforms", ["philox", "below-one"])
@@ -158,6 +185,83 @@ def test_step_loop_matches_reference(monkeypatch, uniforms):
         assert np.array_equal(got.states, states)
         assert np.array_equal(got.actions, actions)
         assert np.array_equal(got.z, z)
+
+
+def _weights_to_distribution(weights, fuzz=0.0):
+    """Integer weights scaled to sum 1, with fuzz added to the first nonzero entry."""
+    p = np.asarray(weights, dtype=float) / sum(weights)
+    p[np.flatnonzero(p)[0]] += fuzz
+    return p
+
+
+def _lookup_case(counts, kernel, policy, nu, key):
+    S, K = len(counts), sum(counts)
+    inst = MdpInstance(
+        num_states=S,
+        actions=tuple(tuple(f"a{i}" for i in range(c)) for c in counts),
+        kernel=np.array(kernel, dtype=float).reshape(K, S),
+        reward_r=np.zeros(K),
+        reward_z=np.arange(K, dtype=float),
+        mode="average",
+    )
+    return inst, Policy(tuple(np.asarray(r, dtype=float) for r in policy)), np.asarray(nu), key
+
+
+@st.composite
+def _lookup_cases(draw):
+    """Small instances with repeated and zero cells and rows summing to 1 +- fuzz.
+
+    Kernel rows sum to 1 within KERNEL_TOL and policy rows within POLICY_TOL;
+    a positive fuzz before trailing zero cells makes the running sum pass 1
+    before the row's last cell, a negative one ends the row below the largest
+    uniform.
+    """
+    S = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 4), min_size=S, max_size=S))
+
+    def row(size, fuzzes):
+        weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        return _weights_to_distribution(weights, draw(st.sampled_from(fuzzes)))
+
+    kernel = [row(S, (0.0, 5e-13, -5e-13)) for _ in range(sum(counts))]
+    policy = [row(c, (0.0, 5e-10, -5e-10)) for c in counts]
+    return _lookup_case(counts, kernel, policy, row(S, (0.0,)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lookup_cases())
+@example(  # one state: the running sum passes 1 at action b; action c has probability 0
+    case=_lookup_case([3], [[1.0]] * 3, [[0.5, 0.5 + 5e-10, 0.0]], [1.0], 0)
+)
+@example(  # mixed action counts; a kernel row ends 5e-13 below 1
+    case=_lookup_case(
+        [1, 3], [[0.5, 0.5 - 5e-13], [0.0, 1.0], [0.25, 0.75], [1.0, 0.0]],
+        [[1.0], [0.25, 0.0, 0.75]], [0.5, 0.5], 1,
+    )
+)
+def test_lookup_matches_reference_at_ties_and_row_ends(case):
+    inst, policy, nu, key = case
+    # Most draws are set to a cumulative value of some row (a tie under the
+    # strict <), to a start-CDF value, to 0 or to the largest uniform.
+    pool = [0.0, BELOW_ONE, *np.cumsum(nu)]
+    for s, row in enumerate(policy.rows):
+        block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
+        pool.extend(np.cumsum(row[:, None] * block))
+    pool = np.array([u for u in pool if 0.0 <= u < 1.0])
+
+    def draws(seed, path, count):
+        rng = np.random.default_rng([key, path])
+        u = rng.random(count)
+        tie = rng.random(count) < 0.7
+        u[tie] = rng.choice(pool, size=int(tie.sum()))
+        return u
+
+    with mock.patch.object(SIM, "_path_uniforms", draws):
+        got = simulate(inst, policy, nu, T=40, num_paths=3, seed=0)
+        states, actions, z = _reference_simulate(inst, policy, nu, T=40, num_paths=3, seed=0)
+    assert np.array_equal(got.states, states)
+    assert np.array_equal(got.actions, actions)
+    assert np.array_equal(got.z, z)
 
 
 def test_tolerated_negative_policy_entry_never_drawn(monkeypatch):
