@@ -164,18 +164,18 @@ def build_alp(
 @dataclass
 class AlpReport:
     status: str
-    objective: float | None
-    gamma: np.ndarray | None
-    beta: float | None
-    alpha: np.ndarray | None
-    utility: UtilityFunction | None
-    h_approx: np.ndarray | None        # gamma . H per state
     num_samples: int
     num_variables: int
-    violation_fraction: float | None
-    epsilon: float | None = None
-    delta: float | None = None
-    seed: int | None = None
+    epsilon: float
+    delta: float
+    seed: int
+    objective: float | None = None
+    gamma: np.ndarray | None = None
+    beta: float | None = None
+    alpha: np.ndarray | None = None
+    utility: UtilityFunction | None = None
+    h_approx: np.ndarray | None = None        # gamma . H per state
+    violation_fraction: float | None = None
 
     def to_obj(self) -> dict:
         out = {
@@ -185,17 +185,16 @@ class AlpReport:
         }
         if self.status == "optimal":
             out["objective"] = self.objective
-            out["gamma"] = [float(g) for g in self.gamma]
+            out["gamma"] = self.gamma
             if self.beta is not None:
-                out["beta"] = float(self.beta)
-            out["alpha"] = [float(a) for a in self.alpha]
-            out["h_approx"] = [float(v) for v in self.h_approx]
+                out["beta"] = self.beta
+            out["alpha"] = self.alpha
+            out["h_approx"] = self.h_approx
             if self.violation_fraction is not None:
                 out["violation_fraction"] = self.violation_fraction
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-            out["delta"] = self.delta
-            out["seed"] = self.seed
+        out["epsilon"] = self.epsilon
+        out["delta"] = self.delta
+        out["seed"] = self.seed
         out["alpha_nonnegative"] = True  # cone restriction vs the free-sign dual
         return out
 
@@ -246,15 +245,8 @@ def solve_alp(
     if sol.status != "optimal":
         return AlpReport(
             status=sol.status,
-            objective=None,
-            gamma=None,
-            beta=None,
-            alpha=None,
-            utility=None,
-            h_approx=None,
             num_samples=m,
             num_variables=k,
-            violation_fraction=None,
             epsilon=epsilon,
             delta=delta,
             seed=seed,

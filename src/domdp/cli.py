@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as jsonio
-from .alp import BasisSet, solve_alp
+from .alp import solve_alp
 from .average import solve_average
 from .discounted import solve_discounted
 from .dominance import (
@@ -26,7 +26,6 @@ from .dominance import (
     benchmark_curve,
     check_icv,
     check_icx,
-    reconstruct_utility,
     shortfall_minus,
 )
 from .lp import FEAS_TOL
@@ -157,7 +156,7 @@ def _cmd_solve(args) -> int:
         x = report.occupation.weights
         margins = _expected_kink(inst.reward_z, x, shortfall_minus, grid)
         margins -= benchmark_curve(bench, grid).curve
-        obj["extra_grid_margins"] = [[float(eta), float(m)] for eta, m in zip(grid, margins)]
+        obj["extra_grid_margins"] = np.column_stack([grid, margins])
     _emit(obj, args.out)
     if report.status == "infeasible":
         return EXIT_INFEASIBLE
@@ -223,30 +222,17 @@ def _cmd_check_dominance(args) -> int:
         "satisfied": check.satisfied,
         "worst_eta": check.worst_eta,
         "margin": check.margin,
-        "margins": [[float(e), float(m)] for e, m in zip(check.etas, check.margins)],
+        "margins": np.column_stack([check.etas, check.margins]),
     }
     _emit(out, args.out)
     return EXIT_OK if check.satisfied else EXIT_INFEASIBLE
-
-
-def _parse_basis(obj: dict) -> BasisSet:
-    if not isinstance(obj, dict) or "h" not in obj:
-        raise ValueError("basis file needs 'h': list of per-state value rows")
-    try:
-        lambdas = [[(float(e), float(w)) for e, w in lam] for lam in obj.get("u_lambdas", [])]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'u_lambdas' must hold lists of [eta, weight] pairs: {exc}") from exc
-    u_bases = tuple(
-        reconstruct_utility([e for e, _ in lam], [w for _, w in lam]) for lam in lambdas
-    )
-    return BasisSet(h_bases=np.asarray(obj["h"], dtype=float), u_bases=u_bases)
 
 
 def _cmd_alp(args) -> int:
     loaded = jsonio.parse_instance(_load_json(args.instance))
     inst = loaded.instance
     bench = _require_benchmark(loaded)
-    bases = _parse_basis(_load_json(args.basis))
+    bases = jsonio.parse_basis(_load_json(args.basis))
     report = solve_alp(
         inst, bench, bases, epsilon=args.epsilon, delta=args.delta, psi=None, seed=args.seed
     )
@@ -262,9 +248,7 @@ def _cmd_gen_portfolio(args) -> int:
     cfg = jsonio.parse_portfolio_config(_load_json(args.config))
     inst = build_portfolio_instance(cfg)
     violations = validate_instance(inst)
-    obj = jsonio.instance_to_obj(inst, cfg.benchmark)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(obj) + "\n")
+    _emit(jsonio.instance_to_obj(inst, cfg.benchmark), args.out)
     _emit(
         {
             "out": args.out,
@@ -289,10 +273,8 @@ def _cmd_oracle(args) -> int:
     out = {
         "feasible": True,
         "value": result.value,
-        "policy": [[s, [float(p) for p in row]] for s, row in enumerate(result.policy.rows)],
-        "shortfalls": [
-            [float(e), float(v)] for e, v in zip(bench.support, result.shortfalls)
-        ],
+        "policy": list(enumerate(result.policy.rows)),
+        "shortfalls": np.column_stack([bench.support, result.shortfalls]),
         "feasible_policies": result.feasible_count,
         "skipped_multichain": result.skipped_multichain,
     }

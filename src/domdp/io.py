@@ -1,20 +1,37 @@
-"""JSON schemas for instances, benchmarks, policies and reports.
+"""JSON schemas for instances, benchmarks, policies, ALP bases and reports.
 
-All floats are parsed as 64-bit and emitted with 17 significant digits so
-reports round-trip exactly and are byte-stable for identical inputs.
+One writer, ``dumps``, emits every report and instance file. Callers hand it
+NumPy arrays as they are; every float is emitted with 17 significant digits,
+so reports round-trip exactly and are byte-stable for identical inputs. All
+floats are parsed as 64-bit. A file whose JSON types do not fit the schema
+is reported as a ValueError by the ``parse_*`` function that decodes it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import GeneratorFamily, _distribution, weighted_kink_family
+from .alp import BasisSet
+from .dominance import GeneratorFamily, _distribution, reconstruct_utility, weighted_kink_family
 from .mdp import Benchmark, MdpInstance, Policy
 from .portfolio import PortfolioConfig
+
+_ARRAY_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _format_array(a: np.ndarray) -> str:
+    """A numeric array of any shape, through one template and one ``%``."""
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        raise ValueError(f"cannot emit non-finite float {float(a[~np.isfinite(a)][0])!r}")
+    template = _ARRAY_SPECS[a.dtype.kind]
+    for n in reversed(a.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(a.ravel().tolist())
 
 
 def _format(value) -> str:
@@ -34,14 +51,32 @@ def _format(value) -> str:
     if isinstance(value, dict):
         items = ",".join(f"{json.dumps(str(k))}:{_format(v)}" for k, v in value.items())
         return "{" + items + "}"
+    if isinstance(value, np.ndarray) and value.dtype.kind in _ARRAY_SPECS:
+        return _format_array(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_format(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats; arrays go in as they are."""
     return _format(obj)
+
+
+def _decodes(what: str):
+    """Report JSON of the wrong types (TypeError, IndexError, KeyError) as a ValueError."""
+
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(*args):
+            try:
+                return parse(*args)
+            except (TypeError, IndexError, KeyError) as exc:
+                raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+        return checked
+
+    return wrap
 
 
 @dataclass(frozen=True)
@@ -52,6 +87,7 @@ class LoadedInstance:
     extra_grid: np.ndarray | None
 
 
+@_decodes("benchmark")
 def parse_benchmark(obj: dict) -> Benchmark:
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise ValueError("benchmark needs 'support' and 'probs'")
@@ -64,6 +100,7 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+@_decodes("instance file")
 def parse_instance(obj: dict) -> LoadedInstance:
     """Decode the instance file schema into validated domain objects."""
     num_states = int(_require(obj, "states"))
@@ -112,43 +149,40 @@ def parse_instance(obj: dict) -> LoadedInstance:
 
 
 def instance_to_obj(inst: MdpInstance, bench: Benchmark | None = None) -> dict:
-    P, r, z = [], [], []
-    k = 0
-    vector_z = inst.reward_z.ndim == 2
-    for s in range(inst.num_states):
-        row_P, row_r, row_z = [], [], []
-        for _ in inst.actions[s]:
-            row_P.append([float(v) for v in inst.kernel[k]])
-            row_r.append(float(inst.reward_r[k]))
-            row_z.append(
-                [float(v) for v in inst.reward_z[k]] if vector_z else float(inst.reward_z[k])
-            )
-            k += 1
-        P.append(row_P)
-        r.append(row_r)
-        z.append(row_z)
+    """The instance file schema: P, r and z as one block of rows per state."""
+    cuts = inst.pair_offsets[1:-1]
     out = {
         "states": inst.num_states,
-        "actions": [list(a) for a in inst.actions],
-        "P": P,
-        "r": r,
-        "z": z,
+        "actions": inst.actions,
+        "P": np.split(inst.kernel, cuts),
+        "r": np.split(inst.reward_r, cuts),
+        "z": np.split(inst.reward_z, cuts),
         "mode": inst.mode,
     }
     if inst.discount is not None:
         out["discount"] = float(inst.discount)
     if inst.initial is not None:
-        out["initial"] = [float(v) for v in inst.initial]
+        out["initial"] = inst.initial
     if bench is not None:
-        out["benchmark"] = {
-            "support": [float(v) for v in np.atleast_1d(bench.support).tolist()]
-            if bench.support.ndim == 1
-            else [[float(v) for v in row] for row in bench.support],
-            "probs": [float(v) for v in bench.probs],
-        }
+        out["benchmark"] = {"support": bench.support, "probs": bench.probs}
     return out
 
 
+@_decodes("basis file")
+def parse_basis(obj: dict) -> BasisSet:
+    if not isinstance(obj, dict) or "h" not in obj:
+        raise ValueError("basis file needs 'h': list of per-state value rows")
+    try:
+        lambdas = [[(float(e), float(w)) for e, w in lam] for lam in obj.get("u_lambdas", [])]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'u_lambdas' must hold lists of [eta, weight] pairs: {exc}") from exc
+    u_bases = tuple(
+        reconstruct_utility([e for e, _ in lam], [w for _, w in lam]) for lam in lambdas
+    )
+    return BasisSet(h_bases=np.asarray(obj["h"], dtype=float), u_bases=u_bases)
+
+
+@_decodes("policy file")
 def parse_policy(obj, inst: MdpInstance) -> Policy:
     """Accept [[state, [probs...]], ...] or {"policy": [...]}."""
     if isinstance(obj, dict):
@@ -175,6 +209,7 @@ def parse_policy(obj, inst: MdpInstance) -> Policy:
     return Policy(tuple(rows))
 
 
+@_decodes("distribution")
 def parse_distribution(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise ValueError("distribution needs 'support' and 'probs'")
@@ -186,17 +221,15 @@ def parse_distribution(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
+@_decodes("portfolio config")
 def parse_portfolio_config(obj: dict) -> PortfolioConfig:
-    try:
-        return PortfolioConfig(
-            price_levels=tuple(tuple(float(p) for p in lv) for lv in obj["price_levels"]),
-            price_transitions=tuple(np.asarray(T, dtype=float) for T in obj["price_transitions"]),
-            resolution=int(obj["resolution"]),
-            discount=float(obj["discount"]),
-            benchmark=parse_benchmark(obj["benchmark"]),
-            initial_holdings=np.asarray(obj["initial_holdings"], dtype=float)
-            if obj.get("initial_holdings") is not None
-            else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"portfolio config missing key {exc}") from exc
+    return PortfolioConfig(
+        price_levels=tuple(tuple(float(p) for p in lv) for lv in obj["price_levels"]),
+        price_transitions=tuple(np.asarray(T, dtype=float) for T in obj["price_transitions"]),
+        resolution=int(obj["resolution"]),
+        discount=float(obj["discount"]),
+        benchmark=parse_benchmark(obj["benchmark"]),
+        initial_holdings=np.asarray(obj["initial_holdings"], dtype=float)
+        if obj.get("initial_holdings") is not None
+        else None,
+    )

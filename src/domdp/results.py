@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dominance import UtilityFunction
-from .mdp import AVERAGE, DISCOUNTED, MdpInstance, Policy
+from .mdp import AVERAGE, DISCOUNTED, MdpInstance, Policy, enumerate_pairs
 
 MASS_TOL = 1e-8
 
@@ -132,41 +132,30 @@ class SolveReport:
                 out["binding_etas"] = list(self.binding_etas)
             return out
         inst = self.occupation.inst
-        x_rows = []
-        k = 0
-        for s, acts in enumerate(inst.actions):
-            for a in acts:
-                x_rows.append([s, a, float(self.occupation.weights[k])])
-                k += 1
         out = {
             "status": self.status,
             "mode": self.mode,
             "objective": self.objective,
             "dual_objective": self.dual_objective,
             "gap": self.gap,
-            "x": x_rows,
-            "policy": [[s, [float(p) for p in row]] for s, row in enumerate(self.policy.rows)],
+            "x": [[s, a, w] for (s, a), w in zip(enumerate_pairs(inst), self.occupation.weights)],
+            "policy": list(enumerate(self.policy.rows)),
         }
         if self.mode == AVERAGE:
             out["g"] = self.dual.g
-            out["h"] = [float(v) for v in self.dual.h]
+            out["h"] = self.dual.h
         else:
-            out["initial_weighted_value"] = float(inst.initial @ self.dual.v)
-            out["v"] = [float(v) for v in self.dual.v]
-        lam_key = [
-            [float(e), float(w)] for e, w in zip(self.dominance_grid, self.dual.lam)
-        ]
-        out["lambda"] = lam_key
+            out["initial_weighted_value"] = inst.initial @ self.dual.v
+            out["v"] = self.dual.v
+        out["lambda"] = np.column_stack([self.dominance_grid, self.dual.lam])
         out["slackness"] = {
             "max_dominance": self.slackness.max_dominance,
             "max_pair": self.slackness.max_pair,
-            "dominance": [float(v) for v in self.slackness.dominance],
-            "pairs": [float(v) for v in self.slackness.pairs],
+            "dominance": self.slackness.dominance,
+            "pairs": self.slackness.pairs,
         }
-        out["optimality_residuals"] = [float(v) for v in self.optimality_residuals]
-        out["dominance_margins"] = [
-            [float(e), float(m)] for e, m in zip(self.dominance_grid, self.dominance_margins)
-        ]
+        out["optimality_residuals"] = self.optimality_residuals
+        out["dominance_margins"] = np.column_stack([self.dominance_grid, self.dominance_margins])
         out["multichain"] = bool(self.multichain)
         if self.family_mode:
             out["family"] = True

@@ -7,7 +7,9 @@ then from the newer one with ``--compare`` to check against them:
     PYTHONPATH=src python tests/cli_digests.py --compare digests.json
 
 Every case calls ``domdp.cli.run`` in-process and records
-``[exit code, sha256 of stdout, first line of stderr]`` under the case name.
+``[exit code, sha256 of stdout, first line of stderr]`` under the case name;
+a case that writes a file (``--out``) appends the sha256 of that file. The
+corpus's temporary directory reads as ``<tmp>`` in stdout and stderr.
 Two checkouts write identical files when no report byte, exit code or error
 line changed. ``--compare OLD.json`` runs the corpus, prints the name of
 every case whose digest differs from OLD.json's or that only one side has,
@@ -16,9 +18,11 @@ corpus covers ``solve`` (plain, ``--rescale-benchmark`` and ``--tol``),
 ``oracle``, ``alp`` at two seeds, ``simulate`` and ``check-dominance`` (icv
 and icx) on seeded random instances in both modes (some with
 ``extra_grid``, some with a generator family, some with an infeasible
-benchmark), the shipped ``instances/ti1*`` files, non-finite inputs, an
-oracle over more policies than its limit, out-of-range numeric arguments
-and one long ``simulate`` on a random instance of 6 to 8 states.
+benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
+``gen-portfolio`` on the shipped config and on one with
+``initial_holdings``, non-finite inputs, input files with JSON of the wrong
+types, an oracle over more policies than its limit, out-of-range numeric
+arguments and one long ``simulate`` on a random instance of 6 to 8 states.
 pytest does not collect this file.
 """
 
@@ -75,7 +79,7 @@ def _ti1_obj(**changes) -> dict:
 class _Corpus:
     def __init__(self, tmp: Path):
         self.tmp = tmp
-        self.cases: list[tuple[str, list[str], dict]] = []
+        self.cases: list[tuple[str, list[str], dict, Path | None]] = []
 
     def file(self, name: str, obj) -> str:
         path = self.tmp / f"{name}.json"
@@ -83,7 +87,12 @@ class _Corpus:
         return str(path)
 
     def add(self, name: str, argv: list[str], patch: dict | None = None) -> None:
-        self.cases.append((name, argv, patch or {}))
+        self.cases.append((name, argv, patch or {}, None))
+
+    def add_written(self, name: str, argv: list[str]) -> None:
+        """A case whose digest also hashes the file it writes to ``--out``."""
+        out = self.tmp / f"{name.replace('/', '-')}.out.json"
+        self.cases.append((name, argv + ["--out", str(out)], {}, out))
 
 
 def _random_cases(c: _Corpus, rng: np.random.Generator, count: int) -> None:
@@ -181,6 +190,22 @@ def _shipped_cases(c: _Corpus) -> None:
         ["simulate", "--instance", ti1, "--policy", str(INSTANCES / "ti1_policy.json"),
          "--paths", "3", "--horizon", "1000"],
     )
+    c.add_written(
+        "ti1_discounted/solve-out", ["solve", "--instance", str(INSTANCES / "ti1_discounted.json")]
+    )
+    shipped = INSTANCES / "portfolio_config.json"
+    c.add_written("portfolio_config/gen", ["gen-portfolio", "--config", str(shipped)])
+    config = json.loads(shipped.read_text())
+    held = {
+        **config,
+        "price_levels": config["price_levels"] + [[1.0, 1.1]],
+        "price_transitions": config["price_transitions"] + config["price_transitions"][:1],
+        "resolution": 2,
+        "initial_holdings": [0.5, 0.0, 0.5],
+    }
+    c.add_written(
+        "portfolio-held/gen", ["gen-portfolio", "--config", c.file("portfolio-held", held)]
+    )
 
 
 def _edge_cases(c: _Corpus) -> None:
@@ -224,6 +249,8 @@ def _edge_cases(c: _Corpus) -> None:
     good = c.file("dist-point", {"support": [1.0], "probs": [1.0]})
     c.add("nonfinite-x/check-icv", ["check-dominance", "--x", nan_x, "--benchmark", good])
 
+    _wrong_type_cases(c)
+
     two_by_two = c.file(
         "oracle-limit",
         _ti1_obj(states=2, actions=[["a", "b"], ["a", "b"]],
@@ -240,6 +267,55 @@ def _edge_cases(c: _Corpus) -> None:
             f"range/simulate{flag}-0",
             ["simulate", "--instance", ti1, "--policy", policy, flag, "0"],
         )
+
+
+def _wrong_type_cases(c: _Corpus) -> None:
+    """Input files whose JSON types do not fit the schema: each exits 1."""
+    ti1 = str(INSTANCES / "ti1.json")
+    instances = {
+        "states-list": {"states": [1]},
+        "actions-number": {"actions": 5},
+        "P-number": {"P": 3},
+        "P-list-of-number": {"P": [3]},
+        "P-dict": {"P": {"0": 1}},
+        "P-empty": {"P": []},
+        "r-list-of-number": {"r": [3]},
+        "z-mixed": {"z": [[1.0, [2.0]]]},
+        "discount-list": {"discount": [0.5]},
+        "initial-dict": {"initial": {"a": 1}},
+        "family-weights-number": {"family": {"weights": 1, "etas": [4.0]}},
+    }
+    for name, change in instances.items():
+        path = c.file(f"type-instance-{name}", _ti1_obj(**change))
+        c.add(f"type-instance-{name}/solve", ["solve", "--instance", path])
+    policy = str(INSTANCES / "ti1_policy.json")
+    for name, rows in {"state-list": [[[0], [0.5, 0.5]]], "row-dict": [[0, {"a": 1}]]}.items():
+        path = c.file(f"type-policy-{name}", rows)
+        c.add(f"type-policy-{name}/simulate", ["simulate", "--instance", ti1, "--policy", path])
+    point = c.file("type-dist-point", {"support": [1.0], "probs": [1.0]})
+    support_dict = c.file("type-support-dict", {"support": {"a": 1}, "probs": [1.0]})
+    c.add(
+        "type-support-dict/check-x",
+        ["check-dominance", "--x", support_dict, "--benchmark", point],
+    )
+    c.add(
+        "type-support-dict/check-benchmark",
+        ["check-dominance", "--x", point, "--benchmark", support_dict],
+    )
+    basis = c.file("type-basis-h-dict", {"h": {"a": 1}})
+    c.add(
+        "type-basis-h-dict/alp",
+        ["alp", "--instance", ti1, "--epsilon", "0.25", "--delta", "0.1", "--basis", basis],
+    )
+    config = json.loads((INSTANCES / "portfolio_config.json").read_text())
+    configs = {
+        "levels-number": {**config, "price_levels": 3},
+        "resolution-list": {**config, "resolution": [1]},
+        "bare-list": [config],
+    }
+    for name, obj in configs.items():
+        path = c.file(f"type-config-{name}", obj)
+        c.add_written(f"type-config-{name}/gen", ["gen-portfolio", "--config", path])
 
 
 def _long_simulation(c: _Corpus, rng: np.random.Generator) -> None:
@@ -262,7 +338,7 @@ def _long_simulation(c: _Corpus, rng: np.random.Generator) -> None:
     )
 
 
-def _run_case(argv: list[str], patch: dict) -> list:
+def _run_case(argv: list[str], patch: dict, written: Path | None, tmp: Path) -> list:
     simulate_module = importlib.import_module("domdp.simulate")
     saved = {k: getattr(simulate_module, k) for k in patch}
     out, err = io.StringIO(), io.StringIO()
@@ -281,8 +357,13 @@ def _run_case(argv: list[str], patch: dict) -> list:
     finally:
         for k, v in saved.items():
             setattr(simulate_module, k, v)
-    first_err = err.getvalue().partition("\n")[0]
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), first_err]
+    stdout = out.getvalue().replace(str(tmp), "<tmp>")
+    first_err = err.getvalue().partition("\n")[0].replace(str(tmp), "<tmp>")
+    digest = [code, hashlib.sha256(stdout.encode()).hexdigest(), first_err]
+    if written is not None:
+        exists = written.exists()
+        digest.append(hashlib.sha256(written.read_bytes()).hexdigest() if exists else None)
+    return digest
 
 
 def _digests() -> dict:
@@ -294,7 +375,10 @@ def _digests() -> dict:
         _shipped_cases(c)
         _edge_cases(c)
         _long_simulation(c, rng)
-        return {name: _run_case(args, patch) for name, args, patch in c.cases}
+        return {
+            name: _run_case(args, patch, written, c.tmp)
+            for name, args, patch, written in c.cases
+        }
 
 
 def main(argv: list[str]) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from domdp.average import solve_average
@@ -118,3 +120,19 @@ def feasible_pair(rng, max_states=20, max_actions=5, mode="average", max_support
         report = solver(inst, bench)
         assert report.status == "optimal", "shifted benchmark must be feasible"
     return inst, bench, report
+
+
+def reference_dumps(value) -> str:
+    """JSON for nested lists, tuples and arrays of numbers, one element at a time.
+
+    Floats go through format(v, ".17g") and integers through str(int(v)), the
+    bytes domdp.io.dumps must reproduce when it formats a whole array at once.
+    """
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(reference_dumps(v) for v in value) + "]"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"cannot emit non-finite float {v!r}")
+    return format(v, ".17g")

@@ -44,7 +44,7 @@ def test_dumps_17_digit_floats_and_determinism():
 def test_instance_round_trip():
     inst = ti1()
     obj = instance_to_obj(inst, TI1_BENCH)
-    loaded = parse_instance(json.loads(json.dumps(obj)))
+    loaded = parse_instance(json.loads(dumps(obj)))
     assert loaded.instance.num_states == 1
     assert np.array_equal(loaded.instance.reward_r, inst.reward_r)
     assert np.array_equal(loaded.benchmark.support, TI1_BENCH.support)
@@ -195,9 +195,7 @@ def test_gen_portfolio_smoke(tmp_path, capsys):
 def test_portfolio_resolution_4_solves(tmp_path, capsys):
     # The benchmark's 3-asset config at resolution 4 (960 states). From the
     # unit start the simplex ran 2311 pivots and hit a singular basis (exit
-    # 4); HiGHS puts the optimum at 0. The instance file is written with the
-    # standard json module, which is much faster than gen-portfolio's writer
-    # on this 8 MB kernel and reads back to the same floats.
+    # 4); HiGHS puts the optimum at 0.
     cfg = parse_portfolio_config(
         {
             "price_levels": [[1.0, 1.2], [1.0, 0.8], [1.0, 1.1]],
@@ -209,8 +207,9 @@ def test_portfolio_resolution_4_solves(tmp_path, capsys):
     )
     inst = build_portfolio_instance(cfg)
     assert inst.num_states == 960
-    path = write_json(tmp_path / "inst.json", instance_to_obj(inst, cfg.benchmark))
-    assert run(["solve", "--instance", path]) == 0
+    path = tmp_path / "inst.json"
+    path.write_text(dumps(instance_to_obj(inst, cfg.benchmark)))
+    assert run(["solve", "--instance", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "optimal"
     assert abs(report["objective"]) <= 1e-9
@@ -298,6 +297,13 @@ def test_rescale_with_family_rejected(tmp_path, capsys):
 
 
 DIST = {"support": [1.0], "probs": [1.0]}
+PORTFOLIO = {
+    "price_levels": [[1.0, 1.2], [1.0, 0.8]],
+    "price_transitions": [[[0.7, 0.3], [0.4, 0.6]]] * 2,
+    "resolution": 2,
+    "discount": 0.9,
+    "benchmark": {"support": [-1.0], "probs": [1.0]},
+}
 TWO_STATES = {
     "states": 2,
     "actions": [["a", "b"], ["a"]],
@@ -315,6 +321,39 @@ MALFORMED = [
     pytest.param("simulate", "policy", 7, id="policy-number"),
     pytest.param("alp", "basis", {"h": [[1.0]], "u_lambdas": [[1.0]]}, id="basis-bare-lambda"),
     pytest.param("alp", "basis", {"h": [[1.0]]}, id="basis-one-column-two-states"),
+    pytest.param("alp", "basis", {"h": {"a": 1}}, id="basis-h-dict"),
+    pytest.param(
+        "check-dominance", "x", {"support": {"a": 1}, "probs": [1.0]}, id="x-support-dict"
+    ),
+    pytest.param(
+        "check-dominance", "benchmark", {"support": {"a": 1}, "probs": [1.0]},
+        id="benchmark-support-dict",
+    ),
+    pytest.param("simulate", "policy", [[[0], [0.5, 0.5]], [1, [1.0]]], id="policy-state-list"),
+    pytest.param("simulate", "policy", [[0, {"a": 1}], [1, [1.0]]], id="policy-row-dict"),
+    *(
+        pytest.param("solve", "instance", ti1_obj(**{key: value}), id=f"instance-{name}")
+        for name, key, value in [
+            ("states-list", "states", [1]),
+            ("actions-number", "actions", 5),
+            ("P-number", "P", 3),
+            ("P-list-of-number", "P", [3]),
+            ("P-dict", "P", {"0": 1}),
+            ("P-empty", "P", []),
+            ("r-list-of-number", "r", [3]),
+            ("z-mixed", "z", [[1.0, [2.0]]]),
+            ("discount-list", "discount", [0.5]),
+            ("initial-dict", "initial", {"a": 1}),
+            ("family-weights-number", "family", {"weights": 1, "etas": [4.0]}),
+        ]
+    ),
+    pytest.param(
+        "gen-portfolio", "config", {**PORTFOLIO, "price_levels": 3}, id="config-levels-number"
+    ),
+    pytest.param(
+        "gen-portfolio", "config", {**PORTFOLIO, "resolution": [1]}, id="config-resolution-list"
+    ),
+    pytest.param("gen-portfolio", "config", [PORTFOLIO], id="config-bare-list"),
 ]
 
 
@@ -324,7 +363,10 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, command, role, content
     bad = write_json(tmp_path / "bad.json", content)
     inst = write_json(tmp_path / "inst.json", TWO_STATES)
     good = write_json(tmp_path / "good.json", DIST)
+    config = write_json(tmp_path / "config.json", PORTFOLIO)
     argv = {
+        "solve": ["solve", "--instance", inst],
+        "gen-portfolio": ["gen-portfolio", "--config", config, "--out", str(tmp_path / "out.json")],
         "check-dominance": ["check-dominance", "--x", good, "--benchmark", good],
         "simulate": ["simulate", "--instance", inst, "--policy", good],
         "alp": ["alp", "--instance", inst, "--epsilon", "0.25", "--delta", "0.1", "--basis", good],
