@@ -3,7 +3,7 @@
 Exit codes: 0 success/optimal, 1 input error (also a malformed input file), 2
 infeasible (certificate in the report; also a failed dominance check or an
 empty oracle), 3 unbounded, 4 numerical failure (singular matrix, duality-gap
-guard, iteration cap).
+or residual guard, iteration cap).
 Reports go to --out when given, otherwise to standard output. All randomness
 flows from --seed (default 0); identical inputs produce byte-identical
 reports.

@@ -87,6 +87,8 @@ def _distribution(values, probs) -> tuple[np.ndarray, np.ndarray]:
 
 def _check(values, probs, bench: Benchmark, kink, tol: float) -> DominanceCheck:
     """Margins E[kink(X-eta)] - E[kink(Y-eta)] at every eta in supp Y."""
+    if bench.is_vector:
+        raise ValueError("vector benchmark requires a generator family")
     values, probs = _distribution(values, probs)
     etas = bench.support
     bench_side = _expected_kink(bench.support, bench.probs, kink, etas)

@@ -228,9 +228,12 @@ def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResu
     Evaluates objective and per-eta shortfalls by linear solves, never
     simulation. Average mode skips (and counts) multichain policies; returns
     None when no deterministic policy meets every dominance row within 1e-9.
-    Raises ValueError on an invalid instance or more than MAX_POLICIES policies.
+    Raises ValueError on an invalid instance, vector z or a vector benchmark,
+    or more than MAX_POLICIES policies.
     """
     require_valid(inst)
+    if inst.reward_z.ndim != 1 or bench.is_vector:
+        raise ValueError("vector z requires a generator family")
     etas = bench.support
     rhs = benchmark_curve(bench, etas).curve
     best = None   # (value, choices, shortfalls)

@@ -20,9 +20,12 @@ and icx) on seeded random instances in both modes (some with
 ``extra_grid``, some with a generator family, some with an infeasible
 benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 ``gen-portfolio`` on the shipped config and on one with
-``initial_holdings``, non-finite inputs, input files with JSON of the wrong
-types, an oracle over more policies than its limit, out-of-range numeric
-arguments and one long ``simulate`` on a random instance of 6 to 8 states.
+``initial_holdings``, ``gen-portfolio`` and ``solve`` on the benchmark's
+3-asset config at resolution 3 (a sparse LP), non-finite inputs, vector z
+passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
+files with JSON of the wrong types, an oracle over more policies than its
+limit, out-of-range numeric arguments and one long ``simulate`` on a random
+instance of 6 to 8 states.
 pytest does not collect this file.
 """
 
@@ -89,10 +92,11 @@ class _Corpus:
     def add(self, name: str, argv: list[str], patch: dict | None = None) -> None:
         self.cases.append((name, argv, patch or {}, None))
 
-    def add_written(self, name: str, argv: list[str]) -> None:
-        """A case whose digest also hashes the file it writes to ``--out``."""
+    def add_written(self, name: str, argv: list[str]) -> str:
+        """A case whose digest also hashes the file it writes to ``--out``; returns its path."""
         out = self.tmp / f"{name.replace('/', '-')}.out.json"
         self.cases.append((name, argv + ["--out", str(out)], {}, out))
+        return str(out)
 
 
 def _random_cases(c: _Corpus, rng: np.random.Generator, count: int) -> None:
@@ -206,6 +210,19 @@ def _shipped_cases(c: _Corpus) -> None:
     c.add_written(
         "portfolio-held/gen", ["gen-portfolio", "--config", c.file("portfolio-held", held)]
     )
+    # The benchmark's 3-asset config at resolution 3: a sparse 642 x 1952 LP,
+    # solved from the greedy start.
+    bench_config = {
+        "price_levels": [[1.0, 1.2], [1.0, 0.8], [1.0, 1.1]],
+        "price_transitions": [[[0.7, 0.3], [0.4, 0.6]]] * 3,
+        "resolution": 3,
+        "discount": 0.9,
+        "benchmark": {"support": [-0.4, 0.0], "probs": [0.5, 0.5]},
+    }
+    r3 = c.add_written(
+        "portfolio-r3/gen", ["gen-portfolio", "--config", c.file("portfolio-r3", bench_config)]
+    )
+    c.add("portfolio-r3/solve", ["solve", "--instance", r3])
 
 
 def _edge_cases(c: _Corpus) -> None:
@@ -248,6 +265,18 @@ def _edge_cases(c: _Corpus) -> None:
     nan_x = c.file("nonfinite-x", {"support": [NAN], "probs": [1.0]})
     good = c.file("dist-point", {"support": [1.0], "probs": [1.0]})
     c.add("nonfinite-x/check-icv", ["check-dominance", "--x", nan_x, "--benchmark", good])
+    vector = {"support": [[4.0, 1.0]], "probs": [1.0]}
+    vector_z = _ti1_obj(z=[[[10.0, 1.0], [0.0, 2.0]]], benchmark=vector)
+    for name, obj in {
+        "family": {**vector_z, "family": {"weights": [[0.5, 0.5]], "etas": [4.0]}},
+        "vector-benchmark": vector_z,
+        "scalar-benchmark": {**vector_z, "benchmark": {"support": [4.0], "probs": [1.0]}},
+    }.items():
+        c.add(f"vector-z-{name}/oracle", ["oracle", "--instance", c.file(f"vector-z-{name}", obj)])
+    c.add(
+        "vector-benchmark/check-icv",
+        ["check-dominance", "--x", good, "--benchmark", c.file("vector-benchmark", vector)],
+    )
 
     _wrong_type_cases(c)
 

@@ -9,6 +9,7 @@ import numpy as np
 from domdp.average import solve_average
 from domdp.discounted import solve_discounted
 from domdp.mdp import Benchmark, MdpInstance, Policy
+from domdp.portfolio import PortfolioConfig
 
 
 def ti1(mode="average", discount=None):
@@ -23,6 +24,17 @@ def ti1(mode="average", discount=None):
         mode=mode,
         discount=discount if discounted else None,
         initial=np.array([1.0]) if discounted else None,
+    )
+
+
+def benchmark_portfolio(resolution: int) -> PortfolioConfig:
+    """The benchmark's fixed 3-asset portfolio config (``perfbench/workloads.py``)."""
+    return PortfolioConfig(
+        price_levels=((1.0, 1.2), (1.0, 0.8), (1.0, 1.1)),
+        price_transitions=(np.array([[0.7, 0.3], [0.4, 0.6]]),) * 3,
+        resolution=resolution,
+        discount=0.9,
+        benchmark=Benchmark(support=[-0.4, 0.0], probs=[0.5, 0.5]),
     )
 
 

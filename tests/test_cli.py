@@ -193,9 +193,8 @@ def test_gen_portfolio_smoke(tmp_path, capsys):
 
 
 def test_portfolio_resolution_4_solves(tmp_path, capsys):
-    # The benchmark's 3-asset config at resolution 4 (960 states). From the
-    # unit start the simplex ran 2311 pivots and hit a singular basis (exit
-    # 4); HiGHS puts the optimum at 0.
+    # The benchmark's 3-asset config at resolution 4 (960 states), solved
+    # through the CLI from the greedy start; HiGHS puts the optimum at 0.
     cfg = parse_portfolio_config(
         {
             "price_levels": [[1.0, 1.2], [1.0, 0.8], [1.0, 1.1]],
@@ -466,6 +465,37 @@ def test_non_finite_input_exits_one(tmp_path, capsys, command, content):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err
+
+
+VECTOR_Z = ti1_obj(
+    z=[[[10.0, 1.0], [0.0, 2.0]]], benchmark={"support": [[4.0, 1.0]], "probs": [1.0]}
+)
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param(
+            "oracle",
+            {**VECTOR_Z, "family": {"weights": [[0.5, 0.5]], "etas": [4.0]}},
+            id="oracle-family",
+        ),
+        pytest.param("oracle", VECTOR_Z, id="oracle-vector-benchmark"),
+        pytest.param("oracle", {**VECTOR_Z, "benchmark": DIST}, id="oracle-scalar-benchmark"),
+        pytest.param("check-dominance", VECTOR_Z["benchmark"], id="check-vector-benchmark"),
+    ],
+)
+def test_vector_z_outside_solve_exits_one(tmp_path, capsys, command, content):
+    # Only solve evaluates a generator family; the others read z as scalars.
+    bad = write_json(tmp_path / "bad.json", content)
+    good = write_json(tmp_path / "good.json", DIST)
+    argv = {
+        "oracle": ["oracle", "--instance", bad],
+        "check-dominance": ["check-dominance", "--x", good, "--benchmark", bad],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "requires a generator family" in err
 
 
 def test_oracle_policy_limit_exits_one(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,8 @@ from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.dominance import weighted_kink_family
 from domdp.lp import EQ, GE, LE
 from domdp.mdp import Benchmark
-from domdp.portfolio import PortfolioConfig, build_portfolio_instance
-from helpers import random_benchmark, random_instance
+from domdp.portfolio import build_portfolio_instance
+from helpers import benchmark_portfolio, random_benchmark, random_instance
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -70,13 +70,7 @@ def _draws():
         elif kind == 3:
             bench = random_benchmark(rng, inst, max_support=4)
         yield pytest.param(inst, bench, family, id=f"{mode}-{i:02d}-k{kind}")
-    cfg = PortfolioConfig(
-        price_levels=((1.0, 1.2), (1.0, 0.8), (1.0, 1.1)),
-        price_transitions=(np.array([[0.7, 0.3], [0.4, 0.6]]),) * 3,
-        resolution=2,
-        discount=0.9,
-        benchmark=Benchmark(support=[-0.4, 0.0], probs=[0.5, 0.5]),
-    )
+    cfg = benchmark_portfolio(2)
     yield pytest.param(build_portfolio_instance(cfg), cfg.benchmark, None, id="portfolio-r2")
 
 
@@ -140,3 +134,19 @@ def test_matches_highs(inst, bench, family):
         assert dual.g == pytest.approx(y[S], abs=TOL * scale)
         shift = shift - shift.mean()
     assert np.abs(shift).max() <= TOL * scale * (1.0 + np.abs(y[:S]).max())
+
+
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_benchmark_portfolio_matches_highs(resolution):
+    # The sparse LPs of the benchmark's portfolio workload. The eta = 0 row
+    # binds (lambda about 5.9 and 4.3); objective and lambda match HiGHS's.
+    cfg = benchmark_portfolio(resolution)
+    inst = build_portfolio_instance(cfg)
+    lp = build_discounted_primal(inst, cfg.benchmark)
+    report = solve_discounted(inst, cfg.benchmark)
+    status, objective, y = _highs(lp)
+    assert report.status == status == "optimal"
+    assert report.objective == pytest.approx(objective, abs=TOL * (1.0 + abs(objective)))
+    lam = -y[inst.num_states :]
+    assert lam[-1] > 1.0
+    assert np.abs(report.dual.lam - lam).max() <= TOL * (1.0 + lam.max())

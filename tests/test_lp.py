@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from domdp import lp
+from domdp.average import _greedy_start
+from domdp.discounted import build_discounted_primal
 from domdp.lp import EQ, GE, LE, LpProblem, _residuals, _start_basis, solve_lp, to_standard_form
+from domdp.portfolio import build_portfolio_instance
+from helpers import benchmark_portfolio
 
 
 def box_problem():
@@ -352,3 +357,101 @@ def test_start_row_whose_slack_would_be_negative_gets_an_artificial():
     assert sol.status == "infeasible"
     cert = sol.certificate
     assert cert @ p.b > 0 and cert @ p.A[:, 0] <= 1e-12 and cert[1] <= 0.0
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_residual_guard_rejects_a_drifted_solution(monkeypatch, side):
+    # Shift the box problem's optimal x along (1, -1), or y along (2, -1):
+    # both objectives stay at 3, so the duality-gap guard passes, but the
+    # shifted x breaks x1 <= 1 and the shifted y leaves x1 a positive
+    # reduced profit.
+    solve_standard = lp._solve_standard
+
+    def drifted(*args):
+        res = solve_standard(*args)
+        if side == "primal":
+            res.x[:2] += [1e-3, -1e-3]
+        else:
+            res.y_raw[:] += [2e-3, -1e-3]
+        return res
+
+    monkeypatch.setattr(lp, "_solve_standard", drifted)
+    with pytest.raises(ArithmeticError, match="residuals"):
+        solve_lp(box_problem())
+
+
+def _benchmark_portfolio_lp(resolution):
+    cfg = benchmark_portfolio(resolution)
+    inst = build_portfolio_instance(cfg)
+    return inst, build_discounted_primal(inst, cfg.benchmark)
+
+
+def test_portfolio_resolution_4_solves_from_the_unit_start():
+    # Slacks and artificials only: 1676 pivots through long degenerate runs.
+    # Before the Harris ratio test this basis went singular (exit 4).
+    _, p = _benchmark_portfolio_lp(4)
+    sol = solve_lp(p)
+    assert not sol.crash
+    assert sol.status == "optimal"
+    assert abs(sol.objective) <= 1e-9
+
+
+def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
+    # The discounted balance rows have full rank, so phase 1 drops no row
+    # and phase 2 continues from its inverse: the only inverses are the
+    # start's and one per REFACTOR_EVERY pivots.
+    inst, p = _benchmark_portfolio_lp(2)
+    inverses = pivots = 0
+    inv, pivot = np.linalg.inv, lp._Simplex._pivot
+
+    def counted_inv(a):
+        nonlocal inverses
+        inverses += 1
+        return inv(a)
+
+    def counted_pivot(self, *args):
+        nonlocal pivots
+        pivots += 1
+        pivot(self, *args)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(lp._Simplex, "_pivot", counted_pivot)
+    sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+    assert sol.status == "optimal" and sol.crash and sol.phase1_iterations > 0
+    assert pivots >= lp.REFACTOR_EVERY
+    assert inverses == 1 + sol.refactorizations <= 1 + pivots // lp.REFACTOR_EVERY
+
+
+def test_compressed_columns_match_the_dense_products(monkeypatch):
+    # A sparse block with an empty and a full column, plus slacks as the basis.
+    rng = np.random.default_rng(5)
+    A = np.where(rng.random((30, 40)) < 0.05, rng.normal(size=(30, 40)), 0.0)
+    A[:, 7] = 0.0
+    A[:, 8] = rng.normal(size=30)
+    A = np.hstack([A, np.eye(30)])
+    kernels = []
+    for density in (lp.SPARSE_DENSITY, 0.0):
+        monkeypatch.setattr(lp, "SPARSE_DENSITY", density)
+        sx = lp._Simplex(A, np.ones(30), lp.FEAS_TOL, np.arange(40, 70), np.eye(30))
+        kernels.append(sx)
+    sparse, dense = kernels
+    assert sparse.cols is not None and dense.cols is None
+    y = rng.normal(size=30)
+    assert np.allclose(sparse.price(y), dense.price(y), rtol=1e-13, atol=1e-13)
+    assert sparse.price(y)[7] == 0.0
+    for q in range(A.shape[1]):
+        assert np.allclose(sparse.column(q), dense.column(q), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("density", [0.0, 1.0], ids=["dense", "compressed"])
+def test_pricing_by_density_reaches_the_same_optimum(monkeypatch, density):
+    # The resolution-2 portfolio LP is 1.6 % nonzero. Density 0 forces the
+    # dense products, 1 the compressed ones for every column.
+    inst, p = _benchmark_portfolio_lp(2)
+    start = _greedy_start(inst, p.num_rows)
+    reference = solve_lp(p, start=start)
+    monkeypatch.setattr(lp, "SPARSE_DENSITY", density)
+    sol = solve_lp(p, start=start)
+    assert sol.status == reference.status == "optimal"
+    assert sol.objective == pytest.approx(reference.objective, rel=1e-12)
+    assert np.allclose(sol.y, reference.y, rtol=1e-9, atol=1e-12)
