@@ -20,6 +20,7 @@ from .lp import LE, LpProblem, solve_lp
 from .mdp import AVERAGE, Benchmark, MdpInstance, require_valid
 
 RANK_TOL = 1e-10
+VIOLATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,27 @@ def sample_constraints(
     return np.minimum(idx, K - 1)
 
 
+def _alp_rows(
+    inst: MdpInstance, bases: BasisSet, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The constraints of the given pairs as A x <= b over (gamma, beta, alpha).
+
+    Row (s, a) reads -(gamma.H)(s) + delta sum_j P(j|s,a)(gamma.H)(j) - beta
+    + sum_i alpha_i u_i(z) <= -r; beta's column exists in average mode only.
+    """
+    H = bases.h_bases
+    mh = bases.num_h
+    beta = int(inst.mode == AVERAGE)
+    # (gamma.H)(s) - delta sum_j P(j|s,a) (gamma.H)(j), per pair and h-basis.
+    h_term = H.T[inst.state_of_pair()] - inst.delta * (inst.kernel @ H.T)
+    A = np.empty((pairs.size, mh + beta + bases.num_u))
+    A[:, :mh] = -h_term[pairs]
+    A[:, mh : mh + beta] = -1.0
+    for i, u in enumerate(bases.u_bases):
+        A[:, mh + beta + i] = u(inst.reward_z)[pairs]
+    return A, -inst.reward_r[pairs]
+
+
 def build_alp(
     inst: MdpInstance,
     bench: Benchmark,
@@ -105,10 +127,12 @@ def build_alp(
 ) -> LpProblem:
     """Restricted dual over (gamma, beta, alpha), one row per sampled pair.
 
-    Average mode constrains r + sum_i alpha_i u_i(z) <= beta + (gamma.H)(s)
-    - sum_j P(j|s,a)(gamma.H)(j); discounted mode drops beta and discounts the
-    expectation term. alpha >= 0 keeps the recovered multiplier inside the
-    utility cone even though the unrestricted dual would allow any sign.
+    Each row constrains r + sum_i alpha_i u_i(z) <= beta + (gamma.H)(s)
+    - delta sum_j P(j|s,a)(gamma.H)(j), with delta = 1 in average mode; the
+    rows come from ``_alp_rows``, which also checks the test sample.
+    Discounted mode has no beta and prices gamma by the initial distribution
+    instead. alpha >= 0 keeps the recovered multiplier inside the utility
+    cone even though the unrestricted dual would allow any sign.
     """
     require_valid(inst)
     samples = np.asarray(samples, dtype=int)
@@ -116,39 +140,23 @@ def build_alp(
         raise ValueError("at least one sampled constraint required")
     if inst.reward_z.ndim != 1:
         raise ValueError("ALP requires scalar z")
-    average = inst.mode == AVERAGE
     H = bases.h_bases
     if H.shape[1] != inst.num_states:
         raise ValueError(f"h bases have {H.shape[1]} columns for {inst.num_states} states")
-    mh, nu = bases.num_h, bases.num_u
-    u_of_z = np.zeros((nu, inst.num_pairs))
-    for i, u in enumerate(bases.u_bases):
-        u_of_z[i] = u(inst.reward_z)
-    exp_u = np.array([u.expectation(bench) for u in bases.u_bases])
-    state_of = inst.state_of_pair()
-    # (gamma.H)(s) - [delta] sum_j P(j|s,a) (gamma.H)(j), per pair and h-basis.
-    h_term = H.T[state_of] - inst.delta * (inst.kernel @ H.T)
-    k_vars = mh + (1 if average else 0) + nu
-    A = np.zeros((samples.size, k_vars))
-    A[:, :mh] = -h_term[samples]
-    if average:
-        A[:, mh] = -1.0
-    A[:, k_vars - nu :] = u_of_z[:, samples].T
-    b = -inst.reward_r[samples]
-    labels = [f"sample[{i}]@pair[{pair}]" for i, pair in enumerate(samples)]
+    A, b = _alp_rows(inst, bases, samples)
+    mh, k_vars = bases.num_h, A.shape[1]
+    alpha = slice(k_vars - bases.num_u, k_vars)
     c = np.zeros(k_vars)
-    lower = np.full(k_vars, -np.inf)
+    c[alpha] = [-u.expectation(bench) for u in bases.u_bases]
     col_labels = [f"gamma[{j}]" for j in range(mh)]
-    if average:
+    if inst.mode == AVERAGE:
         c[mh] = 1.0
         col_labels.append("beta")
-        c[mh + 1 :] = -exp_u
     else:
-        nu_weights = inst.initial @ H.T
-        c[:mh] = nu_weights
-        c[mh:] = -exp_u
-    col_labels += [f"alpha[{i}]" for i in range(nu)]
-    lower[k_vars - nu :] = 0.0
+        c[:mh] = inst.initial @ H.T
+    col_labels += [f"alpha[{i}]" for i in range(bases.num_u)]
+    lower = np.full(k_vars, -np.inf)
+    lower[alpha] = 0.0
     return LpProblem(
         sense="min",
         c=c,
@@ -156,7 +164,7 @@ def build_alp(
         row_senses=[LE] * samples.size,
         b=b,
         lower=lower,
-        row_labels=labels,
+        row_labels=[f"sample[{i}]@pair[{pair}]" for i, pair in enumerate(samples)],
         col_labels=col_labels,
     )
 
@@ -199,29 +207,6 @@ class AlpReport:
         return out
 
 
-def _constraint_violations(
-    inst: MdpInstance,
-    bases: BasisSet,
-    gamma: np.ndarray,
-    beta: float,
-    alpha: np.ndarray,
-    pairs: np.ndarray,
-    tol: float = 1e-9,
-) -> float:
-    average = inst.mode == AVERAGE
-    H = bases.h_bases
-    state_of = inst.state_of_pair()
-    h_of = gamma @ H
-    h_term = h_of[state_of[pairs]] - inst.delta * (inst.kernel[pairs] @ h_of)
-    u_val = np.zeros(pairs.size)
-    for a_i, u in zip(alpha, bases.u_bases):
-        u_val += a_i * u(inst.reward_z[pairs])
-    lhs = inst.reward_r[pairs] + u_val
-    rhs = (beta if average else 0.0) + h_term
-    scale = 1.0 + np.abs(rhs)
-    return float(np.mean(lhs > rhs + tol * scale))
-
-
 def solve_alp(
     inst: MdpInstance,
     bench: Benchmark,
@@ -236,12 +221,10 @@ def solve_alp(
     The violation fraction is estimated on a fresh test sample of 10m pairs
     drawn from the same psi on a separate stream.
     """
-    average = inst.mode == AVERAGE
-    k = bases.num_h + (1 if average else 0) + bases.num_u
+    k = bases.num_h + (inst.mode == AVERAGE) + bases.num_u
     m = sample_count(epsilon, delta, k)
     samples = sample_constraints(inst, psi, m, seed, stream=0)
-    lp = build_alp(inst, bench, bases, samples)
-    sol = solve_lp(lp)
+    sol = solve_lp(build_alp(inst, bench, bases, samples))
     if sol.status != "optimal":
         return AlpReport(
             status=sol.status,
@@ -251,35 +234,29 @@ def solve_alp(
             delta=delta,
             seed=seed,
         )
-    gamma, beta, alpha = split_alp_solution(inst, bases, sol.x)
-    test = sample_constraints(inst, psi, 10 * m, seed, stream=1)
-    frac = _constraint_violations(
-        inst, bases, gamma, beta if beta is not None else 0.0, alpha, test
-    )
+    # Columns: gamma, then beta in average mode, then alpha from column a.
+    x, a = sol.x, k - bases.num_u
+    gamma, alpha = x[: bases.num_h], x[a:]
+    # A test row is violated when its u-side, r + sum_i alpha_i u_i(z),
+    # exceeds its h-side by more than VIOLATION_TOL relative to the h-side.
+    A, b = _alp_rows(inst, bases, sample_constraints(inst, psi, 10 * m, seed, stream=1))
+    h_side = -(A[:, :a] @ x[:a])
+    violated = A[:, a:] @ alpha - b > h_side + VIOLATION_TOL * (1.0 + np.abs(h_side))
     return AlpReport(
         status="optimal",
         objective=sol.objective,
         gamma=gamma,
-        beta=beta,
+        beta=float(x[bases.num_h]) if a > bases.num_h else None,
         alpha=alpha,
         utility=combine_utility(bases, alpha),
         h_approx=gamma @ bases.h_bases,
         num_samples=m,
         num_variables=k,
-        violation_fraction=frac,
+        violation_fraction=float(np.mean(violated)),
         epsilon=epsilon,
         delta=delta,
         seed=seed,
     )
-
-
-def split_alp_solution(
-    inst: MdpInstance, bases: BasisSet, x: np.ndarray
-) -> tuple[np.ndarray, float | None, np.ndarray]:
-    mh = bases.num_h
-    if inst.mode == AVERAGE:
-        return x[:mh], float(x[mh]), np.maximum(x[mh + 1 :], 0.0)
-    return x[:mh], None, np.maximum(x[mh:], 0.0)
 
 
 def combine_utility(bases: BasisSet, alpha: np.ndarray) -> UtilityFunction | None:

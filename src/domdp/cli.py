@@ -123,8 +123,8 @@ def _require_benchmark(loaded) -> Benchmark:
 
 
 def _cmd_solve(args) -> int:
-    if not args.tol >= 0.0:
-        raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     loaded = jsonio.parse_instance(_load_json(args.instance))
     inst = loaded.instance
     bench = _require_benchmark(loaded)

@@ -40,11 +40,12 @@ from phase 1's inverse and eta file; otherwise it refactorizes the basis on
 the rows kept.
 
 Start basis. Basis slot i belongs to row i. Without a start, each row takes
-its first zero-cost unit column with +1 there (a slack), or else an
-artificial +e_i, so the basis inverse is the identity. A caller may place
-structural start columns on some rows (``solve_lp(start=...)``); the
-occupation-measure LP places a deterministic policy's pair columns on its
-balance rows. Every other row keeps its slack when the slack's value is
+its unit start, which ``to_standard_form`` records: the row's slack when
+the slack is +1 after the row flip (a <= row with b >= 0, or a >= row with
+b < 0), or else an artificial +e_i, so the basis inverse is the identity.
+A caller may place structural start columns on some rows
+(``solve_lp(start=...)``); the occupation-measure LP places a deterministic
+policy's pair columns on its balance rows. Every other row keeps its slack when the slack's value is
 nonnegative and otherwise takes an artificial, negated where the row's
 residual is negative so that every artificial starts at a value >= 0. The
 start is dropped in favour of the unit one when its columns are singular
@@ -142,6 +143,7 @@ class StandardForm:
     neg_col: np.ndarray      # -1 where the variable was not split
     slack_col: np.ndarray    # -1 for equality rows
     row_flip: np.ndarray
+    unit_start: np.ndarray   # per row its slack where that is +1 after the flip, else -1
 
     def map_primal(self, x_std: np.ndarray) -> np.ndarray:
         x = x_std[self.pos_col].copy()
@@ -178,12 +180,14 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
     ineq = np.flatnonzero(senses != EQ)
     slack_col = np.full(m, -1)
     slack_col[ineq] = k + np.arange(ineq.size)
+    slack_sign = np.where(senses == LE, 1.0, -1.0)
     A = np.zeros((m, k + ineq.size))
     np.multiply(p.A[:, src], sign, out=A[:, :k])
-    A[ineq, slack_col[ineq]] = np.where(senses[ineq] == LE, 1.0, -1.0)
+    A[ineq, slack_col[ineq]] = slack_sign[ineq]
     flip = p.b < 0
     row_flip = np.where(flip, -1.0, 1.0)
     A[flip] *= -1.0
+    unit_start = np.where(slack_sign * row_flip == 1.0, slack_col, -1)
     labels = np.asarray(p.col_labels, dtype=object)[src]
     labels[neg_col[free]] += "__neg"
     std = LpProblem(
@@ -196,7 +200,7 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
         row_labels=list(p.row_labels),
         col_labels=labels.tolist() + np.char.mod("__slack[%d]", ineq).tolist(),
     )
-    return std, StandardForm(obj_sign, pos_col, neg_col, slack_col, row_flip)
+    return std, StandardForm(obj_sign, pos_col, neg_col, slack_col, row_flip, unit_start)
 
 
 class _Simplex:
@@ -361,18 +365,6 @@ def _compressed(A: np.ndarray):
     return ptr, rows.astype(np.int32), A[rows, cols]
 
 
-def _start_basis(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per row, the first zero-cost unit column with +1 in that row; -1 if none."""
-    nz = A != 0.0
-    unit = np.flatnonzero((nz.sum(axis=0) == 1) & (c == 0.0))
-    _, row_of = np.nonzero(nz[:, unit].T)
-    plus = A[row_of, unit] == 1.0
-    rows, first = np.unique(row_of[plus], return_index=True)
-    basis = np.full(A.shape[0], -1)
-    basis[rows] = unit[plus][first]
-    return basis
-
-
 def _crash(A: np.ndarray, b: np.ndarray, basis: np.ndarray, start: np.ndarray, feas_tol: float):
     """The start columns in their rows' slots; None when they cannot start.
 
@@ -403,20 +395,22 @@ def _crash(A: np.ndarray, b: np.ndarray, basis: np.ndarray, start: np.ndarray, f
     return basis, B_inv, negate
 
 
-def _solve_standard(std: LpProblem, feas_tol: float, start: np.ndarray | None) -> LpSolution:
+def _solve_standard(
+    std: LpProblem, unit_start: np.ndarray, feas_tol: float, start: np.ndarray | None
+) -> LpSolution:
     """Two-phase simplex on a standard-form problem.
 
     Returns x, y_raw and the certificate or ray over the standard form's
     columns and rows, with the counters; rows found redundant in phase 1
-    carry dual 0. start holds a column per row, -1 where none is placed.
+    carry dual 0. unit_start and start hold a column per row, -1 where none
+    is placed.
     """
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
     max_iter = 5000 + 200 * (m + n)
-    basis = _start_basis(A, c)
-    crash = None if start is None else _crash(A, b, basis, start, feas_tol)
+    crash = None if start is None else _crash(A, b, unit_start, start, feas_tol)
     # The unit start's columns are all +e_i, so its inverse is the identity.
-    basis, B_inv, negate = crash or (basis, np.eye(m), np.zeros(m, dtype=bool))
+    basis, B_inv, negate = crash or (unit_start.copy(), np.eye(m), np.zeros(m, dtype=bool))
     # An artificial column covers each row left without a basic column.
     need_art = np.flatnonzero(basis == -1)
     n_art = need_art.size
@@ -506,7 +500,7 @@ def solve_lp(
     std, rec = to_standard_form(p)
     if start is not None:
         start = np.where(start >= 0, rec.pos_col[start], -1)
-    res = _solve_standard(std, feas_tol, start)
+    res = _solve_standard(std, rec.unit_start, feas_tol, start)
     if res.status == "infeasible":
         return replace(res, certificate=rec.row_flip * res.certificate)
     if res.status == "unbounded":

@@ -21,7 +21,8 @@ and icx) on seeded random instances in both modes (some with
 benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 ``gen-portfolio`` on the shipped config and on one with
 ``initial_holdings``, ``gen-portfolio`` and ``solve`` on the benchmark's
-3-asset config at resolution 3 (a sparse LP), non-finite inputs, vector z
+3-asset config at resolution 3 (a sparse LP), ``alp`` with a
+block-aggregation basis in both modes, non-finite inputs, vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
 files with JSON of the wrong types, an oracle over more policies than its
 limit, out-of-range numeric arguments and one long ``simulate`` on a random
@@ -291,6 +292,8 @@ def _edge_cases(c: _Corpus) -> None:
 
     policy = str(INSTANCES / "ti1_policy.json")
     c.add("range/solve-tol-negative", ["solve", "--instance", ti1, "--tol", "-1"])
+    c.add("range/solve-tol-zero", ["solve", "--instance", ti1, "--tol", "0"])
+    c.add("range/solve-tol-inf", ["solve", "--instance", ti1, "--tol", "inf"])
     for flag in ("--paths", "--horizon"):
         c.add(
             f"range/simulate{flag}-0",
@@ -367,6 +370,32 @@ def _long_simulation(c: _Corpus, rng: np.random.Generator) -> None:
     )
 
 
+def _alp_block_cases(c: _Corpus) -> None:
+    """One ALP per mode on perfbench's basis shape: five state blocks and a kink.
+
+    Each h row spans a block of states, so every constraint row carries a
+    dense h-term; the instances have more pairs than the sample, so the test
+    sample's violation fraction is not 0.
+    """
+    rng = np.random.default_rng(6)  # both optimal, alpha > 0 and violations > 0
+    for mode in ("average", "discounted"):
+        inst = random_instance(rng, max_states=20, max_actions=40, mode=mode)
+        while inst.num_states < 10:
+            inst = random_instance(rng, max_states=20, max_actions=40, mode=mode)
+        bench = random_benchmark(rng, inst, max_support=3)
+        S = inst.num_states
+        H = np.zeros((5, S))
+        for j in range(5):
+            H[j, j * S // 5 : (j + 1) * S // 5] = 1.0
+        basis = {"h": H.tolist(), "u_lambdas": [[[float(np.median(bench.support)), 1.0]]]}
+        path = c.file(f"block-{mode}", _instance_obj(inst, bench))
+        c.add(
+            f"block-{mode}/alp",
+            ["alp", "--instance", path, "--epsilon", "0.3", "--delta", "0.1",
+             "--basis", c.file(f"block-{mode}-basis", basis)],
+        )
+
+
 def _run_case(argv: list[str], patch: dict, written: Path | None, tmp: Path) -> list:
     simulate_module = importlib.import_module("domdp.simulate")
     saved = {k: getattr(simulate_module, k) for k in patch}
@@ -404,6 +433,7 @@ def _digests() -> dict:
         _shipped_cases(c)
         _edge_cases(c)
         _long_simulation(c, rng)
+        _alp_block_cases(c)
         return {
             name: _run_case(args, patch, written, c.tmp)
             for name, args, patch, written in c.cases

@@ -16,7 +16,7 @@ from domdp.discounted import solve_discounted
 from domdp.dominance import UtilityFunction
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance
-from helpers import TI1_BENCH, feasible_pair, ti1
+from helpers import TI1_BENCH, feasible_pair, random_benchmark, random_instance, ti1
 
 
 def test_sample_count_reference_values():
@@ -213,3 +213,48 @@ def test_solve_alp_few_samples_typically_violates():
     # Tiny sampled relaxations are usually unbounded or loose; either way the
     # tight bound m is doing real work. No fixed threshold asserted.
     assert sol.status in ("optimal", "unbounded")
+
+
+def _loop_violation_fraction(inst, report, bases, pairs, tol=1e-9):
+    """Reference: r + sum_i alpha_i u_i(z) <= beta + h(s) - delta sum_j P(j|s,a) h(j), per pair."""
+    h = report.h_approx
+    beta = report.beta if report.beta is not None else 0.0
+    state_of = inst.state_of_pair()
+    violated = 0
+    for k in pairs:
+        lhs = inst.reward_r[k]
+        for a_i, u in zip(report.alpha, bases.u_bases):
+            lhs += a_i * u(inst.reward_z[k])
+        rhs = beta + h[state_of[k]] - inst.delta * (inst.kernel[k] @ h)
+        violated += lhs > rhs + tol * (1.0 + abs(rhs))
+    return violated / len(pairs)
+
+
+@pytest.mark.parametrize("mode", ["average", "discounted"])
+def test_violation_fraction_matches_a_per_pair_loop(mode):
+    # Block-aggregation h bases and one kink per benchmark point, on
+    # instances with more pairs than samples, so test rows can be violated.
+    rng = np.random.default_rng(97)
+    optimal = violated = 0
+    for seed in range(16):
+        inst = random_instance(rng, max_states=16, max_actions=40, mode=mode)
+        if inst.num_states < 5:
+            continue
+        bench = random_benchmark(rng, inst, max_support=2)
+        S = inst.num_states
+        H = np.zeros((5, S))
+        for j in range(5):
+            H[j, j * S // 5 : (j + 1) * S // 5] = 1.0
+        bases = BasisSet(h_bases=H, u_bases=complete_basis(inst, bench).u_bases)
+        report = solve_alp(inst, bench, bases, epsilon=0.3, delta=0.1, seed=seed)
+        if report.status != "optimal":
+            continue
+        optimal += 1
+        m = report.num_samples
+        test = sample_constraints(inst, None, 10 * m, seed, stream=1)
+        expected = _loop_violation_fraction(inst, report, bases, test)
+        assert report.violation_fraction == expected
+        violated += expected > 0.0
+        train = sample_constraints(inst, None, m, seed, stream=0)
+        assert _loop_violation_fraction(inst, report, bases, train) == 0.0
+    assert optimal >= 6 and violated >= 3

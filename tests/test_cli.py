@@ -515,7 +515,13 @@ def test_oracle_policy_limit_exits_one(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("solve", "--tol", "-1"), ("simulate", "--paths", "0"), ("simulate", "--horizon", "0")],
+    [
+        ("solve", "--tol", "-1"),
+        ("solve", "--tol", "0"),
+        ("solve", "--tol", "inf"),
+        ("simulate", "--paths", "0"),
+        ("simulate", "--horizon", "0"),
+    ],
 )
 def test_out_of_range_argument_exits_one(tmp_path, capsys, command, flag, value):
     path = write_json(tmp_path / "ti1.json", ti1_obj())

@@ -4,7 +4,7 @@ import pytest
 from domdp import lp
 from domdp.average import _greedy_start
 from domdp.discounted import build_discounted_primal
-from domdp.lp import EQ, GE, LE, LpProblem, _residuals, _start_basis, solve_lp, to_standard_form
+from domdp.lp import EQ, GE, LE, LpProblem, _residuals, solve_lp, to_standard_form
 from domdp.portfolio import build_portfolio_instance
 from helpers import benchmark_portfolio
 
@@ -257,14 +257,17 @@ def test_degenerate_problem_terminates():
     assert sol.objective == pytest.approx(2.0, abs=1e-8)
 
 
-def _loop_start_basis(A, c):
-    """Reference: per row, the first zero-cost unit column with +1 there."""
-    basis = np.full(A.shape[0], -1)
-    for j in range(A.shape[1]):
-        nz = np.nonzero(A[:, j])[0]
-        if nz.size == 1 and A[nz[0], j] == 1.0 and basis[nz[0]] == -1 and c[j] == 0.0:
-            basis[nz[0]] = j
-    return basis
+def _loop_unit_start(p):
+    """Reference: the slack of each <= row with b >= 0 and each >= row with b < 0."""
+    start = []
+    col = p.num_cols + int(np.isneginf(p.lower).sum())  # the first slack
+    for sense, b in zip(p.row_senses, p.b):
+        if sense == EQ:
+            start.append(-1)
+            continue
+        start.append(col if (sense == LE) == (b >= 0) else -1)
+        col += 1
+    return start
 
 
 def _loop_residuals(p, x, y_raw):
@@ -289,10 +292,13 @@ def _loop_residuals(p, x, y_raw):
 def test_array_glue_matches_loop_reference():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        m, n = rng.integers(0, 8), rng.integers(1, 12)
-        A = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0, 2.0], size=(m, n))
-        c = rng.choice([0.0, 0.0, 1.0, -1.5], size=n)
-        assert np.array_equal(_start_basis(A, c), _loop_start_basis(A, c))
+        p = _random_feasible_bounded(rng)
+        p.b[: p.num_rows // 2] *= -1.0  # flip some rows, whatever their sense
+        std, rec = to_standard_form(p)
+        assert rec.unit_start.tolist() == _loop_unit_start(p)
+        rows = np.flatnonzero(rec.unit_start >= 0)
+        assert np.array_equal(std.A[:, rec.unit_start[rows]], np.eye(p.num_rows)[:, rows])
+        assert np.all(std.c[rec.unit_start[rows]] == 0.0)
     for _ in range(50):
         p = _random_feasible_bounded(rng)
         sol = solve_lp(p)
