@@ -181,7 +181,6 @@ class AlpReport:
     gamma: np.ndarray | None = None
     beta: float | None = None
     alpha: np.ndarray | None = None
-    utility: UtilityFunction | None = None
     h_approx: np.ndarray | None = None        # gamma . H per state
     violation_fraction: float | None = None
 
@@ -248,7 +247,6 @@ def solve_alp(
         gamma=gamma,
         beta=float(x[bases.num_h]) if a > bases.num_h else None,
         alpha=alpha,
-        utility=combine_utility(bases, alpha),
         h_approx=gamma @ bases.h_bases,
         num_samples=m,
         num_variables=k,
@@ -257,15 +255,3 @@ def solve_alp(
         delta=delta,
         seed=seed,
     )
-
-
-def combine_utility(bases: BasisSet, alpha: np.ndarray) -> UtilityFunction | None:
-    """Sum of weighted u-bases, merged onto a common breakpoint grid."""
-    if bases.num_u == 0:
-        return None
-    merged: dict[float, float] = {}
-    for a_i, u in zip(alpha, bases.u_bases):
-        for eta, w in zip(u.breakpoints, u.weights):
-            merged[float(eta)] = merged.get(float(eta), 0.0) + float(a_i * w)
-    etas = np.array(sorted(merged))
-    return UtilityFunction(breakpoints=etas, weights=np.array([merged[e] for e in etas]))

@@ -103,7 +103,9 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError (nesting past the recursion limit) is a RuntimeError,
+        # which run() would otherwise report as a numerical failure.
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 

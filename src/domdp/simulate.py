@@ -8,9 +8,10 @@ state by inverse CDF; each subsequent uniform u selects the joint
 phi(a|s) P(j|s,a), flattened action-major: the cell is the number of
 entries of the state's cumulative row that are below u.
 
-Each step finds that count with one ``searchsorted`` for all paths, over a
-sorted integer table keyed by ranks (the table-lookup form of inverse-CDF
-sampling, Chen & Asau, J. Chinese Inst. Engineers, 1974), exactly:
+Each step finds that count for all paths exactly through a sorted integer
+table keyed by ranks (the table-lookup form of inverse-CDF sampling, Chen &
+Asau, J. Chinese Inst. Engineers, 1974; Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. III):
 
 - Every cumulative entry is capped at 1.0, and a state's last real cell and
   its padding up to W = max_a * S cells are 1.0. A uniform lies in [0, 1), so
@@ -19,13 +20,22 @@ sampling, Chen & Asau, J. Chinese Inst. Engineers, 1974), exactly:
 - With ``values`` the distinct entries in increasing order and an entry's
   rank its position there, an entry is below u exactly when its rank is
   below rank(u) = searchsorted(values, u), the number of values below u.
+  1.0 is a value and u < 1, so rank(u) < len(values).
 - Row s's ranks plus s * span, with span = len(values) + 1, lie in
   [s * span, (s + 1) * span), so the rows laid end to end form one sorted
-  table. Searching it for s * span + rank(u) gives s * W plus the count, and
-  the next query's row offset is span times the cell's next state.
+  table. The number of its entries below the key s * span + rank(u) is
+  s * W plus the count, and the next key's row offset is span times the
+  cell's next state.
+
+Every key is an integer below S * span - 1. When S * span is at most the
+paths * T ranks the run holds anyway, the table position of every key
+(``cell_of``) and the row offset it leads to (``step``) are found once, so
+a step is one gather, base = step[base + rank], and the cells are gathered
+from ``cell_of`` after the loop. Otherwise (a table larger than the run)
+each step searches the table with one ``searchsorted``.
 
 A path's step ranks are computed as soon as its uniforms are drawn, so the
-step loop compares integers only, and the uniforms of only one path are
+step loop handles integers only, and the uniforms of only one path are
 held at a time.
 """
 
@@ -93,23 +103,37 @@ def simulate(
     nu_cum = np.cumsum(np.asarray(nu, dtype=float))
     nu_cum[-1] = 1.0
 
-    # cells[p, t] holds the rank of step t's uniform until step t replaces it
-    # with the table position it lands at.
+    # keys[t] holds the ranks of step t's uniforms until step t adds the row
+    # offsets (table step) or replaces them with table positions (search step).
     first = np.empty(num_paths)
-    cells = np.empty((num_paths, T), dtype=np.int64)
+    keys = np.empty((T, num_paths), dtype=np.int64)
     for p in range(num_paths):
         u = _path_uniforms(seed, p, 1 + T)
         first[p] = u[0]
-        cells[p] = np.searchsorted(values, u[1:], side="left")
+        keys[:, p] = np.searchsorted(values, u[1:], side="left")
     del u
     start = np.searchsorted(nu_cum, first, side="left")
     base = span * start
-    find = table.searchsorted   # the bound method skips np.searchsorted's dispatch
-    for column in cells.T:
-        g = find(base + column)
-        column[:] = g
-        base = next_base[g]
-    del table, next_base
+    if S * span <= keys.size:
+        # Table step: the position and next row offset of every reachable key.
+        cell_of = table.searchsorted(np.arange(S * span - 1))
+        step = next_base.take(cell_of)
+        del table, next_base
+        for column in keys:
+            column += base
+            base = step.take(column)
+        del step
+        cells = cell_of.take(keys.T)
+        del cell_of
+    else:
+        find = table.searchsorted   # the bound method skips np.searchsorted's dispatch
+        for column in keys:
+            g = find(base + column)
+            column[:] = g
+            base = next_base[g]
+        del table, next_base
+        cells = np.ascontiguousarray(keys.T)
+    del keys
     cells %= W
 
     states = np.empty_like(cells)

@@ -24,9 +24,9 @@ benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 3-asset config at resolution 3 (a sparse LP), ``alp`` with a
 block-aggregation basis in both modes, non-finite inputs, vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
-files with JSON of the wrong types, an oracle over more policies than its
-limit, out-of-range numeric arguments and one long ``simulate`` on a random
-instance of 6 to 8 states.
+files with JSON of the wrong types or nested past the recursion limit, an
+oracle over more policies than its limit, out-of-range numeric arguments
+and one long ``simulate`` on a random instance of 6 to 8 states.
 pytest does not collect this file.
 """
 
@@ -302,7 +302,7 @@ def _edge_cases(c: _Corpus) -> None:
 
 
 def _wrong_type_cases(c: _Corpus) -> None:
-    """Input files whose JSON types do not fit the schema: each exits 1."""
+    """Input files whose JSON types do not fit the schema or nest too deep: each exits 1."""
     ti1 = str(INSTANCES / "ti1.json")
     instances = {
         "states-list": {"states": [1]},
@@ -348,6 +348,9 @@ def _wrong_type_cases(c: _Corpus) -> None:
     for name, obj in configs.items():
         path = c.file(f"type-config-{name}", obj)
         c.add_written(f"type-config-{name}/gen", ["gen-portfolio", "--config", path])
+    deep = c.tmp / "deep-nesting.json"
+    deep.write_text("[" * 100_000)   # past the recursion limit of the JSON decoder
+    c.add("deep-nesting/solve", ["solve", "--instance", str(deep)])
 
 
 def _long_simulation(c: _Corpus, rng: np.random.Generator) -> None:

@@ -404,6 +404,21 @@ def test_plain_value_error_still_exits_one(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: bad input\n"
 
 
+@pytest.mark.parametrize("command, role", [("solve", "instance"), ("simulate", "policy")])
+def test_deeply_nested_input_exits_one(tmp_path, capsys, command, role):
+    """JSON nested past the recursion limit is unreadable input, not a numerical failure."""
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    inst = write_json(tmp_path / "inst.json", TWO_STATES)
+    argv = {
+        "solve": ["solve", "--instance", inst],
+        "simulate": ["simulate", "--instance", inst, "--policy", inst],
+    }[command]
+    argv[argv.index(f"--{role}") + 1] = str(bad)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
+
 def test_import_loads_no_scipy():
     # SciPy costs about 0.4 s and 32 MiB per process; domdp must not pull it in.
     code = (

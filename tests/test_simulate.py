@@ -114,6 +114,19 @@ def _reference_simulate(inst, policy, nu, T, num_paths, seed):
     return states, actions, inst.reward_z[offsets[states] + actions]
 
 
+def _span(inst, policy):
+    """One more than the number of distinct entries of the simulator's rank table.
+
+    Those are every row's cumulative sums capped at 1.0, without the row's
+    last cell, and the 1.0 of the last cell and the padding.
+    """
+    cums = [[1.0]]
+    for s, row in enumerate(policy.rows):
+        block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
+        cums.append(np.minimum(np.cumsum(row[:, None] * block)[:-1], 1.0))
+    return np.unique(np.concatenate(cums)).size + 1
+
+
 def _sparse_policy(rng, inst):
     """Random policy with about a third of its cells at probability zero."""
     rows = []
@@ -179,6 +192,10 @@ def test_step_loop_matches_reference(monkeypatch, uniforms):
         for s, row in enumerate(pol.rows)
     ]
     assert min(ends) < BELOW_ONE
+    # Both step loops run: the table step when S * span <= paths * T (the
+    # small cases), the search step otherwise (the 64-state case).
+    table_step = [inst.num_states * _span(inst, pol) <= 4 * 1500 for inst, pol, _ in cases]
+    assert any(table_step) and not all(table_step)
     for i, (inst, policy, nu) in enumerate(cases):
         got = simulate(inst, policy, nu, T=1500, num_paths=4, seed=i)
         states, actions, z = _reference_simulate(inst, policy, nu, T=1500, num_paths=4, seed=i)
