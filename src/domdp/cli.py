@@ -102,7 +102,7 @@ def make_parser() -> argparse.ArgumentParser:
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return jsonio.loads(fh.read())
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError (nesting past the recursion limit) is a RuntimeError,
         # which run() would otherwise report as a numerical failure.

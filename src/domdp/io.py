@@ -2,19 +2,38 @@
 
 One writer, ``dumps``, emits every report and instance file. Callers hand it
 NumPy arrays as they are; every float is emitted with 17 significant digits,
-so reports round-trip exactly and are byte-stable for identical inputs. All
-floats are parsed as 64-bit. A file whose JSON types do not fit the schema
-is reported as a ValueError by the ``parse_*`` function that decodes it.
+so reports round-trip exactly and are byte-stable for identical inputs.
+
+One reader, ``loads``, decodes every input file to the objects ``json.loads``
+returns, or raises the error it raises. CPython reads a 17-digit float
+through the slow path of its correctly rounded parser (about 0.5 us a value
+on a 2-vCPU Xeon VM), so a dense kernel's text took longer to decode than to
+solve. ``loads`` keeps ``json``'s structure (its pure-Python scanner) and
+hands every flat array, one whose text holds no ``[``, ``{`` or ``"`` before
+its ``]``, to ``orjson``, whose float parser is also correctly rounded and
+so gives the same bits. ``orjson`` reads an integer outside the 64-bit range
+as a float, so an array whose values leave (-2**63, 2**64), or that holds a
+null, is decoded by ``json`` instead. Text that is not ASCII (the
+pure-Python scanner's number pattern also matches non-ASCII digits) and text
+the fast path cannot decode (NaN, ``1e400``, syntax errors, nesting past the
+recursion limit) go to ``json.loads`` whole.
+
+All floats are parsed as 64-bit. A file whose JSON types do not fit the
+schema is reported as a ValueError by the ``parse_*`` function that decodes
+it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import json.decoder
+import json.scanner
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .alp import BasisSet
 from .dominance import GeneratorFamily, _distribution, reconstruct_utility, weighted_kink_family
@@ -61,6 +80,39 @@ def _format(value) -> str:
 def dumps(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats; arrays go in as they are."""
     return _format(obj)
+
+
+def _parse_array(s_and_end, scan_once):
+    """``json.decoder.JSONArray``, with a flat array's text decoded by orjson."""
+    s, end = s_and_end
+    close = s.find("]", end)
+    if close >= 0 and all(s.find(c, end, close) < 0 for c in '[{"'):
+        values = orjson.loads(s[end - 1 : close + 1])
+        try:
+            # orjson turns an integer outside the 64-bit range into a float;
+            # -2**63 - 1 rounds to -2**63, hence the strict lower bound.
+            if not values or (-(2**63) < min(values) and max(values) < 2**64):
+                return values, close + 1
+        except TypeError:  # a null
+            pass
+    return json.decoder.JSONArray(s_and_end, scan_once)
+
+
+class _FlatArrayDecoder(json.JSONDecoder):
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.parse_array = _parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+
+def loads(text: str):
+    """``json.loads(text)``: the same objects, float bits and errors, faster on flat arrays."""
+    if text.isascii():
+        try:
+            return json.loads(text, cls=_FlatArrayDecoder)
+        except (ValueError, RecursionError):
+            pass  # json.loads below gives the result or the error
+    return json.loads(text)
 
 
 def _decodes(what: str):
@@ -111,14 +163,24 @@ def parse_instance(obj: dict) -> LoadedInstance:
     P = _require(obj, "P")
     r = _require(obj, "r")
     z = _require(obj, "z")
-    kernel_rows, r_flat, z_flat = [], [], []
     for s in range(num_states):
         if len(P[s]) != len(actions[s]) or len(r[s]) != len(actions[s]) or len(z[s]) != len(actions[s]):
             raise ValueError(f"state {s}: P/r/z must have one entry per action")
-        for a in range(len(actions[s])):
-            kernel_rows.append(np.asarray(P[s][a], dtype=float))
-            r_flat.append(float(r[s][a]))
-            z_flat.append(z[s][a])
+    for key, blocks in (("P", P), ("r", r), ("z", z)):
+        if len(blocks) != num_states:
+            raise ValueError(
+                f"'{key}' must list one block per state ({num_states}), got {len(blocks)}"
+            )
+    # Each state's block is a list with one entry per action: join them, then
+    # convert once.
+    kernel_rows = [row for block in P for row in block]
+    try:
+        kernel = np.array(kernel_rows, dtype=float)
+    except (TypeError, ValueError):
+        # Row by row, so a malformed row's error names that row's own shape.
+        kernel = np.array([np.asarray(row, dtype=float) for row in kernel_rows])
+    r_flat = [float(v) for block in r for v in block]
+    z_flat = [v for block in z for v in block]
     if z_flat and isinstance(z_flat[0], (list, tuple)):
         reward_z = np.asarray(z_flat, dtype=float)
     else:
@@ -126,7 +188,7 @@ def parse_instance(obj: dict) -> LoadedInstance:
     inst = MdpInstance(
         num_states=num_states,
         actions=actions,
-        kernel=np.array(kernel_rows),
+        kernel=kernel,
         reward_r=np.array(r_flat),
         reward_z=reward_z,
         mode=mode,
@@ -200,6 +262,8 @@ def parse_policy(obj, inst: MdpInstance) -> Policy:
         s, probs = int(entry[0]), np.asarray(entry[1], dtype=float)
         if not 0 <= s < inst.num_states:
             raise ValueError(f"policy references unknown state {s}")
+        if rows[s] is not None:
+            raise ValueError(f"policy lists state {s} twice")
         if probs.size != len(inst.actions[s]):
             raise ValueError(f"policy row for state {s} has wrong length")
         rows[s] = probs

@@ -25,8 +25,11 @@ benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 block-aggregation basis in both modes, non-finite inputs, vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
 files with JSON of the wrong types or nested past the recursion limit, an
-oracle over more policies than its limit, out-of-range numeric arguments
-and one long ``simulate`` on a random instance of 6 to 8 states.
+oracle over more policies than its limit, out-of-range numeric arguments,
+one long ``simulate`` on a random instance of 6 to 8 states, and decoding:
+an instance and a policy written with ``indent=2``, ``-0.0`` and ``1e400``
+in r, action labels holding ``]`` and ``"``, 20-digit integers in a basis,
+blocks past the last state and a policy that lists a state twice.
 pytest does not collect this file.
 """
 
@@ -49,6 +52,7 @@ from helpers import random_benchmark, random_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 NAN = float("nan")
+INF = float("inf")
 
 
 def _instance_obj(inst, bench) -> dict:
@@ -399,6 +403,42 @@ def _alp_block_cases(c: _Corpus) -> None:
         )
 
 
+def _decode_cases(c: _Corpus) -> None:
+    """Input text the reader must decode as ``json`` does, and blocks past the last state."""
+    rng = np.random.default_rng(12)
+    inst = random_instance(rng, max_states=6, max_actions=3)
+    indented = c.tmp / "indent.json"
+    indented.write_text(json.dumps(_instance_obj(inst, random_benchmark(rng, inst)), indent=2))
+    rows = [[s, rng.dirichlet(np.ones(len(a))).tolist()] for s, a in enumerate(inst.actions)]
+    policy = c.tmp / "indent-policy.json"
+    policy.write_text(json.dumps({"policy": rows}, indent=2))
+    c.add("indent/solve", ["solve", "--instance", str(indented)])
+    c.add(
+        "indent/simulate",
+        ["simulate", "--instance", str(indented), "--policy", str(policy), "--paths", "2",
+         "--horizon", "300"],
+    )
+    labels = _ti1_obj(actions=[['a]', 'b"[']], r=[[-0.0, 5.0]])
+    c.add("labels-negative-zero/solve", ["solve", "--instance", c.file("labels", labels)])
+    overflow = c.tmp / "labels-overflow.json"
+    overflow.write_text(json.dumps({**labels, "r": [[-0.0, INF]]}).replace("Infinity", "1e400"))
+    c.add("labels-overflow/solve", ["solve", "--instance", str(overflow)])
+    basis = {"h": [[1.0]], "u_lambdas": [[[4, 12345678901234567890], [5, 98765432109876543210]]]}
+    c.add(
+        "basis-20-digit-ints/alp",
+        ["alp", "--instance", str(INSTANCES / "ti1.json"), "--epsilon", "0.25", "--delta", "0.1",
+         "--basis", c.file("basis-20-digit-ints", basis)],
+    )
+    ti1 = _ti1_obj()
+    extra = {key: ti1[key] + ti1[key][:1] for key in ("P", "r", "z")}
+    c.add("extra-blocks/solve", ["solve", "--instance", c.file("extra-blocks", _ti1_obj(**extra))])
+    twice = c.file("policy-state-twice", [[0, [0.0, 1.0]], [0, [1.0, 0.0]]])
+    c.add(
+        "policy-state-twice/simulate",
+        ["simulate", "--instance", str(INSTANCES / "ti1.json"), "--policy", twice],
+    )
+
+
 def _run_case(argv: list[str], patch: dict, written: Path | None, tmp: Path) -> list:
     simulate_module = importlib.import_module("domdp.simulate")
     saved = {k: getattr(simulate_module, k) for k in patch}
@@ -437,6 +477,7 @@ def _digests() -> dict:
         _edge_cases(c)
         _long_simulation(c, rng)
         _alp_block_cases(c)
+        _decode_cases(c)
         return {
             name: _run_case(args, patch, written, c.tmp)
             for name, args, patch, written in c.cases
