@@ -152,6 +152,38 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _check_block(P, r, z, actions, s: int) -> None:
+    if len(P[s]) != len(actions[s]) or len(r[s]) != len(actions[s]) or len(z[s]) != len(actions[s]):
+        raise ValueError(f"state {s}: P/r/z must have one entry per action")
+
+
+def _pairs_by_block(P, r, z, actions):
+    """Kernel, r and z in pair order, each state's block joined whole and converted once."""
+    for s in range(len(actions)):
+        _check_block(P, r, z, actions, s)
+    kernel = np.array([row for block in P[: len(actions)] for row in block], dtype=float)
+    r_flat = [float(v) for block in r[: len(actions)] for v in block]
+    z_flat = [v for block in z[: len(actions)] for v in block]
+    return kernel, r_flat, z_flat
+
+
+def _pairs_one_by_one(P, r, z, actions):
+    """``_pairs_by_block`` one pair at a time, with the kernel as a list of rows.
+
+    Slower, and run only when the block path fails: it raises on the first
+    malformed entry in file order, with that entry's own error text, and
+    leaves rows of unequal shape to fail when the kernel is stacked.
+    """
+    kernel_rows, r_flat, z_flat = [], [], []
+    for s in range(len(actions)):
+        _check_block(P, r, z, actions, s)
+        for a in range(len(actions[s])):
+            kernel_rows.append(np.asarray(P[s][a], dtype=float))
+            r_flat.append(float(r[s][a]))
+            z_flat.append(z[s][a])
+    return kernel_rows, r_flat, z_flat
+
+
 @_decodes("instance file")
 def parse_instance(obj: dict) -> LoadedInstance:
     """Decode the instance file schema into validated domain objects."""
@@ -163,24 +195,10 @@ def parse_instance(obj: dict) -> LoadedInstance:
     P = _require(obj, "P")
     r = _require(obj, "r")
     z = _require(obj, "z")
-    for s in range(num_states):
-        if len(P[s]) != len(actions[s]) or len(r[s]) != len(actions[s]) or len(z[s]) != len(actions[s]):
-            raise ValueError(f"state {s}: P/r/z must have one entry per action")
-    for key, blocks in (("P", P), ("r", r), ("z", z)):
-        if len(blocks) != num_states:
-            raise ValueError(
-                f"'{key}' must list one block per state ({num_states}), got {len(blocks)}"
-            )
-    # Each state's block is a list with one entry per action: join them, then
-    # convert once.
-    kernel_rows = [row for block in P for row in block]
     try:
-        kernel = np.array(kernel_rows, dtype=float)
-    except (TypeError, ValueError):
-        # Row by row, so a malformed row's error names that row's own shape.
-        kernel = np.array([np.asarray(row, dtype=float) for row in kernel_rows])
-    r_flat = [float(v) for block in r for v in block]
-    z_flat = [v for block in z for v in block]
+        kernel, r_flat, z_flat = _pairs_by_block(P, r, z, actions)
+    except (TypeError, ValueError, IndexError, KeyError):
+        kernel, r_flat, z_flat = _pairs_one_by_one(P, r, z, actions)
     if z_flat and isinstance(z_flat[0], (list, tuple)):
         reward_z = np.asarray(z_flat, dtype=float)
     else:
@@ -188,7 +206,7 @@ def parse_instance(obj: dict) -> LoadedInstance:
     inst = MdpInstance(
         num_states=num_states,
         actions=actions,
-        kernel=kernel,
+        kernel=np.asarray(kernel),
         reward_r=np.array(r_flat),
         reward_z=reward_z,
         mode=mode,
@@ -207,6 +225,12 @@ def parse_instance(obj: dict) -> LoadedInstance:
     extra = np.asarray(obj["extra_grid"], dtype=float) if "extra_grid" in obj else None
     if extra is not None and not np.all(np.isfinite(extra)):
         raise ValueError("'extra_grid' must be finite")
+    # Checked last, so that a file with another fault still reports that one.
+    for key, blocks in (("P", P), ("r", r), ("z", z)):
+        if len(blocks) != num_states:
+            raise ValueError(
+                f"'{key}' must list one block per state ({num_states}), got {len(blocks)}"
+            )
     return LoadedInstance(instance=inst, benchmark=benchmark, family=family, extra_grid=extra)
 
 

@@ -24,7 +24,8 @@ benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 3-asset config at resolution 3 (a sparse LP), ``alp`` with a
 block-aggregation basis in both modes, non-finite inputs, vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
-files with JSON of the wrong types or nested past the recursion limit, an
+files with JSON of the wrong types, a ragged kernel row or two faults at
+once, or nested past the recursion limit, an
 oracle over more policies than its limit, out-of-range numeric arguments,
 one long ``simulate`` on a random instance of 6 to 8 states, and decoding:
 an instance and a policy written with ``indent=2``, ``-0.0`` and ``1e400``
@@ -320,6 +321,10 @@ def _wrong_type_cases(c: _Corpus) -> None:
         "discount-list": {"discount": [0.5]},
         "initial-dict": {"initial": {"a": 1}},
         "family-weights-number": {"family": {"weights": 1, "etas": [4.0]}},
+        # A ragged row, and two faults at once: the first in file order is reported.
+        "P-ragged-row": {"P": [[[[0.5], [0.5, 0.5]], [1.0]]], "r": [[2.0, "y"]]},
+        "P-wide-row-z-str": {"P": [[[1.0], [1.0, 0.0]]], "z": [[10.0, "y"]]},
+        "P-extra-block-z-str": {"P": [[[1.0], [1.0]]] * 2, "z": [[10.0, "y"]]},
     }
     for name, change in instances.items():
         path = c.file(f"type-instance-{name}", _ti1_obj(**change))

@@ -215,3 +215,46 @@ def test_extra_entries_are_rejected(tmp_path, capsys, role, content, message):
     argv = ["simulate", "--instance", files["instance"], "--policy", files["policy"]]
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+TWO_STATES = {
+    "states": 2,
+    "actions": [["a", "b"], ["c"]],
+    "P": [[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0]]],
+    "r": [[1.0, 0.0], [0.5]],
+    "z": [[1.0, 0.0], [2.0]],
+    "mode": "average",
+}
+RAGGED = (
+    "setting an array element with a sequence. The requested array has an inhomogeneous"
+    " shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
+)
+FIRST_FAULT = [
+    pytest.param({"P": [[[[0.5], [0.5, 0.5]], [1.0, 0.0]], [[0.0, 1.0]]]}, RAGGED, id="ragged-row"),
+    pytest.param(
+        {"P": [["x", [1.0, 0.0]], [[0.0, 1.0]]], "r": [[1.0, 0.0], []]},
+        "could not convert string to float: 'x'",
+        id="bad-row-then-short-state",
+    ),
+    pytest.param(
+        {"P": [[[0.5, 0.5], [1.0, 0.0, 0.0]], [[0.0, 1.0]]], "z": [[1.0, "y"], [2.0]]},
+        "could not convert string to float: 'y'",
+        id="wide-row-and-bad-z",
+    ),
+    pytest.param(
+        {"P": TWO_STATES["P"] + [[[1.0, 0.0]]], "z": [[1.0, "y"], [2.0]]},
+        "could not convert string to float: 'y'",
+        id="extra-block-and-bad-z",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, message", FIRST_FAULT)
+def test_first_fault_in_file_order_is_reported(tmp_path, capsys, changes, message):
+    """A malformed kernel row is named by its own shape, and of two faults the
+    first in file order (kernel rows and r state by state, then z, then the
+    block counts) is the one reported."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TWO_STATES, **changes}))
+    assert run(["solve", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
