@@ -5,19 +5,23 @@ elements u; the ALP restricts h to the span of tabular basis vectors and u to
 nonnegative combinations of utility bases, then enforces only a sampled
 subset of the per-pair constraints. The sample count implements the
 (4/eps)(k ln(12/eps) + ln(2/delta)) bound, with k the number of ALP
-variables.
+variables. The ALP is solved through its LP dual, the occupation LP of
+``domdp.average`` over the sampled pairs; ``build_alp`` states how that
+LP's status maps to the ALP's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .average import occupation_lp
 from .dominance import UtilityFunction
-from .lp import LE, LpProblem, solve_lp
+from .lp import LpProblem, solve_lp
 from .mdp import AVERAGE, Benchmark, MdpInstance, require_valid
+from .results import DualSolution
 
 RANK_TOL = 1e-10
 VIOLATION_TOL = 1e-9
@@ -37,8 +41,8 @@ class BasisSet:
         if not np.all(np.isfinite(H)):
             raise ValueError("h bases must be finite")
         object.__setattr__(self, "h_bases", H)
-        scale = max(np.abs(H).max(initial=0.0), 1.0)
-        if np.linalg.matrix_rank(H, tol=RANK_TOL * scale) < H.shape[0]:
+        tol = RANK_TOL * np.abs(H).max(initial=0.0)
+        if np.linalg.matrix_rank(H, tol=tol) < H.shape[0]:
             raise ValueError("h bases are linearly dependent")
 
     @property
@@ -98,25 +102,16 @@ def sample_constraints(
     return np.minimum(idx, K - 1)
 
 
-def _alp_rows(
-    inst: MdpInstance, bases: BasisSet, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The constraints of the given pairs as A x <= b over (gamma, beta, alpha).
+@dataclass
+class AlpLp(LpProblem):
+    """The sampled ALP's LP; row i was multiplied by row_scale[i], a power of two."""
 
-    Row (s, a) reads -(gamma.H)(s) + delta sum_j P(j|s,a)(gamma.H)(j) - beta
-    + sum_i alpha_i u_i(z) <= -r; beta's column exists in average mode only.
-    """
-    H = bases.h_bases
-    mh = bases.num_h
-    beta = int(inst.mode == AVERAGE)
-    # (gamma.H)(s) - delta sum_j P(j|s,a) (gamma.H)(j), per pair and h-basis.
-    h_term = H.T[inst.state_of_pair()] - inst.delta * (inst.kernel @ H.T)
-    A = np.empty((pairs.size, mh + beta + bases.num_u))
-    A[:, :mh] = -h_term[pairs]
-    A[:, mh : mh + beta] = -1.0
-    for i, u in enumerate(bases.u_bases):
-        A[:, mh + beta + i] = u(inst.reward_z)[pairs]
-    return A, -inst.reward_r[pairs]
+    row_scale: np.ndarray
+
+
+def _utility_rows(inst: MdpInstance, bases: BasisSet) -> np.ndarray:
+    """u_i(z(s,a)), one row per utility basis and one column per pair."""
+    return np.array([u(inst.reward_z) for u in bases.u_bases]).reshape(-1, inst.num_pairs)
 
 
 def build_alp(
@@ -124,15 +119,17 @@ def build_alp(
     bench: Benchmark,
     bases: BasisSet,
     samples: np.ndarray,
-) -> LpProblem:
-    """Restricted dual over (gamma, beta, alpha), one row per sampled pair.
+) -> AlpLp:
+    """LP dual of the sampled ALP: the occupation LP over the sampled pairs.
 
-    Each row constrains r + sum_i alpha_i u_i(z) <= beta + (gamma.H)(s)
-    - delta sum_j P(j|s,a)(gamma.H)(j), with delta = 1 in average mode; the
-    rows come from ``_alp_rows``, which also checks the test sample.
-    Discounted mode has no beta and prices gamma by the initial distribution
-    instead. alpha >= 0 keeps the recovered multiplier inside the utility
-    cone even though the unrestricted dual would allow any sign.
+    One column x per draw (duplicates kept); the balance rows projected on
+    the h bases, H B x = H b, with duals gamma; sum x = 1 in average mode,
+    with dual beta; sum x u_i(z) >= E u_i(Y), with dual alpha_i. A power of
+    two brings the largest entry of each row, or of a basis row's h basis,
+    into [1, 2). Its optimum is the ALP's. Statuses map exactly: an optimal
+    LP means an optimal ALP and an unbounded LP an infeasible ALP; when the
+    LP is infeasible, the ALP is infeasible if the LP with b = 0 is
+    unbounded and unbounded otherwise (Farkas's lemma).
     """
     require_valid(inst)
     samples = np.asarray(samples, dtype=int)
@@ -140,32 +137,26 @@ def build_alp(
         raise ValueError("at least one sampled constraint required")
     if inst.reward_z.ndim != 1:
         raise ValueError("ALP requires scalar z")
+    if bench.is_vector:
+        raise ValueError("a vector benchmark requires a generator family")
     H = bases.h_bases
     if H.shape[1] != inst.num_states:
         raise ValueError(f"h bases have {H.shape[1]} columns for {inst.num_states} states")
-    A, b = _alp_rows(inst, bases, samples)
-    mh, k_vars = bases.num_h, A.shape[1]
-    alpha = slice(k_vars - bases.num_u, k_vars)
-    c = np.zeros(k_vars)
-    c[alpha] = [-u.expectation(bench) for u in bases.u_bases]
-    col_labels = [f"gamma[{j}]" for j in range(mh)]
-    if inst.mode == AVERAGE:
-        c[mh] = 1.0
-        col_labels.append("beta")
-    else:
-        c[:mh] = inst.initial @ H.T
-    col_labels += [f"alpha[{i}]" for i in range(bases.num_u)]
-    lower = np.full(k_vars, -np.inf)
-    lower[alpha] = 0.0
-    return LpProblem(
-        sense="min",
-        c=c,
-        A=A,
-        row_senses=[LE] * samples.size,
-        b=b,
-        lower=lower,
-        row_labels=[f"sample[{i}]@pair[{pair}]" for i, pair in enumerate(samples)],
-        col_labels=col_labels,
+    lp = occupation_lp(
+        inst,
+        _utility_rows(inst, bases),
+        np.array([u.expectation(bench) for u in bases.u_bases]),
+        [f"utility[{i}]" for i in range(bases.num_u)],
+        pairs=samples,
+        project=H,
+    )
+    # A basis row's entries can cancel to rounding noise (a constant h in
+    # average mode), so its h basis sets its scale.
+    largest = np.abs(lp.A).max(axis=1)
+    largest[: bases.num_h] = np.abs(H).max(axis=1)
+    scale = np.ldexp(1.0, 1 - np.frexp(largest)[1])
+    return AlpLp(
+        **{**vars(lp), "A": lp.A * scale[:, None], "b": lp.b * scale}, row_scale=scale
     )
 
 
@@ -197,8 +188,7 @@ class AlpReport:
                 out["beta"] = self.beta
             out["alpha"] = self.alpha
             out["h_approx"] = self.h_approx
-            if self.violation_fraction is not None:
-                out["violation_fraction"] = self.violation_fraction
+            out["violation_fraction"] = self.violation_fraction
         out["epsilon"] = self.epsilon
         out["delta"] = self.delta
         out["seed"] = self.seed
@@ -223,35 +213,27 @@ def solve_alp(
     k = bases.num_h + (inst.mode == AVERAGE) + bases.num_u
     m = sample_count(epsilon, delta, k)
     samples = sample_constraints(inst, psi, m, seed, stream=0)
-    sol = solve_lp(build_alp(inst, bench, bases, samples))
-    if sol.status != "optimal":
-        return AlpReport(
-            status=sol.status,
-            num_samples=m,
-            num_variables=k,
-            epsilon=epsilon,
-            delta=delta,
-            seed=seed,
-        )
-    # Columns: gamma, then beta in average mode, then alpha from column a.
-    x, a = sol.x, k - bases.num_u
-    gamma, alpha = x[: bases.num_h], x[a:]
-    # A test row is violated when its u-side, r + sum_i alpha_i u_i(z),
-    # exceeds its h-side by more than VIOLATION_TOL relative to the h-side.
-    A, b = _alp_rows(inst, bases, sample_constraints(inst, psi, 10 * m, seed, stream=1))
-    h_side = -(A[:, :a] @ x[:a])
-    violated = A[:, a:] @ alpha - b > h_side + VIOLATION_TOL * (1.0 + np.abs(h_side))
-    return AlpReport(
-        status="optimal",
-        objective=sol.objective,
-        gamma=gamma,
-        beta=float(x[bases.num_h]) if a > bases.num_h else None,
-        alpha=alpha,
-        h_approx=gamma @ bases.h_bases,
-        num_samples=m,
-        num_variables=k,
-        violation_fraction=float(np.mean(violated)),
-        epsilon=epsilon,
-        delta=delta,
-        seed=seed,
+    lp = build_alp(inst, bench, bases, samples)
+    sol = solve_lp(lp)
+    status = "infeasible" if sol.status == "unbounded" else sol.status
+    if sol.status == "infeasible":  # see build_alp
+        homogeneous = solve_lp(replace(lp, b=np.zeros(lp.num_rows)))
+        status = "infeasible" if homogeneous.status == "unbounded" else "unbounded"
+    report = AlpReport(status, m, k, epsilon, delta, seed)
+    if status != "optimal":
+        return report
+    # The unscaled rows' duals, -0.0 made 0.0: gamma, beta in average mode, alpha.
+    y = sol.y * lp.row_scale + 0.0
+    gamma, alpha = y[: bases.num_h], np.maximum(y[k - bases.num_u :], 0.0)
+    beta = float(y[bases.num_h]) if inst.mode == AVERAGE else None
+    u_of_z = alpha @ _utility_rows(inst, bases)
+    dual = DualSolution(beta or 0.0, gamma @ bases.h_bases, alpha, None, u_of_z)
+    # A test pair is violated when r + sum_i alpha_i u_i(z) exceeds the dual's
+    # right-hand side by more than VIOLATION_TOL relative to that side.
+    test = sample_constraints(inst, psi, 10 * m, seed, stream=1)
+    rhs = dual.pair_rhs(inst, test)
+    violated = inst.reward_r[test] + u_of_z[test] > rhs + VIOLATION_TOL * (1.0 + np.abs(rhs))
+    return replace(
+        report, objective=sol.objective, gamma=gamma, beta=beta, alpha=alpha,
+        h_approx=dual.h, violation_fraction=float(np.mean(violated)),
     )

@@ -87,9 +87,6 @@ def _occupation_lp(
     require_valid(inst)
     if inst.mode != mode:
         raise ValueError(f"{mode} builder got mode {inst.mode!r}")
-    S, K = inst.num_states, inst.num_pairs
-    B = -inst.delta * inst.kernel.T
-    B[inst.state_of_pair(), np.arange(K)] += 1.0
     if family is not None:
         D, rhs = family_rows(family, inst.reward_z)
         grid = np.arange(len(family.params), dtype=float)
@@ -97,30 +94,51 @@ def _occupation_lp(
     else:
         if inst.reward_z.ndim != 1:
             raise ValueError("vector z requires a generator family")
+        if bench.is_vector:
+            raise ValueError("a vector benchmark requires a generator family")
         grid = bench.support
         kink = shortfall_plus if convex else shortfall_minus
         D = np.array([kink(inst.reward_z, eta) for eta in grid])
         rhs = benchmark_plus_curve(bench, grid) if convex else benchmark_curve(bench, grid).curve
         dom_labels = [f"dominance[eta={float(eta)!r}]" for eta in grid]
+    return occupation_lp(inst, D, rhs, dom_labels, convex=convex), grid
+
+
+def occupation_lp(
+    inst: MdpInstance, D: np.ndarray, rhs: np.ndarray, dom_labels: list[str],
+    pairs: np.ndarray | None = None, project: np.ndarray | None = None, convex: bool = False,
+) -> LpProblem:
+    """inst's occupation LP with dominance rows D x >= rhs (minimized, <= rhs, if convex).
+
+    D has a column per pair. pairs keeps one column per entry, duplicates
+    included, labelled by its place in pairs; project turns the S balance
+    rows B x = b into project @ B x = project @ b.
+    """
+    S, K = inst.num_states, inst.num_pairs
+    B = -inst.delta * inst.kernel.T
+    B[inst.state_of_pair(), np.arange(K)] += 1.0
+    b = np.zeros(S) if inst.mode == AVERAGE else inst.initial
+    c = inst.reward_r.copy()
+    col_labels = [f"x[{s},{a}]" for s, acts in enumerate(inst.actions) for a in acts]
     row_labels = [f"balance[{j}]" for j in range(S)]
-    if mode == AVERAGE:
-        A = np.vstack([B, np.ones((1, K)), D])
-        b = np.concatenate([np.zeros(S), [1.0], rhs])
-        row_labels.append("normalize")
-    else:
-        A = np.vstack([B, D])
-        b = np.concatenate([inst.initial, rhs])
-    lp = LpProblem(
+    if pairs is not None:
+        B, D, c = B[:, pairs], D[:, pairs], c[pairs]
+        col_labels = [f"sample[{i}]@{col_labels[k]}" for i, k in enumerate(pairs)]
+    if project is not None:
+        B, b = project @ B, project @ b
+        row_labels = [f"basis[{j}]" for j in range(len(project))]
+    normalize = int(inst.mode == AVERAGE)  # the row sum x = 1, in average mode only
+    row_labels += ["normalize"] * normalize + dom_labels
+    return LpProblem(
         sense="min" if convex else "max",
-        c=inst.reward_r.copy(),
-        A=A,
-        row_senses=[EQ] * len(row_labels) + [LE if convex else GE] * len(grid),
-        b=b,
-        lower=np.zeros(K),
-        row_labels=row_labels + dom_labels,
-        col_labels=[f"x[{s},{a}]" for s, acts in enumerate(inst.actions) for a in acts],
+        c=c,
+        A=np.vstack([B, np.ones((normalize, c.size)), D]),
+        row_senses=[EQ] * (len(row_labels) - len(rhs)) + [LE if convex else GE] * len(rhs),
+        b=np.concatenate([b, [1.0] * normalize, rhs]),
+        lower=np.zeros(c.size),
+        row_labels=row_labels,
+        col_labels=col_labels,
     )
-    return lp, grid
 
 
 def build_average_primal(
@@ -197,13 +215,7 @@ def check_slackness(report: SolveReport) -> SlacknessSummary:
     dual = report.dual
     row_vals = report.dominance_matrix @ occ.weights
     dom = np.abs(dual.lam * (row_vals - report.dominance_rhs))
-    slack = (
-        dual.g
-        + dual.h[inst.state_of_pair()]
-        - inst.delta * (inst.kernel @ dual.h)
-        - inst.reward_r
-        - dual.u_of_z
-    )
+    slack = dual.pair_rhs(inst) - inst.reward_r - dual.u_of_z
     pairs = np.abs(occ.weights * slack)
     return SlacknessSummary(dominance=dom, pairs=pairs)
 

@@ -75,11 +75,15 @@ class DualSolution:
     def v(self) -> np.ndarray:
         return self.h
 
+    def pair_rhs(self, inst: MdpInstance, pairs: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Bound g + h(s) - delta sum_j P(j|s,a) h(j) on r + u(z) at the pairs given (all)."""
+        h = self.h
+        return self.g + h[inst.state_of_pair()[pairs]] - inst.delta * (inst.kernel[pairs] @ h)
+
     def feasibility_residual(self, inst: MdpInstance) -> float:
         """Max violation of r(s,a) + u(z(s,a)) <= g + h(s) - delta sum_j P(j|s,a) h(j)."""
         lhs = inst.reward_r + self.u_of_z
-        rhs = self.g + self.h[inst.state_of_pair()] - inst.delta * (inst.kernel @ self.h)
-        return float(np.maximum(lhs - rhs, 0.0).max(initial=0.0))
+        return float(np.maximum(lhs - self.pair_rhs(inst), 0.0).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ corpus's temporary directory reads as ``<tmp>`` in stdout and stderr.
 Two checkouts write identical files when no report byte, exit code or error
 line changed. ``--compare OLD.json`` runs the corpus, prints the name of
 every case whose digest differs from OLD.json's or that only one side has,
-then a count of identical cases, and exits 1 if any case differs. The
+beside the parts that changed (exit code, stdout, stderr line, written
+file), then a count of identical cases, and exits 1 if any case differs. The
 corpus covers ``solve`` (plain, ``--rescale-benchmark`` and ``--tol``),
 ``oracle``, ``alp`` at two seeds, ``simulate`` and ``check-dominance`` (icv
 and icx) on seeded random instances in both modes (some with
@@ -489,6 +490,14 @@ def _digests() -> dict:
         }
 
 
+def _difference(old: list | None, new: list | None) -> str:
+    """Which parts of a case's digest differ: exit code, stdout, stderr line, written file."""
+    if old is None or new is None:
+        return "(only in new)" if old is None else "(only in old)"
+    parts = ("exit code", "stdout", "stderr line", "written file")
+    return ", ".join(part for part, a, b in zip(parts, old, new) if a != b)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--compare":
         old = json.loads(Path(argv[1]).read_text())
@@ -496,7 +505,7 @@ def main(argv: list[str]) -> int:
         names = old.keys() | new.keys()
         changed = sorted(name for name in names if old.get(name) != new.get(name))
         for name in changed:
-            print(name)
+            print(name, _difference(old.get(name), new.get(name)))
         print(f"{len(names) - len(changed)}/{len(names)} cases identical")
         return 1 if changed else 0
     if len(argv) != 1 or argv[0].startswith("-"):

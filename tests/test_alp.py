@@ -211,8 +211,9 @@ def test_solve_alp_few_samples_typically_violates():
     lp = build_alp(inst, bench, bases, samples)
     sol = solve_lp(lp)
     # Tiny sampled relaxations are usually unbounded or loose; either way the
-    # tight bound m is doing real work. No fixed threshold asserted.
-    assert sol.status in ("optimal", "unbounded")
+    # tight bound m is doing real work. No fixed threshold asserted. The LP is
+    # the ALP's dual, so an unbounded ALP shows as an infeasible LP.
+    assert sol.status in ("optimal", "infeasible")
 
 
 def _loop_violation_fraction(inst, report, bases, pairs, tol=1e-9):
@@ -258,3 +259,74 @@ def test_violation_fraction_matches_a_per_pair_loop(mode):
         train = sample_constraints(inst, None, m, seed, stream=0)
         assert _loop_violation_fraction(inst, report, bases, train) == 0.0
     assert optimal >= 6 and violated >= 3
+
+
+def test_infeasible_alp_with_infeasible_dual_reports_infeasible():
+    # Only pair (0, a) is sampled. Its constraint reads 1 <= h(0) - 0.9 h(0),
+    # and h = gamma (0, 1) has h(0) = 0: the ALP is infeasible, and so is its
+    # dual, whose one row reads 0 x = 1. Mapping an infeasible dual to an
+    # unbounded ALP would report "unbounded"; the dual with b = 0 is
+    # unbounded, so the ALP is infeasible.
+    inst = MdpInstance(
+        num_states=2,
+        actions=(("a",), ("a",)),
+        kernel=np.eye(2),
+        reward_r=np.array([1.0, 0.0]),
+        reward_z=np.zeros(2),
+        mode="discounted",
+        discount=0.9,
+        initial=np.array([0.0, 1.0]),
+    )
+    bench = Benchmark(support=[0.0], probs=[1.0])
+    bases = BasisSet(h_bases=np.array([[0.0, 1.0]]), u_bases=())
+    psi = np.array([1.0, 0.0])
+    report = solve_alp(inst, bench, bases, epsilon=0.5, delta=0.5, psi=psi)
+    assert report.status == "infeasible"
+    lp = build_alp(inst, bench, bases, sample_constraints(inst, psi, report.num_samples, 0))
+    assert solve_lp(lp).status == "infeasible"
+
+
+def _scaled(bases, factor):
+    return BasisSet(
+        h_bases=factor * bases.h_bases,
+        u_bases=tuple(
+            UtilityFunction(breakpoints=u.breakpoints, weights=factor * u.weights)
+            for u in bases.u_bases
+        ),
+    )
+
+
+@pytest.mark.parametrize("factor", [2.0**60, 2.0**-40], ids=["2**60", "2**-40"])
+@pytest.mark.parametrize("mode", ["average", "discounted"])
+def test_scaled_bases_report_the_unscaled_alp(mode, factor):
+    # Scaling the bases by a power of two scales gamma and alpha by its
+    # inverse and changes nothing else, bit for bit: each LP row is brought
+    # to the same power-of-two scale, however large or small its bases.
+    rng = np.random.default_rng(96)
+    for seed in range(10):
+        inst, bench, _ = feasible_pair(rng, max_states=6, max_actions=3, mode=mode)
+        bases = complete_basis(inst, bench)
+        plain = solve_alp(inst, bench, bases, epsilon=0.3, delta=0.1, seed=seed)
+        scaled = solve_alp(inst, bench, _scaled(bases, factor), epsilon=0.3, delta=0.1, seed=seed)
+        assert scaled.status == plain.status == "optimal"
+        assert scaled.objective == plain.objective
+        assert scaled.violation_fraction == plain.violation_fraction
+        assert np.array_equal(scaled.gamma * factor, plain.gamma)
+        assert np.array_equal(scaled.alpha * factor, plain.alpha)
+        assert np.array_equal(scaled.h_approx, plain.h_approx)
+
+
+VACUOUS = Benchmark(support=[-1e6], probs=[1.0])
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0**60, 2.0**-40], ids=["1", "2**60", "2**-40"])
+def test_constant_h_basis_in_average_mode_is_inert(factor):
+    # Every entry of the constant basis's row H B is 1 - sum_j P(j|s,a), which
+    # is rounding noise; the ALP reduces to min beta >= r, that is max r.
+    rng = np.random.default_rng(98)
+    for _ in range(10):
+        inst = random_instance(rng, max_states=6, max_actions=3)
+        bases = BasisSet(h_bases=np.full((1, inst.num_states), factor), u_bases=())
+        sol = solve_lp(build_alp(inst, VACUOUS, bases, np.arange(inst.num_pairs)))
+        assert sol.status == "optimal"
+        assert sol.objective == inst.reward_r.max()

@@ -513,6 +513,19 @@ def test_vector_z_outside_solve_exits_one(tmp_path, capsys, command, content):
     assert err.startswith("error: ") and "requires a generator family" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "alp"])
+def test_vector_benchmark_without_family_exits_one(tmp_path, capsys, command):
+    # Scalar z against a vector benchmark: no family says how to compare them.
+    bad = write_json(tmp_path / "bad.json", ti1_obj(benchmark=VECTOR_Z["benchmark"]))
+    basis = write_json(tmp_path / "basis.json", {"h": [[1.0]], "u_lambdas": [[[4.0, 1.0]]]})
+    argv = {
+        "solve": ["solve", "--instance", bad],
+        "alp": ["alp", "--instance", bad, "--epsilon", "0.25", "--delta", "0.1", "--basis", basis],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: a vector benchmark requires a generator family\n"
+
+
 def test_oracle_policy_limit_exits_one(tmp_path, capsys, monkeypatch):
     # domdp/__init__.py rebinds the name "simulate" to the function.
     monkeypatch.setattr(sys.modules["domdp.simulate"], "MAX_POLICIES", 3)

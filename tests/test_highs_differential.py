@@ -1,13 +1,15 @@
 """Differential test against HiGHS, an independent LP solver.
 
 ``scipy.optimize.linprog(method="highs")`` solves the same occupation-measure
-LP that ``solve_average``/``solve_discounted`` build. SciPy is imported here
-only; ``domdp`` itself never loads it.
+LP that ``solve_average``/``solve_discounted`` build, and the sampled ALP in
+its primal form over (gamma, beta, alpha), which ``solve_alp`` solves through
+its dual. SciPy is imported here only; ``domdp`` itself never loads it.
 """
 
 import numpy as np
 import pytest
 
+from domdp.alp import BasisSet, complete_basis, sample_constraints, solve_alp
 from domdp.average import build_average_primal, solve_average
 from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.dominance import weighted_kink_family
@@ -150,3 +152,77 @@ def test_benchmark_portfolio_matches_highs(resolution):
     lam = -y[inst.num_states :]
     assert lam[-1] > 1.0
     assert np.abs(report.dual.lam - lam).max() <= TOL * (1.0 + lam.max())
+
+
+def _alp_draws():
+    """Seeded ALPs in both modes, one kink per benchmark point.
+
+    The h bases are the identity or a block aggregation, with rows dropped
+    in some draws, so that some ALPs are infeasible or unbounded.
+    """
+    rng = np.random.default_rng(9090)
+    for i in range(36):
+        mode = "average" if i % 2 == 0 else "discounted"
+        inst = random_instance(rng, max_states=8, max_actions=4, mode=mode)
+        bench = random_benchmark(rng, inst, max_support=3)
+        S = inst.num_states
+        kind = (i // 2) % 3
+        if kind == 1:  # two or three state blocks
+            blocks = min(S, 3)
+            H = np.zeros((blocks, S))
+            for j in range(blocks):
+                H[j, j * S // blocks : (j + 1) * S // blocks] = 1.0
+        else:
+            H = np.eye(S)
+        if i % 4 >= 2:
+            H = H[: max(1, H.shape[0] - 2)]
+        bases = BasisSet(h_bases=H, u_bases=complete_basis(inst, bench).u_bases)
+        yield pytest.param(inst, bench, bases, i, id=f"{mode}-{i:02d}-k{kind}-h{len(H)}")
+
+
+def _highs_alp(inst, bench, bases, samples):
+    """(status, objective) of the sampled ALP over (gamma, beta, alpha), by HiGHS.
+
+    Row k reads r + sum_i alpha_i u_i(z) <= beta + h(s) - delta sum_j P(j|s,a) h(j)
+    with h = gamma . H, at the sampled pair k = (s, a); beta exists in average
+    mode only. A non-optimal ALP is infeasible when it stays so without its
+    objective, and unbounded otherwise.
+    """
+    H = bases.h_bases
+    average = inst.mode == "average"
+    h_side = H.T[inst.state_of_pair()[samples]] - inst.delta * (inst.kernel[samples] @ H.T)
+    U = np.array([[u(z) for u in bases.u_bases] for z in inst.reward_z[samples]])
+    A = np.hstack([-h_side, -np.ones((samples.size, int(average))), U.reshape(samples.size, -1)])
+    c = np.concatenate(
+        [
+            np.zeros(len(H)) if average else H @ inst.initial,
+            [1.0] if average else [],
+            [-u.expectation(bench) for u in bases.u_bases],
+        ]
+    )
+    bounds = [(None, None)] * (A.shape[1] - bases.num_u) + [(0, None)] * bases.num_u
+    b = -inst.reward_r[samples]
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if res.status == 0:
+        return "optimal", res.fun
+    feasible = linprog(np.zeros_like(c), A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    return ("unbounded" if feasible.status == 0 else "infeasible"), None
+
+
+@pytest.mark.parametrize("inst,bench,bases,seed", _alp_draws())
+def test_alp_matches_highs(inst, bench, bases, seed):
+    report = solve_alp(inst, bench, bases, epsilon=0.3, delta=0.1, seed=seed)
+    samples = sample_constraints(inst, None, report.num_samples, seed)
+    status, objective = _highs_alp(inst, bench, bases, samples)
+    assert report.status == status
+    if status == "optimal":
+        assert report.objective == pytest.approx(objective, rel=TOL, abs=TOL)
+
+
+def test_alp_draws_reach_every_status():
+    statuses = set()
+    for param in _alp_draws():
+        inst, bench, bases, seed = param.values
+        m = solve_alp(inst, bench, bases, epsilon=0.3, delta=0.1, seed=seed).num_samples
+        statuses.add(_highs_alp(inst, bench, bases, sample_constraints(inst, None, m, seed))[0])
+    assert statuses == {"optimal", "infeasible", "unbounded"}
