@@ -15,7 +15,6 @@ from .discounted import (
 )
 from .dominance import (
     GeneratorFamily,
-    ShortfallGrid,
     UtilityFunction,
     benchmark_curve,
     check_icv,
@@ -48,7 +47,6 @@ __all__ = [
     "OccupationMeasure",
     "Policy",
     "PortfolioConfig",
-    "ShortfallGrid",
     "SolveReport",
     "UtilityFunction",
     "benchmark_curve",

@@ -89,7 +89,7 @@ def _occupation_lp(
         raise ValueError(f"{mode} builder got mode {inst.mode!r}")
     if family is not None:
         D, rhs = family_rows(family, inst.reward_z)
-        grid = np.arange(len(family.params), dtype=float)
+        grid = np.arange(len(rhs), dtype=float)
         dom_labels = [f"dominance[xi={i}]" for i in range(len(grid))]
     else:
         if inst.reward_z.ndim != 1:
@@ -98,8 +98,8 @@ def _occupation_lp(
             raise ValueError("a vector benchmark requires a generator family")
         grid = bench.support
         kink = shortfall_plus if convex else shortfall_minus
-        D = np.array([kink(inst.reward_z, eta) for eta in grid])
-        rhs = benchmark_plus_curve(bench, grid) if convex else benchmark_curve(bench, grid).curve
+        D = kink(inst.reward_z, grid[:, None])
+        rhs = benchmark_plus_curve(bench, grid) if convex else benchmark_curve(bench, grid)
         dom_labels = [f"dominance[eta={float(eta)!r}]" for eta in grid]
     return occupation_lp(inst, D, rhs, dom_labels, convex=convex), grid
 

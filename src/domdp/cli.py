@@ -157,7 +157,7 @@ def _cmd_solve(args) -> int:
         grid = np.unique(np.concatenate([bench.support, loaded.extra_grid]))
         x = report.occupation.weights
         margins = _expected_kink(inst.reward_z, x, shortfall_minus, grid)
-        margins -= benchmark_curve(bench, grid).curve
+        margins -= benchmark_curve(bench, grid)
         obj["extra_grid_margins"] = np.column_stack([grid, margins])
     _emit(obj, args.out)
     if report.status == "infeasible":

@@ -9,7 +9,7 @@ eta in supp Y. The increasing convex variant uses (x - eta)_+ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,33 +34,14 @@ def _expected_kink(values, probs, kink, grid) -> np.ndarray:
     return np.array([float(probs @ kink(values, eta)) for eta in grid])
 
 
-@dataclass(frozen=True)
-class ShortfallGrid:
-    """Benchmark shortfall curve y(eta) = E[(Y-eta)_-] on an eta grid."""
-
-    grid: np.ndarray
-    curve: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        curve = np.asarray(self.curve, dtype=float)
-        if grid.size == 0:
-            raise ValueError("grid must be nonempty")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if grid.shape != curve.shape:
-            raise ValueError("grid and curve must have equal length")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "curve", curve)
-
-
-def benchmark_curve(bench: Benchmark, grid: Sequence[float]) -> ShortfallGrid:
-    """Evaluate E[(Y-eta)_-] at every grid point."""
+def benchmark_curve(bench: Benchmark, grid: Sequence[float]) -> np.ndarray:
+    """E[(Y-eta)_-] at every point of a nonempty, strictly increasing eta grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    curve = _expected_kink(bench.support, bench.probs, shortfall_minus, grid)
-    return ShortfallGrid(grid=grid, curve=curve)
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return _expected_kink(bench.support, bench.probs, shortfall_minus, grid)
 
 
 def benchmark_plus_curve(bench: Benchmark, grid: Sequence[float]) -> np.ndarray:
@@ -176,23 +157,18 @@ def reconstruct_utility(etas: Sequence[float], weights: Sequence[float]) -> Util
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """Finite family of increasing concave test functions for vector-valued z.
+    """The weighted-kink family g(x; w, eta) = (<w, x> - eta)_- for vector-valued z.
 
-    params holds the finite parameter set; evaluator(x, param) must be
-    nondecreasing and concave in x for every param. benchmark_values holds
-    E[g(Y; param)] in the same order.
+    Its members are every pair of a row w of weights (m x n, nonnegative, so
+    each member is nondecreasing and concave: positive-linear multivariate
+    dominance, Dentcheva & Ruszczynski, Math. Program. 117, 2009) and an eta
+    in etas (p,), weight vector first: member i * p + j is (weights[i],
+    etas[j]). benchmark_values holds E[g(Y; w, eta)] in member order.
     """
 
-    params: tuple
-    evaluator: Callable[[np.ndarray, object], float]
+    weights: np.ndarray
+    etas: np.ndarray
     benchmark_values: np.ndarray
-    n_dim: int
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.benchmark_values, dtype=float)
-        if len(self.params) == 0 or vals.shape != (len(self.params),):
-            raise ValueError("one benchmark value per parameter required")
-        object.__setattr__(self, "benchmark_values", vals)
 
 
 def weighted_kink_family(
@@ -200,10 +176,9 @@ def weighted_kink_family(
     etas: Sequence[float],
     bench: Benchmark,
 ) -> GeneratorFamily:
-    """Built-in family g(x; (w, eta)) = (<w, x> - eta)_- over all (w, eta) pairs.
+    """The family of every (w, eta) pair, for nonnegative weight vectors w.
 
-    Weight vectors must be nonnegative so each member is nondecreasing and
-    concave. At n = 1 with w = 1 this reduces to the scalar kink family.
+    At n = 1 with w = 1 this reduces to the scalar kink family.
     """
     ws = [np.asarray(w, dtype=float) for w in weight_vectors]
     if not ws:
@@ -222,52 +197,22 @@ def weighted_kink_family(
     support = bench.support if bench.is_vector else bench.support[:, None]
     if support.shape[1] != n:
         raise ValueError(f"benchmark dimension {support.shape[1]} != family dimension {n}")
-    params = tuple((w, float(eta)) for w in ws for eta in etas)
-
-    def evaluate(x: np.ndarray, param) -> float:
-        w, eta = param
-        return float(min(float(np.dot(w, x)) - eta, 0.0))
-
-    bvals = np.array(
-        [float(bench.probs @ np.minimum(support @ w - eta, 0.0)) for (w, eta) in params]
-    )
-    return GeneratorFamily(params=params, evaluator=evaluate, benchmark_values=bvals, n_dim=n)
+    bvals = [float(bench.probs @ np.minimum(support @ w - eta, 0.0)) for w in ws for eta in etas]
+    if etas.ndim != 1 or not bvals:
+        raise ValueError("one benchmark value per parameter required")
+    return GeneratorFamily(weights=np.array(ws), etas=etas, benchmark_values=np.array(bvals))
 
 
 def family_rows(fam: GeneratorFamily, z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One dominance row per family parameter: matrix of g(z(s,a); xi) and rhs E[g(Y; xi)]."""
+    """One dominance row per member, in member order: min(<w, z(s,a)> - eta, 0), and its rhs.
+
+    The rhs is benchmark_values, E[g(Y; w, eta)] per member.
+    """
     z = np.asarray(z_values, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    if z.shape[1] != fam.n_dim:
-        raise ValueError(f"z dimension {z.shape[1]} != family dimension {fam.n_dim}")
-    rows = np.empty((len(fam.params), z.shape[0]))
-    for i, param in enumerate(fam.params):
-        rows[i] = [fam.evaluator(z[k], param) for k in range(z.shape[0])]
-    return rows, fam.benchmark_values.copy()
-
-
-def validate_family(
-    fam: GeneratorFamily,
-    rng: np.random.Generator,
-    samples: int = 64,
-    box: float = 10.0,
-    step: float = 1e-4,
-    tol: float = 1e-9,
-) -> list[str]:
-    """Finite-difference spot check that every member is nondecreasing and concave."""
-    problems: list[str] = []
-    for i, param in enumerate(fam.params):
-        for _ in range(samples):
-            x = rng.uniform(-box, box, size=fam.n_dim)
-            axis = int(rng.integers(fam.n_dim))
-            e = np.zeros(fam.n_dim)
-            e[axis] = step
-            f0 = fam.evaluator(x, param)
-            f1 = fam.evaluator(x + e, param)
-            f2 = fam.evaluator(x + 2 * e, param)
-            if f1 - f0 < -tol:
-                problems.append(f"param {i} decreasing along axis {axis} at {x!r}")
-            if f2 - 2 * f1 + f0 > tol:
-                problems.append(f"param {i} convex kink along axis {axis} at {x!r}")
-    return problems
+    n = fam.weights.shape[1]
+    if z.shape[1] != n:
+        raise ValueError(f"z dimension {z.shape[1]} != family dimension {n}")
+    rows = np.minimum((fam.weights @ z.T)[:, None, :] - fam.etas[:, None], 0.0)
+    return rows.reshape(-1, z.shape[0]), fam.benchmark_values.copy()

@@ -223,6 +223,8 @@ def parse_instance(obj: dict) -> LoadedInstance:
             raise ValueError("'family' needs 'weights' and 'etas'")
         family = weighted_kink_family(fam["weights"], fam["etas"], benchmark)
     extra = np.asarray(obj["extra_grid"], dtype=float) if "extra_grid" in obj else None
+    if extra is not None and extra.ndim != 1:
+        raise ValueError("'extra_grid' must be a list of numbers")
     if extra is not None and not np.all(np.isfinite(extra)):
         raise ValueError("'extra_grid' must be finite")
     # Checked last, so that a file with another fault still reports that one.

@@ -149,7 +149,7 @@ class Benchmark:
         if np.any(probs < -BENCH_TOL):
             raise ValueError("benchmark probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > BENCH_TOL:
-            raise ValueError(f"benchmark probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"benchmark probabilities sum to {float(probs.sum())!r}, not 1")
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "probs", _freeze(np.maximum(probs, 0.0)))
 
@@ -175,7 +175,7 @@ class Policy:
             if np.any(row < -POLICY_TOL):
                 raise ValueError(f"policy row for state {s} has negative entries")
             if abs(row.sum() - 1.0) > POLICY_TOL:
-                raise ValueError(f"policy row for state {s} sums to {row.sum()!r}")
+                raise ValueError(f"policy row for state {s} sums to {float(row.sum())!r}")
 
     def action_index(self, state: int) -> int:
         """Most likely action, for deterministic policies."""
@@ -228,7 +228,7 @@ def validate_instance(inst: MdpInstance) -> list[Violation]:
                     action=label,
                     next_state=int(j),
                     magnitude=float(row[j]),
-                    message=f"P({int(j)}|{s},{label}) = {row[j]!r} < 0",
+                    message=f"P({int(j)}|{s},{label}) = {float(row[j])!r} < 0",
                 )
             )
         defect = float(defects[k])
@@ -265,7 +265,7 @@ def validate_instance(inst: MdpInstance) -> list[Violation]:
                     kind="negative_initial",
                     next_state=int(j),
                     magnitude=float(inst.initial[j]),
-                    message=f"initial({int(j)}) = {inst.initial[j]!r} < 0",
+                    message=f"initial({int(j)}) = {float(inst.initial[j])!r} < 0",
                 )
             )
         defect = float(inst.initial.sum() - 1.0)

@@ -84,6 +84,7 @@ def simulate(
     seed: int,
 ) -> Trajectories:
     """num_paths independent length-T trajectories; path p is keyed by (seed, p)."""
+    require_valid(inst)
     if num_paths < 1 or T < 1:
         raise ValueError("num_paths and T must be at least 1")
     S = inst.num_states
@@ -259,7 +260,7 @@ def brute_force_best_feasible(inst: MdpInstance, bench: Benchmark) -> OracleResu
     if inst.reward_z.ndim != 1 or bench.is_vector:
         raise ValueError("vector z requires a generator family")
     etas = bench.support
-    rhs = benchmark_curve(bench, etas).curve
+    rhs = benchmark_curve(bench, etas)
     best = None   # (value, choices, shortfalls)
     feasible = 0
     skipped = 0

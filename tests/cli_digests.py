@@ -23,7 +23,9 @@ benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 ``gen-portfolio`` on the shipped config and on one with
 ``initial_holdings``, ``gen-portfolio`` and ``solve`` on the benchmark's
 3-asset config at resolution 3 (a sparse LP), ``alp`` with a
-block-aggregation basis in both modes, non-finite inputs, vector z
+block-aggregation basis in both modes, non-finite and otherwise invalid
+instances passed to ``solve``, ``oracle`` and ``simulate``, a generator
+family with non-dyadic weights in both modes, vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
 files with JSON of the wrong types, a ragged kernel row or two faults at
 once, or nested past the recursion limit, an
@@ -246,11 +248,29 @@ def _edge_cases(c: _Corpus) -> None:
         "initial-nan": _ti1_obj(**{**discounted, "initial": [NAN]}),
         "discount-inf": _ti1_obj(**{**discounted, "discount": float("inf")}),
     }
+    ti1_policy = str(INSTANCES / "ti1_policy.json")
     for name, obj in bad_instances.items():
         path = c.file(f"nonfinite-{name}", obj)
         c.add(f"nonfinite-{name}/solve", ["solve", "--instance", path])
         c.add(f"nonfinite-{name}/oracle", ["oracle", "--instance", path])
+        c.add(
+            f"nonfinite-{name}/simulate", ["simulate", "--instance", path, "--policy", ti1_policy]
+        )
     ti1 = str(INSTANCES / "ti1.json")
+    invalid_instances = {
+        "P-row-sum-half": _ti1_obj(P=[[[0.5], [1.0]]]),
+        "P-negative": _ti1_obj(P=[[[-0.5], [1.0]]]),
+        "no-initial": _ti1_obj(mode="discounted", discount=0.5),
+        "discount-one": _ti1_obj(**{**discounted, "discount": 1.0}),
+        "probs-half": _ti1_obj(benchmark={"support": [4.0], "probs": [0.5]}),
+        "extra-grid-2d": _ti1_obj(extra_grid=[[1.0]]),
+    }
+    for name, obj in invalid_instances.items():
+        path = c.file(f"invalid-{name}", obj)
+        for command in ("solve", "oracle", "simulate"):
+            argv = [command, "--instance", path]
+            argv += ["--policy", ti1_policy] if command == "simulate" else []
+            c.add(f"invalid-{name}/{command}", argv)
     bad_bases = {"basis": {"h": [[NAN]]}, "u-eta": {"h": [[1.0]], "u_lambdas": [[[NAN, 1.0]]]}}
     for name, obj in bad_bases.items():
         basis = c.file(f"nonfinite-{name}", obj)
@@ -305,6 +325,25 @@ def _edge_cases(c: _Corpus) -> None:
             f"range/simulate{flag}-0",
             ["simulate", "--instance", ti1, "--policy", policy, flag, "0"],
         )
+
+
+def _inexact_family_cases(c: _Corpus) -> None:
+    """A family whose weights are not dyadic, so <w, z> rounds, solved in both modes.
+
+    Seed 5 makes both solves optimal with a positive family multiplier.
+    """
+    rng = np.random.default_rng(5)
+    for mode in ("average", "discounted"):
+        inst = random_instance(rng, max_states=6, max_actions=3, mode=mode)
+        obj = _instance_obj(inst, random_benchmark(rng, inst))
+        z = rng.uniform(-2.0, 2.0, size=(inst.num_pairs, 2))
+        obj["z"] = [z[lo:hi].tolist() for lo, hi in zip(inst.pair_offsets, inst.pair_offsets[1:])]
+        scale = 1.0 / (1.0 - inst.discount) if mode == "discounted" else 1.0
+        support = np.round(rng.uniform(-0.5, 0.75, size=(3, 2)) * scale, 3)
+        obj["benchmark"] = {"support": support.tolist(), "probs": [0.2, 0.3, 0.5]}
+        obj["family"] = {"weights": [[0.3, 0.7]], "etas": (support @ [0.3, 0.7]).tolist()}
+        path = c.file(f"family-{mode}", obj)
+        c.add(f"family-inexact-{mode}/solve", ["solve", "--instance", path])
 
 
 def _wrong_type_cases(c: _Corpus) -> None:
@@ -481,6 +520,7 @@ def _digests() -> dict:
         _dominance_cases(c, rng, 30)
         _shipped_cases(c)
         _edge_cases(c)
+        _inexact_family_cases(c)
         _long_simulation(c, rng)
         _alp_block_cases(c)
         _decode_cases(c)

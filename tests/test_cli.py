@@ -561,3 +561,58 @@ def test_out_of_range_argument_exits_one(tmp_path, capsys, command, flag, value)
     assert run(argv + [flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+INVALID_INSTANCES = [
+    pytest.param(ti1_obj(P=[[[NAN], [1.0]]]), "P(.|0,a) must be finite", id="P-nan"),
+    pytest.param(ti1_obj(r=[[NAN, 5.0]]), "r(0,a) must be finite", id="r-nan"),
+    pytest.param(ti1_obj(r=[[float("inf"), 5.0]]), "r(0,a) must be finite", id="r-inf"),
+    pytest.param(ti1_obj(z=[[10.0, NAN]]), "z(0,b) must be finite", id="z-nan"),
+    pytest.param(
+        ti1_obj(mode="discounted", discount=0.5, initial=[NAN]),
+        "initial must be finite",
+        id="initial-nan",
+    ),
+    pytest.param(
+        ti1_obj(mode="discounted", discount=float("inf"), initial=[1.0]),
+        "discount must be finite",
+        id="discount-inf",
+    ),
+    pytest.param(
+        ti1_obj(mode="discounted", discount=1.0, initial=[1.0]),
+        "discounted mode needs discount in (0,1), got 1.0",
+        id="discount-one",
+    ),
+    pytest.param(
+        ti1_obj(mode="discounted", discount=0.5), "discounted mode needs initial", id="no-initial"
+    ),
+    pytest.param(ti1_obj(P=[[[0.5], [1.0]]]), "P(.|0,a) sums to 1-5.000e-01", id="row-sum-half"),
+    pytest.param(ti1_obj(P=[[[-0.5], [1.0]]]), "P(0|0,a) = -0.5 < 0", id="P-negative"),
+]
+
+
+@pytest.mark.parametrize("content, message", INVALID_INSTANCES)
+def test_simulate_rejects_invalid_instance_as_solve_does(tmp_path, capsys, content, message):
+    bad = write_json(tmp_path / "bad.json", content)
+    policy = write_json(tmp_path / "pol.json", [[0, [0.5, 0.5]]])
+    assert run(["simulate", "--instance", bad, "--policy", policy, "--horizon", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid instance (") and message in err
+    assert run(["solve", "--instance", bad]) == 1
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "alp", "simulate"])
+@pytest.mark.parametrize("extra_grid", [[[1.0]], 1.0], ids=["2-d", "scalar"])
+def test_extra_grid_must_be_a_list_of_numbers(tmp_path, capsys, command, extra_grid):
+    bad = write_json(tmp_path / "bad.json", ti1_obj(extra_grid=extra_grid))
+    policy = write_json(tmp_path / "pol.json", [[0, [1.0, 0.0]]])
+    basis = write_json(tmp_path / "basis.json", {"h": [[1.0]], "u_lambdas": [[[4.0, 1.0]]]})
+    argv = {
+        "solve": ["solve", "--instance", bad],
+        "oracle": ["oracle", "--instance", bad],
+        "alp": ["alp", "--instance", bad, "--epsilon", "0.25", "--delta", "0.1", "--basis", basis],
+        "simulate": ["simulate", "--instance", bad, "--policy", policy],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: 'extra_grid' must be a list of numbers\n"

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from domdp.dominance import (
     DominanceCheck,
+    GeneratorFamily,
     UtilityFunction,
     benchmark_curve,
     check_icv,
@@ -11,7 +14,6 @@ from domdp.dominance import (
     reconstruct_utility,
     shortfall_minus,
     shortfall_plus,
-    validate_family,
     weighted_kink_family,
 )
 from domdp.mdp import Benchmark
@@ -42,10 +44,11 @@ def test_shortfall_identity_random():
 
 def test_benchmark_curve_examples():
     uniform = Benchmark(support=[0.0, 10.0], probs=[0.5, 0.5])
-    assert benchmark_curve(uniform, [5.0]).curve[0] == pytest.approx(-2.5)
+    assert benchmark_curve(uniform, [5.0])[0] == pytest.approx(-2.5)
     point = Benchmark(support=[4.0], probs=[1.0])
-    assert benchmark_curve(point, [4.0]).curve[0] == 0.0
-    assert benchmark_curve(point, [0.0, 4.0, 8.0]).curve.tolist() == [0.0, 0.0, -4.0]
+    assert benchmark_curve(point, [4.0])[0] == 0.0
+    curve = benchmark_curve(point, [0.0, 4.0, 8.0])
+    assert isinstance(curve, np.ndarray) and curve.tolist() == [0.0, 0.0, -4.0]
 
 
 def test_benchmark_curve_rejects_empty_and_unsorted_grid():
@@ -62,18 +65,18 @@ def test_curve_properties_random():
         pts = np.unique(rng.normal(scale=5, size=rng.integers(1, 8)))
         bench = Benchmark(support=pts, probs=rng.dirichlet(np.ones(pts.size)))
         grid = np.unique(rng.normal(scale=8, size=12))
-        sg = benchmark_curve(bench, grid)
-        assert np.all(sg.curve <= 1e-15)
-        assert np.all(np.diff(sg.curve) <= 1e-12)  # nonincreasing
+        curve = benchmark_curve(bench, grid)
+        assert np.all(curve <= 1e-15)
+        assert np.all(np.diff(curve) <= 1e-12)  # nonincreasing
         # 1-Lipschitz in eta.
-        assert np.all(np.abs(np.diff(sg.curve)) <= np.diff(sg.grid) + 1e-12)
+        assert np.all(np.abs(np.diff(curve)) <= np.diff(grid) + 1e-12)
         # Midpoint concavity wherever the midpoint lands on the grid.
-        for i in range(sg.grid.size):
-            for j in range(i + 1, sg.grid.size):
-                mid = 0.5 * (sg.grid[i] + sg.grid[j])
-                hits = np.where(np.isclose(sg.grid, mid))[0]
+        for i in range(grid.size):
+            for j in range(i + 1, grid.size):
+                mid = 0.5 * (grid[i] + grid[j])
+                hits = np.where(np.isclose(grid, mid))[0]
                 for k in hits:
-                    assert sg.curve[k] >= 0.5 * (sg.curve[i] + sg.curve[j]) - 1e-12
+                    assert curve[k] >= 0.5 * (curve[i] + curve[j]) - 1e-12
 
 
 def test_check_icv_examples():
@@ -196,10 +199,27 @@ def test_family_dimension_mismatch_rejected():
         family_rows(fam, np.zeros((3, 3)))
 
 
-def test_validate_family_builtin_clean():
-    bench = Benchmark(support=[[1.0, 2.0], [0.0, 0.0]], probs=[0.5, 0.5])
-    fam = weighted_kink_family([[1.0, 0.5], [0.2, 0.8]], [-1.0, 1.0], bench)
-    assert validate_family(fam, np.random.default_rng(0)) == []
+def test_family_rows_match_definition():
+    """Row i * p + j is min(<w_i, z_k> - eta_j, 0) per pair k; rhs is E[(<w_i, Y> - eta_j)_-]."""
+    rng = np.random.default_rng(14)
+    for n in range(1, 5):
+        weights = rng.uniform(0.0, 1.0, size=(4, n))
+        weights[0] = np.resize([0.3, 0.7], n)
+        weights[1, 0] = 0.0
+        z = rng.uniform(-2.0, 2.0, size=(9, n))
+        etas = np.concatenate([[0.0, 0.1], np.sort(rng.uniform(-2.0, 2.0, size=3))])
+        bench = Benchmark(support=rng.uniform(-2.0, 2.0, size=(3, n)), probs=[0.2, 0.3, 0.5])
+        fam = weighted_kink_family(weights, etas, bench)
+        assert [f.name for f in fields(GeneratorFamily)] == ["weights", "etas", "benchmark_values"]
+        rows, rhs = family_rows(fam, z)
+        assert rows.shape == (len(weights) * len(etas), len(z))
+        for i, w in enumerate(weights):
+            for j, eta in enumerate(etas):
+                want = np.array([min(np.dot(w, z_k) - eta, 0.0) for z_k in z])
+                got = rows[i * len(etas) + j]
+                assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
+                member = bench.probs @ np.minimum(bench.support @ w - eta, 0.0)
+                assert rhs[i * len(etas) + j] == member
 
 
 def test_weighted_family_rejects_negative_weights():

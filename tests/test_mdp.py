@@ -209,3 +209,25 @@ def test_kernel_checks_match_loop_reference():
             if v.kind in ("negative_transition", "kernel_row_sum")
         ]
         assert got == _loop_kernel_violations(inst)
+
+
+def test_messages_print_values_as_plain_floats():
+    inst = MdpInstance(
+        num_states=2,
+        actions=(("hold",), ("hold",)),
+        kernel=np.array([[-0.5, 1.5], [0.0, 1.0]]),
+        reward_r=np.zeros(2),
+        reward_z=np.zeros(2),
+        mode="discounted",
+        discount=0.5,
+        initial=np.array([-1.0, 2.0]),
+    )
+    messages = [str(v) for v in validate_instance(inst)]
+    assert "P(0|0,hold) = -0.5 < 0" in messages
+    assert "initial(0) = -1.0 < 0" in messages
+    with pytest.raises(ValueError) as exc:
+        Benchmark(support=[1.0, 2.0], probs=[0.25, 0.25])
+    assert str(exc.value) == "benchmark probabilities sum to 0.5, not 1"
+    with pytest.raises(ValueError) as exc:
+        Policy((np.array([0.6, 0.6]),))
+    assert str(exc.value) == "policy row for state 0 sums to 1.2"
