@@ -172,6 +172,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--paths and --horizon must be at least 1")
     loaded = jsonio.parse_instance(_load_json(args.instance))
     inst = loaded.instance
+    if inst.reward_z.ndim != 1:
+        raise ValueError("shortfall estimation requires scalar z")
     policy = jsonio.parse_policy(_load_json(args.policy), inst)
     if args.grid:
         grid = np.array([float(v) for v in args.grid.split(",")])

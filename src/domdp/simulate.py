@@ -27,12 +27,27 @@ Generation, 1986, ch. III):
   s * W plus the count, and the next key's row offset is span times the
   cell's next state.
 
-Every key is an integer below S * span - 1. When S * span is at most the
-paths * T ranks the run holds anyway, the table position of every key
-(``cell_of``) and the row offset it leads to (``step``) are found once, so
-a step is one gather, base = step[base + rank], and the cells are gathered
-from ``cell_of`` after the loop. Otherwise (a table larger than the run)
-each step searches the table with one ``searchsorted``.
+A uniform's rank comes from a guide table (Chen & Asau's index table) of G
+buckets, G the smallest power of two >= 16 * len(values): with
+cnt[b] = rank(b / G), a bucket [b / G, (b + 1) / G) holding no value has
+rank(u) = cnt[b] for every u in it. G is a power of two, so b = floor(u * G)
+is exact, and only the uniforms of the at most len(values) occupied buckets
+(a few percent) are searched. The table is built only when its G + 1
+entries are no more than the run's paths * T ranks; otherwise every uniform
+is searched.
+
+Every key is an integer below S * span - 1. Let j >= 1 be the largest
+integer with S * span^j at most the paths * T ranks the run holds anyway.
+When there is one, the table position and next state of every key are
+found once, and the loop takes j steps an iteration: the key of a block of
+j steps with ranks r_1 ... r_j is state * span^j + r_1 * span^(j-1) + ... +
+r_j, and the one-step table composed j times maps it to the state j steps
+on, so a block is one gather for all paths. After the loop, a block's key
+gives its first step's key, and each step's key the next step's state, so j
+vectorised passes over all blocks recover every step's key; the T mod j
+last steps take one gather each, and the cells are gathered once at the
+end. Otherwise (S * span larger than the run) each step searches the table
+with one ``searchsorted``.
 
 A path's step ranks are computed as soon as its uniforms are drawn, so the
 step loop handles integers only, and the uniforms of only one path are
@@ -75,6 +90,42 @@ def _path_uniforms(seed: int, path: int, count: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
+def _ranker(values: np.ndarray, size: int):
+    """The function u -> searchsorted(values, u), through a guide table when
+    its G + 1 entries fit in size (see the module docstring)."""
+    G = 1 << (16 * values.size - 1).bit_length()
+    if G >= size:
+        return values.searchsorted
+    cnt = values.searchsorted(np.arange(G + 1) / G)
+    guide = np.where(cnt[:-1] == cnt[1:], cnt[:-1], -1)   # -1: occupied bucket
+
+    def rank(u: np.ndarray) -> np.ndarray:
+        r = guide.take((u * G).astype(np.intp))
+        miss = np.flatnonzero(r < 0)
+        r[miss] = values.searchsorted(u.take(miss))
+        return r
+
+    return rank
+
+
+def _block_length(S: int, span: int, size: int) -> int:
+    """Steps per table-step iteration: the largest j with S * span^j <= size,
+    or 0 (search step) when S * span > size."""
+    j = 0
+    while S * span ** (j + 1) <= size:
+        j += 1
+    return j
+
+
+def _table_steps(keys: np.ndarray, base: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Add base to keys[0], gather the next base from step, and so on down the
+    rows of keys, which become table keys in place; returns the last base."""
+    for column in keys:
+        column += base
+        base = step.take(column)
+    return base
+
+
 def simulate(
     inst: MdpInstance,
     policy: Policy,
@@ -99,40 +150,62 @@ def simulate(
     values, ranks = np.unique(joint, return_inverse=True)
     span = values.size + 1
     table = (ranks.reshape(S, W) + span * np.arange(S)[:, None]).ravel()
-    next_base = span * (np.arange(S * W) % S)
     del joint, ranks
     nu_cum = np.cumsum(np.asarray(nu, dtype=float))
     nu_cum[-1] = 1.0
 
-    # keys[t] holds the ranks of step t's uniforms until step t adds the row
-    # offsets (table step) or replaces them with table positions (search step).
+    # keys[t] holds the ranks of step t's uniforms until the step loop makes
+    # them table keys (table step) or table positions (search step).
+    size = T * num_paths
+    rank = _ranker(values, size)
     first = np.empty(num_paths)
     keys = np.empty((T, num_paths), dtype=np.int64)
     for p in range(num_paths):
         u = _path_uniforms(seed, p, 1 + T)
         first[p] = u[0]
-        keys[:, p] = np.searchsorted(values, u[1:], side="left")
-    del u
+        keys[:, p] = rank(u[1:])
+    del u, rank
     start = np.searchsorted(nu_cum, first, side="left")
-    base = span * start
-    if S * span <= keys.size:
-        # Table step: the position and next row offset of every reachable key.
-        cell_of = table.searchsorted(np.arange(S * span - 1))
-        step = next_base.take(cell_of)
-        del table, next_base
-        for column in keys:
-            column += base
-            base = step.take(column)
-        del step
+    next_state = np.arange(S * W) % S
+    j = _block_length(S, span, size)
+    if j:
+        # Table position and next state of every key state * span + rank. The
+        # last key, past the table's end, never occurs: every rank is below span - 1.
+        cell_of = table.searchsorted(np.arange(S * span))
+        cell_of[-1] = 0
+        nxt = next_state.take(cell_of)
+        del table, next_state
+        # jump[state * span^j + (r_1 ... r_j in base span)] is the state after
+        # the j steps of ranks r_1 ... r_j.
+        jump = nxt
+        for _ in range(j - 1):
+            jump = jump.reshape(S, -1).take(nxt, axis=0).ravel()
+        blocks = keys[: T - T % j].reshape(-1, j, num_paths)
+        packed = blocks[:, 0]   # for j = 1 a view of keys, made keys in place
+        for i in range(1, j):
+            packed = packed * span + blocks[:, i]
+        base = _table_steps(packed, span**j * start, span**j * jump)
+        del jump
+        if j > 1:
+            # Each block's start key gives its first step's key, and each
+            # step's key its next step's state: one pass per step of a block.
+            blocks[:, 0] = packed // span ** (j - 1)
+            for i in range(1, j):
+                blocks[:, i] += span * nxt.take(blocks[:, i - 1])
+            _table_steps(keys[T - T % j :], base // span ** (j - 1), span * nxt)
+        del blocks, packed, nxt
         cells = cell_of.take(keys.T)
         del cell_of
     else:
+        next_base = span * next_state
+        del next_state
         find = table.searchsorted   # the bound method skips np.searchsorted's dispatch
+        base = span * start
         for column in keys:
             g = find(base + column)
             column[:] = g
             base = next_base[g]
-        del table, next_base
+        del table, next_base, column   # the last row is a view that keeps keys alive
         cells = np.ascontiguousarray(keys.T)
     del keys
     cells %= W

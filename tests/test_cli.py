@@ -238,6 +238,18 @@ def test_extra_grid_diagnostics(tmp_path, capsys):
     assert margins[6.0] == pytest.approx(2.0, abs=1e-9)  # 0 - (4-6)_-
 
 
+def test_extra_grid_is_ignored_with_a_family(tmp_path, capsys):
+    # A family replaces the benchmark-support rows; extra_grid adds no margins to it.
+    family = {"weights": [[1.0]], "etas": [4.0]}
+    with_grid = write_json(tmp_path / "grid.json", ti1_obj(extra_grid=[2.0], family=family))
+    without = write_json(tmp_path / "plain.json", ti1_obj(family=family))
+    assert run(["solve", "--instance", with_grid]) == 0
+    report = capsys.readouterr().out
+    assert "extra_grid_margins" not in json.loads(report)
+    assert run(["solve", "--instance", without]) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_shipped_instances_solve(capsys):
     from pathlib import Path
 
@@ -511,6 +523,20 @@ def test_vector_z_outside_solve_exits_one(tmp_path, capsys, command, content):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "requires a generator family" in err
+
+
+def test_simulate_rejects_vector_z_before_simulating(tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate ran on a vector-z instance")
+
+    monkeypatch.setattr(sys.modules["domdp.cli"], "simulate", no_simulation)
+    bad = write_json(
+        tmp_path / "bad.json", {**VECTOR_Z, "family": {"weights": [[0.5, 0.5]], "etas": [4.0]}}
+    )
+    policy = write_json(tmp_path / "pol.json", [[0, [1.0, 0.0]]])
+    argv = ["simulate", "--instance", bad, "--policy", policy, "--horizon", "1000000"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: shortfall estimation requires scalar z\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "alp"])

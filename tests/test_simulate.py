@@ -114,8 +114,8 @@ def _reference_simulate(inst, policy, nu, T, num_paths, seed):
     return states, actions, inst.reward_z[offsets[states] + actions]
 
 
-def _span(inst, policy):
-    """One more than the number of distinct entries of the simulator's rank table.
+def _values(inst, policy):
+    """The distinct entries of the simulator's rank table, in increasing order.
 
     Those are every row's cumulative sums capped at 1.0, without the row's
     last cell, and the 1.0 of the last cell and the padding.
@@ -124,7 +124,7 @@ def _span(inst, policy):
     for s, row in enumerate(policy.rows):
         block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
         cums.append(np.minimum(np.cumsum(row[:, None] * block)[:-1], 1.0))
-    return np.unique(np.concatenate(cums)).size + 1
+    return np.unique(np.concatenate(cums))
 
 
 def _sparse_policy(rng, inst):
@@ -194,7 +194,9 @@ def test_step_loop_matches_reference(monkeypatch, uniforms):
     assert min(ends) < BELOW_ONE
     # Both step loops run: the table step when S * span <= paths * T (the
     # small cases), the search step otherwise (the 64-state case).
-    table_step = [inst.num_states * _span(inst, pol) <= 4 * 1500 for inst, pol, _ in cases]
+    table_step = [
+        inst.num_states * (_values(inst, pol).size + 1) <= 4 * 1500 for inst, pol, _ in cases
+    ]
     assert any(table_step) and not all(table_step)
     for i, (inst, policy, nu) in enumerate(cases):
         got = simulate(inst, policy, nu, T=1500, num_paths=4, seed=i)
@@ -301,6 +303,150 @@ def test_tolerated_negative_policy_entry_never_drawn(monkeypatch):
     assert np.array_equal(got.states, states)
     assert np.array_equal(got.actions, actions)
     assert np.array_equal(got.z, z)
+
+
+def _assert_matches_reference(inst, policy, nu, T, num_paths, seed=0):
+    got = simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=seed)
+    ref = _reference_simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=seed)
+    for a, b in zip((got.states, got.actions, got.z), ref):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def _regime(inst, policy, T, num_paths):
+    """(steps per table-step iteration, whether ranks go through a guide table)."""
+    values = _values(inst, policy)
+    size = T * num_paths
+    j = SIM._block_length(inst.num_states, values.size + 1, size)
+    return j, SIM._ranker(values, size) != values.searchsorted
+
+
+def test_block_length_is_the_largest_j_within_the_run():
+    assert SIM._block_length(3, 5, 14) == 0   # S * span > paths * T: search step
+    assert SIM._block_length(3, 5, 15) == 1
+    assert SIM._block_length(3, 5, 74) == 1
+    assert SIM._block_length(3, 5, 75) == 2
+    assert SIM._block_length(3, 5, 1875) == 4
+    assert SIM._block_length(1, 2, 2**20) == 20
+
+
+def test_guide_ranks_equal_the_binary_search():
+    # Values on bucket edges, a cluster of 40 in one bucket, random ones, 0.0 and 1.0.
+    rng = np.random.default_rng(3)
+    edges, cluster = np.arange(0, 64, 3) / 64, 0.3 + 1e-13 * np.arange(40)
+    values = np.unique(np.concatenate([edges, cluster, rng.random(50), [1.0]]))
+    G = 1 << (16 * values.size - 1).bit_length()
+    u = np.concatenate(
+        [
+            np.arange(G) / G,
+            values[:-1],
+            np.nextafter(values[:-1], 1.0),
+            np.nextafter(values[1:], 0.0),
+            rng.random(5000),
+            [BELOW_ONE],
+        ]
+    )
+    assert SIM._ranker(values, G) == values.searchsorted   # the table would not fit
+    rank = SIM._ranker(values, G + 1)
+    assert rank != values.searchsorted
+    assert np.array_equal(rank(u), values.searchsorted(u))
+
+
+def _dyadic_case():
+    """Ragged actions, every probability a multiple of 1/8: the cumulative values
+    are multiples of 1/32, so they sit on the guide table's bucket edges."""
+    e = 1 / 8
+    kernel = [[4 * e, 2 * e, 2 * e], [0, 3 * e, 5 * e], [e, 0, 7 * e], [2 * e, 2 * e, 4 * e],
+              [5 * e, 3 * e, 0]]
+    inst, policy, nu, _ = _lookup_case(
+        [2, 1, 2], kernel, [[0.5, 0.5], [1.0], [0.25, 0.75]], [0.5, 0.25, 0.25], 0
+    )
+    return inst, policy, nu
+
+
+def _one_state_case():
+    inst, policy, nu, _ = _lookup_case([3], [[1.0]] * 3, [[0.25, 0.5, 0.25]], [1.0], 0)
+    return inst, policy, nu
+
+
+def _clustered_case():
+    """Three states, four actions: actions b and c have probability 1e-13, so
+    the cumulative values of state s just above p_s fall in one guide bucket."""
+    e = 1 / 4
+    kernel = [np.roll([2 * e, e, e], s + a) for s in range(3) for a in range(4)]
+    policy = [[p, 1e-13, 1e-13, 1 - p - 2e-13] for p in (0.3, 0.7, 0.5)]
+    inst, policy, nu, _ = _lookup_case([4] * 3, kernel, policy, [0.5, 0.25, 0.25], 0)
+    return inst, policy, nu
+
+
+def _two_state_case():
+    """Two states, two actions each, five cumulative values."""
+    kernel = [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0], [0.25, 0.75]]
+    inst, policy, nu, _ = _lookup_case([2, 2], kernel, [[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], 0)
+    return inst, policy, nu
+
+
+def _wide_dyadic_case():
+    """40 states, 1 action, each row 3/8, 1/4, 1/4, 1/8 on four states ahead."""
+    S = 40
+    kernel = np.zeros((S, S))
+    for s in range(S):
+        kernel[s, [(s + 1) % S, (s + 5) % S, (s + 11) % S, (s + 17) % S]] = [3, 2, 2, 1]
+    inst, policy, nu, _ = _lookup_case([1] * S, kernel / 8, [[1.0]] * S, np.full(S, 1 / S), 0)
+    return inst, policy, nu
+
+
+def _edge_uniforms(inst, policy, nu):
+    """Bucket edges k / G, every cumulative value and the floats next to them."""
+    values = _values(inst, policy)
+    G = 1 << (16 * values.size - 1).bit_length()
+    pool = np.concatenate(
+        [
+            np.arange(G) / G,
+            values[:-1],
+            np.nextafter(values[:-1], 1.0),
+            np.nextafter(values[1:], 0.0),
+            np.cumsum(nu)[:-1],
+            [0.0, BELOW_ONE],
+        ]
+    )
+    pool = pool[(pool >= 0.0) & (pool < 1.0)]
+
+    def draws(seed, path, count):
+        rng = np.random.default_rng([seed, path])
+        u = rng.random(count)
+        tie = rng.random(count) < 0.8
+        u[tie] = rng.choice(pool, size=int(tie.sum()))
+        return u
+
+    return draws
+
+
+STEP_CASES = [
+    # case, T, paths, j, guide table built, uniforms at bucket edges and values;
+    # with T mod j > 0 the last T mod j steps take the one-step loop.
+    pytest.param(_dyadic_case, 1001, 4, 3, True, False, id="j3-tail2"),
+    pytest.param(_dyadic_case, 1001, 4, 3, True, True, id="j3-tail2-edges"),
+    # S * span^3 = 2 * 6^3 is exactly paths * T.
+    pytest.param(_two_state_case, 2, 216, 3, True, True, id="T-below-j"),
+    # With one state a rank is its own key: the tail loop changes nothing there.
+    pytest.param(_one_state_case, 1001, 3, 5, True, True, id="one-state-j5-tail1"),
+    pytest.param(_dyadic_case, 2189, 1, 3, True, True, id="one-path-j3-tail2"),
+    pytest.param(_clustered_case, 1001, 4, 2, True, True, id="clustered-j2-tail1"),
+    pytest.param(_two_state_case, 21, 5, 2, False, True, id="guide-capped-j2-tail1"),
+    pytest.param(_wide_dyadic_case, 100, 3, 0, True, True, id="search-step-guide"),
+]
+
+
+@pytest.mark.parametrize("case, T, num_paths, j, guide, edges", STEP_CASES)
+def test_block_steps_and_guide_ranks_match_reference(
+    monkeypatch, case, T, num_paths, j, guide, edges
+):
+    inst, policy, nu = case()
+    assert _regime(inst, policy, T, num_paths) == (j, guide)
+    if edges:
+        monkeypatch.setattr(SIM, "_path_uniforms", _edge_uniforms(inst, policy, nu))
+    for seed in range(3):
+        _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed)
 
 
 def test_average_shortfall_constant_z():
