@@ -1,8 +1,9 @@
 """Monte Carlo trajectory simulation and brute-force policy oracles.
 
 Randomness is counter-based and splittable: path p of a run seeded with s
-draws from Philox keyed by (s, p), so trajectories are bit-reproducible
-across runs and platforms. The first uniform of a path selects the starting
+draws from Philox keyed by (s, p) from counter 0 (one bit generator,
+re-keyed for each path), so trajectories are bit-reproducible across runs
+and platforms. The first uniform of a path selects the starting
 state by inverse CDF; each subsequent uniform u selects the joint
 (action, next state) cell of the current state's distribution
 phi(a|s) P(j|s,a), flattened action-major: the cell is the number of
@@ -45,13 +46,20 @@ r_j, and the one-step table composed j times maps it to the state j steps
 on, so a block is one gather for all paths. After the loop, a block's key
 gives its first step's key, and each step's key the next step's state, so j
 vectorised passes over all blocks recover every step's key; the T mod j
-last steps take one gather each, and the cells are gathered once at the
-end. Otherwise (S * span larger than the run) each step searches the table
-with one ``searchsorted``.
+last steps take one gather each. Otherwise (S * span larger than the run)
+each step searches the table with one ``searchsorted`` and keeps the table
+position. Either way one gather through a table of S * span keys or S * W
+positions maps every step to its dense (state, action) pair, the output.
 
 A path's step ranks are computed as soon as its uniforms are drawn, so the
 step loop handles integers only, and the uniforms of only one path are
 held at a time.
+
+A path's empirical reward distribution is its pair-visit frequencies (its
+empirical occupation measure), so the estimators count each path's visits
+to every pair with one ``bincount`` (weighted by delta^t in discounted
+mode) and take every eta's shortfall as those counts times min(z - eta, 0):
+no (paths, T) array of z or of shortfalls is built.
 """
 
 from __future__ import annotations
@@ -78,16 +86,39 @@ FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Trajectories:
-    """Row p is path p; column t is step t."""
+    """Path p's step t is the dense pair pairs[p, t] of inst; states, actions
+    and z are read off the pairs."""
 
-    states: np.ndarray    # (num_paths, T)
-    actions: np.ndarray   # (num_paths, T), action index within A(s_t)
-    z: np.ndarray         # (num_paths, T) for scalar z, (num_paths, T, d) for vector z
+    inst: MdpInstance
+    pairs: np.ndarray   # (num_paths, T)
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.inst.state_of_pair().take(self.pairs)
+
+    @property
+    def actions(self) -> np.ndarray:
+        """Action index within A(s_t)."""
+        return self.pairs - self.inst.pair_offsets.take(self.states)
+
+    @property
+    def z(self) -> np.ndarray:
+        """(num_paths, T) for scalar z, (num_paths, T, d) for vector z."""
+        return self.inst.reward_z[self.pairs]
 
 
-def _path_uniforms(seed: int, path: int, count: int) -> np.ndarray:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(count)
+def _uniforms(seed: int, num_paths: int, count: int):
+    """Yield path p's count uniforms, p = 0 ... num_paths - 1: Philox keyed by
+    (seed, p) from counter 0, one bit generator re-keyed for each path."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state   # counter 0, empty buffer
+    state["state"]["key"] = key
+    for p in range(num_paths):
+        key[1] = p
+        bitgen.state = state
+        yield gen.random(count)
 
 
 def _ranker(values: np.ndarray, size: int):
@@ -160,13 +191,16 @@ def simulate(
     rank = _ranker(values, size)
     first = np.empty(num_paths)
     keys = np.empty((T, num_paths), dtype=np.int64)
-    for p in range(num_paths):
-        u = _path_uniforms(seed, p, 1 + T)
+    for p, u in enumerate(_uniforms(seed, num_paths, 1 + T)):
         first[p] = u[0]
         keys[:, p] = rank(u[1:])
     del u, rank
     start = np.searchsorted(nu_cum, first, side="left")
     next_state = np.arange(S * W) % S
+    # The dense pair of every table position s * W + action * S + next state.
+    # A state's padding cells would map past its pairs, but no uniform
+    # reaches them (see the module docstring).
+    pair_of = (inst.pair_offsets[:-1, None] + np.arange(W) // S).ravel()
     j = _block_length(S, span, size)
     if j:
         # Table position and next state of every key state * span + rank. The
@@ -194,7 +228,7 @@ def simulate(
                 blocks[:, i] += span * nxt.take(blocks[:, i - 1])
             _table_steps(keys[T - T % j :], base // span ** (j - 1), span * nxt)
         del blocks, packed, nxt
-        cells = cell_of.take(keys.T)
+        pair_of = pair_of.take(cell_of)
         del cell_of
     else:
         next_base = span * next_state
@@ -206,19 +240,8 @@ def simulate(
             column[:] = g
             base = next_base[g]
         del table, next_base, column   # the last row is a view that keeps keys alive
-        cells = np.ascontiguousarray(keys.T)
-    del keys
-    cells %= W
-
-    states = np.empty_like(cells)
-    states[:, 0] = start
-    np.remainder(cells[:, :-1], S, out=states[:, 1:])
-    actions = np.floor_divide(cells, S, out=cells)
-    offsets = inst.pair_offsets[:-1]
-    z = np.empty(actions.shape + inst.reward_z.shape[1:], dtype=inst.reward_z.dtype)
-    for p in range(num_paths):
-        z[p] = inst.reward_z[offsets[states[p]] + actions[p]]
-    return Trajectories(states=states, actions=actions, z=z)
+    pairs = pair_of.take(keys)
+    return Trajectories(inst=inst, pairs=pairs.T)
 
 
 @dataclass(frozen=True)
@@ -229,23 +252,43 @@ class ShortfallEstimate:
     truncation_bound: float = 0.0
 
 
+def _shortfall_totals(trajs: Trajectories, grid: np.ndarray, start: int = 0, weights=None):
+    """(grid, num_paths): entry (i, p) sums weights[t - start] min(z_t - grid[i], 0)
+    over path p's steps t >= start (weight 1 when weights is None), as
+    min(z - eta, 0) times the path's visit counts of every pair."""
+    inst = trajs.inst
+    if inst.reward_z.ndim != 1:
+        raise ValueError("shortfall estimation requires scalar z")
+    window = trajs.pairs.T[start:]   # step-major, C-ordered as simulate leaves it
+    n = window.shape[1]
+    keys = window * n   # pair * n + path: one bincount counts every path
+    keys += np.arange(n)
+    if weights is not None:
+        weights = np.broadcast_to(weights[:, None], window.shape).ravel()
+    counts = np.bincount(keys.ravel(), weights, minlength=inst.num_pairs * n)
+    return shortfall_minus(inst.reward_z, grid[:, None]) @ counts.reshape(-1, n)
+
+
+def _batch_stats(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mean over the paths and its standard error (0 for one path)."""
+    n = totals.shape[1]
+    se = totals.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(totals))
+    return totals.mean(axis=1), se
+
+
 def estimate_average_shortfalls(trajs: Trajectories, grid) -> list[ShortfallEstimate]:
     """Per-eta long-run average shortfall, paths as batches for the standard error.
 
     The first T//10 steps of every path are discarded as burn-in.
     """
     grid = np.asarray(grid, dtype=float)
-    if trajs.z.ndim != 2:
-        raise ValueError("shortfall estimation requires scalar z")
-    n, T = trajs.z.shape
-    zmat = trajs.z[:, T // 10 :]
-    out = []
-    for eta in grid:
-        path_means = shortfall_minus(zmat, eta).mean(axis=1)
-        est = float(path_means.mean())
-        se = float(path_means.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        out.append(ShortfallEstimate(eta=float(eta), estimate=est, stderr=se))
-    return out
+    T = trajs.pairs.shape[1]
+    burn = T // 10
+    mean, se = _batch_stats(_shortfall_totals(trajs, grid, burn) / (T - burn))
+    return [
+        ShortfallEstimate(eta=float(e), estimate=float(m), stderr=float(s))
+        for e, m, s in zip(grid, mean, se)
+    ]
 
 
 def estimate_discounted_shortfalls(
@@ -254,27 +297,26 @@ def estimate_discounted_shortfalls(
     """Per-eta discounted shortfall sum over the truncated horizon.
 
     The recorded truncation bound is delta^T max|z - eta| / (1 - delta); pass
-    the instance-wide z range for an honest bound, otherwise the observed
-    range is used.
+    the instance-wide z range for an honest bound, otherwise the range over
+    the visited pairs is used.
     """
     grid = np.asarray(grid, dtype=float)
-    zmat = trajs.z
-    if zmat.ndim != 2:
-        raise ValueError("shortfall estimation requires scalar z")
-    n, T = zmat.shape
+    T = trajs.pairs.shape[1]
+    mean, se = _batch_stats(_shortfall_totals(trajs, grid, weights=delta ** np.arange(T)))
     if z_range is None:
-        z_range = (float(zmat.min()), float(zmat.max()))
-    disc = delta ** np.arange(T)
-    out = []
-    for eta in grid:
-        totals = shortfall_minus(zmat, eta) @ disc
-        est = float(totals.mean())
-        se = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        bound = delta**T * max(abs(z_range[0] - eta), abs(z_range[1] - eta)) / (1.0 - delta)
-        out.append(
-            ShortfallEstimate(eta=float(eta), estimate=est, stderr=se, truncation_bound=bound)
+        inst = trajs.inst
+        z = inst.reward_z[np.bincount(trajs.pairs.ravel(), minlength=inst.num_pairs) > 0]
+        z_range = (float(z.min()), float(z.max()))
+    lo, hi = z_range
+    return [
+        ShortfallEstimate(
+            eta=float(e),
+            estimate=float(m),
+            stderr=float(s),
+            truncation_bound=delta**T * max(abs(lo - e), abs(hi - e)) / (1.0 - delta),
         )
-    return out
+        for e, m, s in zip(grid, mean, se)
+    ]
 
 
 def _choices(inst: MdpInstance):

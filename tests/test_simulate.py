@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from domdp import io as jsonio
 from domdp.average import solve_average
 from domdp.discounted import solve_discounted
+from domdp.dominance import shortfall_minus
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
 from domdp.simulate import (
     brute_force_best_feasible,
@@ -81,6 +83,26 @@ def test_same_seed_reproduces_trajectories():
     assert any(not np.array_equal(sa, sc) for sa, sc in zip(a.states, c.states))
 
 
+def _philox(seed, path, count):
+    """Path path's uniforms from a fresh Philox keyed by (seed, path)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+def _per_path(draws):
+    """A stand-in for SIM._uniforms: path p's uniforms are draws(seed, p, count)."""
+    return lambda seed, num_paths, count: (draws(seed, p, count) for p in range(num_paths))
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, -1])
+@pytest.mark.parametrize("count", [51, 137])   # 1 + T of the two discounted benchmark ops
+def test_rekeyed_streams_equal_fresh_philox(seed, count):
+    got = list(SIM._uniforms(seed, 7, count))
+    assert len(got) == 7
+    for p, u in enumerate(got):
+        assert u.tobytes() == _philox(seed, p, count).tobytes()
+
+
 def _reference_simulate(inst, policy, nu, T, num_paths, seed):
     """The per-step loop the simulator used to run, kept as a reference.
 
@@ -99,7 +121,7 @@ def _reference_simulate(inst, policy, nu, T, num_paths, seed):
     counts = np.diff(inst.pair_offsets)
     nu_cum = np.cumsum(np.asarray(nu, dtype=float))
 
-    U = np.stack([SIM._path_uniforms(seed, p, 1 + T) for p in range(num_paths)])
+    U = np.stack(list(SIM._uniforms(seed, num_paths, 1 + T)))
     state = np.searchsorted(nu_cum, U[:, 0], side="left")
     np.clip(state, 0, S - 1, out=state)
     states = np.empty((num_paths, T), dtype=np.int64)
@@ -170,16 +192,14 @@ def _reference_cases():
 @pytest.mark.parametrize("uniforms", ["philox", "below-one"])
 def test_step_loop_matches_reference(monkeypatch, uniforms):
     if uniforms == "below-one":
-        philox = SIM._path_uniforms
-
         def tail_heavy(seed, path, count):
             # Every start draw and every later draw above 0.7 is the largest uniform.
-            u = philox(seed, path, count)
+            u = _philox(seed, path, count)
             u[u > 0.7] = BELOW_ONE
             u[0] = BELOW_ONE
             return u
 
-        monkeypatch.setattr(SIM, "_path_uniforms", tail_heavy)
+        monkeypatch.setattr(SIM, "_uniforms", _per_path(tail_heavy))
     cases = list(_reference_cases())
     # The cases must exercise padded rows, zero-probability cells, and start
     # and joint rows whose cumulative sum ends below the largest uniform.
@@ -275,7 +295,7 @@ def test_lookup_matches_reference_at_ties_and_row_ends(case):
         u[tie] = rng.choice(pool, size=int(tie.sum()))
         return u
 
-    with mock.patch.object(SIM, "_path_uniforms", draws):
+    with mock.patch.object(SIM, "_uniforms", _per_path(draws)):
         got = simulate(inst, policy, nu, T=40, num_paths=3, seed=0)
         states, actions, z = _reference_simulate(inst, policy, nu, T=40, num_paths=3, seed=0)
     assert np.array_equal(got.states, states)
@@ -295,7 +315,7 @@ def test_tolerated_negative_policy_entry_never_drawn(monkeypatch):
         mode="average",
     )
     policy = Policy((np.array([1.0, -1e-10]), np.array([1.0, -1e-10])))
-    monkeypatch.setattr(SIM, "_path_uniforms", lambda seed, path, n: np.full(n, 1 - 7.5e-11))
+    monkeypatch.setattr(SIM, "_uniforms", _per_path(lambda seed, path, n: np.full(n, 1 - 7.5e-11)))
     nu = np.array([0.5, 0.5])
     got = simulate(inst, policy, nu, T=20, num_paths=2, seed=0)
     states, actions, z = _reference_simulate(inst, policy, nu, T=20, num_paths=2, seed=0)
@@ -444,7 +464,7 @@ def test_block_steps_and_guide_ranks_match_reference(
     inst, policy, nu = case()
     assert _regime(inst, policy, T, num_paths) == (j, guide)
     if edges:
-        monkeypatch.setattr(SIM, "_path_uniforms", _edge_uniforms(inst, policy, nu))
+        monkeypatch.setattr(SIM, "_uniforms", _per_path(_edge_uniforms(inst, policy, nu)))
     for seed in range(3):
         _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed)
 
@@ -506,6 +526,93 @@ def test_discounted_shortfall_alternating():
     est = estimate_discounted_shortfalls(trajs, [5.0], delta=0.5)[0]
     expected = -5.0 * (1 - 0.25 ** (T // 2)) / (1 - 0.25)
     assert est.estimate == pytest.approx(expected, rel=1e-12)
+
+
+def _per_step_estimates(trajs, grid, delta=None):
+    """The estimators' former per-step formula over trajs.z: per path, the mean
+    after burn-in of min(z_t - eta, 0) (average), or its delta^t-weighted sum."""
+    n, T = trajs.z.shape
+    out = []
+    for eta in grid:
+        if delta is None:
+            totals = shortfall_minus(trajs.z[:, T // 10 :], eta).mean(axis=1)
+        else:
+            totals = shortfall_minus(trajs.z, eta) @ delta ** np.arange(T)
+        se = totals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+        out.append((totals.mean(), se))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["average", "discounted"]),
+    T=st.integers(1, 250),
+    num_paths=st.integers(1, 6),
+)
+@example(key=0, mode="average", T=97, num_paths=1)
+@example(key=1, mode="discounted", T=43, num_paths=1)
+@example(key=2, mode="average", T=1, num_paths=3)
+@example(key=216, mode="average", T=245, num_paths=6)   # equal paths: stderr 0 vs 1e-16
+def test_count_estimators_match_per_step_formula(key, mode, T, num_paths):
+    rng = np.random.default_rng(key)
+    inst = random_instance(rng, max_states=5, max_actions=4, mode=mode)
+    policy = _sparse_policy(rng, inst)
+    nu = rng.dirichlet(np.ones(inst.num_states))
+    trajs = simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=key)
+    states, actions = trajs.states, trajs.actions
+    # A step's action lies within its own state's actions: no padding cell
+    # maps into the next state's pairs.
+    sizes = np.array([len(a) for a in inst.actions])
+    assert np.all((actions >= 0) & (actions < sizes[states]))
+    assert np.array_equal(inst.pair_offsets[states] + actions, trajs.pairs)
+    grid = np.sort(rng.uniform(-2.5, 2.0, size=3))
+    if mode == "average":
+        got = estimate_average_shortfalls(trajs, grid)
+        ref = _per_step_estimates(trajs, grid)
+    else:
+        got = estimate_discounted_shortfalls(trajs, grid, inst.discount)
+        ref = _per_step_estimates(trajs, grid, inst.discount)
+    for est, (mean, se) in zip(got, ref):
+        assert abs(est.estimate - mean) <= 1e-12 * abs(mean)
+        # Rounding in the path totals is relative to their size, not to their
+        # spread: paths that visit the same pairs equally often can read a
+        # stderr of 0 on one side and 1e-16 on the other.
+        assert abs(est.stderr - se) <= 1e-12 * (se + abs(mean))
+        if num_paths == 1:
+            assert est.stderr == 0.0
+
+
+def test_simulate_and_average_estimate_stay_small():
+    # The first criterion-7 average instance, at the benchmark's run length:
+    # the pairs are 16 MB; (paths, T) arrays of states, actions and z, or a
+    # per-eta (paths, T) shortfall array, would pass the limit.
+    inst, bench, report = feasible_pair(np.random.default_rng(2468), max_states=8, max_actions=4)
+    nu = np.full(inst.num_states, 1.0 / inst.num_states)
+    tracemalloc.start()
+    try:
+        trajs = simulate(inst, report.policy, nu, T=100_000, num_paths=20, seed=1000)
+        estimate_average_shortfalls(trajs, bench.support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
+def test_discounted_bound_without_range_uses_visited_pairs():
+    rng = np.random.default_rng(77)
+    inst = random_instance(rng, max_states=6, max_actions=4, mode="discounted")
+    policy = deterministic_policy(inst, [0] * inst.num_states)
+    T, delta, grid = 30, inst.discount, np.array([-1.0, 0.5])
+    trajs = simulate(inst, policy, inst.initial, T=T, num_paths=3, seed=4)
+    # Only first actions are taken, so the visited range is narrower than the instance's.
+    zmin, zmax = float(trajs.z.min()), float(trajs.z.max())
+    assert (zmin, zmax) != (inst.reward_z.min(), inst.reward_z.max())
+    for est in estimate_discounted_shortfalls(trajs, grid, delta):
+        eta = est.eta
+        assert est.truncation_bound == delta**T * max(abs(zmin - eta), abs(zmax - eta)) / (
+            1.0 - delta
+        )
 
 
 def test_truncation_bound_construction():
