@@ -218,7 +218,8 @@ def simulate(
         packed = blocks[:, 0]   # for j = 1 a view of keys, made keys in place
         for i in range(1, j):
             packed = packed * span + blocks[:, i]
-        base = _table_steps(packed, span**j * start, span**j * jump)
+        jump *= span**j   # for j = 1 this scales nxt, which is not read again
+        base = _table_steps(packed, span**j * start, jump)
         del jump
         if j > 1:
             # Each block's start key gives its first step's key, and each

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -393,22 +395,26 @@ def _benchmark_portfolio_lp(resolution):
 
 
 def test_portfolio_resolution_4_solves_from_the_unit_start():
-    # Slacks and artificials only: 1676 pivots through long degenerate runs.
-    # Before the Harris ratio test this basis went singular (exit 4).
+    # Slacks and artificials only: 1670 pivots through long degenerate runs,
+    # long enough to refactorize. Before the Harris ratio test this basis
+    # went singular (exit 4).
     _, p = _benchmark_portfolio_lp(4)
     sol = solve_lp(p)
     assert not sol.crash
     assert sol.status == "optimal"
+    assert sol.refactorizations >= 1
     assert abs(sol.objective) <= 1e-9
 
 
 def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
     # The discounted balance rows have full rank, so phase 1 drops no row
     # and phase 2 continues from its inverse: the only inverses are the
-    # start's and one per REFACTOR_EVERY pivots.
+    # start's and one each time the eta file reaches ETA_SHARE of the basis
+    # size. At the default share this solve does not reach it; at 1/16 it does.
     inst, p = _benchmark_portfolio_lp(2)
     inverses = pivots = 0
-    inv, pivot = np.linalg.inv, lp._Simplex._pivot
+    etas_at = []
+    inv, pivot, refactorize = np.linalg.inv, lp._Simplex._pivot, lp._Simplex.refactorize
 
     def counted_inv(a):
         nonlocal inverses
@@ -420,12 +426,44 @@ def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
         pivots += 1
         pivot(self, *args)
 
+    def recorded_refactorize(self):
+        etas_at.append(len(self.etas))
+        refactorize(self)
+
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(lp._Simplex, "_pivot", counted_pivot)
-    sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
-    assert sol.status == "optimal" and sol.crash and sol.phase1_iterations > 0
-    assert pivots >= lp.REFACTOR_EVERY
-    assert inverses == 1 + sol.refactorizations <= 1 + pivots // lp.REFACTOR_EVERY
+    monkeypatch.setattr(lp._Simplex, "refactorize", recorded_refactorize)
+    for share in (lp.ETA_SHARE, 1 / 16):
+        monkeypatch.setattr(lp, "ETA_SHARE", share)
+        inverses = pivots = 0
+        etas_at.clear()
+        sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+        assert sol.status == "optimal" and sol.crash and sol.phase1_iterations > 0
+        trigger = int(np.ceil(share * p.num_rows))
+        assert etas_at == [trigger] * (pivots // trigger)
+        assert inverses == 1 + sol.refactorizations == 1 + len(etas_at)
+    assert etas_at
+
+
+def test_phase_one_keeps_one_copy_of_the_matrix():
+    # Equality rows only, so every row starts on an artificial. The solve
+    # may hold the standard form's matrix once; a copy with the artificial
+    # columns appended, or a gathered temporary in the standard form, passes
+    # the limit. Every feasible x has cost sum(b), so phase 2 barely pivots.
+    rng = np.random.default_rng(11)
+    m, n = 100, 16_000
+    A = rng.uniform(0.0, 1.0, size=(m, n))
+    b = A[:, :m] @ rng.uniform(0.5, 1.0, size=m)
+    p = LpProblem("min", A.sum(axis=0), A, [EQ] * m, b, np.zeros(n),
+                  [f"r{i}" for i in range(m)], [f"x{j}" for j in range(n)])
+    tracemalloc.start()
+    try:
+        sol = solve_lp(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.phase1_iterations >= m
+    assert peak <= 1.5 * A.nbytes
 
 
 def test_compressed_columns_match_the_dense_products(monkeypatch):

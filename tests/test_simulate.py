@@ -599,6 +599,24 @@ def test_simulate_and_average_estimate_stay_small():
     assert peak <= 40 * 2**20
 
 
+def test_simulate_with_a_large_jump_table_stays_small():
+    # The third criterion-7 average instance: 5 states take 4 steps per table
+    # step, so the jump table has 1.7 million entries (12.7 MiB). A scaled
+    # copy of it beside the original would pass the limit.
+    rng = np.random.default_rng(2468)
+    for _ in range(3):
+        inst, bench, report = feasible_pair(rng, max_states=8, max_actions=4)
+    nu = np.full(inst.num_states, 1.0 / inst.num_states)
+    tracemalloc.start()
+    try:
+        trajs = simulate(inst, report.policy, nu, T=100_000, num_paths=20, seed=1002)
+        estimate_average_shortfalls(trajs, bench.support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
 def test_discounted_bound_without_range_uses_visited_pairs():
     rng = np.random.default_rng(77)
     inst = random_instance(rng, max_states=6, max_actions=4, mode="discounted")
