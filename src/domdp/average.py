@@ -111,19 +111,17 @@ def occupation_lp(
     """inst's occupation LP with dominance rows D x >= rhs (minimized, <= rhs, if convex).
 
     D has a column per pair. pairs keeps one column per entry, duplicates
-    included, labelled by its place in pairs; project turns the S balance
-    rows B x = b into project @ B x = project @ b.
+    included; project turns the S balance rows B x = b into
+    project @ B x = project @ b.
     """
     S, K = inst.num_states, inst.num_pairs
     B = -inst.delta * inst.kernel.T
     B[inst.state_of_pair(), np.arange(K)] += 1.0
     b = np.zeros(S) if inst.mode == AVERAGE else inst.initial
     c = inst.reward_r.copy()
-    col_labels = [f"x[{s},{a}]" for s, acts in enumerate(inst.actions) for a in acts]
     row_labels = [f"balance[{j}]" for j in range(S)]
     if pairs is not None:
         B, D, c = B[:, pairs], D[:, pairs], c[pairs]
-        col_labels = [f"sample[{i}]@{col_labels[k]}" for i, k in enumerate(pairs)]
     if project is not None:
         B, b = project @ B, project @ b
         row_labels = [f"basis[{j}]" for j in range(len(project))]
@@ -135,9 +133,7 @@ def occupation_lp(
         A=np.vstack([B, np.ones((normalize, c.size)), D]),
         row_senses=[EQ] * (len(row_labels) - len(rhs)) + [LE if convex else GE] * len(rhs),
         b=np.concatenate([b, [1.0] * normalize, rhs]),
-        lower=np.zeros(c.size),
         row_labels=row_labels,
-        col_labels=col_labels,
     )
 
 
@@ -334,16 +330,13 @@ def _solve(
     mode: str,
     family: GeneratorFamily | None,
     feas_tol: float,
-    benchmark_rescaled: bool = False,
 ) -> SolveReport:
     """Either mode's solve: LP, then dual recovery and every residual filled in."""
     lp, grid = _occupation_lp(inst, bench, family, mode)
     S = inst.num_states
     first = S + (mode == AVERAGE)
     sol = solve_lp(lp, feas_tol=feas_tol, start=_greedy_start(inst, lp.num_rows))
-    flags = dict(
-        mode=mode, family_mode=family is not None, benchmark_rescaled=benchmark_rescaled
-    )
+    flags = dict(mode=mode, family_mode=family is not None)
     if sol.status != "optimal":
         report = SolveReport(status=sol.status, **flags)
         if sol.status == "infeasible":
@@ -377,7 +370,6 @@ def _solve(
         dominance_rhs=rhs,
         dominance_margins=D @ occ.weights - rhs,
         multichain=not is_unichain(policy_kernel(policy, inst)),
-        lp_iterations=sol.iterations,
         **flags,
     )
     report.slackness = check_slackness(report)

@@ -33,6 +33,7 @@ from .mdp import AVERAGE, Benchmark, validate_instance
 from .portfolio import build_portfolio_instance
 from .simulate import (
     brute_force_best_feasible,
+    burn_in,
     estimate_average_shortfalls,
     estimate_discounted_shortfalls,
     simulate,
@@ -85,7 +86,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--basis", required=True)
-    p.add_argument("--psi", choices=["uniform"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -140,14 +140,10 @@ def _cmd_solve(args) -> int:
     if inst.mode == AVERAGE:
         report = solve_average(inst, bench, family=loaded.family, feas_tol=args.tol)
     else:
-        report = solve_discounted(
-            inst,
-            bench,
-            benchmark_rescaled=args.rescale_benchmark,
-            feas_tol=args.tol,
-            family=loaded.family,
-        )
+        report = solve_discounted(inst, bench, feas_tol=args.tol, family=loaded.family)
     obj = report.to_obj()
+    if report.status == "optimal" and args.rescale_benchmark:
+        obj["benchmark_rescaled"] = True
     if (
         report.status == "optimal"
         and loaded.extra_grid is not None
@@ -190,10 +186,9 @@ def _cmd_simulate(args) -> int:
     trajs = simulate(inst, policy, nu, T=args.horizon, num_paths=args.paths, seed=args.seed)
     if inst.mode == AVERAGE:
         ests = estimate_average_shortfalls(trajs, grid)
-        burn = args.horizon // 10
+        burn = burn_in(args.horizon)
     else:
-        zr = (float(inst.reward_z.min()), float(inst.reward_z.max()))
-        ests = estimate_discounted_shortfalls(trajs, grid, inst.delta, z_range=zr)
+        ests = estimate_discounted_shortfalls(trajs, grid)
         burn = 0
     out = {
         "mode": inst.mode,
@@ -237,9 +232,7 @@ def _cmd_alp(args) -> int:
     inst = loaded.instance
     bench = _require_benchmark(loaded)
     bases = jsonio.parse_basis(_load_json(args.basis))
-    report = solve_alp(
-        inst, bench, bases, epsilon=args.epsilon, delta=args.delta, psi=None, seed=args.seed
-    )
+    report = solve_alp(inst, bench, bases, epsilon=args.epsilon, delta=args.delta, seed=args.seed)
     _emit(report.to_obj(), args.out)
     if report.status == "infeasible":
         return EXIT_INFEASIBLE

@@ -146,6 +146,14 @@ def parse_benchmark(obj: dict) -> Benchmark:
     return Benchmark(support=np.asarray(obj["support"], dtype=float), probs=obj["probs"])
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer. int() would truncate a float and read a string or a
+    boolean, so those are refused; other types keep int()'s TypeError."""
+    if isinstance(value, (bool, float, str)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require(obj: dict, key: str):
     if key not in obj:
         raise ValueError(f"instance file missing key '{key}'")
@@ -187,7 +195,7 @@ def _pairs_one_by_one(P, r, z, actions):
 @_decodes("instance file")
 def parse_instance(obj: dict) -> LoadedInstance:
     """Decode the instance file schema into validated domain objects."""
-    num_states = int(_require(obj, "states"))
+    num_states = _integer(_require(obj, "states"), "'states'")
     actions = tuple(tuple(str(a) for a in acts) for acts in _require(obj, "actions"))
     mode = str(_require(obj, "mode"))
     if len(actions) != num_states:
@@ -285,7 +293,7 @@ def parse_policy(obj, inst: MdpInstance) -> Policy:
     for entry in rows_spec:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValueError(f"policy entry {entry!r} is not [state, [probs...]]")
-        s, probs = int(entry[0]), np.asarray(entry[1], dtype=float)
+        s, probs = _integer(entry[0], "policy state"), np.asarray(entry[1], dtype=float)
         if not 0 <= s < inst.num_states:
             raise ValueError(f"policy references unknown state {s}")
         if rows[s] is not None:
@@ -316,7 +324,7 @@ def parse_portfolio_config(obj: dict) -> PortfolioConfig:
     return PortfolioConfig(
         price_levels=tuple(tuple(float(p) for p in lv) for lv in obj["price_levels"]),
         price_transitions=tuple(np.asarray(T, dtype=float) for T in obj["price_transitions"]),
-        resolution=int(obj["resolution"]),
+        resolution=_integer(obj["resolution"], "'resolution'"),
         discount=float(obj["discount"]),
         benchmark=parse_benchmark(obj["benchmark"]),
         initial_holdings=np.asarray(obj["initial_holdings"], dtype=float)

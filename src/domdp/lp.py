@@ -1,5 +1,12 @@
 """Two-phase revised simplex returning primal and dual optimal solutions.
 
+Problem form. ``LpProblem`` is max or min c.x over x >= 0, subject to rows
+A_i x = b_i, A_i x <= b_i or A_i x >= b_i: the form of every LP the package
+builds, all over occupation measures. ``to_standard_form`` appends one slack
+column per inequality row and negates the rows with b < 0, so the simplex
+solves min c.x, A x = b, x >= 0 with b >= 0, and the first n entries of its
+x are the problem's x.
+
 The solver is deterministic: identical inputs produce identical pivot
 sequences. Duals are read from the final basis and mapped back to the
 original rows, both raw (signed, for duality checks) and normalized per row
@@ -82,20 +89,22 @@ LE, EQ, GE = "<=", "=", ">="
 
 @dataclass
 class LpProblem:
+    """max or min c.x over x >= 0 with one sense per row; see the module docstring.
+
+    Row labels name the rows of an infeasibility certificate.
+    """
+
     sense: str                  # "max" | "min"
     c: np.ndarray
     A: np.ndarray
     row_senses: list[str]
     b: np.ndarray
-    lower: np.ndarray           # per-variable lower bound, 0.0 or -inf
     row_labels: list[str]
-    col_labels: list[str]
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown objective sense {self.sense!r}")
         m, n = self.A.shape if self.A.ndim == 2 else (len(self.b), self.c.size)
@@ -105,13 +114,11 @@ class LpProblem:
             )
         if len(self.row_senses) != m or len(self.row_labels) != m:
             raise ValueError("row senses/labels must match the number of rows")
-        if len(self.col_labels) != n or self.lower.shape != (n,):
-            raise ValueError("column labels/lower bounds must match the number of columns")
         for s in self.row_senses:
             if s not in (LE, EQ, GE):
                 raise ValueError(f"unknown row sense {s!r}")
-        if len(set(self.row_labels)) != m or len(set(self.col_labels)) != n:
-            raise ValueError("row and column labels must be unique")
+        if len(set(self.row_labels)) != m:
+            raise ValueError("row labels must be unique")
 
     @property
     def num_rows(self) -> int:
@@ -120,6 +127,15 @@ class LpProblem:
     @property
     def num_cols(self) -> int:
         return self.A.shape[1]
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Every variable's lower bound, 0.0: x >= 0 throughout.
+
+        Read-only; kept for readers of the per-variable bounds, such as
+        ``perfbench/checks.highs_objective``, which passes them to HiGHS.
+        """
+        return np.zeros(self.num_cols)
 
 
 @dataclass
@@ -148,17 +164,13 @@ class StandardForm:
     """min c.x, A x = b with b >= 0, x >= 0, plus the exact inverse mapping."""
 
     obj_sign: float
-    pos_col: np.ndarray
-    neg_col: np.ndarray      # -1 where the variable was not split
+    n: int                   # the original columns, first in the standard form
     slack_col: np.ndarray    # -1 for equality rows
     row_flip: np.ndarray
     unit_start: np.ndarray   # per row its slack where that is +1 after the flip, else -1
 
     def map_primal(self, x_std: np.ndarray) -> np.ndarray:
-        x = x_std[self.pos_col].copy()
-        split = self.neg_col >= 0
-        x[split] -= x_std[self.neg_col[split]]
-        return x
+        return x_std[: self.n]
 
     def map_duals(self, y_std: np.ndarray, orig: LpProblem) -> tuple[np.ndarray, np.ndarray]:
         y_raw = self.obj_sign * self.row_flip * y_std
@@ -169,48 +181,35 @@ class StandardForm:
 
 
 def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
-    """Slack/surplus per inequality, split free variables, flip rows so b >= 0.
+    """Slack or surplus per inequality row, rows with b < 0 negated.
 
-    Columns: each variable, directly followed by its negated copy when it is
-    free, then one slack per inequality row in row order. A is C-ordered:
-    the summation order of the products the simplex takes follows the layout.
+    Columns: p's n columns, then one slack per inequality row in row order.
+    A is C-ordered: the summation order of the products the simplex takes
+    follows the layout.
     """
     m, n = p.num_rows, p.num_cols
     obj_sign = 1.0 if p.sense == "min" else -1.0
-    free = np.isneginf(p.lower)
-    width = 1 + free
-    pos_col = np.cumsum(width) - width
-    neg_col = np.where(free, pos_col + 1, -1)
-    src = np.repeat(np.arange(n), width)
-    k = src.size
-    sign = np.ones(k)
-    sign[neg_col[free]] = -1.0
     senses = np.asarray(p.row_senses, dtype=str)
     ineq = np.flatnonzero(senses != EQ)
     slack_col = np.full(m, -1)
-    slack_col[ineq] = k + np.arange(ineq.size)
+    slack_col[ineq] = n + np.arange(ineq.size)
     slack_sign = np.where(senses == LE, 1.0, -1.0)
-    A = np.zeros((m, k + ineq.size))
-    A[:, pos_col] = p.A
-    A[:, neg_col[free]] = -p.A[:, free]
+    A = np.zeros((m, n + ineq.size))
+    A[:, :n] = p.A
     A[ineq, slack_col[ineq]] = slack_sign[ineq]
     flip = p.b < 0
     row_flip = np.where(flip, -1.0, 1.0)
     A[flip] *= -1.0
     unit_start = np.where(slack_sign * row_flip == 1.0, slack_col, -1)
-    labels = np.asarray(p.col_labels, dtype=object)[src]
-    labels[neg_col[free]] += "__neg"
     std = LpProblem(
         sense="min",
-        c=np.concatenate([obj_sign * p.c[src] * sign, np.zeros(ineq.size)]),
+        c=np.concatenate([obj_sign * p.c, np.zeros(ineq.size)]),
         A=A,
         row_senses=[EQ] * m,
         b=p.b * row_flip,
-        lower=np.zeros(A.shape[1]),
         row_labels=list(p.row_labels),
-        col_labels=labels.tolist() + np.char.mod("__slack[%d]", ineq).tolist(),
     )
-    return std, StandardForm(obj_sign, pos_col, neg_col, slack_col, row_flip, unit_start)
+    return std, StandardForm(obj_sign, n, slack_col, row_flip, unit_start)
 
 
 class _Simplex:
@@ -504,11 +503,10 @@ def _residuals(p: LpProblem, x: np.ndarray, y_raw: np.ndarray):
     senses = np.asarray(p.row_senses, dtype=str)
     row_viol = np.where(senses == LE, gap, np.where(senses == GE, -gap, np.abs(gap)))
     rc = p.c - p.A.T @ y_raw
-    free = np.isneginf(p.lower)
-    col_viol = np.where(free, np.abs(rc), rc if p.sense == "max" else -rc)
-    prim = max(0.0, row_viol.max(initial=0.0), (-x[~free]).max(initial=0.0))
+    col_viol = rc if p.sense == "max" else -rc
+    prim = max(0.0, row_viol.max(initial=0.0), (-x).max(initial=0.0))
     dual = max(0.0, col_viol.max(initial=0.0))
-    slack = max(np.abs(y_raw * gap).max(initial=0.0), np.abs(x * rc)[~free].max(initial=0.0))
+    slack = max(np.abs(y_raw * gap).max(initial=0.0), np.abs(x * rc).max(initial=0.0))
     return float(prim), float(dual), float(slack)
 
 
@@ -522,8 +520,6 @@ def solve_lp(
     in and when the start is dropped.
     """
     std, rec = to_standard_form(p)
-    if start is not None:
-        start = np.where(start >= 0, rec.pos_col[start], -1)
     res = _solve_standard(std, rec.unit_start, feas_tol, start)
     if res.status == "infeasible":
         return replace(res, certificate=rec.row_flip * res.certificate)

@@ -121,10 +121,8 @@ class SolveReport:
     visited_states: np.ndarray | None = None       # marginal above threshold
     multichain: bool | None = None
     family_mode: bool = False
-    benchmark_rescaled: bool = False
     binding_etas: list[float] = field(default_factory=list)
     certificate: list[tuple[str, float]] = field(default_factory=list)
-    lp_iterations: int = 0
 
     def to_obj(self) -> dict:
         """JSON-ready dictionary in the documented report schema."""
@@ -163,6 +161,4 @@ class SolveReport:
         out["multichain"] = bool(self.multichain)
         if self.family_mode:
             out["family"] = True
-        if self.benchmark_rescaled:
-            out["benchmark_rescaled"] = True
         return out

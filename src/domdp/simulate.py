@@ -277,14 +277,19 @@ def _batch_stats(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return totals.mean(axis=1), se
 
 
+def burn_in(T: int) -> int:
+    """Steps the average-mode estimator discards from the start of a length-T path."""
+    return T // 10
+
+
 def estimate_average_shortfalls(trajs: Trajectories, grid) -> list[ShortfallEstimate]:
     """Per-eta long-run average shortfall, paths as batches for the standard error.
 
-    The first T//10 steps of every path are discarded as burn-in.
+    The first burn_in(T) = T // 10 steps of every path are discarded.
     """
     grid = np.asarray(grid, dtype=float)
     T = trajs.pairs.shape[1]
-    burn = T // 10
+    burn = burn_in(T)
     mean, se = _batch_stats(_shortfall_totals(trajs, grid, burn) / (T - burn))
     return [
         ShortfallEstimate(eta=float(e), estimate=float(m), stderr=float(s))
@@ -292,23 +297,21 @@ def estimate_average_shortfalls(trajs: Trajectories, grid) -> list[ShortfallEsti
     ]
 
 
-def estimate_discounted_shortfalls(
-    trajs: Trajectories, grid, delta: float, z_range: tuple[float, float] | None = None
-) -> list[ShortfallEstimate]:
+def estimate_discounted_shortfalls(trajs: Trajectories, grid) -> list[ShortfallEstimate]:
     """Per-eta discounted shortfall sum over the truncated horizon.
 
-    The recorded truncation bound is delta^T max|z - eta| / (1 - delta); pass
-    the instance-wide z range for an honest bound, otherwise the range over
-    the visited pairs is used.
+    delta is the instance's discount. The recorded truncation bound is
+    delta^T max|z - eta| / (1 - delta), with z over every pair of the
+    instance, visited or not: it bounds the steps after T of any path.
     """
+    inst = trajs.inst
+    if inst.mode == AVERAGE:
+        raise ValueError("the discounted estimator needs a discounted instance")
     grid = np.asarray(grid, dtype=float)
     T = trajs.pairs.shape[1]
+    delta = inst.delta
     mean, se = _batch_stats(_shortfall_totals(trajs, grid, weights=delta ** np.arange(T)))
-    if z_range is None:
-        inst = trajs.inst
-        z = inst.reward_z[np.bincount(trajs.pairs.ravel(), minlength=inst.num_pairs) > 0]
-        z_range = (float(z.min()), float(z.max()))
-    lo, hi = z_range
+    lo, hi = float(inst.reward_z.min()), float(inst.reward_z.max())
     return [
         ShortfallEstimate(
             eta=float(e),

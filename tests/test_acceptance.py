@@ -226,11 +226,8 @@ def test_criterion_7_simulation_consistency():
         delta = inst.discount
         T = max(int(math.ceil(math.log(1e-7) / math.log(delta))), 50)
         trajs = simulate(inst, report.policy, inst.initial, T=T, num_paths=200, seed=500 + i)
-        zr = (float(inst.reward_z.min()), float(inst.reward_z.max()))
         lp_rows = report.dominance_matrix @ report.occupation.weights
-        for est, row in zip(
-            estimate_discounted_shortfalls(trajs, bench.support, delta, z_range=zr), lp_rows
-        ):
+        for est, row in zip(estimate_discounted_shortfalls(trajs, bench.support), lp_rows):
             if abs(est.estimate - row) > 4 * est.stderr + est.truncation_bound + 1e-6:
                 failures.append(("disc", i, est.eta, est.estimate, row))
     elapsed = time.perf_counter() - start

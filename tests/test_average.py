@@ -61,7 +61,6 @@ def test_ti1_dominance_row_coefficients():
 
 def test_lp_labels_carry_identities():
     lp = build_average_primal(ti1(), TI1_BENCH)
-    assert lp.col_labels == ["x[0,a]", "x[0,b]"]
     assert lp.row_labels == ["balance[0]", "normalize", "dominance[eta=4.0]"]
 
 
@@ -258,9 +257,7 @@ def test_vacuous_matches_unconstrained_lp():
             A=np.vstack([B, np.ones((1, K))]),
             row_senses=[EQ] * (S + 1),
             b=np.concatenate([np.zeros(S), [1.0]]),
-            lower=np.zeros(K),
             row_labels=[f"b{j}" for j in range(S)] + ["n"],
-            col_labels=[f"x{k}" for k in range(K)],
         )
         unconstrained = _solve(lp)
         assert abs(constrained.objective - unconstrained.objective) <= 1e-8

@@ -343,9 +343,16 @@ MALFORMED = [
     pytest.param("simulate", "policy", [[[0], [0.5, 0.5]], [1, [1.0]]], id="policy-state-list"),
     pytest.param("simulate", "policy", [[0, {"a": 1}], [1, [1.0]]], id="policy-row-dict"),
     *(
+        pytest.param("simulate", "policy", [[state, [1.0, 0.0]], [1, [1.0]]], id=f"policy-{name}")
+        for name, state in [("state-float", 0.9), ("state-str", "0"), ("state-bool", False)]
+    ),
+    *(
         pytest.param("solve", "instance", ti1_obj(**{key: value}), id=f"instance-{name}")
         for name, key, value in [
             ("states-list", "states", [1]),
+            ("states-float", "states", 1.5),
+            ("states-str", "states", "1"),
+            ("states-bool", "states", True),
             ("actions-number", "actions", 5),
             ("P-number", "P", 3),
             ("P-list-of-number", "P", [3]),
@@ -365,6 +372,13 @@ MALFORMED = [
         "gen-portfolio", "config", {**PORTFOLIO, "resolution": [1]}, id="config-resolution-list"
     ),
     pytest.param("gen-portfolio", "config", [PORTFOLIO], id="config-bare-list"),
+    *(
+        pytest.param(
+            "gen-portfolio", "config", {**PORTFOLIO, "resolution": value},
+            id=f"config-resolution-{name}",
+        )
+        for name, value in [("float", 2.5), ("str", "2"), ("bool", True)]
+    ),
 ]
 
 

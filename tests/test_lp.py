@@ -19,9 +19,7 @@ def box_problem():
         A=np.array([[1.0, 0.0], [0.0, 1.0]]),
         row_senses=[LE, LE],
         b=np.array([1.0, 2.0]),
-        lower=np.zeros(2),
         row_labels=["r0", "r1"],
-        col_labels=["x1", "x2"],
     )
 
 
@@ -40,46 +38,50 @@ def test_standard_form_surplus_for_ge_row():
         A=np.array([[1.0]]),
         row_senses=[GE],
         b=np.array([2.0]),
-        lower=np.zeros(1),
         row_labels=["r"],
-        col_labels=["x"],
     )
     std, rec = to_standard_form(p)
     assert std.A[0, rec.slack_col[0]] == -1.0
 
 
 def test_standard_form_layout():
-    # Columns: each variable, its negated copy right after it when free, then
-    # one slack per inequality row; rows with b < 0 are negated, slacks too.
+    # Columns: the variables, then one slack per inequality row; rows with
+    # b < 0 are negated, slacks too.
     p = LpProblem(
         sense="max",
         c=np.array([1.0, 2.0, -3.0]),
         A=np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [4.0, 0.0, 5.0]]),
         row_senses=[LE, GE, EQ],
         b=np.array([4.0, -3.0, -2.0]),
-        lower=np.array([0.0, -np.inf, 0.0]),
         row_labels=["le", "ge", "eq"],
-        col_labels=["x", "v", "w"],
     )
     std, rec = to_standard_form(p)
     assert np.array_equal(
         std.A,
         [
-            [1.0, 2.0, -2.0, 0.0, 1.0, 0.0],
-            [0.0, 1.0, -1.0, -3.0, 0.0, 1.0],
-            [-4.0, 0.0, 0.0, -5.0, 0.0, 0.0],
+            [1.0, 2.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, -3.0, 0.0, 1.0],
+            [-4.0, 0.0, -5.0, 0.0, 0.0],
         ],
     )
     assert std.A.flags.c_contiguous
-    assert np.array_equal(std.c, [-1.0, -2.0, 2.0, 3.0, 0.0, 0.0])
+    assert np.array_equal(std.c, [-1.0, -2.0, 3.0, 0.0, 0.0])
     assert np.array_equal(std.b, [4.0, 3.0, 2.0])
-    assert std.col_labels == ["x", "v", "v__neg", "w", "__slack[0]", "__slack[1]"]
-    assert rec.pos_col.tolist() == [0, 1, 3]
-    assert rec.neg_col.tolist() == [-1, 2, -1]
-    assert rec.slack_col.tolist() == [4, 5, -1]
+    assert std.row_labels == ["le", "ge", "eq"]
+    assert rec.n == 3
+    assert rec.slack_col.tolist() == [3, 4, -1]
     assert rec.row_flip.tolist() == [1.0, -1.0, -1.0]
-    x_std = np.array([1.5, 0.25, 2.0, 0.5, 9.0, 9.0])
-    assert rec.map_primal(x_std).tolist() == [1.5, -1.75, 0.5]
+    x_std = np.array([1.5, 0.25, 0.5, 9.0, 9.0])
+    assert rec.map_primal(x_std).tolist() == [1.5, 0.25, 0.5]
+
+
+def test_problem_has_no_free_variables_or_column_labels():
+    args = dict(sense="max", c=np.ones(2), A=np.eye(2), row_senses=[LE, LE],
+                b=np.ones(2), row_labels=["r0", "r1"])
+    assert LpProblem(**args).lower.tolist() == [0.0, 0.0]
+    for extra in (dict(lower=np.zeros(2)), dict(col_labels=["x1", "x2"])):
+        with pytest.raises(TypeError):
+            LpProblem(**args, **extra)
 
 
 def test_dimension_mismatch_rejected():
@@ -90,9 +92,7 @@ def test_dimension_mismatch_rejected():
             A=np.array([[1.0, 2.0]]),
             row_senses=[LE],
             b=np.array([1.0]),
-            lower=np.zeros(1),
             row_labels=["r"],
-            col_labels=["x"],
         )
 
 
@@ -112,9 +112,7 @@ def test_solve_infeasible_contradiction():
         A=np.array([[1.0], [1.0]]),
         row_senses=[EQ, LE],
         b=np.array([1.0, 0.5]),
-        lower=np.zeros(1),
         row_labels=["eq", "ub"],
-        col_labels=["x"],
     )
     sol = solve_lp(p)
     assert sol.status == "infeasible"
@@ -128,26 +126,22 @@ def test_solve_unbounded_with_ray():
         A=np.zeros((0, 1)),
         row_senses=[],
         b=np.zeros(0),
-        lower=np.zeros(1),
         row_labels=[],
-        col_labels=["x"],
     )
     sol = solve_lp(p)
     assert sol.status == "unbounded"
     assert sol.ray is not None and sol.ray[0] > 0
 
 
-def test_equality_rows_and_free_vars():
-    # min v s.t. v >= x - 1, v >= 1 - x, x = 0.25 has optimum v = 0.75.
+def test_equality_and_ge_rows():
+    # min v s.t. v >= x - 1, v >= 1 - x, x = 0.25, x, v >= 0 has optimum v = 0.75.
     p = LpProblem(
         sense="min",
         c=np.array([0.0, 1.0]),
         A=np.array([[1.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]),
         row_senses=[EQ, GE, GE],
         b=np.array([0.25, -1.0, 1.0]),
-        lower=np.array([0.0, -np.inf]),
         row_labels=["fix", "ge1", "ge2"],
-        col_labels=["x", "v"],
     )
     sol = solve_lp(p)
     assert sol.status == "optimal"
@@ -163,9 +157,7 @@ def test_redundant_row_gets_zero_dual():
         A=np.array([[1.0], [1.0]]),
         row_senses=[EQ, EQ],
         b=np.array([2.0, 2.0]),
-        lower=np.zeros(1),
         row_labels=["r0", "r1"],
-        col_labels=["x"],
     )
     sol = solve_lp(p)
     assert sol.status == "optimal"
@@ -185,8 +177,6 @@ def _random_feasible_bounded(rng):
     Ax0 = A @ x0
     b = np.where([s == LE for s in senses], Ax0 + margin, Ax0)
     b = np.where([s == GE for s in senses], Ax0 - margin, b)
-    free = rng.random(n) < 0.3
-    lower = np.where(free, -np.inf, 0.0)
     # Box every variable so max problems stay bounded.
     box = np.vstack([np.eye(n), -np.eye(n)])
     box_b = np.concatenate([x0 + 3.0, np.full(n, 3.0)])
@@ -201,9 +191,7 @@ def _random_feasible_bounded(rng):
         A=A_full,
         row_senses=senses_full,
         b=b_full,
-        lower=lower,
         row_labels=[f"r{i}" for i in range(m + 2 * n)],
-        col_labels=[f"x{j}" for j in range(n)],
     )
 
 
@@ -250,9 +238,7 @@ def test_degenerate_problem_terminates():
         A=A,
         row_senses=[LE] * (4 + n),
         b=b,
-        lower=np.zeros(n),
         row_labels=[f"r{i}" for i in range(4 + n)],
-        col_labels=[f"x{j}" for j in range(n)],
     )
     sol = solve_lp(p)
     assert sol.status == "optimal"
@@ -262,7 +248,7 @@ def test_degenerate_problem_terminates():
 def _loop_unit_start(p):
     """Reference: the slack of each <= row with b >= 0 and each >= row with b < 0."""
     start = []
-    col = p.num_cols + int(np.isneginf(p.lower).sum())  # the first slack
+    col = p.num_cols  # the first slack
     for sense, b in zip(p.row_senses, p.b):
         if sense == EQ:
             start.append(-1)
@@ -282,12 +268,9 @@ def _loop_residuals(p, x, y_raw):
         slack = max(slack, abs(y_raw[i] * gap))
     rc = p.c - p.A.T @ y_raw
     for j in range(p.num_cols):
-        if np.isneginf(p.lower[j]):
-            dual = max(dual, abs(rc[j]))
-        else:
-            prim = max(prim, -x[j])
-            dual = max(dual, rc[j] if p.sense == "max" else -rc[j])
-            slack = max(slack, abs(x[j] * rc[j]))
+        prim = max(prim, -x[j])
+        dual = max(dual, rc[j] if p.sense == "max" else -rc[j])
+        slack = max(slack, abs(x[j] * rc[j]))
     return float(prim), float(dual), float(slack)
 
 
@@ -338,9 +321,7 @@ def test_start_with_a_negative_value_falls_back():
         A=np.array([[1.0, -1.0], [1.0, 1.0]]),
         row_senses=[EQ, LE],
         b=np.array([-1.0, 3.0]),
-        lower=np.zeros(2),
         row_labels=["r0", "r1"],
-        col_labels=["x1", "x2"],
     )
     sol = solve_lp(p, start=np.array([0, -1]))
     assert not sol.crash
@@ -356,9 +337,7 @@ def test_start_row_whose_slack_would_be_negative_gets_an_artificial():
         A=np.array([[1.0], [1.0]]),
         row_senses=[EQ, LE],
         b=np.array([3.0, 2.0]),
-        lower=np.zeros(1),
         row_labels=["r0", "r1"],
-        col_labels=["x1"],
     )
     sol = solve_lp(p, start=np.array([0, -1]))
     assert sol.crash
@@ -454,8 +433,7 @@ def test_phase_one_keeps_one_copy_of_the_matrix():
     m, n = 100, 16_000
     A = rng.uniform(0.0, 1.0, size=(m, n))
     b = A[:, :m] @ rng.uniform(0.5, 1.0, size=m)
-    p = LpProblem("min", A.sum(axis=0), A, [EQ] * m, b, np.zeros(n),
-                  [f"r{i}" for i in range(m)], [f"x{j}" for j in range(n)])
+    p = LpProblem("min", A.sum(axis=0), A, [EQ] * m, b, [f"r{i}" for i in range(m)])
     tracemalloc.start()
     try:
         sol = solve_lp(p)

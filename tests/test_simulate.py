@@ -1,6 +1,7 @@
 import importlib
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -514,16 +515,18 @@ def test_discounted_shortfall_constant_z():
     )
     T = 30
     trajs = simulate(inst, uniform_policy(inst), np.array([1.0]), T=T, num_paths=2, seed=3)
-    est = estimate_discounted_shortfalls(trajs, [5.0], delta=0.5)[0]
+    est = estimate_discounted_shortfalls(trajs, [5.0])[0]
     assert est.estimate == pytest.approx(-3.0 * (1 - 0.5**T) / 0.5, rel=1e-12)
     assert est.truncation_bound <= 1e-6
 
 
 def test_discounted_shortfall_alternating():
-    inst = ti2(z=(0.0, 10.0))
+    inst = replace(
+        ti2(z=(0.0, 10.0)), mode="discounted", discount=0.5, initial=np.array([1.0, 0.0])
+    )
     T = 40
-    trajs = simulate(inst, uniform_policy(inst), np.array([1.0, 0.0]), T=T, num_paths=1, seed=0)
-    est = estimate_discounted_shortfalls(trajs, [5.0], delta=0.5)[0]
+    trajs = simulate(inst, uniform_policy(inst), inst.initial, T=T, num_paths=1, seed=0)
+    est = estimate_discounted_shortfalls(trajs, [5.0])[0]
     expected = -5.0 * (1 - 0.25 ** (T // 2)) / (1 - 0.25)
     assert est.estimate == pytest.approx(expected, rel=1e-12)
 
@@ -571,7 +574,7 @@ def test_count_estimators_match_per_step_formula(key, mode, T, num_paths):
         got = estimate_average_shortfalls(trajs, grid)
         ref = _per_step_estimates(trajs, grid)
     else:
-        got = estimate_discounted_shortfalls(trajs, grid, inst.discount)
+        got = estimate_discounted_shortfalls(trajs, grid)
         ref = _per_step_estimates(trajs, grid, inst.discount)
     for est, (mean, se) in zip(got, ref):
         assert abs(est.estimate - mean) <= 1e-12 * abs(mean)
@@ -617,20 +620,30 @@ def test_simulate_with_a_large_jump_table_stays_small():
     assert peak <= 40 * 2**20
 
 
-def test_discounted_bound_without_range_uses_visited_pairs():
+def test_discounted_bound_uses_the_instance_z_range():
+    # Only first actions are taken, so a pair with an extreme z goes
+    # unvisited; the steps after T of a longer run may still visit it.
     rng = np.random.default_rng(77)
     inst = random_instance(rng, max_states=6, max_actions=4, mode="discounted")
     policy = deterministic_policy(inst, [0] * inst.num_states)
     T, delta, grid = 30, inst.discount, np.array([-1.0, 0.5])
     trajs = simulate(inst, policy, inst.initial, T=T, num_paths=3, seed=4)
-    # Only first actions are taken, so the visited range is narrower than the instance's.
-    zmin, zmax = float(trajs.z.min()), float(trajs.z.max())
-    assert (zmin, zmax) != (inst.reward_z.min(), inst.reward_z.max())
-    for est in estimate_discounted_shortfalls(trajs, grid, delta):
-        eta = est.eta
-        assert est.truncation_bound == delta**T * max(abs(zmin - eta), abs(zmax - eta)) / (
-            1.0 - delta
-        )
+
+    def bound(lo, hi, eta):
+        return delta**T * max(abs(lo - eta), abs(hi - eta)) / (1.0 - delta)
+
+    zmin, zmax = float(inst.reward_z.min()), float(inst.reward_z.max())
+    seen = float(trajs.z.min()), float(trajs.z.max())
+    ests = estimate_discounted_shortfalls(trajs, grid)
+    assert [e.truncation_bound for e in ests] == [bound(zmin, zmax, eta) for eta in grid]
+    assert any(e.truncation_bound > bound(*seen, e.eta) for e in ests)
+
+
+def test_discounted_estimator_rejects_an_average_instance():
+    inst = ti2()
+    trajs = simulate(inst, uniform_policy(inst), np.array([1.0, 0.0]), T=10, num_paths=1, seed=0)
+    with pytest.raises(ValueError, match="discounted instance"):
+        estimate_discounted_shortfalls(trajs, [5.0])
 
 
 def test_truncation_bound_construction():
@@ -758,10 +771,7 @@ def test_simulated_discounted_shortfalls_match_lp_rows():
     T = int(np.ceil(np.log(1e-6) / np.log(delta)))
     trajs = simulate(inst, report.policy, inst.initial, T=T, num_paths=400, seed=5)
     lp_rows = report.dominance_matrix @ report.occupation.weights
-    zr = (float(inst.reward_z.min()), float(inst.reward_z.max()))
-    for est, row_value in zip(
-        estimate_discounted_shortfalls(trajs, bench.support, delta, z_range=zr), lp_rows
-    ):
+    for est, row_value in zip(estimate_discounted_shortfalls(trajs, bench.support), lp_rows):
         tol = max(4 * est.stderr, 1e-3) + est.truncation_bound
         assert est.estimate == pytest.approx(row_value, abs=tol)
 
