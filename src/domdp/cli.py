@@ -142,7 +142,7 @@ def _cmd_solve(args) -> int:
     else:
         report = solve_discounted(inst, bench, feas_tol=args.tol, family=loaded.family)
     obj = report.to_obj()
-    if report.status == "optimal" and args.rescale_benchmark:
+    if args.rescale_benchmark:
         obj["benchmark_rescaled"] = True
     if (
         report.status == "optimal"

@@ -20,7 +20,21 @@ recursion limit) go to ``json.loads`` whole.
 
 All floats are parsed as 64-bit. A file whose JSON types do not fit the
 schema is reported as a ValueError by the ``parse_*`` function that decodes
-it.
+it. Where the instance schema asks for a number (r, z, discount, initial,
+benchmark support and probs, extra_grid, a sparse row's p), a string or a
+boolean is refused, although ``float()`` would read one; a dense kernel row
+refuses strings through the dtype of the decoded array.
+
+Kernel rows. A pair's row of P is either dense, one number per state, or
+sparse, ``{"to": [j, ...], "p": [p, ...]}``: ``to`` holds JSON integers,
+strictly increasing, in [0, states), ``p`` holds numbers, and the two lists
+have equal lengths; the entries not listed are zero. One file may mix the
+two forms row by row. ``parse_instance`` scatters sparse rows into the dense
+kernel, bit for bit the kernel of the same numbers written dense.
+``instance_to_obj`` writes every row sparse when fewer than
+``lp.SPARSE_DENSITY`` of the kernel's entries are nonzero (the rule by which
+``lp._compressed`` holds a matrix as compressed columns), and every row
+dense otherwise.
 """
 
 from __future__ import annotations
@@ -31,12 +45,14 @@ import json.decoder
 import json.scanner
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import orjson
 
 from .alp import BasisSet
 from .dominance import GeneratorFamily, _distribution, reconstruct_utility, weighted_kink_family
+from .lp import _compressed
 from .mdp import Benchmark, MdpInstance, Policy
 from .portfolio import PortfolioConfig
 
@@ -86,7 +102,10 @@ def _parse_array(s_and_end, scan_once):
     """``json.decoder.JSONArray``, with a flat array's text decoded by orjson."""
     s, end = s_and_end
     close = s.find("]", end)
-    if close >= 0 and all(s.find(c, end, close) < 0 for c in '[{"'):
+    # Three finds, not a generator over '[{"': sparse kernel rows are many short arrays.
+    if close >= 0 and (
+        s.find("[", end, close) < 0 and s.find("{", end, close) < 0 and s.find('"', end, close) < 0
+    ):
         values = orjson.loads(s[end - 1 : close + 1])
         try:
             # orjson turns an integer outside the 64-bit range into a float;
@@ -116,14 +135,15 @@ def loads(text: str):
 
 
 def _decodes(what: str):
-    """Report JSON of the wrong types (TypeError, IndexError, KeyError) as a ValueError."""
+    """Report JSON of the wrong types (TypeError, IndexError, KeyError) as a
+    ValueError, and an integer too large for a float (OverflowError) too."""
 
     def wrap(parse):
         @functools.wraps(parse)
         def checked(*args):
             try:
                 return parse(*args)
-            except (TypeError, IndexError, KeyError) as exc:
+            except (TypeError, IndexError, KeyError, OverflowError) as exc:
                 raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
         return checked
@@ -139,11 +159,41 @@ class LoadedInstance:
     extra_grid: np.ndarray | None
 
 
+def _refuse_non_numbers(value, what: str) -> None:
+    """Raise on the first string or boolean in a JSON value, in file order.
+
+    ``float()`` and ``np.asarray(..., dtype=float)`` read both as numbers, so
+    this runs after them, and their own error texts come first.
+    """
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{what}: expected a number, got {value!r}")
+    if isinstance(value, list) and not set(map(type, value)) <= {int, float}:
+        for v in value:
+            _refuse_non_numbers(v, what)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float."""
+    number = float(value)
+    _refuse_non_numbers(value, what)
+    return number
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float array."""
+    array = np.asarray(value, dtype=float)
+    _refuse_non_numbers(value, what)
+    return array
+
+
 @_decodes("benchmark")
 def parse_benchmark(obj: dict) -> Benchmark:
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise ValueError("benchmark needs 'support' and 'probs'")
-    return Benchmark(support=np.asarray(obj["support"], dtype=float), probs=obj["probs"])
+    bench = Benchmark(support=np.asarray(obj["support"], dtype=float), probs=obj["probs"])
+    _refuse_non_numbers(obj["support"], "'support'")
+    _refuse_non_numbers(obj["probs"], "'probs'")
+    return bench
 
 
 def _integer(value, what: str) -> int:
@@ -165,29 +215,113 @@ def _check_block(P, r, z, actions, s: int) -> None:
         raise ValueError(f"state {s}: P/r/z must have one entry per action")
 
 
+def _scatter(rows: list, num_states: int) -> np.ndarray:
+    """Sparse rows as one dense kernel, through one flat index/value scatter.
+
+    Raises on the first row that is not a well-formed sparse row, without
+    naming it: the one-by-one path then names the fault in file order.
+    """
+    if not all(type(row) is dict and len(row) == 2 for row in rows):
+        raise ValueError("not every row is sparse")
+    to = [row["to"] for row in rows]
+    p = [row["p"] for row in rows]
+    if not all(type(t) is list and type(v) is list for t, v in zip(to, p)):
+        raise ValueError("sparse rows need 'to' and 'p' lists")
+    counts = [len(t) for t in to]
+    if counts != [len(v) for v in p]:
+        raise ValueError("sparse rows need 'to' and 'p' of equal length")
+    flat_to = list(chain.from_iterable(to))
+    flat_p = list(chain.from_iterable(p))
+    if not (set(map(type, flat_to)) <= {int} and set(map(type, flat_p)) <= {int, float}):
+        raise ValueError("sparse rows need integer indices and numbers")
+    if flat_to and not (0 <= min(flat_to) and max(flat_to) < num_states):
+        raise ValueError("sparse row index out of range")
+    # Row-major keys increase strictly exactly when every row's indices do.
+    keys = np.repeat(np.arange(len(rows)) * num_states, counts)
+    keys += np.array(flat_to, dtype=np.int64)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("sparse row indices not strictly increasing")
+    kernel = np.zeros((len(rows), num_states))
+    kernel.flat[keys] = np.array(flat_p, dtype=float)
+    return kernel
+
+
+def _stack(rows: list, num_states: int) -> np.ndarray:
+    """The kernel from rows that are all sparse or all dense; raises otherwise.
+
+    Dense rows are decoded whole, and a dtype other than float or integer (a
+    string anywhere gives a string dtype) sends the file to the one-by-one path.
+    """
+    if rows and type(rows[0]) is dict:
+        return _scatter(rows, num_states)
+    kernel = np.array(rows)
+    if kernel.dtype.kind not in "fiu":
+        raise ValueError(f"kernel rows decode to dtype {kernel.dtype}")
+    return kernel.astype(float, copy=False)
+
+
 def _pairs_by_block(P, r, z, actions):
     """Kernel, r and z in pair order, each state's block joined whole and converted once."""
     for s in range(len(actions)):
         _check_block(P, r, z, actions, s)
-    kernel = np.array([row for block in P[: len(actions)] for row in block], dtype=float)
-    r_flat = [float(v) for block in r[: len(actions)] for v in block]
+    kernel = _stack([row for block in P[: len(actions)] for row in block], len(actions))
+    r_flat = [v for block in r[: len(actions)] for v in block]
+    _refuse_non_numbers(r_flat, "'r'")
+    r_flat = [float(v) for v in r_flat]
     z_flat = [v for block in z[: len(actions)] for v in block]
     return kernel, r_flat, z_flat
+
+
+def _sparse_row(row: dict, num_states: int, where: str) -> np.ndarray:
+    """One sparse row as a dense one, with the first fault in it named."""
+    if sorted(row) != ["p", "to"]:
+        raise ValueError(f"{where}: a sparse row has the keys 'to' and 'p', got {list(row)}")
+    to, p = row["to"], row["p"]
+    if not (isinstance(to, list) and isinstance(p, list)):
+        raise ValueError(f"{where}: 'to' and 'p' must be lists")
+    if len(to) != len(p):
+        raise ValueError(f"{where}: 'to' and 'p' differ in length ({len(to)} and {len(p)})")
+    last = -1
+    for j in to:
+        if type(j) is not int:
+            raise ValueError(f"{where} 'to': expected an integer, got {j!r}")
+        if not 0 <= j < num_states:
+            raise ValueError(f"{where} 'to': index {j} outside [0, {num_states})")
+        if j <= last:
+            raise ValueError(f"{where} 'to': indices must increase strictly, got {j} after {last}")
+        last = j
+    dense = np.zeros(num_states)
+    dense[to] = [_number(v, f"{where} 'p'") for v in p]
+    return dense
+
+
+def _dense_row(row, where: str) -> np.ndarray:
+    """One dense row; a string in it is refused, as the block path's dtype refuses it."""
+    dense = np.asarray(row, dtype=float)
+    strings = [v for v in np.asarray(row, dtype=object).ravel() if isinstance(v, str)]
+    if strings:
+        raise ValueError(f"{where}: expected a number, got {strings[0]!r}")
+    return dense
 
 
 def _pairs_one_by_one(P, r, z, actions):
     """``_pairs_by_block`` one pair at a time, with the kernel as a list of rows.
 
-    Slower, and run only when the block path fails: it raises on the first
-    malformed entry in file order, with that entry's own error text, and
-    leaves rows of unequal shape to fail when the kernel is stacked.
+    Slower, and run only when the block path fails (or the rows mix the two
+    forms): it raises on the first malformed entry in file order, with that
+    entry's own error text, and leaves dense rows of unequal shape to fail
+    when the kernel is stacked.
     """
     kernel_rows, r_flat, z_flat = [], [], []
     for s in range(len(actions)):
         _check_block(P, r, z, actions, s)
         for a in range(len(actions[s])):
-            kernel_rows.append(np.asarray(P[s][a], dtype=float))
-            r_flat.append(float(r[s][a]))
+            row, where = P[s][a], f"P[{s}][{a}]"
+            if isinstance(row, dict):
+                kernel_rows.append(_sparse_row(row, len(actions), where))
+            else:
+                kernel_rows.append(_dense_row(row, where))
+            r_flat.append(_number(r[s][a], "'r'"))
             z_flat.append(z[s][a])
     return kernel_rows, r_flat, z_flat
 
@@ -205,12 +339,14 @@ def parse_instance(obj: dict) -> LoadedInstance:
     z = _require(obj, "z")
     try:
         kernel, r_flat, z_flat = _pairs_by_block(P, r, z, actions)
-    except (TypeError, ValueError, IndexError, KeyError):
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError):
         kernel, r_flat, z_flat = _pairs_one_by_one(P, r, z, actions)
     if z_flat and isinstance(z_flat[0], (list, tuple)):
-        reward_z = np.asarray(z_flat, dtype=float)
+        reward_z = _floats(z_flat, "'z'")
     else:
         reward_z = np.asarray([float(v) for v in z_flat])
+        _refuse_non_numbers(z_flat, "'z'")
+    discount, initial = obj.get("discount"), obj.get("initial")
     inst = MdpInstance(
         num_states=num_states,
         actions=actions,
@@ -218,8 +354,8 @@ def parse_instance(obj: dict) -> LoadedInstance:
         reward_r=np.array(r_flat),
         reward_z=reward_z,
         mode=mode,
-        discount=float(obj["discount"]) if obj.get("discount") is not None else None,
-        initial=np.asarray(obj["initial"], dtype=float) if obj.get("initial") is not None else None,
+        discount=_number(discount, "'discount'") if discount is not None else None,
+        initial=_floats(initial, "'initial'") if initial is not None else None,
     )
     benchmark = parse_benchmark(obj["benchmark"]) if "benchmark" in obj else None
     family = None
@@ -230,7 +366,7 @@ def parse_instance(obj: dict) -> LoadedInstance:
         if "weights" not in fam or "etas" not in fam:
             raise ValueError("'family' needs 'weights' and 'etas'")
         family = weighted_kink_family(fam["weights"], fam["etas"], benchmark)
-    extra = np.asarray(obj["extra_grid"], dtype=float) if "extra_grid" in obj else None
+    extra = _floats(obj["extra_grid"], "'extra_grid'") if "extra_grid" in obj else None
     if extra is not None and extra.ndim != 1:
         raise ValueError("'extra_grid' must be a list of numbers")
     if extra is not None and not np.all(np.isfinite(extra)):
@@ -244,13 +380,26 @@ def parse_instance(obj: dict) -> LoadedInstance:
     return LoadedInstance(instance=inst, benchmark=benchmark, family=family, extra_grid=extra)
 
 
+def _kernel_blocks(inst: MdpInstance) -> list:
+    """P as one block of rows per state: every row sparse when fewer than
+    lp.SPARSE_DENSITY of the kernel's entries are nonzero, else every row dense."""
+    offsets = inst.pair_offsets
+    rows = _compressed(inst.kernel.T)  # the kernel's rows are its transpose's columns
+    if rows is None:
+        return np.split(inst.kernel, offsets[1:-1])
+    starts, to, p = rows
+    bounds = starts.tolist()
+    sparse = [{"to": to[lo:hi], "p": p[lo:hi]} for lo, hi in zip(bounds, bounds[1:])]
+    return [sparse[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
 def instance_to_obj(inst: MdpInstance, bench: Benchmark | None = None) -> dict:
     """The instance file schema: P, r and z as one block of rows per state."""
     cuts = inst.pair_offsets[1:-1]
     out = {
         "states": inst.num_states,
         "actions": inst.actions,
-        "P": np.split(inst.kernel, cuts),
+        "P": _kernel_blocks(inst),
         "r": np.split(inst.reward_r, cuts),
         "z": np.split(inst.reward_z, cuts),
         "mode": inst.mode,
@@ -316,6 +465,8 @@ def parse_distribution(obj: dict) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("distribution support and probs must be finite")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("'probs' must be a probability vector")
+    _refuse_non_numbers(obj["support"], "'support'")
+    _refuse_non_numbers(obj["probs"], "'probs'")
     return values, probs
 
 

@@ -82,6 +82,7 @@ GAP_TOL = 1e-7
 ETA_SHARE = 0.25
 # Pricing runs over compressed columns when less than this share of A is
 # nonzero, and as one dense A.T @ y above it; see the module docstring.
+# domdp.io writes an instance's kernel rows sparse by the same rule.
 SPARSE_DENSITY = 0.12
 
 LE, EQ, GE = "<=", "=", ">="

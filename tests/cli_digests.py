@@ -33,13 +33,17 @@ oracle over more policies than its limit, out-of-range numeric arguments,
 one long ``simulate`` on a random instance of 6 to 8 states, and decoding:
 an instance and a policy written with ``indent=2``, ``-0.0`` and ``1e400``
 in r, action labels holding ``]`` and ``"``, 20-digit integers in a basis,
-blocks past the last state and a policy that lists a state twice.
+blocks past the last state and a policy that lists a state twice, and kernels
+in sparse rows: two instances (one per mode) passed to ``solve`` and
+``oracle``, and one malformed row of each kind, beside strings, booleans and
+a 400-digit integer where the schema needs a number.
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -484,6 +488,73 @@ def _decode_cases(c: _Corpus) -> None:
     )
 
 
+def _sparse_obj(inst, bench) -> dict:
+    """``_instance_obj`` with every kernel row as {"to": [...], "p": [...]}."""
+    obj = _instance_obj(inst, bench)
+    obj["P"] = [
+        [{"to": [j for j, v in enumerate(row) if v], "p": [v for v in row if v]} for row in block]
+        for block in obj["P"]
+    ]
+    return obj
+
+
+def _sparse_cases(c: _Corpus) -> None:
+    """Instances with sparse kernel rows, solved in both modes, and malformed ones."""
+    rng = np.random.default_rng(19)
+    for mode in ("average", "discounted"):
+        inst = random_instance(rng, max_states=9, max_actions=3, mode=mode)
+        S = inst.num_states
+        kernel = np.zeros((inst.num_pairs, S))
+        for k, s in enumerate(inst.state_of_pair()):
+            # Every row moves on to s + 1 (mod S), so every policy is unichain.
+            to = np.union1d([(s + 1) % S], rng.choice(S, size=int(rng.integers(0, 3))))
+            kernel[k, to] = rng.dirichlet(np.ones(to.size))
+        inst = dataclasses.replace(inst, kernel=kernel)
+        path = c.file(f"sparse-{mode}", _sparse_obj(inst, random_benchmark(rng, inst)))
+        c.add(f"sparse-{mode}/solve", ["solve", "--instance", path])
+        c.add(f"sparse-{mode}/oracle", ["oracle", "--instance", path])
+    two = _ti1_obj(states=2, actions=[["a", "b"], ["a"]], r=[[1.0, 0.0], [0.5]],
+                   z=[[1.0, 0.0], [2.0]], benchmark={"support": [0.5], "probs": [1.0]})
+
+    def row(to, p, s=0, a=1):
+        P = [[{"to": [0, 1], "p": [0.5, 0.5]}, {"to": [0], "p": [1.0]}], [{"to": [1], "p": [1.0]}]]
+        P[s][a] = {"to": to, "p": p}
+        return {**two, "P": P}
+
+    discounted = {"mode": "discounted", "discount": 0.5, "initial": [1.0]}
+    malformed = {
+        "sparse-valid": row([0], [1.0]),
+        "sparse-index-float": row([0.0], [1.0]),
+        "sparse-index-str": row(["0"], [1.0]),
+        "sparse-index-bool": row([False], [1.0]),
+        "sparse-index-negative": row([-1], [1.0]),
+        "sparse-index-out-of-range": row([2], [1.0]),
+        "sparse-index-repeated": row([0, 0], [0.5, 0.5]),
+        "sparse-index-unsorted": row([1, 0], [0.5, 0.5]),
+        "sparse-lengths-differ": row([0, 1], [1.0]),
+        "sparse-p-str": row([0], ["1.0"]),
+        "sparse-p-bool": row([0], [True]),
+        "sparse-to-number": row(0, [1.0]),
+        "sparse-no-p": {**two, "P": [[{"to": [0]}, [1.0, 0.0]], [[0.0, 1.0]]]},
+        "sparse-in-r": _ti1_obj(r=[[{"to": [0], "p": [1.0]}, 5.0]]),
+        "sparse-as-block": _ti1_obj(P=[{"to": [0], "p": [1.0]}]),
+        "sparse-fault-then-bad-r": {**row([0, 0], [0.5, 0.5]), "r": [[1.0, 0.0], ["y"]]},
+        "r-str": _ti1_obj(r=[["2.0", 5.0]]),
+        "r-bool": _ti1_obj(r=[[True, 5.0]]),
+        "r-huge-int": _ti1_obj(r=[[10**400, 5.0]]),
+        "z-str": _ti1_obj(z=[[10.0, "0"]]),
+        "P-str": _ti1_obj(P=[[["1.0"], [1.0]]]),
+        "P-bool": _ti1_obj(P=[[[True], [1.0]]]),
+        "support-str": _ti1_obj(benchmark={"support": ["4.0"], "probs": [1.0]}),
+        "probs-bool": _ti1_obj(benchmark={"support": [4.0], "probs": [True]}),
+        "extra-grid-str": _ti1_obj(extra_grid=["2.0"]),
+        "discount-str": _ti1_obj(**{**discounted, "discount": "0.5"}),
+        "initial-bool": _ti1_obj(**{**discounted, "initial": [True]}),
+    }
+    for name, obj in malformed.items():
+        c.add(f"type-{name}/solve", ["solve", "--instance", c.file(f"type-{name}", obj)])
+
+
 def _run_case(argv: list[str], patch: dict, written: Path | None, tmp: Path) -> list:
     simulate_module = importlib.import_module("domdp.simulate")
     saved = {k: getattr(simulate_module, k) for k in patch}
@@ -524,6 +595,7 @@ def _digests() -> dict:
         _long_simulation(c, rng)
         _alp_block_cases(c)
         _decode_cases(c)
+        _sparse_cases(c)
         return {
             name: _run_case(args, patch, written, c.tmp)
             for name, args, patch, written in c.cases

@@ -656,3 +656,164 @@ def test_extra_grid_must_be_a_list_of_numbers(tmp_path, capsys, command, extra_g
     }[command]
     assert run(argv) == 1
     assert capsys.readouterr().err == "error: 'extra_grid' must be a list of numbers\n"
+
+
+def _sparse(to, p):
+    return {"to": to, "p": p}
+
+
+def _two_states(**changes):
+    """TWO_STATES with its kernel in sparse rows, then ``changes``."""
+    sparse_P = [[_sparse([0, 1], [0.5, 0.5]), _sparse([0], [1.0])], [_sparse([1], [1.0])]]
+    return {**TWO_STATES, "P": sparse_P, **changes}
+
+
+def _with_row(row, s=0, a=1):
+    obj = _two_states()
+    obj["P"][s][a] = row
+    return obj
+
+
+SPARSE_FAULTS = [
+    pytest.param(_with_row(_sparse([0.0], [1.0])), "P[0][1] 'to': expected an integer, got 0.0",
+                 id="index-float"),
+    pytest.param(_with_row(_sparse(["0"], [1.0])), "P[0][1] 'to': expected an integer, got '0'",
+                 id="index-str"),
+    pytest.param(_with_row(_sparse([False], [1.0])),
+                 "P[0][1] 'to': expected an integer, got False", id="index-bool"),
+    pytest.param(_with_row(_sparse([-1], [1.0])), "P[0][1] 'to': index -1 outside [0, 2)",
+                 id="index-negative"),
+    pytest.param(_with_row(_sparse([2], [1.0])), "P[0][1] 'to': index 2 outside [0, 2)",
+                 id="index-out-of-range"),
+    pytest.param(_with_row(_sparse([0, 0], [0.5, 0.5])),
+                 "P[0][1] 'to': indices must increase strictly, got 0 after 0",
+                 id="index-repeated"),
+    pytest.param(_with_row(_sparse([1, 0], [0.5, 0.5])),
+                 "P[0][1] 'to': indices must increase strictly, got 0 after 1",
+                 id="index-unsorted"),
+    pytest.param(_with_row(_sparse([0, 1], [1.0])),
+                 "P[0][1]: 'to' and 'p' differ in length (2 and 1)", id="lengths-differ"),
+    pytest.param(_with_row(_sparse([0], ["1.0"])), "P[0][1] 'p': expected a number, got '1.0'",
+                 id="p-str"),
+    pytest.param(_with_row(_sparse([0], [True])), "P[0][1] 'p': expected a number, got True",
+                 id="p-bool"),
+    pytest.param(_with_row(_sparse(0, [1.0])), "P[0][1]: 'to' and 'p' must be lists",
+                 id="to-number"),
+    pytest.param(_with_row({"to": [0]}),
+                 "P[0][1]: a sparse row has the keys 'to' and 'p', got ['to']", id="no-p"),
+    pytest.param(_with_row({**_sparse([0], [1.0]), "q": 1}),
+                 "P[0][1]: a sparse row has the keys 'to' and 'p', got ['to', 'p', 'q']",
+                 id="extra-key"),
+    pytest.param(_with_row(_sparse([0], [10**400])),
+                 "malformed instance file: OverflowError: int too large to convert to float",
+                 id="p-huge-int"),
+    # A sparse row where a number or a block belongs.
+    pytest.param(_two_states(r=[[1.0, _sparse([0], [1.0])], [0.5]]),
+                 "malformed instance file: TypeError: float() argument must be a string or a"
+                 " real number, not 'dict'", id="row-in-r"),
+    pytest.param(_two_states(z=[[_sparse([0], [1.0]), 0.0], [2.0]]),
+                 "malformed instance file: TypeError: float() argument must be a string or a"
+                 " real number, not 'dict'", id="row-in-z"),
+    pytest.param(_with_row(_sparse([0], [_sparse([0], [1.0])])),
+                 "malformed instance file: TypeError: float() argument must be a string or a"
+                 " real number, not 'dict'", id="row-in-p"),
+    pytest.param(_two_states(P=[[_sparse([0], [1.0]), _sparse([0], [1.0])],
+                                _sparse([1], [1.0])]),
+                 "state 1: P/r/z must have one entry per action", id="row-as-block"),
+    pytest.param(_two_states(P=_sparse([0], [1.0])),
+                 "malformed instance file: KeyError: 0", id="row-as-P"),
+]
+
+
+@pytest.mark.parametrize("content, message", SPARSE_FAULTS)
+def test_sparse_row_faults_exit_one(tmp_path, capsys, content, message):
+    """Each fault of a sparse kernel row ends in one error line and exit 1."""
+    path = write_json(tmp_path / "bad.json", content)
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sparse_and_mixed_rows_solve_as_dense(tmp_path, capsys):
+    """A file may mix dense and sparse rows; every form gives the same report."""
+    mixed = _two_states()
+    mixed["P"][0][0] = [0.5, 0.5]
+    reports = []
+    for name, obj in [("dense", TWO_STATES), ("sparse", _two_states()), ("mixed", mixed)]:
+        assert run(["solve", "--instance", write_json(tmp_path / f"{name}.json", obj)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+NOT_NUMBERS = [
+    pytest.param({"r": [["2.0", 5.0]]}, "'r': expected a number, got '2.0'", id="r-str"),
+    pytest.param({"r": [[True, 5.0]]}, "'r': expected a number, got True", id="r-bool"),
+    pytest.param({"z": [[10.0, "0"]]}, "'z': expected a number, got '0'", id="z-str"),
+    pytest.param({"z": [[[10.0, False], [0.0, 1.0]]],
+                  "benchmark": {"support": [[4.0, 1.0]], "probs": [1.0]}},
+                 "'z': expected a number, got False", id="z-vector-bool"),
+    pytest.param({"P": [[["1.0"], [1.0]]]}, "P[0][0]: expected a number, got '1.0'",
+                 id="P-dense-str"),
+    pytest.param({"P": [[[1.0], "1.0"]]}, "P[0][1]: expected a number, got '1.0'",
+                 id="P-dense-str-row"),
+    pytest.param({"benchmark": {"support": ["4.0"], "probs": [1.0]}},
+                 "'support': expected a number, got '4.0'", id="support-str"),
+    pytest.param({"benchmark": {"support": [4.0], "probs": [True]}},
+                 "'probs': expected a number, got True", id="probs-bool"),
+    pytest.param({"extra_grid": [1.0, "2.0"]}, "'extra_grid': expected a number, got '2.0'",
+                 id="extra-grid-str"),
+    pytest.param({"mode": "discounted", "discount": "0.5", "initial": [1.0]},
+                 "'discount': expected a number, got '0.5'", id="discount-str"),
+    pytest.param({"mode": "discounted", "discount": 0.5, "initial": [True]},
+                 "'initial': expected a number, got True", id="initial-bool"),
+    pytest.param({"r": [[10**400, 5.0]]},
+                 "malformed instance file: OverflowError: int too large to convert to float",
+                 id="r-huge-int"),
+]
+
+
+@pytest.mark.parametrize("changes, message", NOT_NUMBERS)
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, changes, message):
+    """float() reads "2.0" and true as numbers; the instance schema does not."""
+    path = write_json(tmp_path / "bad.json", ti1_obj(**changes))
+    assert run(["solve", "--instance", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_distribution_refuses_strings(tmp_path, capsys):
+    good = write_json(tmp_path / "good.json", DIST)
+    bad = write_json(tmp_path / "bad.json", {"support": ["1.0"], "probs": [1.0]})
+    for argv in (["--x", bad, "--benchmark", good], ["--x", good, "--benchmark", bad]):
+        assert run(["check-dominance", *argv]) == 1
+        assert capsys.readouterr().err == "error: 'support': expected a number, got '1.0'\n"
+
+
+def test_rescaled_reports_say_so_whatever_the_status(tmp_path, capsys):
+    """Support 11 rescaled by 1 / (1 - 0.5) is the 22 the infeasible report names."""
+    obj = ti1_obj(benchmark_support=(11.0,), mode="discounted", discount=0.5, initial=[1.0])
+    path = write_json(tmp_path / "d.json", obj)
+    assert run(["solve", "--instance", path, "--rescale-benchmark"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "infeasible"
+    assert report["binding_etas"] == [22.0]
+    assert report["benchmark_rescaled"] is True
+    assert run(["solve", "--instance", path]) == 2
+    assert "benchmark_rescaled" not in json.loads(capsys.readouterr().out)
+
+
+def test_gen_portfolio_writes_sparse_rows_that_solve_as_dense(tmp_path, capsys):
+    """The shipped config is 8.3 % nonzero, so every row is written sparse."""
+    config = Path(__file__).resolve().parent.parent / "instances" / "portfolio_config.json"
+    sparse_path = tmp_path / "sparse.json"
+    assert run(["gen-portfolio", "--config", str(config), "--out", str(sparse_path)]) == 0
+    obj = json.loads(sparse_path.read_text())
+    assert all(isinstance(row, dict) for block in obj["P"] for row in block)
+    inst = parse_instance(obj).instance
+    dense = {**obj, "P": np.split(inst.kernel, inst.pair_offsets[1:-1])}
+    dense_path = tmp_path / "dense.json"
+    dense_path.write_text(dumps(dense))
+    assert len(sparse_path.read_bytes()) < len(dense_path.read_bytes())
+    capsys.readouterr()
+    assert run(["solve", "--instance", str(sparse_path)]) == 0
+    report = capsys.readouterr().out
+    assert run(["solve", "--instance", str(dense_path)]) == 0
+    assert capsys.readouterr().out == report

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from domdp.cli import _load_json, run
-from domdp.io import dumps, loads
+from domdp.io import dumps, instance_to_obj, loads, parse_instance
+from domdp.lp import SPARSE_DENSITY
+from domdp.mdp import MdpInstance
 from helpers import reference_dumps
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -249,6 +251,32 @@ FIRST_FAULT = [
 ]
 
 
+SPARSE_P = [[{"to": [0, 1], "p": [0.5, 0.5]}, {"to": [0], "p": [1.0]}], [{"to": [1], "p": [1.0]}]]
+FIRST_FAULT += [
+    pytest.param(
+        {"P": [[SPARSE_P[0][0], {"to": [0, 0], "p": [0.5, 0.5]}], SPARSE_P[1]],
+         "r": [[1.0, 0.0], ["y"]]},
+        "P[0][1] 'to': indices must increase strictly, got 0 after 0",
+        id="sparse-row-then-bad-r",
+    ),
+    pytest.param(
+        {"P": [SPARSE_P[0], [{"to": [2], "p": [1.0]}]], "r": [[1.0, "y"], [0.5]]},
+        "could not convert string to float: 'y'",
+        id="bad-r-then-sparse-row",
+    ),
+    pytest.param(
+        {"P": [SPARSE_P[0], [{"to": [1], "p": ["1.0"]}]], "z": [[1.0, "y"], [2.0]]},
+        "P[1][0] 'p': expected a number, got '1.0'",
+        id="sparse-row-and-bad-z",
+    ),
+    pytest.param(
+        {"P": [[[0.5, 0.5], {"to": [0, 1], "p": [1.0]}], [[0.0, 1.0]]] + [SPARSE_P[1]]},
+        "P[0][1]: 'to' and 'p' differ in length (2 and 1)",
+        id="mixed-rows-sparse-fault-and-extra-block",
+    ),
+]
+
+
 @pytest.mark.parametrize("changes, message", FIRST_FAULT)
 def test_first_fault_in_file_order_is_reported(tmp_path, capsys, changes, message):
     """A malformed kernel row is named by its own shape, and of two faults the
@@ -258,3 +286,60 @@ def test_first_fault_in_file_order_is_reported(tmp_path, capsys, changes, messag
     path.write_text(json.dumps({**TWO_STATES, **changes}))
     assert run(["solve", "--instance", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@st.composite
+def _kernels(draw):
+    """(actions, kernel): 1 to 12 states, ragged action counts, rows of 0 to S nonzeros."""
+    S = draw(st.integers(1, 12))
+    counts = draw(st.lists(st.integers(1, 4), min_size=S, max_size=S))
+    most = draw(st.integers(1, S))  # at most this many nonzeros a row: both sides of the rule
+    rows = []
+    for _ in range(sum(counts)):
+        nnz = draw(st.integers(0 if S > 1 else 1, most))
+        row = np.zeros(S)
+        where = draw(st.permutations(range(S)))[:nnz]
+        row[list(where)] = draw(
+            hnp.arrays(np.float64, nnz, elements=st.floats(5e-324, 1.0, exclude_min=False))
+        )
+        rows.append(row)
+    actions = tuple(tuple(f"a{i}" for i in range(c)) for c in counts)
+    return actions, np.array(rows)
+
+
+def _read_back(obj) -> np.ndarray:
+    return parse_instance(loads(dumps(obj))).instance.kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_kernels())
+def test_kernel_round_trips_bit_for_bit_in_either_form(drawn):
+    """instance_to_obj -> dumps -> loads -> parse_instance gives the kernel's
+    bits back; so do the rows written all dense or all sparse by hand."""
+    actions, kernel = drawn
+    K, S = kernel.shape
+    inst = MdpInstance(num_states=S, actions=actions, kernel=kernel, reward_r=np.zeros(K),
+                       reward_z=np.zeros(K), mode="average")
+    obj = instance_to_obj(inst)
+    sparse = np.count_nonzero(kernel) < SPARSE_DENSITY * kernel.size
+    assert all(isinstance(row, dict) == sparse for block in obj["P"] for row in block)
+    cuts = inst.pair_offsets[1:-1]
+    sparse_rows = [{"to": np.flatnonzero(row), "p": row[row != 0]} for row in kernel]
+    by_hand = [np.split(kernel, cuts), [sparse_rows[lo:hi] for lo, hi in
+                                        zip(inst.pair_offsets[:-1], inst.pair_offsets[1:])]]
+    for P in [obj["P"], *by_hand]:
+        back = _read_back({**obj, "P": P})
+        assert back.dtype == np.float64 and back.shape == kernel.shape
+        assert back.tobytes() == kernel.tobytes()
+
+
+def test_positive_kernels_are_written_dense():
+    """A kernel with every entry positive, as every benchmark instance has, is
+    written as np.split blocks of the dense rows."""
+    rng = np.random.default_rng(0)
+    kernel = 0.999 * rng.dirichlet(np.full(40, 0.4), size=80) + 0.001 / 40
+    actions = tuple(("a", "b") for _ in range(40))
+    inst = MdpInstance(num_states=40, actions=actions, kernel=kernel, reward_r=np.zeros(80),
+                       reward_z=np.zeros(80), mode="average")
+    P = instance_to_obj(inst)["P"]
+    assert dumps(P) == reference_dumps(np.split(kernel, np.arange(2, 80, 2)))
