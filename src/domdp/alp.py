@@ -146,7 +146,6 @@ def build_alp(
         inst,
         _utility_rows(inst, bases),
         np.array([u.expectation(bench) for u in bases.u_bases]),
-        [f"utility[{i}]" for i in range(bases.num_u)],
         pairs=samples,
         project=H,
     )

@@ -90,7 +90,6 @@ def _occupation_lp(
     if family is not None:
         D, rhs = family_rows(family, inst.reward_z)
         grid = np.arange(len(rhs), dtype=float)
-        dom_labels = [f"dominance[xi={i}]" for i in range(len(grid))]
     else:
         if inst.reward_z.ndim != 1:
             raise ValueError("vector z requires a generator family")
@@ -100,41 +99,53 @@ def _occupation_lp(
         kink = shortfall_plus if convex else shortfall_minus
         D = kink(inst.reward_z, grid[:, None])
         rhs = benchmark_plus_curve(bench, grid) if convex else benchmark_curve(bench, grid)
-        dom_labels = [f"dominance[eta={float(eta)!r}]" for eta in grid]
-    return occupation_lp(inst, D, rhs, dom_labels, convex=convex), grid
+    return occupation_lp(inst, D, rhs, convex=convex), grid
 
 
 def occupation_lp(
-    inst: MdpInstance, D: np.ndarray, rhs: np.ndarray, dom_labels: list[str],
+    inst: MdpInstance, D: np.ndarray, rhs: np.ndarray,
     pairs: np.ndarray | None = None, project: np.ndarray | None = None, convex: bool = False,
 ) -> LpProblem:
     """inst's occupation LP with dominance rows D x >= rhs (minimized, <= rhs, if convex).
 
-    D has a column per pair. pairs keeps one column per entry, duplicates
-    included; project turns the S balance rows B x = b into
-    project @ B x = project @ b.
+    Rows: the S balance rows, the normalization row sum x = 1 in average
+    mode only, then one dominance row per entry of rhs. D has a column per
+    pair. pairs keeps one column per entry, duplicates included; project
+    turns the balance rows B x = b into project @ B x = project @ b.
     """
     S, K = inst.num_states, inst.num_pairs
     B = -inst.delta * inst.kernel.T
     B[inst.state_of_pair(), np.arange(K)] += 1.0
     b = np.zeros(S) if inst.mode == AVERAGE else inst.initial
     c = inst.reward_r.copy()
-    row_labels = [f"balance[{j}]" for j in range(S)]
     if pairs is not None:
         B, D, c = B[:, pairs], D[:, pairs], c[pairs]
     if project is not None:
         B, b = project @ B, project @ b
-        row_labels = [f"basis[{j}]" for j in range(len(project))]
-    normalize = int(inst.mode == AVERAGE)  # the row sum x = 1, in average mode only
-    row_labels += ["normalize"] * normalize + dom_labels
+    normalize = int(inst.mode == AVERAGE)
     return LpProblem(
         sense="min" if convex else "max",
         c=c,
         A=np.vstack([B, np.ones((normalize, c.size)), D]),
-        row_senses=[EQ] * (len(row_labels) - len(rhs)) + [LE if convex else GE] * len(rhs),
+        row_senses=[EQ] * (len(b) + normalize) + [LE if convex else GE] * len(rhs),
         b=np.concatenate([b, [1.0] * normalize, rhs]),
-        row_labels=row_labels,
     )
+
+
+def row_name(inst: MdpInstance, i: int, etas: np.ndarray | None) -> str:
+    """Row i of inst's unprojected occupation LP by name; see the README's report schema.
+
+    Dominance row k is named by the benchmark point etas[k], or by k for a
+    family (etas None).
+    """
+    first = inst.num_states + (inst.mode == AVERAGE)
+    if i < inst.num_states:
+        return f"balance[{i}]"
+    if i < first:
+        return "normalize"
+    if etas is None:
+        return f"dominance[xi={i - first}]"
+    return f"dominance[eta={float(etas[i - first])!r}]"
 
 
 def build_average_primal(
@@ -157,7 +168,7 @@ def extract_policy(occ: OccupationMeasure) -> Policy:
     """Disintegrate x into a stationary policy; uniform at zero-marginal states."""
     inst = occ.inst
     w = occ.weights
-    if occ.mode != AVERAGE:
+    if inst.mode != AVERAGE:
         w = w / w.sum()
     rows = []
     for s in range(inst.num_states):
@@ -343,11 +354,12 @@ def _solve(
             cert = sol.certificate
             scale = float(np.abs(cert).max(initial=0.0))
             keep = [i for i in range(len(cert)) if abs(cert[i]) > 1e-9 * (1.0 + scale)]
-            report.certificate = [(lp.row_labels[i], float(cert[i])) for i in keep]
+            etas = grid if family is None else None
+            report.certificate = [(row_name(inst, i, etas), float(cert[i])) for i in keep]
             report.binding_etas = [float(grid[i - first]) for i in keep if i >= first]
         return report
     D, rhs = lp.A[first:], lp.b[first:]
-    occ = OccupationMeasure(inst=inst, weights=np.maximum(sol.x, 0.0), mode=mode)
+    occ = OccupationMeasure(inst=inst, weights=np.maximum(sol.x, 0.0))
     lam = np.maximum(sol.y[first:], 0.0)
     dual = DualSolution(
         g=float(sol.y[S]) if mode == AVERAGE else 0.0,

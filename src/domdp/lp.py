@@ -92,7 +92,8 @@ LE, EQ, GE = "<=", "=", ">="
 class LpProblem:
     """max or min c.x over x >= 0 with one sense per row; see the module docstring.
 
-    Row labels name the rows of an infeasibility certificate.
+    Rows are known by their index only: a caller that reports on rows, such
+    as the certificate of an infeasible solve, names them from its own layout.
     """
 
     sense: str                  # "max" | "min"
@@ -100,7 +101,6 @@ class LpProblem:
     A: np.ndarray
     row_senses: list[str]
     b: np.ndarray
-    row_labels: list[str]
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -113,13 +113,11 @@ class LpProblem:
             raise ValueError(
                 f"dimension mismatch: A {self.A.shape}, c {self.c.shape}, b {self.b.shape}"
             )
-        if len(self.row_senses) != m or len(self.row_labels) != m:
-            raise ValueError("row senses/labels must match the number of rows")
+        if len(self.row_senses) != m:
+            raise ValueError("row senses must match the number of rows")
         for s in self.row_senses:
             if s not in (LE, EQ, GE):
                 raise ValueError(f"unknown row sense {s!r}")
-        if len(set(self.row_labels)) != m:
-            raise ValueError("row labels must be unique")
 
     @property
     def num_rows(self) -> int:
@@ -162,23 +160,13 @@ class LpSolution:
 
 @dataclass
 class StandardForm:
-    """min c.x, A x = b with b >= 0, x >= 0, plus the exact inverse mapping."""
+    """How a standard form relates to its problem; ``solve_lp`` maps solutions back by it."""
 
     obj_sign: float
     n: int                   # the original columns, first in the standard form
     slack_col: np.ndarray    # -1 for equality rows
     row_flip: np.ndarray
     unit_start: np.ndarray   # per row its slack where that is +1 after the flip, else -1
-
-    def map_primal(self, x_std: np.ndarray) -> np.ndarray:
-        return x_std[: self.n]
-
-    def map_duals(self, y_std: np.ndarray, orig: LpProblem) -> tuple[np.ndarray, np.ndarray]:
-        y_raw = self.obj_sign * self.row_flip * y_std
-        # Inequality rows that oppose the objective's sense get their sign flipped.
-        against = GE if orig.sense == "max" else LE
-        norm = np.where(np.asarray(orig.row_senses, dtype=str) == against, -1.0, 1.0)
-        return y_raw, norm * y_raw
 
 
 def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
@@ -208,7 +196,6 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
         A=A,
         row_senses=[EQ] * m,
         b=p.b * row_flip,
-        row_labels=list(p.row_labels),
     )
     return std, StandardForm(obj_sign, n, slack_col, row_flip, unit_start)
 
@@ -525,9 +512,12 @@ def solve_lp(
     if res.status == "infeasible":
         return replace(res, certificate=rec.row_flip * res.certificate)
     if res.status == "unbounded":
-        return replace(res, ray=rec.map_primal(res.ray))
-    x = rec.map_primal(res.x)
-    y_raw, y = rec.map_duals(res.y_raw, p)
+        return replace(res, ray=res.ray[: rec.n])
+    x = res.x[: rec.n]
+    y_raw = rec.obj_sign * rec.row_flip * res.y_raw
+    # Inequality rows that oppose the objective's sense get their sign flipped.
+    against = GE if p.sense == "max" else LE
+    y = np.where(np.asarray(p.row_senses, dtype=str) == against, -1.0, 1.0) * y_raw
     objective = float(p.c @ x)
     dual_objective = float(p.b @ y_raw)
     prim, dual, slack = _residuals(p, x, y_raw)

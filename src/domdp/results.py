@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dominance import UtilityFunction
-from .mdp import AVERAGE, DISCOUNTED, MdpInstance, Policy, enumerate_pairs
+from .mdp import AVERAGE, MdpInstance, Policy, enumerate_pairs
 
 MASS_TOL = 1e-8
 
@@ -18,12 +18,11 @@ class OccupationMeasure:
 
     Average mode: a probability measure whose state marginal is invariant
     under the induced kernel. Discounted mode: total mass 1/(1-discount),
-    balance rows anchored at the initial distribution.
+    balance rows anchored at the initial distribution. The mode is inst's.
     """
 
     inst: MdpInstance
     weights: np.ndarray
-    mode: str
 
     def __post_init__(self) -> None:
         w = np.ascontiguousarray(self.weights, dtype=float)
@@ -31,8 +30,6 @@ class OccupationMeasure:
         object.__setattr__(self, "weights", w)
         if w.shape != (self.inst.num_pairs,):
             raise ValueError("one weight per feasible pair required")
-        if self.mode not in (AVERAGE, DISCOUNTED):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     def state_marginal(self) -> np.ndarray:
         out = np.zeros(self.inst.num_states)
@@ -42,7 +39,7 @@ class OccupationMeasure:
     def residuals(self) -> dict[str, float]:
         """Invariant residuals: mass defect and flow-balance sup norm."""
         delta = self.inst.delta
-        average = self.mode == AVERAGE
+        average = self.inst.mode == AVERAGE
         inflow = self.weights @ self.inst.kernel
         b = 0.0 if average else self.inst.initial
         mass = abs(float(self.weights.sum()) - (1.0 if average else 1.0 / (1.0 - delta)))

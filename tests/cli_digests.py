@@ -25,7 +25,8 @@ benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
 3-asset config at resolution 3 (a sparse LP), ``alp`` with a
 block-aggregation basis in both modes, non-finite and otherwise invalid
 instances passed to ``solve``, ``oracle`` and ``simulate``, a generator
-family with non-dyadic weights in both modes, vector z
+family with non-dyadic weights in both modes, an infeasible generator family
+in both modes (certificates naming ``dominance[xi=i]`` rows), vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
 files with JSON of the wrong types, a ragged kernel row or two faults at
 once, or nested past the recursion limit, an
@@ -350,6 +351,25 @@ def _inexact_family_cases(c: _Corpus) -> None:
         c.add(f"family-inexact-{mode}/solve", ["solve", "--instance", path])
 
 
+def _infeasible_family_cases(c: _Corpus) -> None:
+    """A family kinked at benchmark points above every z, solved in both modes.
+
+    No measure meets the family rows, so both reports carry a certificate
+    that names dominance rows by parameter index (``dominance[xi=i]``).
+    """
+    rng = np.random.default_rng(11)
+    for mode in ("average", "discounted"):
+        inst = random_instance(rng, max_states=5, max_actions=3, mode=mode)
+        obj = _instance_obj(inst, random_benchmark(rng, inst, max_support=3))
+        scale = 1.0 / (1.0 - inst.discount) if mode == "discounted" else 1.0
+        span = float(inst.reward_z.max() - inst.reward_z.min()) + 1.0
+        support = (np.asarray(obj["benchmark"]["support"]) + span * scale).tolist()
+        obj["benchmark"]["support"] = support
+        obj["family"] = {"weights": [[1.0]], "etas": support}
+        path = c.file(f"family-infeasible-{mode}", obj)
+        c.add(f"family-infeasible-{mode}/solve", ["solve", "--instance", path])
+
+
 def _wrong_type_cases(c: _Corpus) -> None:
     """Input files whose JSON types do not fit the schema or nest too deep: each exits 1."""
     ti1 = str(INSTANCES / "ti1.json")
@@ -592,6 +612,7 @@ def _digests() -> dict:
         _shipped_cases(c)
         _edge_cases(c)
         _inexact_family_cases(c)
+        _infeasible_family_cases(c)
         _long_simulation(c, rng)
         _alp_block_cases(c)
         _decode_cases(c)

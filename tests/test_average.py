@@ -18,6 +18,7 @@ from domdp.average import (
     value_iteration_unconstrained,
 )
 from domdp.discounted import solve_discounted
+from domdp.dominance import weighted_kink_family
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
 from domdp.portfolio import PortfolioConfig, build_portfolio_instance
@@ -60,8 +61,26 @@ def test_ti1_dominance_row_coefficients():
 
 
 def test_lp_labels_carry_identities():
-    lp = build_average_primal(ti1(), TI1_BENCH)
-    assert lp.row_labels == ["balance[0]", "normalize", "dominance[eta=4.0]"]
+    # An infeasible report's certificate names the rows it keeps: balance[j],
+    # normalize in average mode only, and a dominance row by its benchmark
+    # point, or by its parameter index for a family.
+    bench = Benchmark(support=[5.0, 20.0], probs=[0.5, 0.5])
+    family = weighted_kink_family([[1.0]], [5.0, 20.0], bench)
+    high = Benchmark(support=[100.0], probs=[1.0])
+    discounted = ti1(mode="discounted", discount=0.5)
+    average_rows = ["balance[0]", "balance[1]", "normalize"]
+    cases = [
+        (solve_average(ti2(), bench), average_rows + ["dominance[eta=5.0]", "dominance[eta=20.0]"]),
+        (solve_average(ti2(), bench, family), average_rows + ["dominance[xi=0]", "dominance[xi=1]"]),
+        (solve_discounted(discounted, high), ["balance[0]", "dominance[eta=100.0]"]),
+        (
+            solve_discounted(discounted, high, family=weighted_kink_family([[1.0]], [100.0], high)),
+            ["balance[0]", "dominance[xi=0]"],
+        ),
+    ]
+    for report, labels in cases:
+        assert report.status == "infeasible"
+        assert [label for label, _ in report.certificate] == labels
 
 
 def test_build_rejects_wrong_mode():
@@ -99,9 +118,9 @@ def test_solve_ti1_unattainable_benchmark():
 
 def test_extract_policy_rules():
     inst = ti1()
-    occ = OccupationMeasure(inst=inst, weights=np.array([0.5, 0.5]), mode="average")
+    occ = OccupationMeasure(inst=inst, weights=np.array([0.5, 0.5]))
     assert extract_policy(occ).rows[0].tolist() == [0.5, 0.5]
-    occ0 = OccupationMeasure(inst=inst, weights=np.array([0.0, 0.0]), mode="average")
+    occ0 = OccupationMeasure(inst=inst, weights=np.array([0.0, 0.0]))
     assert extract_policy(occ0).rows[0].tolist() == [0.5, 0.5]
     inst3 = MdpInstance(
         num_states=1,
@@ -111,7 +130,7 @@ def test_extract_policy_rules():
         reward_z=np.zeros(3),
         mode="average",
     )
-    occ3 = OccupationMeasure(inst=inst3, weights=np.array([0.2, 0.0, 0.6]), mode="average")
+    occ3 = OccupationMeasure(inst=inst3, weights=np.array([0.2, 0.0, 0.6]))
     assert np.allclose(extract_policy(occ3).rows[0], [0.25, 0.0, 0.75])
 
 
@@ -257,7 +276,6 @@ def test_vacuous_matches_unconstrained_lp():
             A=np.vstack([B, np.ones((1, K))]),
             row_senses=[EQ] * (S + 1),
             b=np.concatenate([np.zeros(S), [1.0]]),
-            row_labels=[f"b{j}" for j in range(S)] + ["n"],
         )
         unconstrained = _solve(lp)
         assert abs(constrained.objective - unconstrained.objective) <= 1e-8
@@ -281,8 +299,6 @@ def test_multivariate_family_mode(mode, extra, eta, expected):
         mode=mode,
         **extra,
     )
-    from domdp.dominance import weighted_kink_family
-
     bench = Benchmark(support=[[eta, eta]], probs=[1.0])
     fam = weighted_kink_family([[0.5, 0.5]], [eta], bench)
     if mode == "average":

@@ -12,10 +12,20 @@ from helpers import TI1_BENCH, feasible_pair, ti1
 
 def test_occupation_invariants_fire_on_bad_weights():
     inst = ti1()
-    good = OccupationMeasure(inst=inst, weights=np.array([1.0, 0.0]), mode="average")
+    good = OccupationMeasure(inst=inst, weights=np.array([1.0, 0.0]))
     assert good.is_valid()
-    not_normalized = OccupationMeasure(inst=inst, weights=np.array([0.7, 0.1]), mode="average")
+    not_normalized = OccupationMeasure(inst=inst, weights=np.array([0.7, 0.1]))
     assert not not_normalized.is_valid()
+
+
+def test_occupation_measure_takes_its_mode_from_the_instance():
+    # A discounted measure has mass 1 / (1 - delta) = 2 at delta = 0.5.
+    inst = ti1(mode="discounted", discount=0.5)
+    occ = OccupationMeasure(inst=inst, weights=np.array([2.0, 0.0]))
+    assert occ.residuals() == {"mass": 0.0, "balance": 0.0}
+    assert occ.is_valid()
+    with pytest.raises(TypeError):
+        OccupationMeasure(inst=inst, weights=np.array([2.0, 0.0]), mode="average")
 
 
 def test_occupation_balance_detects_flow_violation():
@@ -26,7 +36,7 @@ def test_occupation_balance_detects_flow_violation():
     # but flow balance breaks.
     w[0] += 0.2
     w[-1] -= 0.2
-    broken = OccupationMeasure(inst=inst, weights=w, mode="average")
+    broken = OccupationMeasure(inst=inst, weights=w)
     assert broken.residuals()["balance"] > 1e-4
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from domdp.alp import BasisSet, complete_basis, sample_constraints, solve_alp
-from domdp.average import build_average_primal, solve_average
+from domdp.average import build_average_primal, row_name, solve_average
 from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.dominance import weighted_kink_family
 from domdp.lp import EQ, GE, LE
@@ -76,14 +76,17 @@ def _draws():
     yield pytest.param(build_portfolio_instance(cfg), cfg.benchmark, None, id="portfolio-r2")
 
 
-def _farkas_problems(lp, report):
+def _farkas_problems(lp, report, inst, etas):
     """Sign conditions of a Farkas certificate y for {x >= 0, A x (senses) b}.
 
     y.A <= 0 on every column, y >= 0 on >= rows, y <= 0 on <= rows and
-    y.b > 0: then no x >= 0 satisfies the rows.
+    y.b > 0: then no x >= 0 satisfies the rows. The report's weights go to
+    rows by their names; etas as for ``row_name``.
     """
     weights = dict(report.certificate)
-    y = np.array([weights.get(label, 0.0) for label in lp.row_labels])
+    assert len(weights) == len(report.certificate), "row names repeat"
+    y = np.array([weights.pop(row_name(inst, i, etas), 0.0) for i in range(lp.num_rows)])
+    assert not weights, f"names of no row: {sorted(weights)}"
     scale = np.abs(y).max() * (1.0 + np.abs(lp.A).max() + np.abs(lp.b).max())
     senses = np.asarray(lp.row_senses)
     problems = []
@@ -107,7 +110,8 @@ def test_matches_highs(inst, bench, family):
     status, objective, y = _highs(lp)
     assert report.status == status
     if status == "infeasible":
-        assert _farkas_problems(lp, report) == []
+        etas = bench.support if family is None else None
+        assert _farkas_problems(lp, report, inst, etas) == []
         return
     scale = 1.0 + abs(objective)
     assert report.objective == pytest.approx(objective, abs=TOL * scale)

@@ -19,7 +19,6 @@ def box_problem():
         A=np.array([[1.0, 0.0], [0.0, 1.0]]),
         row_senses=[LE, LE],
         b=np.array([1.0, 2.0]),
-        row_labels=["r0", "r1"],
     )
 
 
@@ -38,7 +37,6 @@ def test_standard_form_surplus_for_ge_row():
         A=np.array([[1.0]]),
         row_senses=[GE],
         b=np.array([2.0]),
-        row_labels=["r"],
     )
     std, rec = to_standard_form(p)
     assert std.A[0, rec.slack_col[0]] == -1.0
@@ -53,7 +51,6 @@ def test_standard_form_layout():
         A=np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [4.0, 0.0, 5.0]]),
         row_senses=[LE, GE, EQ],
         b=np.array([4.0, -3.0, -2.0]),
-        row_labels=["le", "ge", "eq"],
     )
     std, rec = to_standard_form(p)
     assert np.array_equal(
@@ -67,19 +64,17 @@ def test_standard_form_layout():
     assert std.A.flags.c_contiguous
     assert np.array_equal(std.c, [-1.0, -2.0, 3.0, 0.0, 0.0])
     assert np.array_equal(std.b, [4.0, 3.0, 2.0])
-    assert std.row_labels == ["le", "ge", "eq"]
     assert rec.n == 3
     assert rec.slack_col.tolist() == [3, 4, -1]
     assert rec.row_flip.tolist() == [1.0, -1.0, -1.0]
-    x_std = np.array([1.5, 0.25, 0.5, 9.0, 9.0])
-    assert rec.map_primal(x_std).tolist() == [1.5, 0.25, 0.5]
 
 
 def test_problem_has_no_free_variables_or_column_labels():
-    args = dict(sense="max", c=np.ones(2), A=np.eye(2), row_senses=[LE, LE],
-                b=np.ones(2), row_labels=["r0", "r1"])
+    args = dict(sense="max", c=np.ones(2), A=np.eye(2), row_senses=[LE, LE], b=np.ones(2))
     assert LpProblem(**args).lower.tolist() == [0.0, 0.0]
-    for extra in (dict(lower=np.zeros(2)), dict(col_labels=["x1", "x2"])):
+    for extra in (
+        dict(lower=np.zeros(2)), dict(col_labels=["x1", "x2"]), dict(row_labels=["r0", "r1"])
+    ):
         with pytest.raises(TypeError):
             LpProblem(**args, **extra)
 
@@ -92,7 +87,6 @@ def test_dimension_mismatch_rejected():
             A=np.array([[1.0, 2.0]]),
             row_senses=[LE],
             b=np.array([1.0]),
-            row_labels=["r"],
         )
 
 
@@ -112,7 +106,6 @@ def test_solve_infeasible_contradiction():
         A=np.array([[1.0], [1.0]]),
         row_senses=[EQ, LE],
         b=np.array([1.0, 0.5]),
-        row_labels=["eq", "ub"],
     )
     sol = solve_lp(p)
     assert sol.status == "infeasible"
@@ -126,7 +119,6 @@ def test_solve_unbounded_with_ray():
         A=np.zeros((0, 1)),
         row_senses=[],
         b=np.zeros(0),
-        row_labels=[],
     )
     sol = solve_lp(p)
     assert sol.status == "unbounded"
@@ -141,7 +133,6 @@ def test_equality_and_ge_rows():
         A=np.array([[1.0, 0.0], [-1.0, 1.0], [1.0, 1.0]]),
         row_senses=[EQ, GE, GE],
         b=np.array([0.25, -1.0, 1.0]),
-        row_labels=["fix", "ge1", "ge2"],
     )
     sol = solve_lp(p)
     assert sol.status == "optimal"
@@ -157,7 +148,6 @@ def test_redundant_row_gets_zero_dual():
         A=np.array([[1.0], [1.0]]),
         row_senses=[EQ, EQ],
         b=np.array([2.0, 2.0]),
-        row_labels=["r0", "r1"],
     )
     sol = solve_lp(p)
     assert sol.status == "optimal"
@@ -191,7 +181,6 @@ def _random_feasible_bounded(rng):
         A=A_full,
         row_senses=senses_full,
         b=b_full,
-        row_labels=[f"r{i}" for i in range(m + 2 * n)],
     )
 
 
@@ -227,22 +216,56 @@ def test_solver_is_deterministic():
     assert np.array_equal(a.y, b.y)
 
 
-def test_degenerate_problem_terminates():
+def degenerate_problem():
     # Highly degenerate: many redundant upper bounds through the same vertex.
     n = 6
     A = np.vstack([np.ones((4, n)), np.eye(n)])
     b = np.concatenate([np.full(4, 1.0), np.full(n, 1.0)])
-    p = LpProblem(
+    return LpProblem(
         sense="max",
         c=np.linspace(1.0, 2.0, n),
         A=A,
         row_senses=[LE] * (4 + n),
         b=b,
-        row_labels=[f"r{i}" for i in range(4 + n)],
     )
-    sol = solve_lp(p)
+
+
+def test_degenerate_problem_terminates():
+    sol = solve_lp(degenerate_problem())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-8)
+
+
+def test_blands_rule_from_the_first_pivot(monkeypatch):
+    # Under Bland's rule, of the rows tied in the exact ratio test the one
+    # whose basic column is lowest leaves. Every ratio test of the
+    # degenerate problem is a tie: the first of its four sum rows and one
+    # box row, or more. The default pricing never switches to the rule here.
+    reference = solve_lp(degenerate_problem())
+    init, pivot = lp._Simplex.__init__, lp._Simplex._pivot
+    ties_seen = []
+
+    def bland_from_the_start(self, *args):
+        init(self, *args)
+        self.bland = True
+
+    def checked_pivot(self, leave_row, enter, d, theta):
+        pos = np.flatnonzero(d > lp.PIVOT_TOL)
+        ratios = self.x_B[pos] / d[pos]
+        ties = pos[ratios <= ratios.min() + 1e-12 * (1.0 + abs(ratios.min()))]
+        ties_seen.append(ties.size)
+        assert self.basis[leave_row] == self.basis[ties].min()
+        pivot(self, leave_row, enter, d, theta)
+
+    monkeypatch.setattr(lp._Simplex, "__init__", bland_from_the_start)
+    monkeypatch.setattr(lp._Simplex, "_pivot", checked_pivot)
+    sol = solve_lp(degenerate_problem())
+    assert sol.bland and not reference.bland
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(reference.objective, abs=1e-12)
+    assert np.allclose(sol.x, reference.x, atol=1e-12)
+    assert np.allclose(sol.y, reference.y, atol=1e-12)
+    assert ties_seen and min(ties_seen) > 1
 
 
 def _loop_unit_start(p):
@@ -321,7 +344,6 @@ def test_start_with_a_negative_value_falls_back():
         A=np.array([[1.0, -1.0], [1.0, 1.0]]),
         row_senses=[EQ, LE],
         b=np.array([-1.0, 3.0]),
-        row_labels=["r0", "r1"],
     )
     sol = solve_lp(p, start=np.array([0, -1]))
     assert not sol.crash
@@ -337,7 +359,6 @@ def test_start_row_whose_slack_would_be_negative_gets_an_artificial():
         A=np.array([[1.0], [1.0]]),
         row_senses=[EQ, LE],
         b=np.array([3.0, 2.0]),
-        row_labels=["r0", "r1"],
     )
     sol = solve_lp(p, start=np.array([0, -1]))
     assert sol.crash
@@ -433,7 +454,7 @@ def test_phase_one_keeps_one_copy_of_the_matrix():
     m, n = 100, 16_000
     A = rng.uniform(0.0, 1.0, size=(m, n))
     b = A[:, :m] @ rng.uniform(0.5, 1.0, size=m)
-    p = LpProblem("min", A.sum(axis=0), A, [EQ] * m, b, [f"r{i}" for i in range(m)])
+    p = LpProblem("min", A.sum(axis=0), A, [EQ] * m, b)
     tracemalloc.start()
     try:
         sol = solve_lp(p)
