@@ -14,7 +14,10 @@ its ``]``, to ``orjson``, whose float parser is also correctly rounded and
 so gives the same bits. ``orjson`` reads an integer outside the 64-bit range
 as a float, so an array whose values leave (-2**63, 2**64), or that holds a
 null, is decoded by ``json`` instead. Text that is not ASCII (the
-pure-Python scanner's number pattern also matches non-ASCII digits) and text
+pure-Python scanner's number pattern also matches non-ASCII digits), text
+whose first inner object is a sparse kernel row (``{"to":``, as ``dumps``
+writes it: many short arrays and objects, which cost the pure-Python
+scanner more than ``json``'s C scanner takes for the whole file) and text
 the fast path cannot decode (NaN, ``1e400``, syntax errors, nesting past the
 recursion limit) go to ``json.loads`` whole.
 
@@ -23,7 +26,9 @@ schema is reported as a ValueError by the ``parse_*`` function that decodes
 it. Where the instance schema asks for a number (r, z, discount, initial,
 benchmark support and probs, extra_grid, a sparse row's p), a string or a
 boolean is refused, although ``float()`` would read one; a dense kernel row
-refuses strings through the dtype of the decoded array.
+refuses strings through the dtype of the decoded array, and booleans by an
+exact type test of the rows that hold an exact 0 or 1, the values a boolean
+decodes to.
 
 Kernel rows. A pair's row of P is either dense, one number per state, or
 sparse, ``{"to": [j, ...], "p": [p, ...]}``: ``to`` holds JSON integers,
@@ -126,7 +131,9 @@ class _FlatArrayDecoder(json.JSONDecoder):
 
 def loads(text: str):
     """``json.loads(text)``: the same objects, float bits and errors, faster on flat arrays."""
-    if text.isascii():
+    # instance_to_obj puts P before every other object, so the first object
+    # inside a sparse-row file is a kernel row; one memchr finds it.
+    if text.isascii() and not text.startswith('{"to":', text.find("{", 1)):
         try:
             return json.loads(text, cls=_FlatArrayDecoder)
         except (ValueError, RecursionError):
@@ -250,13 +257,19 @@ def _stack(rows: list, num_states: int) -> np.ndarray:
     """The kernel from rows that are all sparse or all dense; raises otherwise.
 
     Dense rows are decoded whole, and a dtype other than float or integer (a
-    string anywhere gives a string dtype) sends the file to the one-by-one path.
+    string anywhere gives a string dtype), or a boolean among the numbers,
+    sends the file to the one-by-one path.
     """
     if rows and type(rows[0]) is dict:
         return _scatter(rows, num_states)
     kernel = np.array(rows)
     if kernel.dtype.kind not in "fiu":
         raise ValueError(f"kernel rows decode to dtype {kernel.dtype}")
+    # A boolean among numbers decodes to exactly 0 or 1, so only the rows
+    # holding one need the exact type test.
+    binary = ((kernel == 0) | (kernel == 1)).any(axis=tuple(range(1, kernel.ndim)))
+    for i in np.flatnonzero(binary).tolist():
+        _refuse_non_numbers(rows[i], "kernel row")
     return kernel.astype(float, copy=False)
 
 
@@ -296,11 +309,11 @@ def _sparse_row(row: dict, num_states: int, where: str) -> np.ndarray:
 
 
 def _dense_row(row, where: str) -> np.ndarray:
-    """One dense row; a string in it is refused, as the block path's dtype refuses it."""
+    """One dense row; a string or a boolean in it is refused, as the block path refuses it."""
     dense = np.asarray(row, dtype=float)
-    strings = [v for v in np.asarray(row, dtype=object).ravel() if isinstance(v, str)]
-    if strings:
-        raise ValueError(f"{where}: expected a number, got {strings[0]!r}")
+    wrong = [v for v in np.asarray(row, dtype=object).ravel() if isinstance(v, (str, bool))]
+    if wrong:
+        raise ValueError(f"{where}: expected a number, got {wrong[0]!r}")
     return dense
 
 

@@ -13,19 +13,33 @@ original rows, both raw (signed, for duality checks) and normalized per row
 sense (nonnegative multipliers for inequality rows).
 
 Basis inverse. ``_Simplex`` keeps the explicit inverse of the basis from its
-last refactorization and, after it, an eta file: one column per pivot since
-then, in product form (Forrest and Tomlin, Math. Prog. 2, 1972). FTRAN
-(B^-1 v) applies the inverse and then the etas in order; BTRAN (B^-T v)
-applies the etas in reverse order and then the inverse. The basic values
-follow the pivot formula. Once the eta file holds ETA_SHARE of the basis
-size m, ``np.linalg.inv`` rebuilds the inverse, which empties the eta file
-and recomputes the basic values from b. An inverse costs O(m^3) and each
-eta O(m) per FTRAN or BTRAN, so the interval between inverses grows with
-m. Drift between refactorizations is caught by the residual check of
+last refactorization and, after it, an eta file: one eta per pivot since
+then, in product form (Forrest and Tomlin, Math. Prog. 2, 1972), stored in
+compact form (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).
+The etas' vectors are the rows of a preallocated matrix G, their pivot rows
+the entries of R, and their product is I - G^T T E_R^T with T unit lower
+triangular, so FTRAN (B^-1 v) is the inverse's product followed by
+w - ((T w[R]) @ G), and BTRAN (B^-T v) subtracts T^T (G v) at the rows R
+(R can repeat a row) before the inverse's product: two matrix products each,
+whatever the number of etas. Row r of B^-1 has nonzero weights on the rows
+R and r of the inverse only, so ``row`` reads just those rows. T gains one
+row per pivot at O(K^2) for K etas. The basic values follow the pivot
+formula. Once the eta file holds ETA_SHARE of the basis size m,
+``np.linalg.inv`` rebuilds the inverse, which empties the eta file and
+recomputes the basic values from b. An inverse costs O(m^3) and each eta
+O(m) per FTRAN or BTRAN, so the interval between inverses grows with m.
+Drift between refactorizations is caught by the residual check of
 ``solve_lp``.
 
-Pricing. Each iteration takes y by BTRAN and prices c - A^T y. When less
-than SPARSE_DENSITY of A is nonzero, A is also held as compressed columns
+Pricing. Each iteration prices c - A^T y. y is updated per pivot,
+y += (rc_q / d_r) e_r^T B^-1 for entering column q and pivot row r, from
+the row of the inverse the pivot creates. A BTRAN of the basic costs
+recomputes y from scratch at the start of each ``run``, after each
+refactorization, and whenever an updated y finds no entering column or an
+unbounded one: optimal and unbounded are declared on a recomputed y only,
+and with a candidate left the solve goes on from it. The phase-1
+certificate and the final duals are BTRANs too. When less than
+SPARSE_DENSITY of A is nonzero, A is also held as compressed columns
 (int32 row indices) and the product is one ``np.add.reduceat`` over them;
 otherwise it is one dense ``A.T @ y`` and the compressed arrays are never
 built. On one core the compressed product takes 0.4-0.7 of the dense
@@ -46,10 +60,11 @@ basic column.
 Phases. Phase 1 minimizes the sum of the artificials. They are not stored
 as columns of A: an artificial is +-e_i on its row i, so pricing reads
 +-y_i, the entering column is +-B^-1 e_i and a refactorization writes the
-unit column into its slot. Phase 1's certificate, the tableau rows that
-drive artificials out and, in phase 2, the final x and y all go through
-FTRAN and BTRAN. When phase 1 drops no row, phase 2 goes on from phase 1's
-inverse and eta file; otherwise it refactorizes the basis on the rows kept.
+unit column into its slot. Phase 1's certificate and, in phase 2, the
+final x and y go through FTRAN and BTRAN; the tableau rows that drive
+artificials out are rows of the inverse (``row``). When phase 1 drops no
+row, phase 2 goes on from phase 1's inverse and eta file; otherwise it
+refactorizes the basis on the rows kept.
 
 Start basis. Basis slot i belongs to row i. Without a start, each row takes
 its unit start, which ``to_standard_form`` records: the row's slack when
@@ -68,6 +83,7 @@ it cannot drive out, and drops the row of that index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,8 +91,8 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-7
-# The eta file is folded into a fresh inverse once it holds this share of
-# the basis size. On one core, 1/4 solved the 962-row portfolio LP from the
+# The eta file's arrays hold this share of the basis size, and a full file
+# is folded into a fresh inverse. On one core, 1/4 solved the 962-row portfolio LP from the
 # unit start (about 1700 pivots) in 3.5 s, against 3.7, 3.9 and 6.0 s at
 # 1/8, 1/2 and 1.
 ETA_SHARE = 0.25
@@ -203,9 +219,11 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
 class _Simplex:
     """Revised simplex on A x = b, x >= 0, from a given basis; see the module docstring.
 
-    An eta (r, g) stands for the pivot in row r with entering column
-    d = B^-1 a: it multiplies B^-1 from the left by I - g e_r^T, where
-    g = d / d_r except g_r = 1 - 1 / d_r.
+    Eta k stands for the pivot in row R[k] with entering column d = B^-1 a:
+    it multiplies B^-1 from the left by I - G[k]^T e_{R[k]}^T, where
+    G[k] = d / d_r except G[k, r] = 1 - 1 / d_r. The product of the first K
+    etas is I - G^T T E_R^T, with T = (I + L)^-1 and L[k, j] = G[j, R[k]]
+    for j < k; T is unit lower triangular, one row added per pivot.
 
     Columns n + k are the artificials: art_sign[k] * e_{art_rows[k]}.
     """
@@ -225,14 +243,23 @@ class _Simplex:
         self.degenerate_pivots = 0
         self.iterations = 0
         self.refactorizations = 0
+        self._allocate_etas()
         if B_inv is None:
             self.refactorize()
         else:
             self._restart(B_inv)
 
+    def _allocate_etas(self) -> None:
+        """Room for ETA_SHARE of m etas. A pivot writes its row of G and of R
+        and T's row below the diagonal, so an emptied file reuses the arrays."""
+        cap = max(1, math.ceil(ETA_SHARE * self.m))
+        self.G = np.empty((cap, self.m))
+        self.R = np.empty(cap, dtype=np.intp)
+        self.T = np.eye(cap)
+
     def _restart(self, B_inv: np.ndarray) -> None:
         self.B_inv = B_inv
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.num_etas = 0
         self.x_B = B_inv @ self.b
 
     def refactorize(self) -> None:
@@ -257,6 +284,7 @@ class _Simplex:
         self.m = kept.size
         self.basis = self.basis[kept]
         self.cols = _compressed(A)
+        self._allocate_etas()
         self.refactorize()
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
@@ -264,16 +292,25 @@ class _Simplex:
         return self._forward(self.B_inv @ v)
 
     def _forward(self, w: np.ndarray) -> np.ndarray:
-        for r, g in self.etas:
-            w -= w[r] * g
+        """The eta file applied to w: w - G^T T w[R]."""
+        k = self.num_etas
+        if k:
+            w -= (self.T[:k, :k] @ w[self.R[:k]]) @ self.G[:k]
         return w
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         """B^-T v."""
+        k = self.num_etas
         v = v.copy()
-        for r, g in reversed(self.etas):
-            v[r] -= v @ g
+        if k:
+            # A row can pivot more than once, so R can repeat: scatter-add.
+            np.subtract.at(v, self.R[:k], (self.G[:k] @ v) @ self.T[:k, :k])
         return v @ self.B_inv
+
+    def row(self, r: int) -> np.ndarray:
+        """e_r^T B^-1, from the rows R and r of the inverse only."""
+        k = self.num_etas
+        return self.B_inv[r] - (self.G[:k, r] @ self.T[:k, :k]) @ self.B_inv[self.R[:k]]
 
     def column(self, q: int) -> np.ndarray:
         """B^-1 times column q of A; from the column's nonzeros when they are few.
@@ -304,15 +341,36 @@ class _Simplex:
 
     def _pivot(self, leave_row: int, enter: int, d: np.ndarray, theta: float) -> None:
         """Basis change with entering value theta; refactorizes when the eta
-        file reaches ETA_SHARE of the basis size."""
+        file is full, at ETA_SHARE of the basis size."""
         self.basis[leave_row] = enter
         self.x_B -= theta * d
         self.x_B[leave_row] = theta
-        g = d / d[leave_row]
+        k = self.num_etas
+        self.num_etas = k + 1
+        if self.num_etas == self.G.shape[0]:
+            self.refactorize()  # which drops this eta unwritten
+            return
+        g = self.G[k]
+        np.divide(d, d[leave_row], out=g)
         g[leave_row] = 1.0 - 1.0 / d[leave_row]
-        self.etas.append((leave_row, g))
-        if len(self.etas) >= max(1, ETA_SHARE * self.m):
-            self.refactorize()
+        self.R[k] = leave_row
+        if k:
+            # Row k of (I + L)^-1: -L[k, :k] T[:k, :k], with L[k, :k] = G[:k, r].
+            self.T[k, :k] = -(self.G[:k, leave_row] @ self.T[:k, :k])
+
+    def _entering(self, c: np.ndarray, y: np.ndarray, dual_tol: float):
+        """Price c - A^T y; returns (rc, entering column, B^-1 a_q), the last
+        two (-1, None) when no column prices out."""
+        rc = c - self.price(y)
+        rc[self.basis] = 0.0
+        if self.bland:
+            candidates = np.flatnonzero(rc < -dual_tol)
+            enter = int(candidates[0]) if candidates.size else -1
+        else:
+            enter = int(np.argmin(rc))
+            if rc[enter] >= -dual_tol:
+                enter = -1
+        return rc, enter, None if enter < 0 else self.column(enter)
 
     def run(self, c: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray | None]:
         """Minimize c.x from the current basis.
@@ -323,20 +381,16 @@ class _Simplex:
         """
         bland_after = 5 * (self.m + c.size)
         dual_tol = PIVOT_TOL * (1.0 + np.abs(c).max(initial=0.0))
+        y, fresh = self.btran(c[self.basis]), True
         for _ in range(max_iter):
             self.iterations += 1
-            rc = c - self.price(self.btran(c[self.basis]))
-            rc[self.basis] = 0.0
-            if self.bland:
-                candidates = np.flatnonzero(rc < -dual_tol)
-                if candidates.size == 0:
-                    return "optimal", -1, None
-                enter = int(candidates[0])
-            else:
-                enter = int(np.argmin(rc))
-                if rc[enter] >= -dual_tol:
-                    return "optimal", -1, None
-            d = self.column(enter)
+            rc, enter, d = self._entering(c, y, dual_tol)
+            if not fresh and (d is None or d.max() <= PIVOT_TOL):
+                # Optimal and unbounded are declared on a y from BTRAN only.
+                y, fresh = self.btran(c[self.basis]), True
+                rc, enter, d = self._entering(c, y, dual_tol)
+            if d is None:
+                return "optimal", -1, None
             pos = np.flatnonzero(d > PIVOT_TOL)
             if pos.size == 0:
                 return "unbounded", enter, d
@@ -359,6 +413,11 @@ class _Simplex:
                     self.bland = True
             theta = max(self.x_B[leave_row] / d[leave_row], 0.0)
             self._pivot(leave_row, enter, d, theta)
+            if self.num_etas:
+                # y' = y + (rc_q / d_r) rho_r, and the new row r of B^-1 is rho_r / d_r.
+                y, fresh = y + rc[enter] * self.row(leave_row), False
+            else:
+                y, fresh = self.btran(c[self.basis]), True
         raise RuntimeError(f"simplex exceeded {max_iter} iterations")
 
 
@@ -448,9 +507,7 @@ def _solve_standard(
         # visit are known up front.
         redundant = []
         for row in np.flatnonzero(sx.basis >= n):
-            unit = np.zeros(m)
-            unit[row] = 1.0
-            tableau_row = sx.price(sx.btran(unit))[:n]
+            tableau_row = sx.price(sx.row(row))[:n]
             tableau_row[sx.basis[sx.basis < n]] = 0.0
             cands = np.flatnonzero(np.abs(tableau_row) > PIVOT_TOL)
             if cands.size:

@@ -565,6 +565,8 @@ def _sparse_cases(c: _Corpus) -> None:
         "z-str": _ti1_obj(z=[[10.0, "0"]]),
         "P-str": _ti1_obj(P=[[["1.0"], [1.0]]]),
         "P-bool": _ti1_obj(P=[[[True], [1.0]]]),
+        "P-bool-second": _ti1_obj(P=[[[1.0], [True]]]),
+        "P-bool-only": _ti1_obj(P=[[[True], [True]]]),
         "support-str": _ti1_obj(benchmark={"support": ["4.0"], "probs": [1.0]}),
         "probs-bool": _ti1_obj(benchmark={"support": [4.0], "probs": [True]}),
         "extra-grid-str": _ti1_obj(extra_grid=["2.0"]),

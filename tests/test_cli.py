@@ -755,6 +755,12 @@ NOT_NUMBERS = [
                  id="P-dense-str"),
     pytest.param({"P": [[[1.0], "1.0"]]}, "P[0][1]: expected a number, got '1.0'",
                  id="P-dense-str-row"),
+    pytest.param({"P": [[[True], [1.0]]]}, "P[0][0]: expected a number, got True",
+                 id="P-dense-bool"),
+    pytest.param({"P": [[[1.0], [True]]]}, "P[0][1]: expected a number, got True",
+                 id="P-dense-bool-second"),
+    pytest.param({"P": [[[True], [True]]]}, "P[0][0]: expected a number, got True",
+                 id="P-dense-bool-only"),
     pytest.param({"benchmark": {"support": ["4.0"], "probs": [1.0]}},
                  "'support': expected a number, got '4.0'", id="support-str"),
     pytest.param({"benchmark": {"support": [4.0], "probs": [True]}},

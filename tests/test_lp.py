@@ -427,7 +427,7 @@ def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
         pivot(self, *args)
 
     def recorded_refactorize(self):
-        etas_at.append(len(self.etas))
+        etas_at.append(self.num_etas)
         refactorize(self)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
@@ -498,3 +498,105 @@ def test_pricing_by_density_reaches_the_same_optimum(monkeypatch, density):
     assert sol.status == reference.status == "optimal"
     assert sol.objective == pytest.approx(reference.objective, rel=1e-12)
     assert np.allclose(sol.y, reference.y, rtol=1e-9, atol=1e-12)
+
+
+def _loop_ftran(B_inv, etas, v):
+    """Reference: B^-1 v through a list of (r, g) etas, one at a time."""
+    w = B_inv @ v
+    for r, g in etas:
+        w -= w[r] * g
+    return w
+
+
+def _loop_btran(B_inv, etas, v):
+    """Reference: B^-T v through the same list, in reverse order."""
+    v = v.copy()
+    for r, g in reversed(etas):
+        v[r] -= v @ g
+    return v @ B_inv
+
+
+def test_compact_eta_file_matches_the_list_of_etas(monkeypatch):
+    # The equality rows start on artificials and the eta file holds 6 etas,
+    # so the solve refactorizes several times, and a row pivots twice within
+    # one file (R repeats it). After every pivot FTRAN, BTRAN and each row
+    # of the inverse match the list of etas built from the same columns.
+    rng = np.random.default_rng(3)
+    m, n = 24, 60
+    A = np.where(rng.random((m, n)) < 0.6, 0.0, rng.uniform(0.0, 1.0, (m, n)))
+    b = A[:, :m] @ rng.uniform(0.5, 1.0, m)
+    p = LpProblem("max", rng.normal(size=n), A, [EQ] * (m // 2) + [LE] * (m - m // 2), b)
+    etas, checked, repeated = [], 0, 0
+    pivot = lp._Simplex._pivot
+
+    def close(got, want):
+        return np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def checked_pivot(self, leave_row, enter, d, theta):
+        nonlocal checked, repeated
+        pivot(self, leave_row, enter, d, theta)
+        if self.num_etas == 0:  # refactorized
+            etas.clear()
+            return
+        g = d / d[leave_row]
+        g[leave_row] = 1.0 - 1.0 / d[leave_row]
+        repeated += any(r == leave_row for r, _ in etas)
+        etas.append((leave_row, g))
+        v = rng.normal(size=self.m)
+        assert close(self.ftran(v.copy()), _loop_ftran(self.B_inv, etas, v))
+        assert close(self.btran(v), _loop_btran(self.B_inv, etas, v))
+        for r, unit in enumerate(np.eye(self.m)):
+            assert close(self.row(r), _loop_btran(self.B_inv, etas, unit))
+        checked += 1
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", checked_pivot)
+    sol = solve_lp(p)
+    assert sol.status == "optimal" and sol.refactorizations >= 1
+    assert checked >= 20 and repeated >= 1
+
+
+def test_updated_duals_follow_a_fresh_btran(monkeypatch):
+    # y is updated per pivot; at every iteration of the resolution-2
+    # portfolio solve it stays within 1e-9 max|y| of a BTRAN of the basic costs.
+    inst, p = _benchmark_portfolio_lp(2)
+    entering = lp._Simplex._entering
+    drift = []
+
+    def checked(self, c, y, dual_tol):
+        fresh = self.btran(c[self.basis])
+        drift.append(np.abs(y - fresh).max() / np.abs(fresh).max())
+        return entering(self, c, y, dual_tol)
+
+    monkeypatch.setattr(lp._Simplex, "_entering", checked)
+    sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+    assert sol.status == "optimal"
+    assert len(drift) >= sol.iterations and max(drift) <= 1e-9
+
+
+def test_optimality_is_declared_on_a_fresh_dual_vector(monkeypatch):
+    # Corrupt every updated y into one that prices every column out: zero
+    # for phase 1's costs, the optimal duals for phase 2's. Were optimality
+    # declared on an updated y, the solve would stop after its first pivot;
+    # a fresh BTRAN overrules it each time.
+    inst, p = _benchmark_portfolio_lp(2)
+    start = _greedy_start(inst, p.num_rows)
+    reference = solve_lp(p, start=start)
+    std, rec = to_standard_form(p)
+    y_star = lp._solve_standard(std, rec.unit_start, lp.FEAS_TOL, start).y_raw
+    entering = lp._Simplex._entering
+    overruled = 0
+
+    def corrupted(self, c, y, dual_tol):
+        nonlocal overruled
+        if np.array_equal(y, self.btran(c[self.basis])):
+            return entering(self, c, y, dual_tol)
+        rc, enter, d = entering(self, c, y_star if c.min() < 0 else np.zeros(self.m), dual_tol)
+        assert enter == -1
+        overruled += 1
+        return rc, enter, d
+
+    monkeypatch.setattr(lp._Simplex, "_entering", corrupted)
+    sol = solve_lp(p, start=start)
+    assert sol.status == "optimal"
+    assert sol.phase1_iterations > 1 and overruled >= reference.iterations // 2
+    assert sol.objective == pytest.approx(reference.objective, rel=1e-12)
