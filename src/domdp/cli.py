@@ -12,6 +12,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The domdp argument parser, built on first use and shared by every
+    later call in the process (parsing does not change it)."""
     parser = _Parser(prog="domdp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -51,9 +51,35 @@ each step searches the table with one ``searchsorted`` and keeps the table
 position. Either way one gather through a table of S * span keys or S * W
 positions maps every step to its dense (state, action) pair, the output.
 
-A path's step ranks are computed as soon as its uniforms are drawn, so the
-step loop handles integers only, and the uniforms of only one path are
-held at a time.
+A table-step run can also go by coupled segments, with no approximation:
+copies of the chain driven by the same uniforms from every start state
+merge, and from then on the state does not depend on the start (Propp &
+Wilson, Random Struct. Alg. 9, 1996).
+
+- Each path is cut into segments of L = ceil(sqrt(T * S)) steps. For every
+  segment k >= 1 of every path, a probe steps all S states from step k * L
+  through the one-step table on that segment's own ranks, all probes in one
+  loop, keeping one copy of each state a probe holds (the work is the sum
+  of the image sizes). When a probe's copies meet at step t, the path's
+  state at t is known, whatever its state was at the segment's start.
+- A probe stops when its copies meet or have taken L steps. All probing
+  stops early once L plus the probe steps reach T / j, or once the probes
+  have stepped more copies than the block loop gathers keys (paths * T / j):
+  copies of a periodic chain, or of one with two closed classes, never
+  meet, and a few probe steps show it.
+- One loop then steps every path's runs at once: from the path's start, and
+  from each meeting point, to the path's next meeting point. Each step's
+  rank becomes its table key in place, once. A segment whose copies did not
+  meet is covered by the run before it: no state is guessed, and the keys
+  are those of the serial loop, bit for bit.
+- The runs are used when their loop count, the probe steps plus the
+  longest run, is below the block loop's T / j; otherwise the block loop
+  runs.
+
+Ranks are computed as soon as uniforms are drawn, so the step loop handles
+integers only. One call ranks the uniforms of consecutive paths up to
+RANK_BATCH uniforms, or of one path when a path has more, so a long run
+holds the uniforms of one path at a time.
 
 A path's empirical reward distribution is its pair-visit frequencies (its
 empirical occupation measure), so the estimators count each path's visits
@@ -65,6 +91,7 @@ no (paths, T) array of z or of shortfalls is built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +109,7 @@ from .mdp import (
 
 MAX_POLICIES = 10**6
 FEAS_TOL = 1e-9
+RANK_BATCH = 1 << 16   # uniforms ranked per call: consecutive paths of short runs
 
 
 @dataclass(frozen=True)
@@ -157,6 +185,133 @@ def _table_steps(keys: np.ndarray, base: np.ndarray, step: np.ndarray) -> np.nda
     return base
 
 
+def _block_steps(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, span: int, j: int) -> None:
+    """Make keys table keys in place, j steps an iteration (see the module
+    docstring); nxt[state * span + rank] is the next state. For j = 1 nxt
+    itself becomes the step table, scaled by span in place."""
+    T, paths = keys.shape
+    S = nxt.size // span
+    # jump[state * span^j + (r_1 ... r_j in base span)] is the state after
+    # the j steps of ranks r_1 ... r_j.
+    jump = nxt
+    for _ in range(j - 1):
+        jump = jump.reshape(S, -1).take(nxt, axis=0).ravel()
+    blocks = keys[: T - T % j].reshape(-1, j, paths)
+    packed = blocks[:, 0]   # for j = 1 a view of keys, made keys in place
+    for i in range(1, j):
+        packed = packed * span + blocks[:, i]
+    jump *= span**j
+    base = _table_steps(packed, span**j * start, jump)
+    del jump
+    if j > 1:
+        # Each block's start key gives its first step's key, and each
+        # step's key its next step's state: one pass per step of a block.
+        blocks[:, 0] = packed // span ** (j - 1)
+        for i in range(1, j):
+            blocks[:, i] += span * nxt.take(blocks[:, i - 1])
+        _table_steps(keys[T - T % j :], base // span ** (j - 1), span * nxt)
+
+
+def _segment_length(T: int, S: int) -> int:
+    """Steps per segment of the coupled runs: ceil(sqrt(T * S))."""
+    return math.isqrt(T * S - 1) + 1
+
+
+def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int, give_up: float):
+    """Probe segments 1, 2, ... of every path (see the module docstring).
+
+    keys holds ranks and nxt[state * span + rank] is the next state. Returns
+    the positions t * paths + p in keys and the states of the steps where a
+    probe's copies met, and the probe steps taken. Probing stops after L
+    steps, once L plus its steps reach give_up, or once it has stepped more
+    than paths * give_up copies.
+    """
+    T, paths = keys.shape
+    span = nxt.size // S
+    flat = keys.reshape(-1)
+    first = np.arange(L, T, L)   # the first steps of segments 1, 2, ...
+    probes = first.size * paths
+    # Copy c of probe q = (k - 1) * paths + p starts as entry q * S + c, and
+    # entries stay in probe order; pos is the position of a copy's next rank.
+    pid = np.arange(probes * S) // S
+    cur = np.tile(np.arange(S), probes)
+    pos = (first[:, None] * paths + np.arange(paths)).ravel().repeat(S)
+    owner = np.empty(probes * S, dtype=np.intp)
+    order = np.arange(probes * S)
+    last = T - 1 - first[-1] if probes else 0   # the last segment's steps to step T - 1
+    met_pos, met_state = [], []
+    steps = work = 0
+    alive = np.ones(probes * S, dtype=bool)
+    while True:
+        # A probe whose one live copy is left has met; it and the dropped copies go.
+        single = alive & (np.bincount(pid, alive, probes).take(pid) == 1)
+        if single.any():
+            met_pos.append(pos[single])
+            met_state.append(cur[single])
+            alive &= ~single
+        if steps == last:
+            alive &= pid < probes - paths
+        pid, cur, pos = pid[alive], cur[alive], pos[alive]
+        if not pid.size or steps == L or L + steps >= give_up or work > paths * give_up:
+            break
+        key = cur * span
+        key += flat.take(pos)
+        cur = nxt.take(key)
+        pos += paths
+        steps += 1
+        # One copy per (probe, state) lives on: the last one written to its slot.
+        slot = pid * S + cur
+        n = slot.size
+        work += n
+        owner[slot] = order[:n]
+        alive = owner.take(slot) == order[:n]
+    if not met_pos:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), steps
+    return np.concatenate(met_pos), np.concatenate(met_state), steps
+
+
+def _coupled_runs(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, S: int, give_up: float):
+    """Every path's runs from its start and from each meeting point to the
+    path's next one, longest first: (positions t * paths + p of their first
+    steps, first states, lengths). None when their loop count, the probe
+    steps plus the longest run, is not below give_up."""
+    T, paths = keys.shape
+    met_pos, met_state, probed = _meetings(keys, nxt, S, _segment_length(T, S), give_up)
+    pos = np.concatenate([np.arange(paths), met_pos])
+    state = np.concatenate([start, met_state])
+    order = np.lexsort((pos, pos % paths))
+    pos, state = pos[order], state[order]
+    path = pos % paths
+    end = np.append(pos[1:], 0)
+    last = np.append(path[1:] != path[:-1], True)
+    end[last] = T * paths + path[last]
+    length = (end - pos) // paths
+    if probed + length.max() >= give_up:
+        return None
+    order = np.argsort(-length, kind="stable")
+    return pos[order], state[order], length[order]
+
+
+def _run_steps(keys: np.ndarray, pos: np.ndarray, base: np.ndarray, length: np.ndarray,
+               step: np.ndarray) -> None:
+    """Step all runs together, longest first, each for its length: the rank at
+    pos becomes the table key base + rank in place, base becomes step[key],
+    and pos moves on to the run's next step."""
+    paths = keys.shape[1]
+    flat = keys.reshape(-1)
+    length = length.tolist()
+    n = len(length)
+    for i in range(length[0]):
+        while length[n - 1] <= i:
+            n -= 1
+        at = pos[:n]
+        key = flat.take(at)
+        key += base[:n]
+        flat[at] = key
+        step.take(key, out=base[:n])
+        at += paths
+
+
 def simulate(
     inst: MdpInstance,
     policy: Policy,
@@ -191,10 +346,14 @@ def simulate(
     rank = _ranker(values, size)
     first = np.empty(num_paths)
     keys = np.empty((T, num_paths), dtype=np.int64)
-    for p, u in enumerate(_uniforms(seed, num_paths, 1 + T)):
-        first[p] = u[0]
-        keys[:, p] = rank(u[1:])
-    del u, rank
+    batch = max(1, RANK_BATCH // (1 + T))   # paths ranked per call
+    draws = _uniforms(seed, num_paths, 1 + T)
+    for p in range(0, num_paths, batch):
+        rows = list(itertools.islice(draws, batch))
+        u = np.stack(rows) if len(rows) > 1 else rows[0][None]
+        first[p : p + len(u)] = u[:, 0]
+        keys[:, p : p + len(u)] = rank(u[:, 1:].ravel()).reshape(len(u), T).T
+    del rows, u, rank
     start = np.searchsorted(nu_cum, first, side="left")
     next_state = np.arange(S * W) % S
     # The dense pair of every table position s * W + action * S + next state.
@@ -209,26 +368,14 @@ def simulate(
         cell_of[-1] = 0
         nxt = next_state.take(cell_of)
         del table, next_state
-        # jump[state * span^j + (r_1 ... r_j in base span)] is the state after
-        # the j steps of ranks r_1 ... r_j.
-        jump = nxt
-        for _ in range(j - 1):
-            jump = jump.reshape(S, -1).take(nxt, axis=0).ravel()
-        blocks = keys[: T - T % j].reshape(-1, j, num_paths)
-        packed = blocks[:, 0]   # for j = 1 a view of keys, made keys in place
-        for i in range(1, j):
-            packed = packed * span + blocks[:, i]
-        jump *= span**j   # for j = 1 this scales nxt, which is not read again
-        base = _table_steps(packed, span**j * start, jump)
-        del jump
-        if j > 1:
-            # Each block's start key gives its first step's key, and each
-            # step's key its next step's state: one pass per step of a block.
-            blocks[:, 0] = packed // span ** (j - 1)
-            for i in range(1, j):
-                blocks[:, i] += span * nxt.take(blocks[:, i - 1])
-            _table_steps(keys[T - T % j :], base // span ** (j - 1), span * nxt)
-        del blocks, packed, nxt
+        runs = _coupled_runs(keys, start, nxt, S, T / j)
+        if runs is None:
+            _block_steps(keys, start, nxt, span, j)
+        else:
+            pos, state, length = runs
+            nxt *= span
+            _run_steps(keys, pos, span * state, length, nxt)
+        del nxt
         pair_of = pair_of.take(cell_of)
         del cell_of
     else:

@@ -222,6 +222,16 @@ def test_missing_file_exits_one(capsys):
     assert run(["solve", "--instance", "/nonexistent/file.json"]) == 1
 
 
+def test_parser_is_built_once_per_process(capsys):
+    from domdp import cli
+
+    cli.make_parser.cache_clear()
+    assert run(["solve", "--nope"]) == 1
+    assert run(["check-dominance"]) == 1
+    assert run(["solve", "--instance", "/nonexistent/file.json"]) == 1
+    assert cli.make_parser.cache_info().misses == 1
+
+
 def test_rescale_on_average_rejected(tmp_path, capsys):
     path = write_json(tmp_path / "ti1.json", ti1_obj())
     assert run(["solve", "--instance", path, "--rescale-benchmark"]) == 1

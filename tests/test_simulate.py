@@ -326,11 +326,30 @@ def test_tolerated_negative_policy_entry_never_drawn(monkeypatch):
     assert np.array_equal(got.z, z)
 
 
+def _simulate_spied(inst, policy, nu, T, num_paths, seed=0):
+    """simulate() and whether it stepped by coupled runs, not by the block
+    loop or the search step. The spy keeps no reference to the arguments,
+    which would keep the step table alive."""
+    calls = []
+    run_steps = SIM._run_steps
+
+    def spy(*args):
+        calls.append(None)
+        run_steps(*args)
+
+    with mock.patch.object(SIM, "_run_steps", spy):
+        got = simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=seed)
+    return got, bool(calls)
+
+
 def _assert_matches_reference(inst, policy, nu, T, num_paths, seed=0):
-    got = simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=seed)
+    """Bit-for-bit equality with the reference loop; returns whether the
+    coupled runs were taken."""
+    got, coupled = _simulate_spied(inst, policy, nu, T, num_paths, seed)
     ref = _reference_simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=seed)
     for a, b in zip((got.states, got.actions, got.z), ref):
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    return coupled
 
 
 def _regime(inst, policy, T, num_paths):
@@ -442,32 +461,130 @@ def _edge_uniforms(inst, policy, nu):
     return draws
 
 
+def _cycle_case(S):
+    """The deterministic cycle s -> s + 1 mod S: a permutation every step, so
+    the copies of a probe never meet."""
+    kernel = np.roll(np.eye(S), 1, axis=1)
+    inst, policy, nu, _ = _lookup_case([1] * S, kernel, [[1.0]] * S, np.full(S, 1 / S), 0)
+    return inst, policy, nu
+
+
+def _two_class_case():
+    """Two closed classes {0, 1} and {2, 3}: copies meet within a class, never
+    across."""
+    kernel = [[1, 3, 0, 0], [2, 2, 0, 0], [0, 0, 2, 2], [0, 0, 1, 7]]
+    inst, policy, nu, _ = _lookup_case(
+        [1] * 4, [_weights_to_distribution(r) for r in kernel], [[1.0]] * 4, [0.25] * 4, 0
+    )
+    return inst, policy, nu
+
+
 STEP_CASES = [
-    # case, T, paths, j, guide table built, uniforms at bucket edges and values;
-    # with T mod j > 0 the last T mod j steps take the one-step loop.
-    pytest.param(_dyadic_case, 1001, 4, 3, True, False, id="j3-tail2"),
-    pytest.param(_dyadic_case, 1001, 4, 3, True, True, id="j3-tail2-edges"),
-    # S * span^3 = 2 * 6^3 is exactly paths * T.
-    pytest.param(_two_state_case, 2, 216, 3, True, True, id="T-below-j"),
-    # With one state a rank is its own key: the tail loop changes nothing there.
-    pytest.param(_one_state_case, 1001, 3, 5, True, True, id="one-state-j5-tail1"),
-    pytest.param(_dyadic_case, 2189, 1, 3, True, True, id="one-path-j3-tail2"),
-    pytest.param(_clustered_case, 1001, 4, 2, True, True, id="clustered-j2-tail1"),
-    pytest.param(_two_state_case, 21, 5, 2, False, True, id="guide-capped-j2-tail1"),
-    pytest.param(_wide_dyadic_case, 100, 3, 0, True, True, id="search-step-guide"),
+    # case, T, paths, j, guide table built, uniforms at bucket edges and
+    # values, coupled runs taken. With T mod j > 0 the block loop's last
+    # T mod j steps take the one-step loop; L = ceil(sqrt(T * S)) is the
+    # segment length of the coupled runs.
+    pytest.param(_dyadic_case, 1001, 4, 3, True, False, True, id="j3-tail2"),
+    pytest.param(_dyadic_case, 1001, 4, 3, True, True, True, id="j3-tail2-edges"),
+    # T = 20 L: the last segment is as long as the others.
+    pytest.param(_dyadic_case, 1200, 4, 3, True, True, True, id="T-multiple-of-L"),
+    # T mod L = 1: the last segment has one step, so it is never probed.
+    pytest.param(_dyadic_case, 991, 4, 3, True, True, True, id="last-segment-one-step"),
+    # S * span^3 = 2 * 6^3 is exactly paths * T, and T < L: one segment.
+    pytest.param(_two_state_case, 2, 216, 3, True, True, False, id="T-below-j"),
+    # With one state a rank is its own key and every probe meets at once.
+    pytest.param(_one_state_case, 1001, 3, 5, True, True, True, id="one-state-j5-tail1"),
+    pytest.param(_dyadic_case, 2189, 1, 3, True, True, True, id="one-path-j3-tail2"),
+    pytest.param(_clustered_case, 1001, 4, 2, True, True, True, id="clustered-j2-tail1"),
+    pytest.param(_two_state_case, 21, 5, 2, False, True, False, id="guide-capped-j2-tail1"),
+    pytest.param(_wide_dyadic_case, 100, 3, 0, True, True, False, id="search-step-guide"),
+    # Chains whose copies never meet take the block loop. (A uniform of 0.0
+    # would take every state to cell 0, which has probability 0 here.)
+    pytest.param(lambda: _cycle_case(2), 1001, 4, 6, True, False, False, id="swap"),
+    pytest.param(lambda: _cycle_case(5), 1001, 4, 6, True, False, False, id="cycle5"),
+    pytest.param(_two_class_case, 1001, 4, 3, True, False, False, id="two-class"),
 ]
 
 
-@pytest.mark.parametrize("case, T, num_paths, j, guide, edges", STEP_CASES)
+@pytest.mark.parametrize("case, T, num_paths, j, guide, edges, coupled", STEP_CASES)
 def test_block_steps_and_guide_ranks_match_reference(
-    monkeypatch, case, T, num_paths, j, guide, edges
+    monkeypatch, case, T, num_paths, j, guide, edges, coupled
 ):
     inst, policy, nu = case()
     assert _regime(inst, policy, T, num_paths) == (j, guide)
     if edges:
         monkeypatch.setattr(SIM, "_uniforms", _per_path(_edge_uniforms(inst, policy, nu)))
     for seed in range(3):
-        _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed)
+        assert _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed) == coupled
+    # One segment as long as the run leaves nothing to probe: the block loop.
+    monkeypatch.setattr(SIM, "_segment_length", lambda T, S: T)
+    for seed in range(3):
+        assert not _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed)
+
+
+def _reset_case():
+    """Three states on a cycle, 40 actions with the same kernel row: every
+    step goes to state 0 with probability 1/32, else one state on. The copies
+    of a probe meet only at such a reset."""
+    e = 1 / 32
+    row = [[e, 1 - e, 0], [e, 0, 1 - e], [1, 0, 0]]
+    rng = np.random.default_rng(40)
+    counts = [40] * 3
+    kernel = [row[s] for s in range(3) for _ in range(40)]
+    policy = [rng.dirichlet(np.ones(40)) for _ in range(3)]
+    inst, policy, nu, _ = _lookup_case(counts, kernel, policy, [0.5, 0.25, 0.25], 0)
+    return inst, policy, nu
+
+
+def test_segments_whose_copies_never_meet_join_the_run_before():
+    inst, policy, nu = _reset_case()
+    T, num_paths = 5000, 4
+    assert _regime(inst, policy, T, num_paths)[0] == 1
+    probe = SIM._meetings
+    found = []
+
+    def meetings(keys, nxt, S, L, give_up):
+        out = probe(keys, nxt, S, L, give_up)
+        found.append((out[0].size, len(range(L, T, L)) * num_paths))
+        return out
+
+    with mock.patch.object(SIM, "_meetings", meetings):
+        for seed in range(3):
+            assert _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed)
+    # Some segments' copies met, and some did not within their segment.
+    assert all(0 < met < probes for met, probes in found)
+
+
+@pytest.mark.parametrize("S", [2, 50])
+def test_never_meeting_chains_stop_probing_early(S):
+    # A swap and a 50-cycle at the benchmark's run length: their segments are
+    # 448 and 2237 steps long, but the probe gives up once it has stepped as
+    # many copies as the block loop gathers keys, and the block loop runs.
+    inst, policy, nu = _cycle_case(S)
+    probe = SIM._meetings
+    steps = []
+
+    def meetings(*args):
+        out = probe(*args)
+        steps.append(out[2])
+        return out
+
+    with mock.patch.object(SIM, "_meetings", meetings):
+        _, coupled = _simulate_spied(inst, policy, nu, T=100_000, num_paths=20)
+    assert not coupled
+    assert steps[0] <= 20
+
+
+def test_criterion7_runs_take_the_coupled_runs():
+    # The first three criterion-7 average instances at the benchmark's run
+    # length: every probe's copies meet, within 46 steps.
+    rng = np.random.default_rng(2468)
+    for i in range(3):
+        inst, _, report = feasible_pair(rng, max_states=8, max_actions=4)
+        nu = np.full(inst.num_states, 1.0 / inst.num_states)
+        _, coupled = _simulate_spied(inst, report.policy, nu, T=100_000, num_paths=20,
+                                     seed=1000 + i)
+        assert coupled
 
 
 def test_average_shortfall_constant_z():
@@ -602,10 +719,13 @@ def test_simulate_and_average_estimate_stay_small():
     assert peak <= 40 * 2**20
 
 
-def test_simulate_with_a_large_jump_table_stays_small():
+def test_simulate_with_a_large_jump_table_stays_small(monkeypatch):
     # The third criterion-7 average instance: 5 states take 4 steps per table
     # step, so the jump table has 1.7 million entries (12.7 MiB). A scaled
-    # copy of it beside the original would pass the limit.
+    # copy of it beside the original would pass the limit. The run would take
+    # the coupled runs, which build no jump table; one segment as long as the
+    # run leaves nothing to probe, so the block loop runs.
+    monkeypatch.setattr(SIM, "_segment_length", lambda T, S: T)
     rng = np.random.default_rng(2468)
     for _ in range(3):
         inst, bench, report = feasible_pair(rng, max_states=8, max_actions=4)
@@ -617,6 +737,36 @@ def test_simulate_with_a_large_jump_table_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
+def test_simulate_dense_100_states_stays_small():
+    # The benchmark's 100-state shape: 5 actions, every kernel entry positive.
+    # A deterministic policy gives about 9,900 distinct cumulative values, so
+    # the one-step table has S * span = 1e6 keys and the coupled runs step it.
+    # The pairs, the rank array and the key-to-pair table beside them are
+    # 38 MiB; the step table or the key-to-position table kept alive into the
+    # last gather would pass the limit.
+    rng = np.random.default_rng(100)
+    S, A = 100, 5
+    inst = MdpInstance(
+        num_states=S,
+        actions=tuple(tuple(f"a{i}" for i in range(A)) for _ in range(S)),
+        kernel=0.999 * rng.dirichlet(np.full(S, 0.4), size=S * A) + 0.001 / S,
+        reward_r=np.zeros(S * A),
+        reward_z=rng.uniform(-2.0, 2.0, size=S * A),
+        mode="average",
+    )
+    policy = deterministic_policy(inst, rng.integers(0, A, size=S))
+    assert _regime(inst, policy, 100_000, 20)[0] == 1
+    nu = np.full(S, 1.0 / S)
+    tracemalloc.start()
+    try:
+        _, coupled = _simulate_spied(inst, policy, nu, T=100_000, num_paths=20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coupled
     assert peak <= 40 * 2**20
 
 
