@@ -113,11 +113,13 @@ def _parse_array(s_and_end, scan_once):
     ):
         values = orjson.loads(s[end - 1 : close + 1])
         try:
-            # orjson turns an integer outside the 64-bit range into a float;
-            # -2**63 - 1 rounds to -2**63, hence the strict lower bound.
-            if not values or (-(2**63) < min(values) and max(values) < 2**64):
+            # orjson turns an integer outside the 64-bit range into a float
+            # of magnitude >= 2**63 (-2**63 - 1 rounds to -2**63), and the
+            # norm is at least every magnitude: exact, and the integers in
+            # [2**63, 2**64) go to json as well.
+            if math.hypot(*values) < 2**63:
                 return values, close + 1
-        except TypeError:  # a null
+        except (TypeError, OverflowError):  # a null; an integer past the float range
             pass
     return json.decoder.JSONArray(s_and_end, scan_once)
 

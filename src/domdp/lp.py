@@ -79,6 +79,20 @@ start is dropped in favour of the unit one when its columns are singular
 or one of their values is below -feas_tol. An artificial always sits in its
 own row's slot: phase 1 finds a redundant row by the slot of an artificial
 it cannot drive out, and drops the row of that index.
+
+The start matrix is B = [[M, 0], [D, I]] under a permutation, M the start
+columns on their own rows. When M's nonzero pattern (M | M^T) falls into
+several connected components, M is block diagonal under a permutation (the
+block triangular form of Duff and Reid, ACM TOMS 4, 1978), and
+B^-1 = [[M^-1, 0], [-D M^-1, I]] is formed one block at a time, with one
+batched inverse per block size. A discounted policy's balance block
+I - delta P^T splits so along the closed classes of its chain. The
+components come from hooking and pointer jumping over M's nonzeros, with
+no loop per row. A start with one component is inverted whole by
+``np.linalg.inv(B)``; a start with a fully nonzero row or column, such as
+the average-mode normalization row, has one, and is sent there before any
+edge list is built. A singular block makes B singular, and the start is
+dropped.
 """
 
 from __future__ import annotations
@@ -436,6 +450,61 @@ def _compressed(A: np.ndarray):
     return ptr, rows.astype(np.int32), A[rows, cols]
 
 
+def _components(nz: np.ndarray) -> np.ndarray:
+    """Connected components of the graph with an edge i - j wherever nz[i, j]:
+    a label in 0 ... count - 1 per vertex.
+
+    Each round hooks every root to the smallest root across its edges, both
+    ways, and pointer jumping makes every tree a star again. A root only
+    moves to a smaller one, so no pointer cycle forms, and every root with
+    an edge to another tree merges, which halves the trees each round.
+    """
+    i, j = np.divmod(np.flatnonzero(nz), nz.shape[1])
+    parent = np.arange(nz.shape[0])
+    while True:
+        pi, pj = parent[i], parent[j]
+        cross = pi != pj
+        if not cross.any():
+            return np.unique(parent, return_inverse=True)[1]
+        pi, pj = pi[cross], pj[cross]
+        np.minimum.at(parent, pi, pj)
+        np.minimum.at(parent, pj, pi)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
+def _start_inverse(B: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """B^-1 for the identity B with the start columns on the rows ``rows``.
+
+    Under a permutation B = [[M, 0], [D, I]], M = B[rows, rows]. Where M's
+    nonzero pattern splits into components, M is block diagonal and
+    B^-1 = [[M^-1, 0], [-D M^-1, I]] comes one block at a time, one batched
+    inverse per block size; one component, and so any start with a fully
+    nonzero row or column, takes ``np.linalg.inv(B)`` itself. Raises
+    LinAlgError when a block is singular.
+    """
+    nz = (B[rows] != 0.0)[:, rows]
+    if nz.all(axis=0).any() or nz.all(axis=1).any():
+        return np.linalg.inv(B)
+    label = _components(nz)
+    if label.max() == 0:
+        return np.linalg.inv(B)
+    unit = np.setdiff1d(np.arange(B.shape[0]), rows, assume_unique=True)
+    sizes = np.bincount(label)
+    by_label = rows[np.argsort(label, kind="stable")]
+    B_inv = np.eye(B.shape[0])
+    for size in np.unique(sizes):
+        # One row of B's indices per component of this size.
+        at = by_label[np.repeat(sizes == size, sizes)].reshape(-1, size)
+        block_inv = np.linalg.inv(B[at[:, :, None], at[:, None, :]])
+        B_inv[at[:, :, None], at[:, None, :]] = block_inv
+        B_inv[unit[:, None], at[:, None, :]] = -(B[unit[:, None], at[:, None, :]] @ block_inv)
+    return B_inv
+
+
 def _crash(A: np.ndarray, b: np.ndarray, basis: np.ndarray, start: np.ndarray, feas_tol: float):
     """The start columns in their rows' slots; None when they cannot start.
 
@@ -451,7 +520,7 @@ def _crash(A: np.ndarray, b: np.ndarray, basis: np.ndarray, start: np.ndarray, f
     B = np.eye(A.shape[0])
     B[:, rows] = A[:, start[rows]]
     try:
-        B_inv = np.linalg.inv(B)
+        B_inv = _start_inverse(B, rows)
     except np.linalg.LinAlgError:
         return None
     x_B = B_inv @ b

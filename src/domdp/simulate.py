@@ -66,7 +66,10 @@ Wilson, Random Struct. Alg. 9, 1996).
   stops early once L plus the probe steps reach T / j, or once the probes
   have stepped more copies than the block loop gathers keys (paths * T / j):
   copies of a periodic chain, or of one with two closed classes, never
-  meet, and a few probe steps show it.
+  meet, and a few probe steps show it. It also stops once a segment-1 probe
+  is still open after i steps with L + 2 i >= T / j: that path's run from
+  its start is then longer than L + i, so the loop count of the runs would
+  pass T / j, and the block loop runs as it would have.
 - One loop then steps every path's runs at once: from the path's start, and
   from each meeting point, to the path's next meeting point. Each step's
   rank becomes its table key in place, once. A segment whose copies did not
@@ -212,6 +215,13 @@ def _block_steps(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, span: int
         _table_steps(keys[T - T % j :], base // span ** (j - 1), span * nxt)
 
 
+def _positions(table: np.ndarray, size: int) -> np.ndarray:
+    """table.searchsorted(np.arange(size)) for a sorted table of integers in
+    [0, size): the number of entries below each key, by counting."""
+    counts = np.bincount(table, minlength=size)
+    return np.cumsum(counts) - counts
+
+
 def _segment_length(T: int, S: int) -> int:
     """Steps per segment of the coupled runs: ceil(sqrt(T * S))."""
     return math.isqrt(T * S - 1) + 1
@@ -223,8 +233,9 @@ def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int, give_up: float)
     keys holds ranks and nxt[state * span + rank] is the next state. Returns
     the positions t * paths + p in keys and the states of the steps where a
     probe's copies met, and the probe steps taken. Probing stops after L
-    steps, once L plus its steps reach give_up, or once it has stepped more
-    than paths * give_up copies.
+    steps, once L plus its steps reach give_up, once it has stepped more
+    than paths * give_up copies, or once a segment-1 probe is still open
+    after i steps with L + 2 i >= give_up.
     """
     T, paths = keys.shape
     span = nxt.size // S
@@ -253,6 +264,10 @@ def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int, give_up: float)
             alive &= pid < probes - paths
         pid, cur, pos = pid[alive], cur[alive], pos[alive]
         if not pid.size or steps == L or L + steps >= give_up or work > paths * give_up:
+            break
+        if pid[0] < paths and L + 2 * steps >= give_up:
+            # A segment-1 probe still open: its path's run from the start
+            # is longer than L + steps, so the runs cannot pay off.
             break
         key = cur * span
         key += flat.take(pos)
@@ -364,7 +379,7 @@ def simulate(
     if j:
         # Table position and next state of every key state * span + rank. The
         # last key, past the table's end, never occurs: every rank is below span - 1.
-        cell_of = table.searchsorted(np.arange(S * span))
+        cell_of = _positions(table, S * span)
         cell_of[-1] = 0
         nxt = next_state.take(cell_of)
         del table, next_state

@@ -37,7 +37,9 @@ in r, action labels holding ``]`` and ``"``, 20-digit integers in a basis,
 blocks past the last state and a policy that lists a state twice, and kernels
 in sparse rows: two instances (one per mode) passed to ``solve`` and
 ``oracle``, and one malformed row of each kind, beside strings, booleans and
-a 400-digit integer where the schema needs a number.
+a 400-digit integer where the schema needs a number, and a discounted
+instance split into closed classes, whose greedy start is inverted block by
+block.
 pytest does not collect this file.
 """
 
@@ -57,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from domdp.cli import run
+from domdp.mdp import MdpInstance
 from helpers import random_benchmark, random_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -577,6 +580,30 @@ def _sparse_cases(c: _Corpus) -> None:
         c.add(f"type-{name}/solve", ["solve", "--instance", c.file(f"type-{name}", obj)])
 
 
+def _closed_class_cases(c: _Corpus) -> None:
+    """A discounted instance whose every policy splits into closed classes of
+    3, 3 and 2 states, so the greedy start's inverse is taken block by block."""
+    rng = np.random.default_rng(8)
+    classes = np.repeat([0, 1, 2], [3, 3, 2])
+    counts = rng.integers(1, 4, size=classes.size)
+    kernel = np.zeros((counts.sum(), classes.size))
+    for k, s in enumerate(np.repeat(classes, counts)):
+        own = np.flatnonzero(classes == s)
+        kernel[k, own] = rng.dirichlet(np.ones(own.size))
+    inst = MdpInstance(
+        num_states=classes.size,
+        actions=tuple(tuple(f"a{i}" for i in range(n)) for n in counts),
+        kernel=kernel,
+        reward_r=rng.normal(size=kernel.shape[0]),
+        reward_z=rng.uniform(-2.0, 2.0, size=kernel.shape[0]),
+        mode="discounted",
+        discount=0.9,
+        initial=rng.dirichlet(np.ones(classes.size)),
+    )
+    path = c.file("closed-classes", _instance_obj(inst, random_benchmark(rng, inst)))
+    c.add("closed-classes/solve", ["solve", "--instance", path])
+
+
 def _run_case(argv: list[str], patch: dict, written: Path | None, tmp: Path) -> list:
     simulate_module = importlib.import_module("domdp.simulate")
     saved = {k: getattr(simulate_module, k) for k in patch}
@@ -619,6 +646,7 @@ def _digests() -> dict:
         _alp_block_cases(c)
         _decode_cases(c)
         _sparse_cases(c)
+        _closed_class_cases(c)
         return {
             name: _run_case(args, patch, written, c.tmp)
             for name, args, patch, written in c.cases

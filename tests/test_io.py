@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -124,6 +124,10 @@ WRITERS = [
 
 @settings(max_examples=300, deadline=None)
 @given(doc=DOCUMENTS)
+@example(  # flat arrays at the integer range; the norm of [MAX, MAX] overflows to inf
+    doc=[[1.5, 2**63 - 1], [2**63 - 1, 2**63 - 1], [0.5, -(2**63)], [2**63, 1.0],
+         [-(2**63) - 1], [2**64 - 1, 0], [2**64], [MAX, MAX], [MAX, 1], []]
+)
 def test_loads_matches_json_loads(doc):
     for write in WRITERS:
         text = write(doc)

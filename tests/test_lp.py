@@ -600,3 +600,154 @@ def test_optimality_is_declared_on_a_fresh_dual_vector(monkeypatch):
     assert sol.status == "optimal"
     assert sol.phase1_iterations > 1 and overruled >= reference.iterations // 2
     assert sol.objective == pytest.approx(reference.objective, rel=1e-12)
+
+
+def _loop_components(nz):
+    """Reference: component labels by a depth-first search per unlabelled vertex,
+    numbered in order of their smallest vertex."""
+    n = nz.shape[0]
+    label = np.full(n, -1)
+    count = 0
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root], stack = count, [root]
+        while stack:
+            v = stack.pop()
+            for w in np.flatnonzero(nz[v] | nz[:, v]):
+                if label[w] < 0:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    return label
+
+
+def test_components_match_a_depth_first_search():
+    # Directed patterns with self-loops, isolated vertices and long paths.
+    rng = np.random.default_rng(23)
+    for n, density in [(1, 1.0), (7, 0.0), (40, 0.02), (60, 0.03), (30, 0.5)]:
+        for _ in range(10):
+            nz = rng.random((n, n)) < density
+            assert np.array_equal(lp._components(nz), _loop_components(nz))
+    chain = np.eye(200, k=1, dtype=bool)   # one component of diameter 199
+    assert np.array_equal(lp._components(chain[::-1, ::-1]), np.zeros(200))
+
+
+def _block_start(rng, sizes, units):
+    """(B, rows): an identity B with start columns I - 0.9 P^T on the rows
+    ``rows``. P is block diagonal with blocks of the given sizes, its states
+    are shuffled, and the rows are scattered among the units unit rows, which
+    hold dense dominance entries."""
+    S = sum(sizes)
+    P = np.zeros((S, S))
+    lo = 0
+    for size in sizes:
+        P[lo : lo + size, lo : lo + size] = rng.dirichlet(np.ones(size), size=size)
+        lo += size
+    shuffle = rng.permutation(S)
+    M = (np.eye(S) - 0.9 * P.T)[np.ix_(shuffle, shuffle)]
+    m = S + units
+    rows = np.sort(rng.permutation(m)[:S])
+    unit = np.setdiff1d(np.arange(m), rows)
+    B = np.eye(m)
+    B[np.ix_(rows, rows)] = M
+    B[np.ix_(unit, rows)] = rng.normal(size=(units, S))
+    return B, rows
+
+
+def _spy_inverses(monkeypatch):
+    """(args, inv): every np.linalg.inv argument from here on, and the
+    unpatched inverse for references."""
+    inv, args = np.linalg.inv, []
+
+    def spied(a):
+        args.append(a.copy())
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spied)
+    return args, inv
+
+
+def test_block_start_inverse_matches_the_full_inverse(monkeypatch):
+    # Five closed classes in three sizes; one inverse call per size.
+    rng = np.random.default_rng(7)
+    args, inv = _spy_inverses(monkeypatch)
+    for units in (4, 0, 1, 4, 9):
+        B, rows = _block_start(rng, [3, 5, 3, 1, 5], units)
+        args.clear()
+        got = lp._start_inverse(B, rows)
+        assert sorted(a.shape for a in args) == [(1, 1, 1), (2, 3, 3), (2, 5, 5)]
+        want = inv(B)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_singular_block_drops_the_start(monkeypatch):
+    # Rows 0-1 start on a nonsingular block, rows 2-3 on two equal columns;
+    # row 4 is a <= row that keeps its slack.
+    A = np.array(
+        [
+            [2.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+            [1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    p = LpProblem("min", np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]), A, [EQ] * 4 + [LE],
+                  np.array([3.0, 3.0, 1.0, 2.0, 10.0]))
+    args, _ = _spy_inverses(monkeypatch)
+    sol = solve_lp(p, start=np.array([0, 1, 2, 3, -1]))
+    assert args[0].shape == (2, 2, 2)   # both blocks are 2 x 2
+    assert not sol.crash
+    plain = solve_lp(p)
+    assert sol.status == plain.status == "optimal"
+    assert np.array_equal(sol.x, plain.x) and sol.iterations == plain.iterations
+
+
+@pytest.mark.parametrize("case", ["full-row", "connected"])
+def test_one_component_start_inverts_the_full_matrix(monkeypatch, case):
+    # A normalization row sum x = 1 is a fully nonzero row of the start, as
+    # in every average-mode LP: no edge arrays are built. A tridiagonal start
+    # has one component found by the search.
+    rng = np.random.default_rng(2)
+    S = 6
+    M = np.eye(S) - 0.3 * (np.eye(S, k=1) + np.eye(S, k=-1)) * rng.uniform(0.5, 1.0, (S, S))
+    if case == "full-row":
+        M[0] = 1.0
+    A = np.hstack([M, rng.uniform(0.0, 1.0, (S, 3))])
+    A = np.vstack([A, rng.normal(size=A.shape[1])])   # a dominance row
+    b = np.append(M @ rng.uniform(0.5, 1.0, S), -100.0)
+    p = LpProblem("max", rng.normal(size=A.shape[1]), A, [EQ] * S + [GE], b)
+    std, rec = to_standard_form(p)
+    start = np.append(np.arange(S), -1)
+    B = np.eye(S + 1)
+    B[:, :S] = std.A[:, :S]
+    components, searched = lp._components, []
+
+    def spied_components(nz):
+        searched.append(nz.shape)
+        return components(nz)
+
+    monkeypatch.setattr(lp, "_components", spied_components)
+    args, inv = _spy_inverses(monkeypatch)
+    crash = lp._crash(std.A, std.b, rec.unit_start, start, lp.FEAS_TOL)
+    assert crash is not None
+    assert len(args) == 1 and np.array_equal(args[0], B)
+    assert np.array_equal(crash[1][~crash[2]], inv(B)[~crash[2]])
+    assert searched == ([] if case == "full-row" else [(S, S)])
+
+
+def test_portfolio_resolution_2_start_inverts_six_blocks(monkeypatch):
+    # The greedy policy's chain has six closed classes of 64 states.
+    inst, p = _benchmark_portfolio_lp(2)
+    start = _greedy_start(inst, p.num_rows)
+    std, rec = to_standard_form(p)
+    args, inv = _spy_inverses(monkeypatch)
+    crash = lp._crash(std.A, std.b, rec.unit_start, start, lp.FEAS_TOL)
+    assert [a.shape for a in args] == [(6, 64, 64)]
+    rows = np.flatnonzero(start >= 0)
+    B = np.eye(p.num_rows)
+    B[:, rows] = std.A[:, start[rows]]
+    want = inv(B)
+    want[crash[2]] *= -1.0
+    assert np.abs(crash[1] - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -369,6 +370,16 @@ def test_block_length_is_the_largest_j_within_the_run():
     assert SIM._block_length(1, 2, 2**20) == 20
 
 
+def test_table_positions_by_counting_equal_the_binary_search():
+    # Repeated keys, gaps, keys at both ends, and an empty table.
+    rng = np.random.default_rng(8)
+    for size, count in [(1, 0), (1, 3), (10, 4), (50, 200), (1000, 30)]:
+        table = np.sort(rng.integers(0, size, count))
+        got = SIM._positions(table, size)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, table.searchsorted(np.arange(size)))
+
+
 def test_guide_ranks_equal_the_binary_search():
     # Values on bucket edges, a cluster of 40 in one bucket, random ones, 0.0 and 1.0.
     rng = np.random.default_rng(3)
@@ -503,6 +514,11 @@ STEP_CASES = [
     pytest.param(lambda: _cycle_case(2), 1001, 4, 6, True, False, False, id="swap"),
     pytest.param(lambda: _cycle_case(5), 1001, 4, 6, True, False, False, id="cycle5"),
     pytest.param(_two_class_case, 1001, 4, 3, True, False, False, id="two-class"),
+    # The discounted benchmark ops' shape, 200 short paths: a segment-1 probe
+    # is still open when L + 2 i reaches T / j, so the probe stops there and
+    # the block loop runs.
+    pytest.param(_clustered_case, 50, 200, 2, True, True, False, id="clustered-open-probe"),
+    pytest.param(_two_state_case, 90, 200, 5, True, True, False, id="two-state-open-probe"),
 ]
 
 
@@ -573,6 +589,28 @@ def test_never_meeting_chains_stop_probing_early(S):
         _, coupled = _simulate_spied(inst, policy, nu, T=100_000, num_paths=20)
     assert not coupled
     assert steps[0] <= 20
+
+
+@pytest.mark.parametrize(
+    "case, T", [(_clustered_case, 50), (_two_state_case, 90)], ids=["clustered", "two-state"]
+)
+def test_open_first_segment_probe_stops_probing_early(case, T):
+    # Probing stops at the first i with L + 2 i >= T / j, as a segment-1
+    # probe is still open there; the runs would have been rejected anyway.
+    # STEP_CASES checks these runs against the reference loop.
+    inst, policy, nu = case()
+    probe = SIM._meetings
+    stops = []
+
+    def meetings(keys, nxt, S, L, give_up):
+        out = probe(keys, nxt, S, L, give_up)
+        stops.append((out[2], math.ceil((give_up - L) / 2), L + out[2] < give_up))
+        return out
+
+    with mock.patch.object(SIM, "_meetings", meetings):
+        for seed in range(3):
+            assert not _simulate_spied(inst, policy, nu, T, 200, seed=seed)[1]
+    assert all(steps == first and before for steps, first, before in stops)
 
 
 def test_criterion7_runs_take_the_coupled_runs():
