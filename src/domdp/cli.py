@@ -141,10 +141,8 @@ def _cmd_solve(args) -> int:
             # The family's benchmark values were fixed from the unscaled benchmark.
             raise ValueError("--rescale-benchmark cannot rescale a generator family")
         bench = Benchmark(support=bench.support / (1.0 - inst.discount), probs=bench.probs)
-    if inst.mode == AVERAGE:
-        report = solve_average(inst, bench, family=loaded.family, feas_tol=args.tol)
-    else:
-        report = solve_discounted(inst, bench, feas_tol=args.tol, family=loaded.family)
+    solve = solve_average if inst.mode == AVERAGE else solve_discounted
+    report = solve(inst, bench, family=loaded.family, feas_tol=args.tol)
     obj = report.to_obj()
     if args.rescale_benchmark:
         obj["benchmark_rescaled"] = True

@@ -46,8 +46,8 @@ bellman_residual = optimality_residual
 def solve_discounted(
     inst: MdpInstance,
     bench: Benchmark,
-    feas_tol: float = FEAS_TOL,
     family: GeneratorFamily | None = None,
+    feas_tol: float = FEAS_TOL,
 ) -> SolveReport:
     """Solve the discounted problem; v from balance-row duals, lambda from dominance rows."""
     return _solve(inst, bench, DISCOUNTED, family, feas_tol)

@@ -23,9 +23,11 @@ recursion limit) go to ``json.loads`` whole.
 
 All floats are parsed as 64-bit. A file whose JSON types do not fit the
 schema is reported as a ValueError by the ``parse_*`` function that decodes
-it. Where the instance schema asks for a number (r, z, discount, initial,
-benchmark support and probs, extra_grid, a sparse row's p), a string or a
-boolean is refused, although ``float()`` would read one; a dense kernel row
+it. Where a schema asks for a number (an instance's r, z, discount, initial,
+benchmark support and probs, extra_grid and a sparse row's p; a policy's
+probabilities; a basis's h and u_lambdas; a portfolio config's price levels
+and transitions, discount and initial holdings), a string or a boolean is
+refused, although ``float()`` would read one; a dense kernel row
 refuses strings through the dtype of the decoded array, and booleans by an
 exact type test of the rows that hold an exact 0 or 1, the values a boolean
 decodes to.
@@ -433,13 +435,16 @@ def parse_basis(obj: dict) -> BasisSet:
     if not isinstance(obj, dict) or "h" not in obj:
         raise ValueError("basis file needs 'h': list of per-state value rows")
     try:
-        lambdas = [[(float(e), float(w)) for e, w in lam] for lam in obj.get("u_lambdas", [])]
+        lambdas = [
+            [(_number(e, "eta"), _number(w, "weight")) for e, w in lam]
+            for lam in obj.get("u_lambdas", [])
+        ]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'u_lambdas' must hold lists of [eta, weight] pairs: {exc}") from exc
     u_bases = tuple(
         reconstruct_utility([e for e, _ in lam], [w for _, w in lam]) for lam in lambdas
     )
-    return BasisSet(h_bases=np.asarray(obj["h"], dtype=float), u_bases=u_bases)
+    return BasisSet(h_bases=_floats(obj["h"], "'h'"), u_bases=u_bases)
 
 
 @_decodes("policy file")
@@ -457,7 +462,8 @@ def parse_policy(obj, inst: MdpInstance) -> Policy:
     for entry in rows_spec:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ValueError(f"policy entry {entry!r} is not [state, [probs...]]")
-        s, probs = _integer(entry[0], "policy state"), np.asarray(entry[1], dtype=float)
+        s = _integer(entry[0], "policy state")
+        probs = _floats(entry[1], f"policy row for state {s}")
         if not 0 <= s < inst.num_states:
             raise ValueError(f"policy references unknown state {s}")
         if rows[s] is not None:
@@ -488,12 +494,16 @@ def parse_distribution(obj: dict) -> tuple[np.ndarray, np.ndarray]:
 @_decodes("portfolio config")
 def parse_portfolio_config(obj: dict) -> PortfolioConfig:
     return PortfolioConfig(
-        price_levels=tuple(tuple(float(p) for p in lv) for lv in obj["price_levels"]),
-        price_transitions=tuple(np.asarray(T, dtype=float) for T in obj["price_transitions"]),
+        price_levels=tuple(
+            tuple(_number(p, "'price_levels'") for p in lv) for lv in obj["price_levels"]
+        ),
+        price_transitions=tuple(
+            _floats(T, "'price_transitions'") for T in obj["price_transitions"]
+        ),
         resolution=_integer(obj["resolution"], "'resolution'"),
-        discount=float(obj["discount"]),
+        discount=_number(obj["discount"], "'discount'"),
         benchmark=parse_benchmark(obj["benchmark"]),
-        initial_holdings=np.asarray(obj["initial_holdings"], dtype=float)
+        initial_holdings=_floats(obj["initial_holdings"], "'initial_holdings'")
         if obj.get("initial_holdings") is not None
         else None,
     )

@@ -37,24 +37,19 @@ is exact, and only the uniforms of the at most len(values) occupied buckets
 entries are no more than the run's paths * T ranks; otherwise every uniform
 is searched.
 
-Every key is an integer below S * span - 1. Let j >= 1 be the largest
-integer with S * span^j at most the paths * T ranks the run holds anyway.
-When there is one, the table position and next state of every key are
-found once, and the loop takes j steps an iteration: the key of a block of
-j steps with ranks r_1 ... r_j is state * span^j + r_1 * span^(j-1) + ... +
-r_j, and the one-step table composed j times maps it to the state j steps
-on, so a block is one gather for all paths. After the loop, a block's key
-gives its first step's key, and each step's key the next step's state, so j
-vectorised passes over all blocks recover every step's key; the T mod j
-last steps take one gather each. Otherwise (S * span larger than the run)
-each step searches the table with one ``searchsorted`` and keeps the table
-position. Either way one gather through a table of S * span keys or S * W
-positions maps every step to its dense (state, action) pair, the output.
+Every key is an integer below S * span - 1. When the table's S * span keys
+are no more than the paths * T ranks the run holds anyway, the table
+position and next state of every key are found once, and a step is one
+gather for all paths: the key state * span + rank gives span times the next
+state, the next key's row offset. Otherwise each step searches the table
+with one ``searchsorted`` and keeps the table position. Either way one
+gather through a table of S * span keys or S * W positions maps every step
+to its dense (state, action) pair, the output.
 
-A table-step run can also go by coupled segments, with no approximation:
-copies of the chain driven by the same uniforms from every start state
-merge, and from then on the state does not depend on the start (Propp &
-Wilson, Random Struct. Alg. 9, 1996).
+A table-step run goes by coupled segments where it can, with no
+approximation: copies of the chain driven by the same uniforms from every
+start state merge, and from then on the state does not depend on the start
+(Propp & Wilson, Random Struct. Alg. 9, 1996).
 
 - Each path is cut into segments of L = ceil(sqrt(T * S)) steps. For every
   segment k >= 1 of every path, a probe steps all S states from step k * L
@@ -63,21 +58,20 @@ Wilson, Random Struct. Alg. 9, 1996).
   of the image sizes). When a probe's copies meet at step t, the path's
   state at t is known, whatever its state was at the segment's start.
 - A probe stops when its copies meet or have taken L steps. All probing
-  stops early once L plus the probe steps reach T / j, or once the probes
-  have stepped more copies than the block loop gathers keys (paths * T / j):
-  copies of a periodic chain, or of one with two closed classes, never
-  meet, and a few probe steps show it. It also stops once a segment-1 probe
-  is still open after i steps with L + 2 i >= T / j: that path's run from
-  its start is then longer than L + i, so the loop count of the runs would
-  pass T / j, and the block loop runs as it would have.
+  stops early once L plus the probe steps reach T, or once the probes have
+  stepped more copies than the run has steps (paths * T). The copies of a
+  periodic chain, or of one with two closed classes, never meet, so its
+  probing ends there. It also stops once a segment-1 probe is still open
+  after i steps with L + 2 i >= T: that path's run from its start is then
+  longer than L + i, so the loop count of the runs would reach T.
 - One loop then steps every path's runs at once: from the path's start, and
   from each meeting point, to the path's next meeting point. Each step's
   rank becomes its table key in place, once. A segment whose copies did not
   meet is covered by the run before it: no state is guessed, and the keys
   are those of the serial loop, bit for bit.
 - The runs are used when their loop count, the probe steps plus the
-  longest run, is below the block loop's T / j; otherwise the block loop
-  runs.
+  longest run, is below T; otherwise the one-step loop takes the T steps
+  of all paths, one gather a step.
 
 Ranks are computed as soon as uniforms are drawn, so the step loop handles
 integers only. One call ranks the uniforms of consecutive paths up to
@@ -170,49 +164,12 @@ def _ranker(values: np.ndarray, size: int):
     return rank
 
 
-def _block_length(S: int, span: int, size: int) -> int:
-    """Steps per table-step iteration: the largest j with S * span^j <= size,
-    or 0 (search step) when S * span > size."""
-    j = 0
-    while S * span ** (j + 1) <= size:
-        j += 1
-    return j
-
-
-def _table_steps(keys: np.ndarray, base: np.ndarray, step: np.ndarray) -> np.ndarray:
+def _table_steps(keys: np.ndarray, base: np.ndarray, step: np.ndarray) -> None:
     """Add base to keys[0], gather the next base from step, and so on down the
-    rows of keys, which become table keys in place; returns the last base."""
+    rows of keys, which become table keys in place."""
     for column in keys:
         column += base
         base = step.take(column)
-    return base
-
-
-def _block_steps(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, span: int, j: int) -> None:
-    """Make keys table keys in place, j steps an iteration (see the module
-    docstring); nxt[state * span + rank] is the next state. For j = 1 nxt
-    itself becomes the step table, scaled by span in place."""
-    T, paths = keys.shape
-    S = nxt.size // span
-    # jump[state * span^j + (r_1 ... r_j in base span)] is the state after
-    # the j steps of ranks r_1 ... r_j.
-    jump = nxt
-    for _ in range(j - 1):
-        jump = jump.reshape(S, -1).take(nxt, axis=0).ravel()
-    blocks = keys[: T - T % j].reshape(-1, j, paths)
-    packed = blocks[:, 0]   # for j = 1 a view of keys, made keys in place
-    for i in range(1, j):
-        packed = packed * span + blocks[:, i]
-    jump *= span**j
-    base = _table_steps(packed, span**j * start, jump)
-    del jump
-    if j > 1:
-        # Each block's start key gives its first step's key, and each
-        # step's key its next step's state: one pass per step of a block.
-        blocks[:, 0] = packed // span ** (j - 1)
-        for i in range(1, j):
-            blocks[:, i] += span * nxt.take(blocks[:, i - 1])
-        _table_steps(keys[T - T % j :], base // span ** (j - 1), span * nxt)
 
 
 def _positions(table: np.ndarray, size: int) -> np.ndarray:
@@ -227,15 +184,15 @@ def _segment_length(T: int, S: int) -> int:
     return math.isqrt(T * S - 1) + 1
 
 
-def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int, give_up: float):
+def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int):
     """Probe segments 1, 2, ... of every path (see the module docstring).
 
-    keys holds ranks and nxt[state * span + rank] is the next state. Returns
-    the positions t * paths + p in keys and the states of the steps where a
-    probe's copies met, and the probe steps taken. Probing stops after L
-    steps, once L plus its steps reach give_up, once it has stepped more
-    than paths * give_up copies, or once a segment-1 probe is still open
-    after i steps with L + 2 i >= give_up.
+    keys holds the (T, paths) ranks and nxt[state * span + rank] is the next
+    state. Returns the positions t * paths + p in keys and the states of the
+    steps where a probe's copies met, and the probe steps taken. Probing
+    stops after L steps, once L plus its steps reach T, once it has stepped
+    more copies than keys has entries, or once a segment-1 probe is still
+    open after i steps with L + 2 i >= T.
     """
     T, paths = keys.shape
     span = nxt.size // S
@@ -263,9 +220,9 @@ def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int, give_up: float)
         if steps == last:
             alive &= pid < probes - paths
         pid, cur, pos = pid[alive], cur[alive], pos[alive]
-        if not pid.size or steps == L or L + steps >= give_up or work > paths * give_up:
+        if not pid.size or steps == L or L + steps >= T or work > keys.size:
             break
-        if pid[0] < paths and L + 2 * steps >= give_up:
+        if pid[0] < paths and L + 2 * steps >= T:
             # A segment-1 probe still open: its path's run from the start
             # is longer than L + steps, so the runs cannot pay off.
             break
@@ -285,13 +242,13 @@ def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int, give_up: float)
     return np.concatenate(met_pos), np.concatenate(met_state), steps
 
 
-def _coupled_runs(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, S: int, give_up: float):
+def _coupled_runs(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, S: int):
     """Every path's runs from its start and from each meeting point to the
     path's next one, longest first: (positions t * paths + p of their first
     steps, first states, lengths). None when their loop count, the probe
-    steps plus the longest run, is not below give_up."""
+    steps plus the longest run, is not below T, the one-step loop's."""
     T, paths = keys.shape
-    met_pos, met_state, probed = _meetings(keys, nxt, S, _segment_length(T, S), give_up)
+    met_pos, met_state, probed = _meetings(keys, nxt, S, _segment_length(T, S))
     pos = np.concatenate([np.arange(paths), met_pos])
     state = np.concatenate([start, met_state])
     order = np.lexsort((pos, pos % paths))
@@ -301,7 +258,7 @@ def _coupled_runs(keys: np.ndarray, start: np.ndarray, nxt: np.ndarray, S: int, 
     last = np.append(path[1:] != path[:-1], True)
     end[last] = T * paths + path[last]
     length = (end - pos) // paths
-    if probed + length.max() >= give_up:
+    if probed + length.max() >= T:
         return None
     order = np.argsort(-length, kind="stable")
     return pos[order], state[order], length[order]
@@ -375,20 +332,19 @@ def simulate(
     # A state's padding cells would map past its pairs, but no uniform
     # reaches them (see the module docstring).
     pair_of = (inst.pair_offsets[:-1, None] + np.arange(W) // S).ravel()
-    j = _block_length(S, span, size)
-    if j:
+    if S * span <= size:
         # Table position and next state of every key state * span + rank. The
         # last key, past the table's end, never occurs: every rank is below span - 1.
         cell_of = _positions(table, S * span)
         cell_of[-1] = 0
         nxt = next_state.take(cell_of)
         del table, next_state
-        runs = _coupled_runs(keys, start, nxt, S, T / j)
+        runs = _coupled_runs(keys, start, nxt, S)
+        nxt *= span   # the step table: key -> the next key's row offset
         if runs is None:
-            _block_steps(keys, start, nxt, span, j)
+            _table_steps(keys, span * start, nxt)
         else:
             pos, state, length = runs
-            nxt *= span
             _run_steps(keys, pos, span * state, length, nxt)
         del nxt
         pair_of = pair_of.take(cell_of)

@@ -28,10 +28,12 @@ instances passed to ``solve``, ``oracle`` and ``simulate``, a generator
 family with non-dyadic weights in both modes, an infeasible generator family
 in both modes (certificates naming ``dominance[xi=i]`` rows), vector z
 passed to ``oracle`` and a vector benchmark to ``check-dominance``, input
-files with JSON of the wrong types, a ragged kernel row or two faults at
-once, or nested past the recursion limit, an
+files with JSON of the wrong types (strings and booleans among them where
+a policy, a basis or a portfolio config needs a number), a ragged kernel
+row or two faults at once, or nested past the recursion limit, an
 oracle over more policies than its limit, out-of-range numeric arguments,
-one long ``simulate`` on a random instance of 6 to 8 states, and decoding:
+one long ``simulate`` on a random instance of 6 to 8 states and one on a
+5-cycle whose copies never meet, and decoding:
 an instance and a policy written with ``indent=2``, ``-0.0`` and ``1e400``
 in r, action labels holding ``]`` and ``"``, 20-digit integers in a basis,
 blocks past the last state and a policy that lists a state twice, and kernels
@@ -397,7 +399,13 @@ def _wrong_type_cases(c: _Corpus) -> None:
         path = c.file(f"type-instance-{name}", _ti1_obj(**change))
         c.add(f"type-instance-{name}/solve", ["solve", "--instance", path])
     policy = str(INSTANCES / "ti1_policy.json")
-    for name, rows in {"state-list": [[[0], [0.5, 0.5]]], "row-dict": [[0, {"a": 1}]]}.items():
+    policies = {
+        "state-list": [[[0], [0.5, 0.5]]],
+        "row-dict": [[0, {"a": 1}]],
+        "row-bool": {"policy": [[0, [True, False]]]},
+        "row-str": {"policy": [[0, ["1.0", "0"]]]},
+    }
+    for name, rows in policies.items():
         path = c.file(f"type-policy-{name}", rows)
         c.add(f"type-policy-{name}/simulate", ["simulate", "--instance", ti1, "--policy", path])
     point = c.file("type-dist-point", {"support": [1.0], "probs": [1.0]})
@@ -410,16 +418,19 @@ def _wrong_type_cases(c: _Corpus) -> None:
         "type-support-dict/check-benchmark",
         ["check-dominance", "--x", point, "--benchmark", support_dict],
     )
-    basis = c.file("type-basis-h-dict", {"h": {"a": 1}})
-    c.add(
-        "type-basis-h-dict/alp",
-        ["alp", "--instance", ti1, "--epsilon", "0.25", "--delta", "0.1", "--basis", basis],
-    )
+    bases = {"h-dict": {"h": {"a": 1}}, "str-bool": {"h": [["1.0"]], "u_lambdas": [[["4.0", True]]]}}
+    for name, obj in bases.items():
+        basis = c.file(f"type-basis-{name}", obj)
+        c.add(
+            f"type-basis-{name}/alp",
+            ["alp", "--instance", ti1, "--epsilon", "0.25", "--delta", "0.1", "--basis", basis],
+        )
     config = json.loads((INSTANCES / "portfolio_config.json").read_text())
     configs = {
         "levels-number": {**config, "price_levels": 3},
         "resolution-list": {**config, "resolution": [1]},
         "bare-list": [config],
+        "str-bool": {**config, "discount": "0.9", "price_levels": [[1.0, True], [1.0, 0.8]]},
     }
     for name, obj in configs.items():
         path = c.file(f"type-config-{name}", obj)
@@ -444,6 +455,28 @@ def _long_simulation(c: _Corpus, rng: np.random.Generator) -> None:
     policy = c.file("long-policy", rows)
     c.add(
         "long/simulate",
+        ["simulate", "--instance", path, "--policy", policy, "--paths", "4",
+         "--horizon", "30000", "--seed", "11"],
+    )
+
+
+def _never_meeting_simulation(c: _Corpus) -> None:
+    """A 5-cycle with two actions a state, both moving one state on: copies of
+    the chain never meet, so a long run takes the one-step loop after probing."""
+    rng = np.random.default_rng(9)
+    S = 5
+    inst = MdpInstance(
+        num_states=S,
+        actions=(("a", "b"),) * S,
+        kernel=np.roll(np.eye(S), 1, axis=1).repeat(2, axis=0),
+        reward_r=rng.normal(size=2 * S),
+        reward_z=rng.uniform(-2.0, 2.0, size=2 * S),
+        mode="average",
+    )
+    path = c.file("cycle5", _instance_obj(inst, random_benchmark(rng, inst, max_support=4)))
+    policy = c.file("cycle5-policy", [[s, rng.dirichlet(np.ones(2)).tolist()] for s in range(S)])
+    c.add(
+        "cycle5/simulate",
         ["simulate", "--instance", path, "--policy", policy, "--paths", "4",
          "--horizon", "30000", "--seed", "11"],
     )
@@ -647,6 +680,7 @@ def _digests() -> dict:
         _decode_cases(c)
         _sparse_cases(c)
         _closed_class_cases(c)
+        _never_meeting_simulation(c)
         return {
             name: _run_case(args, patch, written, c.tmp)
             for name, args, patch, written in c.cases

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from domdp.average import solve_average
 from domdp.discounted import (
     bellman_residual,
     build_discounted_primal,
@@ -25,6 +28,13 @@ def one_state_one_action(r=-1.0, delta=0.9):
 
 
 VAC = Benchmark(support=[-1e9], probs=[1.0])
+
+
+def test_solve_signatures_agree():
+    # A positional third argument is the family in both modes.
+    average, discounted = map(inspect.signature, (solve_average, solve_discounted))
+    assert list(discounted.parameters.values()) == list(average.parameters.values())
+    assert list(discounted.parameters) == ["inst", "bench", "family", "feas_tol"]
 
 
 def test_build_requires_discount_and_initial():

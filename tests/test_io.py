@@ -223,6 +223,55 @@ def test_extra_entries_are_rejected(tmp_path, capsys, role, content, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+CONFIG = json.loads((INSTANCES / "portfolio_config.json").read_text())
+NON_NUMBERS = [
+    pytest.param(
+        "policy", {"policy": [[0, [True, False]]]},
+        "policy row for state 0: expected a number, got True", id="policy-bool",
+    ),
+    pytest.param(
+        "policy", {"policy": [[0, ["1.0", "0"]]]},
+        "policy row for state 0: expected a number, got '1.0'", id="policy-str",
+    ),
+    pytest.param(
+        "basis", {"h": [["1.0"]], "u_lambdas": [[[4.0, 1.0]]]},
+        "'h': expected a number, got '1.0'", id="basis-h-str",
+    ),
+    pytest.param(
+        "basis", {"h": [[1.0]], "u_lambdas": [[["4.0", True]]]},
+        "'u_lambdas' must hold lists of [eta, weight] pairs: eta: expected a number, got '4.0'",
+        id="basis-eta-str",
+    ),
+    pytest.param(
+        "config", {**CONFIG, "discount": "0.9"},
+        "'discount': expected a number, got '0.9'", id="config-discount-str",
+    ),
+    pytest.param(
+        "config", {**CONFIG, "price_levels": [[1.0, True], [1.0, 0.8]]},
+        "'price_levels': expected a number, got True", id="config-level-bool",
+    ),
+]
+
+
+@pytest.mark.parametrize("role, content, message", NON_NUMBERS)
+def test_non_numbers_in_policy_basis_and_config_are_refused(tmp_path, capsys, role, content,
+                                                            message):
+    """A string or boolean where a policy, basis or portfolio config needs a
+    number is an input error, as it is in an instance file."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    ti1 = str(INSTANCES / "ti1.json")
+    argv = {
+        "policy": ["simulate", "--instance", ti1, "--policy", str(bad)],
+        "basis": ["alp", "--instance", ti1, "--epsilon", "0.25", "--delta", "0.1",
+                  "--basis", str(bad)],
+        "config": ["gen-portfolio", "--config", str(bad), "--out", str(tmp_path / "out.json")],
+    }[role]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 TWO_STATES = {
     "states": 2,
     "actions": [["a", "b"], ["c"]],

@@ -328,7 +328,7 @@ def test_tolerated_negative_policy_entry_never_drawn(monkeypatch):
 
 
 def _simulate_spied(inst, policy, nu, T, num_paths, seed=0):
-    """simulate() and whether it stepped by coupled runs, not by the block
+    """simulate() and whether it stepped by coupled runs, not by the one-step
     loop or the search step. The spy keeps no reference to the arguments,
     which would keep the step table alive."""
     calls = []
@@ -354,20 +354,12 @@ def _assert_matches_reference(inst, policy, nu, T, num_paths, seed=0):
 
 
 def _regime(inst, policy, T, num_paths):
-    """(steps per table-step iteration, whether ranks go through a guide table)."""
+    """(table step, not search step: S * span <= paths * T; whether ranks go
+    through a guide table)."""
     values = _values(inst, policy)
     size = T * num_paths
-    j = SIM._block_length(inst.num_states, values.size + 1, size)
-    return j, SIM._ranker(values, size) != values.searchsorted
-
-
-def test_block_length_is_the_largest_j_within_the_run():
-    assert SIM._block_length(3, 5, 14) == 0   # S * span > paths * T: search step
-    assert SIM._block_length(3, 5, 15) == 1
-    assert SIM._block_length(3, 5, 74) == 1
-    assert SIM._block_length(3, 5, 75) == 2
-    assert SIM._block_length(3, 5, 1875) == 4
-    assert SIM._block_length(1, 2, 2**20) == 20
+    table = inst.num_states * (values.size + 1) <= size
+    return table, SIM._ranker(values, size) != values.searchsorted
 
 
 def test_table_positions_by_counting_equal_the_binary_search():
@@ -491,48 +483,45 @@ def _two_class_case():
 
 
 STEP_CASES = [
-    # case, T, paths, j, guide table built, uniforms at bucket edges and
-    # values, coupled runs taken. With T mod j > 0 the block loop's last
-    # T mod j steps take the one-step loop; L = ceil(sqrt(T * S)) is the
-    # segment length of the coupled runs.
-    pytest.param(_dyadic_case, 1001, 4, 3, True, False, True, id="j3-tail2"),
-    pytest.param(_dyadic_case, 1001, 4, 3, True, True, True, id="j3-tail2-edges"),
+    # case, T, paths, table step (S * span <= paths * T) or search step,
+    # guide table built, uniforms at bucket edges and values, coupled runs
+    # taken. L = ceil(sqrt(T * S)) is the segment length of the coupled runs.
+    pytest.param(_dyadic_case, 1001, 4, True, True, False, True, id="j3-tail2"),
+    pytest.param(_dyadic_case, 1001, 4, True, True, True, True, id="j3-tail2-edges"),
     # T = 20 L: the last segment is as long as the others.
-    pytest.param(_dyadic_case, 1200, 4, 3, True, True, True, id="T-multiple-of-L"),
+    pytest.param(_dyadic_case, 1200, 4, True, True, True, True, id="T-multiple-of-L"),
     # T mod L = 1: the last segment has one step, so it is never probed.
-    pytest.param(_dyadic_case, 991, 4, 3, True, True, True, id="last-segment-one-step"),
-    # S * span^3 = 2 * 6^3 is exactly paths * T, and T < L: one segment.
-    pytest.param(_two_state_case, 2, 216, 3, True, True, False, id="T-below-j"),
+    pytest.param(_dyadic_case, 991, 4, True, True, True, True, id="last-segment-one-step"),
+    # T = L: one segment, nothing to probe, so the one-step loop runs.
+    pytest.param(_two_state_case, 2, 216, True, True, True, False, id="T-below-j"),
     # With one state a rank is its own key and every probe meets at once.
-    pytest.param(_one_state_case, 1001, 3, 5, True, True, True, id="one-state-j5-tail1"),
-    pytest.param(_dyadic_case, 2189, 1, 3, True, True, True, id="one-path-j3-tail2"),
-    pytest.param(_clustered_case, 1001, 4, 2, True, True, True, id="clustered-j2-tail1"),
-    pytest.param(_two_state_case, 21, 5, 2, False, True, False, id="guide-capped-j2-tail1"),
-    pytest.param(_wide_dyadic_case, 100, 3, 0, True, True, False, id="search-step-guide"),
-    # Chains whose copies never meet take the block loop. (A uniform of 0.0
-    # would take every state to cell 0, which has probability 0 here.)
-    pytest.param(lambda: _cycle_case(2), 1001, 4, 6, True, False, False, id="swap"),
-    pytest.param(lambda: _cycle_case(5), 1001, 4, 6, True, False, False, id="cycle5"),
-    pytest.param(_two_class_case, 1001, 4, 3, True, False, False, id="two-class"),
-    # The discounted benchmark ops' shape, 200 short paths: a segment-1 probe
-    # is still open when L + 2 i reaches T / j, so the probe stops there and
-    # the block loop runs.
-    pytest.param(_clustered_case, 50, 200, 2, True, True, False, id="clustered-open-probe"),
-    pytest.param(_two_state_case, 90, 200, 5, True, True, False, id="two-state-open-probe"),
+    pytest.param(_one_state_case, 1001, 3, True, True, True, True, id="one-state-j5-tail1"),
+    pytest.param(_dyadic_case, 2189, 1, True, True, True, True, id="one-path-j3-tail2"),
+    pytest.param(_clustered_case, 1001, 4, True, True, True, True, id="clustered-j2-tail1"),
+    pytest.param(_two_state_case, 21, 5, True, False, True, True, id="guide-capped-j2-tail1"),
+    pytest.param(_wide_dyadic_case, 100, 3, False, True, True, False, id="search-step-guide"),
+    # Chains whose copies never meet take the one-step loop. (A uniform of
+    # 0.0 would take every state to cell 0, which has probability 0 here.)
+    pytest.param(lambda: _cycle_case(2), 1001, 4, True, True, False, False, id="swap"),
+    pytest.param(lambda: _cycle_case(5), 1001, 4, True, True, False, False, id="cycle5"),
+    pytest.param(_two_class_case, 1001, 4, True, True, False, False, id="two-class"),
+    # The discounted benchmark ops' shape, 200 short paths.
+    pytest.param(_clustered_case, 50, 200, True, True, True, True, id="clustered-open-probe"),
+    pytest.param(_two_state_case, 90, 200, True, True, True, True, id="two-state-open-probe"),
 ]
 
 
-@pytest.mark.parametrize("case, T, num_paths, j, guide, edges, coupled", STEP_CASES)
+@pytest.mark.parametrize("case, T, num_paths, table, guide, edges, coupled", STEP_CASES)
 def test_block_steps_and_guide_ranks_match_reference(
-    monkeypatch, case, T, num_paths, j, guide, edges, coupled
+    monkeypatch, case, T, num_paths, table, guide, edges, coupled
 ):
     inst, policy, nu = case()
-    assert _regime(inst, policy, T, num_paths) == (j, guide)
+    assert _regime(inst, policy, T, num_paths) == (table, guide)
     if edges:
         monkeypatch.setattr(SIM, "_uniforms", _per_path(_edge_uniforms(inst, policy, nu)))
     for seed in range(3):
         assert _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed) == coupled
-    # One segment as long as the run leaves nothing to probe: the block loop.
+    # One segment as long as the run leaves nothing to probe: the one-step loop.
     monkeypatch.setattr(SIM, "_segment_length", lambda T, S: T)
     for seed in range(3):
         assert not _assert_matches_reference(inst, policy, nu, T, num_paths, seed=seed)
@@ -555,12 +544,12 @@ def _reset_case():
 def test_segments_whose_copies_never_meet_join_the_run_before():
     inst, policy, nu = _reset_case()
     T, num_paths = 5000, 4
-    assert _regime(inst, policy, T, num_paths)[0] == 1
+    assert _regime(inst, policy, T, num_paths)[0]
     probe = SIM._meetings
     found = []
 
-    def meetings(keys, nxt, S, L, give_up):
-        out = probe(keys, nxt, S, L, give_up)
+    def meetings(keys, nxt, S, L):
+        out = probe(keys, nxt, S, L)
         found.append((out[0].size, len(range(L, T, L)) * num_paths))
         return out
 
@@ -574,42 +563,48 @@ def test_segments_whose_copies_never_meet_join_the_run_before():
 @pytest.mark.parametrize("S", [2, 50])
 def test_never_meeting_chains_stop_probing_early(S):
     # A swap and a 50-cycle at the benchmark's run length: their segments are
-    # 448 and 2237 steps long, but the probe gives up once it has stepped as
-    # many copies as the block loop gathers keys, and the block loop runs.
+    # 448 and 2237 steps long, but no copy of a permutation drops, so every
+    # probe step steps all probes * S copies, and probing gives up after the
+    # first i with i * probes * S > paths * T (225 and 46 steps). The
+    # one-step loop then runs.
     inst, policy, nu = _cycle_case(S)
+    T, num_paths = 100_000, 20
     probe = SIM._meetings
-    steps = []
+    stops = []
 
-    def meetings(*args):
-        out = probe(*args)
-        steps.append(out[2])
+    def meetings(keys, nxt, S, L):
+        out = probe(keys, nxt, S, L)
+        probes = len(range(L, T, L)) * num_paths
+        stops.append((out[2], num_paths * T // (probes * S) + 1))
         return out
 
     with mock.patch.object(SIM, "_meetings", meetings):
-        _, coupled = _simulate_spied(inst, policy, nu, T=100_000, num_paths=20)
+        _, coupled = _simulate_spied(inst, policy, nu, T=T, num_paths=num_paths)
     assert not coupled
-    assert steps[0] <= 20
+    [(steps, bound)] = stops
+    assert steps == bound == {2: 225, 50: 46}[S]
 
 
 @pytest.mark.parametrize(
-    "case, T", [(_clustered_case, 50), (_two_state_case, 90)], ids=["clustered", "two-state"]
+    "case, T", [(_clustered_case, 20), (_two_state_case, 16)], ids=["clustered", "two-state"]
 )
 def test_open_first_segment_probe_stops_probing_early(case, T):
-    # Probing stops at the first i with L + 2 i >= T / j, as a segment-1
-    # probe is still open there; the runs would have been rejected anyway.
-    # STEP_CASES checks these runs against the reference loop.
+    # 200 paths with T < 9 S, so (T - L) / 2 < L: probing stops at the first
+    # i with L + 2 i >= T, as a segment-1 probe is still open there, before
+    # the probes' own L steps. The runs would have been rejected anyway, and
+    # the one-step loop gives the reference loop's trajectories.
     inst, policy, nu = case()
     probe = SIM._meetings
     stops = []
 
-    def meetings(keys, nxt, S, L, give_up):
-        out = probe(keys, nxt, S, L, give_up)
-        stops.append((out[2], math.ceil((give_up - L) / 2), L + out[2] < give_up))
+    def meetings(keys, nxt, S, L):
+        out = probe(keys, nxt, S, L)
+        stops.append((out[2], math.ceil((T - L) / 2), L + out[2] < T))
         return out
 
     with mock.patch.object(SIM, "_meetings", meetings):
         for seed in range(3):
-            assert not _simulate_spied(inst, policy, nu, T, 200, seed=seed)[1]
+            assert not _assert_matches_reference(inst, policy, nu, T, 200, seed=seed)
     assert all(steps == first and before for steps, first, before in stops)
 
 
@@ -757,27 +752,6 @@ def test_simulate_and_average_estimate_stay_small():
     assert peak <= 40 * 2**20
 
 
-def test_simulate_with_a_large_jump_table_stays_small(monkeypatch):
-    # The third criterion-7 average instance: 5 states take 4 steps per table
-    # step, so the jump table has 1.7 million entries (12.7 MiB). A scaled
-    # copy of it beside the original would pass the limit. The run would take
-    # the coupled runs, which build no jump table; one segment as long as the
-    # run leaves nothing to probe, so the block loop runs.
-    monkeypatch.setattr(SIM, "_segment_length", lambda T, S: T)
-    rng = np.random.default_rng(2468)
-    for _ in range(3):
-        inst, bench, report = feasible_pair(rng, max_states=8, max_actions=4)
-    nu = np.full(inst.num_states, 1.0 / inst.num_states)
-    tracemalloc.start()
-    try:
-        trajs = simulate(inst, report.policy, nu, T=100_000, num_paths=20, seed=1002)
-        estimate_average_shortfalls(trajs, bench.support)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * 2**20
-
-
 def test_simulate_dense_100_states_stays_small():
     # The benchmark's 100-state shape: 5 actions, every kernel entry positive.
     # A deterministic policy gives about 9,900 distinct cumulative values, so
@@ -796,7 +770,7 @@ def test_simulate_dense_100_states_stays_small():
         mode="average",
     )
     policy = deterministic_policy(inst, rng.integers(0, A, size=S))
-    assert _regime(inst, policy, 100_000, 20)[0] == 1
+    assert _regime(inst, policy, 100_000, 20)[0]
     nu = np.full(S, 1.0 / S)
     tracemalloc.start()
     try:
