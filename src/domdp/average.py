@@ -170,17 +170,14 @@ def extract_policy(occ: OccupationMeasure) -> Policy:
     w = occ.weights
     if inst.mode != AVERAGE:
         w = w / w.sum()
-    rows = []
-    for s in range(inst.num_states):
-        block = w[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
-        total = float(block.sum())
-        if total > ZERO_MARGINAL:
-            row = np.maximum(block, 0.0) / total
-            row = row / row.sum()
-        else:
-            row = np.full(block.size, 1.0 / block.size)
-        rows.append(row)
-    return Policy(tuple(rows))
+    starts, sizes = inst.pair_offsets[:-1], np.diff(inst.pair_offsets)
+    total = np.add.reduceat(w, starts)
+    visited = total > ZERO_MARGINAL
+    # Unvisited states divide ones by |A(s)|, then by 1: the uniform row.
+    probs = np.where(np.repeat(visited, sizes), np.maximum(w, 0.0), 1.0)
+    probs /= np.repeat(np.where(visited, total, sizes), sizes)
+    probs /= np.repeat(np.where(visited, np.add.reduceat(probs, starts), 1.0), sizes)
+    return Policy(tuple(np.split(probs, inst.pair_offsets[1:-1])))
 
 
 def stationary_distribution(policy: Policy, inst: MdpInstance) -> np.ndarray:

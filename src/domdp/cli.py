@@ -3,7 +3,8 @@
 Exit codes: 0 success/optimal, 1 input error (also a malformed input file), 2
 infeasible (certificate in the report; also a failed dominance check or an
 empty oracle), 3 unbounded, 4 numerical failure (singular matrix, duality-gap
-or residual guard, iteration cap).
+or residual guard, iteration cap) or out of memory (an array too large to
+allocate, such as a --horizon or a sample count past what memory holds).
 Reports go to --out when given, otherwise to standard output. All randomness
 flows from --seed (default 0); identical inputs produce byte-identical
 reports.
@@ -45,6 +46,7 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_NUMERICAL = 4
+_STATUS_EXIT = {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_UNBOUNDED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,11 +160,7 @@ def _cmd_solve(args) -> int:
         margins -= benchmark_curve(bench, grid)
         obj["extra_grid_margins"] = np.column_stack([grid, margins])
     _emit(obj, args.out)
-    if report.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if report.status == "unbounded":
-        return EXIT_UNBOUNDED
-    return EXIT_OK
+    return _STATUS_EXIT[report.status]
 
 
 def _cmd_simulate(args) -> int:
@@ -236,11 +234,7 @@ def _cmd_alp(args) -> int:
     bases = jsonio.parse_basis(_load_json(args.basis))
     report = solve_alp(inst, bench, bases, epsilon=args.epsilon, delta=args.delta, seed=args.seed)
     _emit(report.to_obj(), args.out)
-    if report.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if report.status == "unbounded":
-        return EXIT_UNBOUNDED
-    return EXIT_OK
+    return _STATUS_EXIT[report.status]
 
 
 def _cmd_gen_portfolio(args) -> int:
@@ -302,6 +296,9 @@ def run(argv: list[str]) -> int:
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first.
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -312,15 +312,6 @@ def _sparse_row(row: dict, num_states: int, where: str) -> np.ndarray:
     return dense
 
 
-def _dense_row(row, where: str) -> np.ndarray:
-    """One dense row; a string or a boolean in it is refused, as the block path refuses it."""
-    dense = np.asarray(row, dtype=float)
-    wrong = [v for v in np.asarray(row, dtype=object).ravel() if isinstance(v, (str, bool))]
-    if wrong:
-        raise ValueError(f"{where}: expected a number, got {wrong[0]!r}")
-    return dense
-
-
 def _pairs_one_by_one(P, r, z, actions):
     """``_pairs_by_block`` one pair at a time, with the kernel as a list of rows.
 
@@ -337,7 +328,7 @@ def _pairs_one_by_one(P, r, z, actions):
             if isinstance(row, dict):
                 kernel_rows.append(_sparse_row(row, len(actions), where))
             else:
-                kernel_rows.append(_dense_row(row, where))
+                kernel_rows.append(_floats(row, where))
             r_flat.append(_number(r[s][a], "'r'"))
             z_flat.append(z[s][a])
     return kernel_rows, r_flat, z_flat

@@ -243,7 +243,7 @@ class _Simplex:
     """
 
     def __init__(
-        self, A: np.ndarray, b: np.ndarray, feas_tol: float, basis, B_inv=None,
+        self, A: np.ndarray, b: np.ndarray, feas_tol: float, basis, B_inv: np.ndarray,
         art_rows=np.zeros(0, dtype=int), art_sign=np.zeros(0),
     ):
         self.A = A
@@ -258,10 +258,7 @@ class _Simplex:
         self.iterations = 0
         self.refactorizations = 0
         self._allocate_etas()
-        if B_inv is None:
-            self.refactorize()
-        else:
-            self._restart(B_inv)
+        self._restart(B_inv)
 
     def _allocate_etas(self) -> None:
         """Room for ETA_SHARE of m etas. A pivot writes its row of G and of R

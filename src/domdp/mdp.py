@@ -129,17 +129,10 @@ class Benchmark:
         if support.ndim == 1:
             if support.shape != probs.shape or support.size == 0:
                 raise ValueError("support and probs must be equal-length and nonempty")
-            order = np.argsort(support, kind="stable")
-            support, probs = support[order], probs[order]
-            keep_s, keep_p = [support[0]], [probs[0]]
-            for v, p in zip(support[1:], probs[1:]):
-                if v == keep_s[-1]:
-                    keep_p[-1] += p
-                else:
-                    keep_s.append(v)
-                    keep_p.append(p)
-            support = np.array(keep_s)
-            probs = np.array(keep_p)
+            # return_index makes the sort stable, so a point keeps its first
+            # spelling (0.0 or -0.0) and its probabilities add in input order.
+            support, _, inverse = np.unique(support, return_index=True, return_inverse=True)
+            probs = np.bincount(inverse, weights=probs)
         elif support.ndim == 2:
             # Vector-valued benchmark for generator families; no merge/order.
             if support.shape[0] != probs.shape[0] or support.size == 0:
@@ -293,12 +286,14 @@ def enumerate_pairs(inst: MdpInstance) -> list[tuple[int, str]]:
 
 
 def deterministic_policy(inst: MdpInstance, choices: Sequence[int]) -> Policy:
-    rows = []
-    for s, a in enumerate(choices):
-        row = np.zeros(len(inst.actions[s]))
-        row[a] = 1.0
-        rows.append(row)
-    return Policy(tuple(rows))
+    """The policy that takes action index choices[s] at every state s."""
+    choices = np.asarray(choices, dtype=np.intp)
+    sizes = np.diff(inst.pair_offsets)
+    if choices.shape != sizes.shape or np.any((choices < 0) | (choices >= sizes)):
+        raise ValueError("choices must give one action index in [0, |A(s)|) per state")
+    probs = np.zeros(inst.num_pairs)
+    probs[inst.pair_offsets[:-1] + choices] = 1.0
+    return Policy(tuple(np.split(probs, inst.pair_offsets[1:-1])))
 
 
 def policy_kernel(policy: Policy, inst: MdpInstance) -> np.ndarray:

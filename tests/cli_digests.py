@@ -33,7 +33,8 @@ a policy, a basis or a portfolio config needs a number), a ragged kernel
 row or two faults at once, or nested past the recursion limit, an
 oracle over more policies than its limit, out-of-range numeric arguments,
 one long ``simulate`` on a random instance of 6 to 8 states and one on a
-5-cycle whose copies never meet, and decoding:
+5-cycle whose copies never meet, a ``simulate`` and an ``alp`` whose arrays
+would exceed the 64-bit address space, and decoding:
 an instance and a policy written with ``indent=2``, ``-0.0`` and ``1e400``
 in r, action labels holding ``]`` and ``"``, 20-digit integers in a basis,
 blocks past the last state and a policy that lists a state twice, and kernels
@@ -482,6 +483,22 @@ def _never_meeting_simulation(c: _Corpus) -> None:
     )
 
 
+def _out_of_memory_cases(c: _Corpus) -> None:
+    """Arrays past the 64-bit address space (6.94 EiB of simulate keys, 3.17 EiB
+    of ALP samples), which NumPy refuses before allocating anything."""
+    ti1 = str(INSTANCES / "ti1.json")
+    c.add(
+        "oom/simulate",
+        ["simulate", "--instance", ti1, "--policy", str(INSTANCES / "ti1_policy.json"),
+         "--paths", "1", "--horizon", "1000000000000000000"],
+    )
+    c.add(
+        "oom/alp",
+        ["alp", "--instance", ti1, "--basis", str(INSTANCES / "ti1_basis.json"),
+         "--epsilon", "1e-15", "--delta", "0.1"],
+    )
+
+
 def _alp_block_cases(c: _Corpus) -> None:
     """One ALP per mode on perfbench's basis shape: five state blocks and a kink.
 
@@ -681,6 +698,7 @@ def _digests() -> dict:
         _sparse_cases(c)
         _closed_class_cases(c)
         _never_meeting_simulation(c)
+        _out_of_memory_cases(c)
         return {
             name: _run_case(args, patch, written, c.tmp)
             for name, args, patch, written in c.cases

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from domdp.average import solve_average
+from domdp.average import ZERO_MARGINAL, solve_average
 from domdp.discounted import solve_discounted
-from domdp.mdp import Benchmark, MdpInstance, Policy
+from domdp.mdp import AVERAGE, Benchmark, MdpInstance, Policy
 from domdp.portfolio import PortfolioConfig
 
 
@@ -56,6 +56,23 @@ def ti2(z=(0.0, 10.0)):
         reward_r=np.array([1.0, 1.0]),
         reward_z=np.array(z, dtype=float),
         mode="average",
+    )
+
+
+def blocks_instance(sizes, mode="average"):
+    """An instance with sizes[s] actions at state s; every kernel row uniform,
+    every reward 0."""
+    S, K = len(sizes), sum(sizes)
+    discounted = mode == "discounted"
+    return MdpInstance(
+        num_states=S,
+        actions=tuple(tuple(f"a{i}" for i in range(n)) for n in sizes),
+        kernel=np.full((K, S), 1.0 / S),
+        reward_r=np.zeros(K),
+        reward_z=np.zeros(K),
+        mode=mode,
+        discount=0.5 if discounted else None,
+        initial=np.full(S, 1.0 / S) if discounted else None,
     )
 
 
@@ -148,3 +165,50 @@ def reference_dumps(value) -> str:
     if not math.isfinite(v):
         raise ValueError(f"cannot emit non-finite float {v!r}")
     return format(v, ".17g")
+
+
+def reference_extract_policy(occ) -> Policy:
+    """``domdp.average.extract_policy`` one state at a time, summing each block
+    with ``ndarray.sum``."""
+    inst = occ.inst
+    w = occ.weights
+    if inst.mode != AVERAGE:
+        w = w / w.sum()
+    rows = []
+    for s in range(inst.num_states):
+        block = w[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
+        total = float(block.sum())
+        if total > ZERO_MARGINAL:
+            row = np.maximum(block, 0.0) / total
+            row = row / row.sum()
+        else:
+            row = np.full(block.size, 1.0 / block.size)
+        rows.append(row)
+    return Policy(tuple(rows))
+
+
+def reference_deterministic_policy(inst, choices) -> Policy:
+    """``domdp.mdp.deterministic_policy`` one state at a time, for valid choices."""
+    rows = []
+    for s, a in enumerate(choices):
+        row = np.zeros(len(inst.actions[s]))
+        row[a] = 1.0
+        rows.append(row)
+    return Policy(tuple(rows))
+
+
+def reference_merge(support, probs) -> tuple[np.ndarray, np.ndarray]:
+    """The support points of a scalar ``Benchmark`` in increasing order, each
+    with its probabilities added in input order, one point at a time."""
+    support = np.asarray(support, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    order = np.argsort(support, kind="stable")
+    support, probs = support[order], probs[order]
+    keep_s, keep_p = [support[0]], [probs[0]]
+    for v, p in zip(support[1:], probs[1:]):
+        if v == keep_s[-1]:
+            keep_p[-1] += p
+        else:
+            keep_s.append(v)
+            keep_p.append(p)
+    return np.array(keep_s), np.array(keep_p)

@@ -3,9 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domdp.average import (
     CRASH_SWEEPS,
+    ZERO_MARGINAL,
     _greedy_start,
     build_average_cost_primal,
     build_average_primal,
@@ -26,9 +29,11 @@ from domdp.results import OccupationMeasure
 from helpers import (
     TI1_BENCH,
     VACUOUS_BENCH,
+    blocks_instance,
     feasible_pair,
     random_benchmark,
     random_instance,
+    reference_extract_policy,
     ti1,
     ti2,
 )
@@ -132,6 +137,63 @@ def test_extract_policy_rules():
     )
     occ3 = OccupationMeasure(inst=inst3, weights=np.array([0.2, 0.0, 0.6]))
     assert np.allclose(extract_policy(occ3).rows[0], [0.25, 0.0, 0.75])
+
+
+WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-300, 1.0),
+    st.floats(1e-300, 1e-13),
+    st.floats(-1e-10, -1e-300),
+)
+
+
+@st.composite
+def _occupations(draw):
+    """(block sizes, pair weights, mode): blocks of 1 to 12 actions, some all
+    zero or below ZERO_MARGINAL."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    weights = draw(st.lists(WEIGHTS, min_size=sum(sizes), max_size=sum(sizes)))
+    return sizes, weights, draw(st.sampled_from(["average", "discounted"]))
+
+
+# Five ulp apart in the first weight: the two summation orders give totals
+# one ulp apart and sums of c / t three ulp apart.
+FIVE_ULP = (
+    [12],
+    [4.1399908752832974e-14, -3.8525849436465834e-11, 9.111014904849796e-14,
+     7.292329269765192e-14, 0.7579240483165486, 9.854893176837346e-14,
+     -1.8707237214025042e-11, -8.009458376191086e-11, 5.3110443136053556e-14, 0.0,
+     -6.197964919067577e-11, 0.0],
+    "average",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_occupations())
+@example(drawn=FIVE_ULP)
+def test_extract_policy_matches_per_state_reference(drawn):
+    """Bit for bit where every visited state has at most two nonzero weights,
+    whose sum is the same in any order. Otherwise np.add.reduceat and
+    ndarray.sum add in other orders; the state's total cancels in
+    (c / t) / sum(c / t), so each of the n clipped weights c rounds once in
+    each division and the sum of n terms by at most (n - 1) u, and the two
+    results differ by at most (2n + 4) u relative, u = eps / 2. In ulp that is
+    more than 4: FIVE_ULP is 5 apart."""
+    sizes, weights, mode = drawn
+    w = np.array(weights)
+    if mode == "discounted" and not w.sum() > 0.0:
+        w[0] = 1.0  # the measure is scaled to mass 1 first
+    inst = blocks_instance(sizes, mode)
+    occ = OccupationMeasure(inst=inst, weights=w)
+    got, want = extract_policy(occ).rows, reference_extract_policy(occ).rows
+    assert [r.size for r in got] == sizes
+    scaled = np.split(w if mode == "average" else w / w.sum(), inst.pair_offsets[1:-1])
+    for g, r, b in zip(got, want, scaled):
+        if b.sum() <= ZERO_MARGINAL or np.count_nonzero(b) <= 2:
+            assert g.tobytes() == r.tobytes()
+        else:
+            rtol = (2 * b.size + 4) * np.finfo(float).eps / 2
+            np.testing.assert_allclose(g, r, rtol=rtol, atol=0.0)
 
 
 def test_stationary_distribution_swap_and_single():

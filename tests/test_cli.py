@@ -430,6 +430,27 @@ def test_numerical_failure_exits_four(tmp_path, capsys, monkeypatch, exc):
     assert capsys.readouterr().err == f"error: numerical failure: {exc}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["simulate", "--instance", "ti1.json", "--policy", "ti1_policy.json",
+          "--paths", "1", "--horizon", "1000000000000000000"], "6.94 EiB"),
+        (["alp", "--instance", "ti1.json", "--basis", "ti1_basis.json",
+          "--epsilon", "1e-15", "--delta", "0.1"], "3.17 EiB"),
+    ],
+    ids=["simulate-horizon", "alp-samples"],
+)
+def test_out_of_memory_exits_four_with_one_line(capsys, argv, size):
+    """Both sizes exceed the 64-bit address space, so NumPy refuses them
+    before allocating anything, whatever the machine's overcommit setting."""
+    root = Path(__file__).resolve().parent.parent / "instances"
+    argv = [str(root / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out of memory: Unable to allocate {size}")
+    assert err.count("\n") == 1
+
+
 def test_plain_value_error_still_exits_one(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("bad input")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domdp.mdp import (
     KERNEL_TOL,
@@ -12,6 +14,7 @@ from domdp.mdp import (
     recurrent_classes,
     validate_instance,
 )
+from helpers import blocks_instance, reference_deterministic_policy, reference_merge
 
 
 def single_state(p_self=1.0, mode="average"):
@@ -105,6 +108,65 @@ def test_benchmark_merges_duplicates_and_sorts():
     b = Benchmark(support=[3.0, 1.0, 3.0], probs=[0.25, 0.5, 0.25])
     assert b.support.tolist() == [1.0, 3.0]
     assert b.probs.tolist() == [0.5, 0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.sampled_from([-2.5, -0.0, 0.0, 0.1, 1.0 / 3.0, 7.0, 1e6]),
+            st.floats(1e-6, 1.0),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_benchmark_merge_matches_loop_reference(points):
+    """Repeated support points, in any order, merge bit for bit as the loop
+    merges them: the first spelling of a point (-0.0 or 0.0) is kept, and its
+    probabilities add in input order."""
+    support = np.array([v for v, _ in points])
+    probs = np.array([p for _, p in points])
+    probs /= probs.sum()
+    want_s, want_p = reference_merge(support, probs)
+    bench = Benchmark(support=support, probs=probs)
+    assert bench.support.tobytes() == want_s.tobytes()
+    assert bench.probs.tobytes() == want_p.tobytes()
+
+
+@st.composite
+def _choices(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+    return sizes, [draw(st.integers(0, n - 1)) for n in sizes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_choices())
+def test_deterministic_policy_matches_loop_reference(drawn):
+    sizes, choices = drawn
+    inst = blocks_instance(sizes)
+    got = deterministic_policy(inst, choices).rows
+    want = reference_deterministic_policy(inst, choices).rows
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_choices(), state=st.integers(0, 9), past=st.booleans())
+def test_deterministic_policy_refuses_a_choice_outside_the_action_set(drawn, state, past):
+    """A choice past the last action or below 0 is refused: NumPy indexing
+    would raise IndexError for the one and read -1 as the last action."""
+    sizes, choices = drawn
+    state %= len(sizes)
+    choices[state] = sizes[state] if past else -1
+    with pytest.raises(ValueError, match="one action index"):
+        deterministic_policy(blocks_instance(sizes), choices)
+
+
+def test_deterministic_policy_needs_one_choice_per_state():
+    inst = blocks_instance([2, 3])
+    for choices in ([0], [0, 1, 0]):
+        with pytest.raises(ValueError, match="one action index"):
+            deterministic_policy(inst, choices)
 
 
 def test_benchmark_rejects_bad_probs():
