@@ -27,8 +27,9 @@ does not converge within CRASH_SWEEPS sweeps the last sweep's greedy
 policy starts the simplex all the same. In average mode the S balance rows
 sum to zero, so phi's columns go on balance rows 1..S-1 and the
 normalization row, and balance row 0 keeps an artificial that phase 1 finds
-redundant; dropping that row fixes the gauge of the cost-to-go at
-h(0) = 0, the gauge relative value iteration uses. The LP starts as it would without phi (artificials on
+redundant; it stays basic at 0 and the row's dual is 0, which fixes the
+gauge of the cost-to-go at h(0) = 0, the gauge relative value iteration
+uses. The LP starts as it would without phi (artificials on
 every balance row) when relative value iteration does not converge within
 CRASH_SWEEPS sweeps, when phi is multichain in average mode, or when the
 simplex rejects the start (see ``domdp.lp``).

@@ -1,10 +1,11 @@
 """Command-line entry point: solve, simulate, check-dominance, alp, gen-portfolio, oracle.
 
-Exit codes: 0 success/optimal, 1 input error (also a malformed input file), 2
-infeasible (certificate in the report; also a failed dominance check or an
-empty oracle), 3 unbounded, 4 numerical failure (singular matrix, duality-gap
-or residual guard, iteration cap) or out of memory (an array too large to
-allocate, such as a --horizon or a sample count past what memory holds).
+Exit codes: 0 success/optimal, 1 input error (also a malformed input file or
+an --out path that cannot be written), 2 infeasible (certificate in the
+report; also a failed dominance check or an empty oracle), 3 unbounded, 4
+numerical failure (singular matrix, duality-gap or residual guard, iteration
+cap) or out of memory (an array too large to allocate, such as a --horizon
+or a sample count past what memory holds).
 Reports go to --out when given, otherwise to standard output. All randomness
 flows from --seed (default 0); identical inputs produce byte-identical
 reports.
@@ -117,11 +118,14 @@ def _load_json(path: str):
 
 def _emit(obj: dict, out: str | None) -> None:
     text = jsonio.dumps(obj)
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _require_benchmark(loaded) -> Benchmark:

@@ -60,11 +60,13 @@ basic column.
 Phases. Phase 1 minimizes the sum of the artificials. They are not stored
 as columns of A: an artificial is +-e_i on its row i, so pricing reads
 +-y_i, the entering column is +-B^-1 e_i and a refactorization writes the
-unit column into its slot. Phase 1's certificate and, in phase 2, the
-final x and y go through FTRAN and BTRAN; the tableau rows that drive
-artificials out are rows of the inverse (``row``). When phase 1 drops no
-row, phase 2 goes on from phase 1's inverse and eta file; otherwise it
-refactorizes the basis on the rows kept.
+unit column into its slot; one that leaves gets sign 0 and never returns.
+Phase 1's certificate and, in phase 2, the final x and y go through FTRAN
+and BTRAN; the tableau rows that drive artificials out are rows of the
+inverse (``row``). One that cannot be driven out stays basic at 0 on its
+redundant row, whose dual is 0 (Dantzig, Linear Programming and
+Extensions, 1963). Phase 2 prices the artificials at 0 and goes on from
+phase 1's A and inverse, refactorized when an artificial stayed basic.
 
 Start basis. Basis slot i belongs to row i. Without a start, each row takes
 its unit start, which ``to_standard_form`` records: the row's slack when
@@ -77,8 +79,7 @@ nonnegative and otherwise takes an artificial, negated where the row's
 residual is negative so that every artificial starts at a value >= 0. The
 start is dropped in favour of the unit one when its columns are singular
 or one of their values is below -feas_tol. An artificial always sits in its
-own row's slot: phase 1 finds a redundant row by the slot of an artificial
-it cannot drive out, and drops the row of that index.
+own row's slot, so the slot of one left basic names its redundant row.
 
 The start matrix is B = [[M, 0], [D, I]] under a permutation, M the start
 columns on their own rows. When M's nonzero pattern (M | M^T) falls into
@@ -239,7 +240,8 @@ class _Simplex:
     etas is I - G^T T E_R^T, with T = (I + L)^-1 and L[k, j] = G[j, R[k]]
     for j < k; T is unit lower triangular, one row added per pivot.
 
-    Columns n + k are the artificials: art_sign[k] * e_{art_rows[k]}.
+    Columns n + k are the artificials: art_sign[k] * e_{art_rows[k]}, with
+    art_sign[k] = 0 once artificial k has left the basis.
     """
 
     def __init__(
@@ -257,16 +259,13 @@ class _Simplex:
         self.degenerate_pivots = 0
         self.iterations = 0
         self.refactorizations = 0
-        self._allocate_etas()
-        self._restart(B_inv)
-
-    def _allocate_etas(self) -> None:
-        """Room for ETA_SHARE of m etas. A pivot writes its row of G and of R
-        and T's row below the diagonal, so an emptied file reuses the arrays."""
+        # Room for ETA_SHARE of m etas. A pivot writes its row of G and of R
+        # and T's row below the diagonal, so an emptied file reuses the arrays.
         cap = max(1, math.ceil(ETA_SHARE * self.m))
         self.G = np.empty((cap, self.m))
         self.R = np.empty(cap, dtype=np.intp)
         self.T = np.eye(cap)
+        self._restart(B_inv)
 
     def _restart(self, B_inv: np.ndarray) -> None:
         self.B_inv = B_inv
@@ -281,22 +280,6 @@ class _Simplex:
         B[:, slots] = 0.0
         B[self.art_rows[k], slots] = self.art_sign[k]
         self._restart(np.linalg.inv(B))
-
-    def reduce(self, A: np.ndarray, b: np.ndarray, kept: np.ndarray) -> None:
-        """Continue without the artificials on A restricted to the rows kept.
-
-        With every row kept the inverse and the eta file carry over;
-        otherwise the basis is refactorized on the kept rows.
-        """
-        self.A, self.b = A, b
-        self.art_rows, self.art_sign = self.art_rows[:0], self.art_sign[:0]
-        if kept.size == self.m:
-            return
-        self.m = kept.size
-        self.basis = self.basis[kept]
-        self.cols = _compressed(A)
-        self._allocate_etas()
-        self.refactorize()
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """B^-1 v."""
@@ -352,7 +335,10 @@ class _Simplex:
 
     def _pivot(self, leave_row: int, enter: int, d: np.ndarray, theta: float) -> None:
         """Basis change with entering value theta; refactorizes when the eta
-        file is full, at ETA_SHARE of the basis size."""
+        file is full, at ETA_SHARE of the basis size. An artificial that
+        leaves gets sign 0: its column prices at 0 and never enters again."""
+        if self.basis[leave_row] >= self.n:
+            self.art_sign[self.basis[leave_row] - self.n] = 0.0
         self.basis[leave_row] = enter
         self.x_B -= theta * d
         self.x_B[leave_row] = theta
@@ -538,9 +524,9 @@ def _solve_standard(
     """Two-phase simplex on a standard-form problem.
 
     Returns x, y_raw and the certificate or ray over the standard form's
-    columns and rows, with the counters; rows found redundant in phase 1
-    carry dual 0. unit_start and start hold a column per row, -1 where none
-    is placed.
+    columns and rows, with the counters; a redundant row, whose artificial
+    stays basic at 0, carries dual 0. unit_start and start hold a column
+    per row, -1 where none is placed.
     """
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
@@ -556,7 +542,6 @@ def _solve_standard(
     sx = _Simplex(A, b, feas_tol, basis, B_inv, need_art, art_sign)
     counts = dict(crash=crash is not None)
 
-    kept = np.arange(m)
     if n_art:
         c1 = np.zeros(n + n_art)
         c1[n:] = 1.0
@@ -568,10 +553,9 @@ def _solve_standard(
         if obj1 > feas_tol * (1.0 + np.abs(b).max(initial=0.0)):
             cert = sx.btran(c1[sx.basis])
             return LpSolution("infeasible", certificate=cert, **counts, **_counters(sx))
-        # Drive artificials out of the basis; rows that resist are redundant.
-        # A pivot only changes its own row's basic column, so the rows to
-        # visit are known up front.
-        redundant = []
+        # Drive artificials out of the basis; one that resists stays basic at
+        # 0 on its redundant row. A pivot only changes its own row's basic
+        # column, so the rows to visit are known up front.
         for row in np.flatnonzero(sx.basis >= n):
             tableau_row = sx.price(sx.row(row))[:n]
             tableau_row[sx.basis[sx.basis < n]] = 0.0
@@ -579,24 +563,25 @@ def _solve_standard(
             if cands.size:
                 d = sx.column(int(cands[0]))
                 sx._pivot(row, int(cands[0]), d, sx.x_B[row] / d[row])
-            else:
-                redundant.append(row)
-        # Phase 2 drops the artificial columns and the redundant rows.
-        kept = np.delete(kept, redundant)
-        sx.reduce(A[kept] if redundant else A, b[kept], kept)
+        if (sx.basis >= n).any():
+            # A fresh inverse recomputes the basic values from b, which
+            # re-checks phase 1's claim that the artificials still basic sit at 0.
+            sx.refactorize()
 
-    status, enter, d = sx.run(c, max_iter)
+    # Phase 2 prices the artificials at 0; the ones that left have sign 0.
+    c2 = np.concatenate([c, np.zeros(n_art)])
+    status, enter, d = sx.run(c2, max_iter)
     if status == "unbounded":
-        ray = np.zeros(n)
+        ray = np.zeros(n + n_art)
         ray[enter] = 1.0
         ray[sx.basis] = -d
-        return LpSolution("unbounded", ray=ray, **counts, **_counters(sx))
-    x = np.zeros(n)
-    x[sx.basis] = sx.ftran(sx.b)
-    np.maximum(x, 0.0, out=x)
-    y_full = np.zeros(m)
-    y_full[kept] = sx.btran(c[sx.basis])
-    return LpSolution("optimal", x=x, y_raw=y_full, **counts, **_counters(sx))
+        return LpSolution("unbounded", ray=ray[:n], **counts, **_counters(sx))
+    x = np.zeros(n + n_art)
+    x[sx.basis] = sx.ftran(b)
+    y = sx.btran(c2[sx.basis])
+    # An artificial sits in its own row's slot: its redundant row's dual is 0.
+    y[sx.basis >= n] = 0.0
+    return LpSolution("optimal", x=np.maximum(x[:n], 0.0), y_raw=y, **counts, **_counters(sx))
 
 
 def _counters(sx: _Simplex) -> dict:

@@ -20,6 +20,7 @@ benchmark must be scaled by 1/(1-discount) by the caller.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ import numpy as np
 from .mdp import Benchmark, MdpInstance
 
 MAX_STATES = 10**5
+# Kernel entries, state-action pairs times states: 2**27 doubles are 1 GiB.
+MAX_KERNEL_ENTRIES = 2**27
 BUDGET_TOL = 1e-9
 
 
@@ -82,23 +85,27 @@ class PortfolioConfig:
             prob *= float(self.price_transitions[i][la, lb])
         return prob
 
-    def holdings_grid(self) -> list[np.ndarray]:
-        """All share-count vectors in multiples of 1/resolution summing to 1."""
+    @property
+    def grid_size(self) -> int:
+        """Points of the holdings grid: share counts of n assets summing to resolution."""
+        return math.comb(self.resolution + self.n_assets - 1, self.n_assets - 1)
+
+    def holdings_grid(self) -> np.ndarray:
+        """All share-count vectors in multiples of 1/resolution summing to 1,
+        one per row, in lexicographic order of the counts."""
         d, n = self.resolution, self.n_assets
-        out = []
-        for counts in itertools.product(range(d + 1), repeat=n):
-            if sum(counts) == d:
-                out.append(np.array(counts, dtype=float) / d)
-        return out
+        # Stars and bars: the n - 1 bars' places among d + n - 1, in
+        # lexicographic order, and the counts are the gaps between them.
+        bars = list(itertools.combinations(range(d + n - 1), n - 1))
+        places = np.full((len(bars), n + 1), -1)
+        places[:, 1:n] = np.array(bars, dtype=int).reshape(len(bars), n - 1)
+        places[:, n] = d + n - 1
+        return (np.diff(places, axis=1) - 1) / d
 
     @property
     def base_state_count(self) -> int:
         """Price profiles times grid points; reported before building."""
-        profiles = 1
-        for lv in self.price_levels:
-            profiles *= len(lv)
-        grid = len(self.holdings_grid())
-        return profiles * grid
+        return math.prod(len(lv) for lv in self.price_levels) * self.grid_size
 
     def default_initial_holdings(self) -> np.ndarray:
         if self.initial_holdings is not None:
@@ -118,64 +125,66 @@ def build_portfolio_instance(cfg: PortfolioConfig) -> MdpInstance:
     from the chain, with fixed initial holdings.
     """
     profiles = cfg.profiles()
-    grid = cfg.holdings_grid()
     pairs = [
         (ia, ib)
         for ia in range(len(profiles))
         for ib in range(len(profiles))
         if cfg.profile_transition(profiles[ia], profiles[ib]) > 0.0
     ]
-    num_states = len(pairs) * len(grid)
+    num_states = len(pairs) * cfg.grid_size
     if num_states > MAX_STATES:
         raise ValueError(f"state count {num_states} exceeds guard {MAX_STATES}")
-    state_index = {
-        (ia, ib, g): (pi * len(grid) + g)
-        for pi, (ia, ib) in enumerate(pairs)
-        for g in range(len(grid))
-    }
+    over = f"exceeds guard {MAX_KERNEL_ENTRIES} entries"
+    # Every state can hold, so there are at least num_states pairs: the counts
+    # alone refuse a kernel before the budget test's grid x grid array.
+    if num_states * cfg.grid_size > MAX_KERNEL_ENTRIES:
+        raise ValueError(f"kernel of at least {num_states} pairs x {num_states} states {over}")
+    grid = cfg.holdings_grid()
     prices = [cfg.profile_prices(p) for p in profiles]
+    # The budget test per current profile: budget[ib][g, g2] holds when the
+    # move from grid point g to g2 keeps the wealth at prices[ib].
+    wealth = {ib: grid @ prices[ib] for _, ib in pairs}
+    budget = {ib: np.abs(w[None, :] - w[:, None]) <= BUDGET_TOL for ib, w in wealth.items()}
+    num_pairs = sum(int(np.count_nonzero(budget[ib])) for _, ib in pairs)
+    if num_pairs * num_states > MAX_KERNEL_ENTRIES:
+        raise ValueError(f"kernel of {num_pairs} pairs x {num_states} states {over}")
+    pair_index = {pair: pi for pi, pair in enumerate(pairs)}
+    size = len(grid)
 
     actions: list[tuple[str, ...]] = []
-    kernel_rows: list[np.ndarray] = []
+    kernel = np.zeros((num_pairs, num_states))
     reward_r: list[float] = []
     reward_z: list[float] = []
-    for pi, (ia, ib) in enumerate(pairs):
+    for ia, ib in pairs:
         p_prev, p_cur = prices[ia], prices[ib]
-        next_probs = np.array(
-            [cfg.profile_transition(profiles[ib], profiles[ic]) for ic in range(len(profiles))]
-        )
+        next_probs = np.array([cfg.profile_transition(profiles[ib], pc) for pc in profiles])
+        nxt = np.flatnonzero(next_probs > 0.0)
+        # State (ib, ic, g2) is number pair_index[(ib, ic)] * size + g2.
+        nxt_first = np.array([pair_index[(ib, ic)] for ic in nxt.tolist()]) * size
         for g, x in enumerate(grid):
             wealth_prev = float(p_prev @ x)
             z = (float(p_cur @ x) - wealth_prev) / wealth_prev
             labels = []
-            for g2, x2 in enumerate(grid):
-                a = x2 - x
-                if abs(float(p_cur @ a)) > BUDGET_TOL:
-                    continue
+            for g2 in np.flatnonzero(budget[ib][g]).tolist():
+                a = grid[g2] - x
                 labels.append("hold" if g2 == g else f"to{g2}")
-                row = np.zeros(num_states)
-                for ic, prob in enumerate(next_probs):
-                    if prob > 0.0:
-                        row[state_index[(ib, ic, g2)]] = prob
-                kernel_rows.append(row)
+                kernel[len(reward_r), nxt_first + g2] = next_probs[nxt]
                 reward_r.append(-float(np.sum(a * a)))
                 reward_z.append(z)
             actions.append(tuple(labels))
 
     initial = np.zeros(num_states)
     x0 = cfg.default_initial_holdings()
-    g0_candidates = [g for g, x in enumerate(cfg.holdings_grid()) if np.allclose(x, x0)]
+    g0_candidates = [g for g, x in enumerate(grid) if np.allclose(x, x0)]
     g0 = g0_candidates[0]
     uniform = 1.0 / len(profiles)
     for pi, (ia, ib) in enumerate(pairs):
-        initial[state_index[(ia, ib, g0)]] = uniform * cfg.profile_transition(
-            profiles[ia], profiles[ib]
-        )
+        initial[pi * size + g0] = uniform * cfg.profile_transition(profiles[ia], profiles[ib])
 
     return MdpInstance(
         num_states=num_states,
         actions=tuple(actions),
-        kernel=np.array(kernel_rows),
+        kernel=kernel,
         reward_r=np.array(reward_r),
         reward_z=np.array(reward_z),
         mode="discounted",

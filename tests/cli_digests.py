@@ -19,9 +19,10 @@ corpus covers ``solve`` (plain, ``--rescale-benchmark`` and ``--tol``),
 ``oracle``, ``alp`` at two seeds, ``simulate`` and ``check-dominance`` (icv
 and icx) on seeded random instances in both modes (some with
 ``extra_grid``, some with a generator family, some with an infeasible
-benchmark), the shipped ``instances/ti1*`` files, ``solve --out``,
-``gen-portfolio`` on the shipped config and on one with
-``initial_holdings``, ``gen-portfolio`` and ``solve`` on the benchmark's
+benchmark), the shipped ``instances/ti1*`` files, ``solve --out`` (also into a
+missing directory), ``gen-portfolio`` on the shipped config (also at
+resolutions 400 and 1000, whose kernels are too large to build) and on one
+with ``initial_holdings``, ``gen-portfolio`` and ``solve`` on the benchmark's
 3-asset config at resolution 3 (a sparse LP), ``alp`` with a
 block-aggregation basis in both modes, non-finite and otherwise invalid
 instances passed to ``solve``, ``oracle`` and ``simulate``, a generator
@@ -217,9 +218,18 @@ def _shipped_cases(c: _Corpus) -> None:
     c.add_written(
         "ti1_discounted/solve-out", ["solve", "--instance", str(INSTANCES / "ti1_discounted.json")]
     )
+    c.add(
+        "ti1_discounted/solve-out-missing-dir",
+        ["solve", "--instance", str(INSTANCES / "ti1_discounted.json"),
+         "--out", str(c.tmp / "missing" / "report.json")],
+    )
     shipped = INSTANCES / "portfolio_config.json"
     c.add_written("portfolio_config/gen", ["gen-portfolio", "--config", str(shipped)])
     config = json.loads(shipped.read_text())
+    # Kernels of 648016 x 6416 and 4020016 x 16016 entries, refused up front.
+    for res in (400, 1000):
+        path = c.file(f"portfolio-r{res}", {**config, "resolution": res})
+        c.add_written(f"portfolio_config-r{res}/gen", ["gen-portfolio", "--config", path])
     held = {
         **config,
         "price_levels": config["price_levels"] + [[1.0, 1.1]],

@@ -854,3 +854,32 @@ def test_gen_portfolio_writes_sparse_rows_that_solve_as_dense(tmp_path, capsys):
     report = capsys.readouterr().out
     assert run(["solve", "--instance", str(dense_path)]) == 0
     assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "ti1.json"],
+        ["simulate", "--instance", "ti1.json", "--policy", "ti1_policy.json",
+         "--paths", "1", "--horizon", "10"],
+        ["check-dominance", "--x", "x.json", "--benchmark", "x.json"],
+        ["alp", "--instance", "ti1.json", "--basis", "ti1_basis.json",
+         "--epsilon", "0.5", "--delta", "0.5"],
+        ["gen-portfolio", "--config", "portfolio_config.json"],
+        ["oracle", "--instance", "ti1.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, argv):
+    root = Path(__file__).resolve().parent.parent / "instances"
+    write_json(tmp_path / "x.json", {"support": [1.0, 2.0], "probs": [0.5, 0.5]})
+    argv = [
+        str(tmp_path / a) if a == "x.json" else str(root / a) if a.endswith(".json") else a
+        for a in argv
+    ]
+    out = tmp_path / "missing" / "report.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1

@@ -8,7 +8,7 @@ from domdp.average import _greedy_start
 from domdp.discounted import build_discounted_primal
 from domdp.lp import EQ, GE, LE, LpProblem, _residuals, solve_lp, to_standard_form
 from domdp.portfolio import build_portfolio_instance
-from helpers import benchmark_portfolio
+from helpers import benchmark_portfolio, feasible_pair
 
 
 def box_problem():
@@ -140,8 +140,8 @@ def test_equality_and_ge_rows():
 
 
 def test_redundant_row_gets_zero_dual():
-    # Second row duplicates the first; solver must drop one and still report
-    # duals for both.
+    # Second row duplicates the first; one artificial stays basic at 0 on it,
+    # and the solver still reports duals for both rows, 0 on that one.
     p = LpProblem(
         sense="max",
         c=np.array([1.0]),
@@ -154,6 +154,7 @@ def test_redundant_row_gets_zero_dual():
     assert sol.objective == pytest.approx(2.0)
     assert sol.y is not None and len(sol.y) == 2
     assert sol.dual_objective == pytest.approx(2.0, abs=1e-9)
+    assert 0.0 in sol.y_raw
 
 
 def _random_feasible_bounded(rng):
@@ -450,19 +451,61 @@ def test_phase_one_keeps_one_copy_of_the_matrix():
     # may hold the standard form's matrix once; a copy with the artificial
     # columns appended, or a gathered temporary in the standard form, passes
     # the limit. Every feasible x has cost sum(b), so phase 2 barely pivots.
+    # The second input repeats row 0: an artificial stays basic on the
+    # redundant row, and phase 2 runs on the same matrix, not on a copy
+    # without that row.
     rng = np.random.default_rng(11)
     m, n = 100, 16_000
     A = rng.uniform(0.0, 1.0, size=(m, n))
     b = A[:, :m] @ rng.uniform(0.5, 1.0, size=m)
-    p = LpProblem("min", A.sum(axis=0), A, [EQ] * m, b)
-    tracemalloc.start()
-    try:
-        sol = solve_lp(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sol.status == "optimal" and sol.phase1_iterations >= m
-    assert peak <= 1.5 * A.nbytes
+    for A, b in ((A, b), (np.vstack([A, A[:1]]), np.append(b, b[0]))):
+        p = LpProblem("min", A.sum(axis=0), A, [EQ] * len(b), b)
+        tracemalloc.start()
+        try:
+            sol = solve_lp(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal" and sol.phase1_iterations >= m
+        assert peak <= 1.5 * A.nbytes
+
+
+def test_phase_two_keeps_the_redundant_rows_artificial_basic(monkeypatch):
+    # Average-mode balance rows sum to zero, so each draw has a redundant
+    # row. In phase 2 (artificials priced at 0) no artificial enters, one
+    # left basic sits within feas_tol of 0 at the end, and its row's dual
+    # is exactly 0.
+    run, pivot, solve_standard = lp._Simplex.run, lp._Simplex._pivot, lp._solve_standard
+    phase2_entering, basic_artificials, redundant_duals = [], [], []
+
+    def spied_run(self, c, max_iter):
+        self.phase2 = not c[self.n :].any()
+        result = run(self, c, max_iter)
+        if self.phase2:
+            basic_artificials.extend(self.x_B[self.basis >= self.n] / self.feas_tol)
+            spied_run.redundant = np.flatnonzero(self.basis >= self.n)
+        return result
+
+    def spied_pivot(self, leave_row, enter, d, theta):
+        if getattr(self, "phase2", False):
+            phase2_entering.append(enter - self.n)
+        return pivot(self, leave_row, enter, d, theta)
+
+    def spied_solve_standard(*args):
+        res = solve_standard(*args)
+        if res.status == "optimal":
+            redundant_duals.extend(res.y_raw[spied_run.redundant])
+        return res
+
+    monkeypatch.setattr(lp._Simplex, "run", spied_run)
+    monkeypatch.setattr(lp._Simplex, "_pivot", spied_pivot)
+    monkeypatch.setattr(lp, "_solve_standard", spied_solve_standard)
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        feasible_pair(rng, max_states=10, max_actions=4)
+    assert phase2_entering and max(phase2_entering) < 0
+    assert basic_artificials and np.abs(basic_artificials).max() <= 1.0
+    assert redundant_duals and not np.any(redundant_duals)
 
 
 def test_compressed_columns_match_the_dense_products(monkeypatch):

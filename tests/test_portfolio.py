@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,41 @@ def test_state_count_guard():
     )
     with pytest.raises(ValueError, match="exceeds guard"):
         build_portfolio_instance(cfg)
+
+
+@pytest.mark.parametrize(
+    "resolution, pairs, states", [(400, 648_016, 6_416), (1000, 4_020_016, 16_016)]
+)
+def test_kernel_entry_guard_names_the_pair_and_state_counts(resolution, pairs, states):
+    # Both pass MAX_STATES, but a dense kernel would take 33 GB and 515 GB.
+    with pytest.raises(ValueError, match=f"kernel of {pairs} pairs x {states} states exceeds"):
+        build_portfolio_instance(two_level_config(d=resolution))
+
+
+def test_kernel_entry_guard_refuses_before_enumerating_a_large_grid():
+    # One price profile and 20001 grid points: every state can hold, so the
+    # kernel has at least 20001 x 20001 entries, refused from the counts.
+    cfg = constant_price_config(d=20_000)
+    with pytest.raises(ValueError, match="kernel of at least 20001 pairs x 20001 states"):
+        build_portfolio_instance(cfg)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 6), (4, 3)])
+def test_holdings_grid_matches_the_filtered_product(n, d):
+    cfg = PortfolioConfig(
+        price_levels=((1.0,),) * n,
+        price_transitions=(np.array([[1.0]]),) * n,
+        resolution=d,
+        discount=0.9,
+        benchmark=Benchmark(support=[0.0], probs=[1.0]),
+    )
+    reference = [
+        np.array(c, dtype=float) / d
+        for c in itertools.product(range(d + 1), repeat=n)
+        if sum(c) == d
+    ]
+    assert cfg.grid_size == len(reference)
+    assert np.array_equal(cfg.holdings_grid(), np.array(reference))
 
 
 def test_initial_holdings_validation():
