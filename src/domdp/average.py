@@ -59,6 +59,7 @@ from .mdp import (
     policy_kernel,
     recurrent_classes,
     require_valid,
+    split_rows,
 )
 from .results import (
     DualSolution,
@@ -178,7 +179,7 @@ def extract_policy(occ: OccupationMeasure) -> Policy:
     probs = np.where(np.repeat(visited, sizes), np.maximum(w, 0.0), 1.0)
     probs /= np.repeat(np.where(visited, total, sizes), sizes)
     probs /= np.repeat(np.where(visited, np.add.reduceat(probs, starts), 1.0), sizes)
-    return Policy(tuple(np.split(probs, inst.pair_offsets[1:-1])))
+    return Policy(tuple(split_rows(probs, inst.pair_offsets)))
 
 
 def stationary_distribution(policy: Policy, inst: MdpInstance) -> np.ndarray:

@@ -34,6 +34,7 @@ from .dominance import (
 from .lp import FEAS_TOL
 from .mdp import AVERAGE, Benchmark, validate_instance
 from .portfolio import build_portfolio_instance
+from .results import PairTable
 from .simulate import (
     brute_force_best_feasible,
     burn_in,
@@ -270,7 +271,7 @@ def _cmd_oracle(args) -> int:
     out = {
         "feasible": True,
         "value": result.value,
-        "policy": list(enumerate(result.policy.rows)),
+        "policy": PairTable(result.policy.probs, result.policy.offsets),
         "shortfalls": np.column_stack([bench.support, result.shortfalls]),
         "feasible_policies": result.feasible_count,
         "skipped_multichain": result.skipped_multichain,

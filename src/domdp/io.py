@@ -2,7 +2,15 @@
 
 One writer, ``dumps``, emits every report and instance file. Callers hand it
 NumPy arrays as they are; every float is emitted with 17 significant digits,
-so reports round-trip exactly and are byte-stable for identical inputs.
+so reports round-trip exactly and are byte-stable for identical inputs. A
+numeric array is formatted through one ``%`` template over the flat tuple of
+its values, and so is a report table (``results.PairTable``: a solve
+report's ``x``, one ``[s, label, w]`` row per pair, and its ``policy``, one
+``[s, [probabilities]]`` row per state). The table's template holds the
+state numbers and the action labels, each label encoded once by
+``json.encoder.encode_basestring_ascii`` (what ``json.dumps`` does to a
+string) with its ``%`` signs doubled; a non-finite value is refused with
+the message a lone float gets.
 
 One reader, ``loads``, decodes every input file to the objects ``json.loads``
 returns, or raises the error it raises. CPython reads a 17-digit float
@@ -49,6 +57,7 @@ from __future__ import annotations
 import functools
 import json
 import json.decoder
+import json.encoder
 import json.scanner
 import math
 from dataclasses import dataclass
@@ -62,18 +71,43 @@ from .dominance import GeneratorFamily, _distribution, reconstruct_utility, weig
 from .lp import _compressed
 from .mdp import Benchmark, MdpInstance, Policy
 from .portfolio import PortfolioConfig
+from .results import PairTable
 
 _ARRAY_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
-def _format_array(a: np.ndarray) -> str:
-    """A numeric array of any shape, through one template and one ``%``."""
+def _fill(template: str, a: np.ndarray) -> str:
+    """A template with one spec per value of the array, filled by one ``%``."""
     if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError(f"cannot emit non-finite float {float(a[~np.isfinite(a)][0])!r}")
+    return template % tuple(a.ravel().tolist())
+
+
+def _format_array(a: np.ndarray) -> str:
+    """A numeric array of any shape, through one template and one ``%``."""
     template = _ARRAY_SPECS[a.dtype.kind]
     for n in reversed(a.shape):
         template = "[" + ",".join([template] * n) + "]"
-    return template % tuple(a.ravel().tolist())
+    return _fill(template, a)
+
+
+def _format_table(table: PairTable) -> str:
+    """A report table through one template and one ``%``.
+
+    Each action label is encoded as ``json.dumps`` encodes a string, once
+    per distinct label, and its '%' signs doubled for the template.
+    """
+    bounds = table.offsets.tolist()
+    if table.labels is None:
+        rows = (
+            f"[{s},[" + ",".join(["%.17g"] * (hi - lo)) + "]]"
+            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        )
+    else:
+        names = set(chain.from_iterable(table.labels))
+        label = {a: json.encoder.encode_basestring_ascii(a).replace("%", "%%") for a in names}
+        rows = (f"[{s},{label[a]},%.17g]" for s, acts in enumerate(table.labels) for a in acts)
+    return _fill("[" + ",".join(rows) + "]", table.values)
 
 
 def _format(value) -> str:
@@ -95,6 +129,8 @@ def _format(value) -> str:
         return "{" + items + "}"
     if isinstance(value, np.ndarray) and value.dtype.kind in _ARRAY_SPECS:
         return _format_array(value)
+    if isinstance(value, PairTable):
+        return _format_table(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_format(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")

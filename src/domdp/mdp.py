@@ -151,24 +151,59 @@ class Benchmark:
         return self.support.ndim == 2
 
 
+def split_rows(values, offsets: np.ndarray) -> list:
+    """values[offsets[s]:offsets[s + 1]] for every s (views, when values is an array)."""
+    bounds = offsets.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _check_policy_row(s: int, row: np.ndarray) -> None:
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError(f"policy row for state {s} must be a nonempty vector")
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"policy row for state {s} must be finite")
+    if np.any(row < -POLICY_TOL):
+        raise ValueError(f"policy row for state {s} has negative entries")
+    if abs(row.sum() - 1.0) > POLICY_TOL:
+        raise ValueError(f"policy row for state {s} sums to {float(row.sum())!r}")
+
+
 @dataclass(frozen=True)
 class Policy:
-    """Stationary randomized policy: one probability vector over A(s) per state."""
+    """Stationary randomized policy: one probability vector over A(s) per state.
+
+    The rows are read-only views of one frozen array, ``probs``, which holds
+    them in state order: row s is probs[offsets[s]:offsets[s + 1]]. When the
+    row lengths are the action counts, probs is in dense pair order and
+    offsets is the instance's pair_offsets. Entries in [-POLICY_TOL, 0) are
+    stored as 0.
+    """
 
     rows: tuple[np.ndarray, ...]
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(_freeze(np.asarray(r, dtype=float), POLICY_TOL) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for s, row in enumerate(rows):
-            if row.ndim != 1 or row.size == 0:
-                raise ValueError(f"policy row for state {s} must be a nonempty vector")
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"policy row for state {s} must be finite")
-            if np.any(row < -POLICY_TOL):
-                raise ValueError(f"policy row for state {s} has negative entries")
-            if abs(row.sum() - 1.0) > POLICY_TOL:
-                raise ValueError(f"policy row for state {s} sums to {float(row.sum())!r}")
+        rows = [np.asarray(r, dtype=float) for r in self.rows]
+        sizes = [r.size if r.ndim == 1 else 0 for r in rows]
+        offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        whole = 0 not in sizes  # every row a nonempty vector
+        probs = _freeze(np.concatenate(rows) if whole and rows else np.zeros(0), POLICY_TOL)
+        if not (
+            whole
+            and np.isfinite(probs).all()
+            and not (probs < -POLICY_TOL).any()
+            and not (np.abs(np.add.reduceat(probs, offsets[:-1]) - 1.0) > POLICY_TOL).any()
+        ):
+            # Name the first faulty state. reduceat adds in another order
+            # than ndarray.sum, so a sum within a few ulps of the tolerance
+            # is settled here, by the row's own sum.
+            for s, row in enumerate(rows):
+                _check_policy_row(s, _freeze(row.copy(), POLICY_TOL))
+        offsets.flags.writeable = False
+        object.__setattr__(self, "rows", tuple(split_rows(probs, offsets)))
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "offsets", offsets)
 
     def action_index(self, state: int) -> int:
         """Most likely action, for deterministic policies."""
@@ -293,22 +328,36 @@ def deterministic_policy(inst: MdpInstance, choices: Sequence[int]) -> Policy:
         raise ValueError("choices must give one action index in [0, |A(s)|) per state")
     probs = np.zeros(inst.num_pairs)
     probs[inst.pair_offsets[:-1] + choices] = 1.0
-    return Policy(tuple(np.split(probs, inst.pair_offsets[1:-1])))
+    return Policy(tuple(split_rows(probs, inst.pair_offsets)))
 
 
 def policy_kernel(policy: Policy, inst: MdpInstance) -> np.ndarray:
-    """State-to-state kernel induced by a policy: P_phi(j|s) = sum_a phi(a|s) P(j|s,a)."""
+    """State-to-state kernel induced by a policy: P_phi(j|s) = sum_a phi(a|s) P(j|s,a).
+
+    A row that puts probability exactly 1 on one action copies that pair's
+    kernel row: 1 p + 0 q = p, the bits of the product. Other rows take the
+    product row @ block, one state at a time.
+    """
+    offsets = inst.pair_offsets
+    if not np.array_equal(policy.offsets, offsets):
+        raise ValueError("policy rows must have one entry per action of each state")
+    probs, starts = policy.probs, offsets[:-1]
+    ones = probs == 1.0
+    pure = (np.add.reduceat(ones, starts) == 1) & (np.add.reduceat(probs != 0.0, starts) == 1)
     P = np.zeros((inst.num_states, inst.num_states))
-    for s in range(inst.num_states):
-        rows = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
-        P[s] = policy.rows[s] @ rows
+    picked = inst.kernel[np.flatnonzero(ones & np.repeat(pure, np.diff(offsets)))]
+    picked += 0.0  # -0.0 becomes 0.0, as in the product's sum
+    P[pure] = picked
+    for s in np.flatnonzero(~pure).tolist():
+        P[s] = policy.rows[s] @ inst.kernel[offsets[s] : offsets[s + 1]]
     return P
 
 
 def recurrent_classes(P: np.ndarray) -> list[list[int]]:
     """Closed communicating classes of a row-stochastic matrix (edges P > EDGE_TOL)."""
     n = P.shape[0]
-    adj = [np.where(P[i] > EDGE_TOL)[0] for i in range(n)]
+    tails, heads = np.nonzero(P > EDGE_TOL)
+    adj = split_rows(heads.tolist(), np.searchsorted(tails, np.arange(n + 1)))
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -329,7 +378,6 @@ def recurrent_classes(P: np.ndarray) -> list[list[int]]:
             v, it = work[-1]
             advanced = False
             for w in it:
-                w = int(w)
                 if index[w] == -1:
                     index[w] = low[w] = counter
                     counter += 1
@@ -338,14 +386,13 @@ def recurrent_classes(P: np.ndarray) -> list[list[int]]:
                     work.append((w, iter(adj[w])))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
             if low[v] == index[v]:
                 scc = []
                 while True:
@@ -356,11 +403,10 @@ def recurrent_classes(P: np.ndarray) -> list[list[int]]:
                     if w == v:
                         break
                 sccs.append(sorted(scc))
-    closed = []
-    for ci, scc in enumerate(sccs):
-        if all(comp[int(j)] == ci for i in scc for j in adj[i]):
-            closed.append(scc)
-    return sorted(closed)
+    # A class is closed when no edge leaves it.
+    comp = np.array(comp)
+    leaving = set(comp[tails[comp[tails] != comp[heads]]].tolist())
+    return sorted(scc for ci, scc in enumerate(sccs) if ci not in leaving)
 
 
 def is_unichain(P: np.ndarray) -> bool:

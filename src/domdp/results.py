@@ -7,9 +7,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dominance import UtilityFunction
-from .mdp import AVERAGE, MdpInstance, Policy, enumerate_pairs
+from .mdp import AVERAGE, MdpInstance, Policy
 
 MASS_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Values in dense pair order, as a report table that ``io.dumps`` writes.
+
+    With labels (one tuple of action labels per state, as
+    ``MdpInstance.actions``), one row [s, label, value] per pair; without,
+    one row [s, [values of s's pairs]] per state. State s's values are
+    values[offsets[s]:offsets[s + 1]].
+    """
+
+    values: np.ndarray
+    offsets: np.ndarray
+    labels: tuple[tuple[str, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -137,8 +152,8 @@ class SolveReport:
             "objective": self.objective,
             "dual_objective": self.dual_objective,
             "gap": self.gap,
-            "x": [[s, a, w] for (s, a), w in zip(enumerate_pairs(inst), self.occupation.weights)],
-            "policy": list(enumerate(self.policy.rows)),
+            "x": PairTable(self.occupation.weights, inst.pair_offsets, inst.actions),
+            "policy": PairTable(self.policy.probs, self.policy.offsets),
         }
         if self.mode == AVERAGE:
             out["g"] = self.dual.g

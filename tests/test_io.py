@@ -2,7 +2,10 @@
 ``json.loads``, and the instance and policy schemas' block counts."""
 
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from domdp import io as jsonio
+from domdp.average import solve_average
 from domdp.cli import _load_json, run
+from domdp.discounted import solve_discounted
 from domdp.io import dumps, instance_to_obj, loads, parse_instance
 from domdp.lp import SPARSE_DENSITY
-from domdp.mdp import MdpInstance
-from helpers import reference_dumps
+from domdp.mdp import MdpInstance, Policy, enumerate_pairs, split_rows
+from domdp.portfolio import build_portfolio_instance
+from domdp.results import OccupationMeasure
+from helpers import VACUOUS_BENCH, benchmark_portfolio, reference_dumps
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -396,3 +404,120 @@ def test_positive_kernels_are_written_dense():
                        reward_z=np.zeros(80), mode="average")
     P = instance_to_obj(inst)["P"]
     assert dumps(P) == reference_dumps(np.split(kernel, np.arange(2, 80, 2)))
+
+
+def _recursive_format(value) -> str:
+    """The writer as it was before report tables: one call per value, with
+    arrays taken element by element."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v) or math.isinf(v):
+            raise ValueError(f"cannot emit non-finite float {v!r}")
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = ",".join(f"{json.dumps(str(k))}:{_recursive_format(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_recursive_format(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _recursive_report(report) -> str:
+    """The report with its x and policy tables as the lists they used to be."""
+    obj = report.to_obj()
+    inst = report.occupation.inst
+    obj["x"] = [[s, a, w] for (s, a), w in zip(enumerate_pairs(inst), report.occupation.weights)]
+    obj["policy"] = list(enumerate(report.policy.rows))
+    return _recursive_format(obj)
+
+
+# Labels a '%' template or a JSON string could trip on.
+ODD_LABELS = (("%", "%s", "%%", "%(x)s%d"), ('"', "\\", "]", "\u00e9\u2603\u2028", "a,b"))
+
+
+def _odd_report(mode: str):
+    K = sum(map(len, ODD_LABELS))
+    discounted = mode == "discounted"
+    inst = MdpInstance(num_states=2, actions=ODD_LABELS, kernel=np.full((K, 2), 0.5),
+                       reward_r=np.arange(K, dtype=float), reward_z=np.zeros(K), mode=mode,
+                       discount=0.5 if discounted else None,
+                       initial=np.array([0.25, 0.75]) if discounted else None)
+    return (solve_discounted if discounted else solve_average)(inst, VACUOUS_BENCH)
+
+
+EDGE_WEIGHTS = np.array([-0.0, 5e-324, 1e308, 0.1, -5e-324, 2.2250738585072009e-308, 0.0, 1e-300,
+                         MAX])
+EDGE_ROWS = (
+    np.array([-0.0, 5e-324, 1.0, 0.0]),
+    np.array([0.1, 0.2, 0.3, 0.4 - 5e-324, 5e-324]),
+)
+
+
+@pytest.mark.parametrize("mode", ["average", "discounted"])
+@pytest.mark.parametrize("edge_x", [False, True])
+@pytest.mark.parametrize("edge_policy", [False, True])
+def test_report_tables_match_the_recursive_writer(mode, edge_x, edge_policy):
+    """x and policy, written through one template each, keep every byte of
+    the one-value-at-a-time writer: labels holding '%', quotes, backslashes,
+    ']' and non-ASCII characters, and weights of -0.0, subnormals and 1e308."""
+    report = _odd_report(mode)
+    assert report.status == "optimal"
+    if edge_x:
+        report = replace(report, occupation=OccupationMeasure(report.occupation.inst,
+                                                              EDGE_WEIGHTS))
+    if edge_policy:
+        report = replace(report, policy=Policy(EDGE_ROWS))
+    assert dumps(report.to_obj()) == _recursive_report(report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("table", ["x", "policy"])
+def test_non_finite_table_values_are_refused_as_before(bad, table):
+    report = _odd_report("average")
+    inst = report.occupation.inst
+    values = (report.occupation.weights if table == "x" else report.policy.probs).copy()
+    values[[3, 6]] = [bad, float("nan")]
+    if table == "x":
+        report = replace(report, occupation=OccupationMeasure(inst, values))
+    else:
+        # Policy refuses such rows; a stand-in carries them to the writer.
+        offsets = inst.pair_offsets
+        policy = SimpleNamespace(probs=values, offsets=offsets,
+                                 rows=tuple(split_rows(values, offsets)))
+        report = replace(report, policy=policy)
+    with pytest.raises(ValueError) as want:
+        _recursive_report(report)
+    with pytest.raises(ValueError, match="cannot emit non-finite float") as got:
+        dumps(report.to_obj())
+    assert str(got.value) == str(want.value) == f"cannot emit non-finite float {bad!r}"
+
+
+def test_report_emit_makes_a_fixed_number_of_formatter_calls(monkeypatch):
+    """Writing a solve report formats each table in one call, so the count
+    does not grow with the pair count (about 9.7k calls at resolution 3 when
+    every x entry and policy row took its own)."""
+    calls = []
+    write = jsonio._format
+
+    def counted(value):
+        calls.append(value)
+        return write(value)
+
+    counts = []
+    for resolution in (2, 3):
+        cfg = benchmark_portfolio(resolution)
+        report = solve_discounted(build_portfolio_instance(cfg), cfg.benchmark)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(jsonio, "_format", counted)
+            dumps(report.to_obj())
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 30

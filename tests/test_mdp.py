@@ -1,15 +1,21 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from domdp.io import parse_policy
 from domdp.mdp import (
+    EDGE_TOL,
     KERNEL_TOL,
+    POLICY_TOL,
     Benchmark,
     MdpInstance,
     Policy,
     deterministic_policy,
     enumerate_pairs,
+    is_unichain,
     policy_kernel,
     recurrent_classes,
     validate_instance,
@@ -293,3 +299,162 @@ def test_messages_print_values_as_plain_floats():
     with pytest.raises(ValueError) as exc:
         Policy((np.array([0.6, 0.6]),))
     assert str(exc.value) == "policy row for state 0 sums to 1.2"
+
+
+HALF = np.array([0.5, 0.5])
+ROW_FAULTS = {
+    "2-D": (np.array([[0.5, 0.5]]), "must be a nonempty vector"),
+    "empty": (np.zeros(0), "must be a nonempty vector"),
+    "nan": (np.array([np.nan, 1.0]), "must be finite"),
+    "negative": (np.array([1.0 + 2 * POLICY_TOL, -2 * POLICY_TOL]), "has negative entries"),
+    "sum": (np.array([0.5, 0.5 + 1e-6]), "sums to 1.0000010000000001"),
+}
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+def test_policy_fault_at_a_middle_state_is_named(fault):
+    row, message = ROW_FAULTS[fault]
+    with pytest.raises(ValueError) as exc:
+        Policy((HALF, HALF, row, HALF, HALF))
+    assert str(exc.value) == f"policy row for state 2 {message}"
+
+
+@pytest.mark.parametrize("first", ROW_FAULTS)
+@pytest.mark.parametrize("second", ROW_FAULTS)
+def test_of_two_faulty_states_the_first_is_named(first, second):
+    row, message = ROW_FAULTS[first]
+    with pytest.raises(ValueError) as exc:
+        Policy((HALF, row, HALF, ROW_FAULTS[second][0], HALF))
+    assert str(exc.value) == f"policy row for state 1 {message}"
+
+
+def test_policy_rows_are_read_only_views_of_one_array():
+    """Entries in [-POLICY_TOL, 0) are stored as 0 there, as before."""
+    tiny = -POLICY_TOL / 10
+    rows = (HALF, np.array([1.0 - tiny, tiny]), [1.0], np.array([0.25, 0.25, 0.5]))
+    policy = Policy(rows)
+    assert policy.probs.tolist() == [0.5, 0.5, 1.0 - tiny, 0.0, 1.0, 0.25, 0.25, 0.5]
+    assert policy.offsets.tolist() == [0, 2, 4, 5, 8]
+    assert [r.tolist() for r in policy.rows] == [[0.5, 0.5], [1.0 - tiny, 0.0], [1.0],
+                                                 [0.25, 0.25, 0.5]]
+    for row in (*policy.rows, policy.probs, policy.offsets):
+        assert not row.flags.writeable
+    assert all(np.shares_memory(row, policy.probs) for row in policy.rows)
+    with pytest.raises(ValueError, match="read-only"):
+        policy.rows[0][0] = 1.0
+    assert rows[0].flags.writeable  # the caller's rows are copied, not frozen
+
+
+_INST3 = MdpInstance(num_states=3, actions=(("a", "b"), ("a",), ("a", "b")),
+                     kernel=np.full((5, 3), 1 / 3), reward_r=np.zeros(5), reward_z=np.zeros(5),
+                     mode="average")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[[0,[0.5,0.5]],[1,[1.0]],[2,[0.5,0.6]]]", "policy row for state 2 sums to 1.1"),
+        ("[[0,[0.5,0.5]],[1,[NaN]],[2,[0.5,0.6]]]", "policy row for state 1 must be finite"),
+        ('{"policy":[[0,[0.5,0.5]],[1,[Infinity]],[2,[0.5,0.5]]]}',
+         "policy row for state 1 must be finite"),
+        ("[[0,[0.5,0.5]],[1,[1.0]],[2,[1.5,-0.5]]]", "policy row for state 2 has negative entries"),
+        ("[[0,[0.5,0.5]],[1,[1.0,0.0]],[2,[0.5,0.5]]]", "policy row for state 1 has wrong length"),
+        ("[[0,[0.5,0.5]],[2,[1.0,0.0]],[2,[0.5,0.5]]]", "policy lists state 2 twice"),
+        ("[[0,[0.5,0.5]],[2,[1.0,0.0]]]", "policy missing states [1]"),
+    ],
+)
+def test_parse_policy_error_lines(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_policy(json.loads(text), _INST3)
+    assert str(exc.value) == message
+
+
+@st.composite
+def _chains(draw):
+    """A small instance in either mode and a policy on it.
+
+    Kernel rows have one to three successors, so single-successor rows make
+    cycles (periodic chains) and absorbing states (multichain ones); some
+    zeros are written -0.0. A state's row is one-hot (exactly 1.0), a
+    randomized row, 1 - 2^-40 beside 2^-40, or 1 - 2^-32 alone (a row sum
+    within POLICY_TOL of 1).
+    """
+    S = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
+    kernel = np.zeros((sum(sizes), S))
+    for row in kernel:
+        to = draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(to), max_size=len(to)))
+        row[to] = np.array(weights) / sum(weights)
+    signs = draw(st.lists(st.booleans(), min_size=kernel.size, max_size=kernel.size))
+    kernel[(kernel == 0.0) & np.reshape(signs, kernel.shape)] = -0.0
+    mode = draw(st.sampled_from(["average", "discounted"]))
+    inst = MdpInstance(num_states=S, actions=tuple(tuple(f"a{i}" for i in range(n)) for n in sizes),
+                       kernel=kernel, reward_r=np.zeros(kernel.shape[0]),
+                       reward_z=np.zeros(kernel.shape[0]), mode=mode,
+                       discount=0.5 if mode == "discounted" else None,
+                       initial=np.full(S, 1 / S) if mode == "discounted" else None)
+    rows = []
+    for n in sizes:
+        row = np.zeros(n)
+        a = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["one-hot", "randomized", "two entries", "short"]))
+        if kind == "randomized":
+            row[:] = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            row[a] += 1.0
+            row /= row.sum()
+        elif kind == "two entries" and n > 1:
+            row[a], row[a - 1] = 1.0 - 2.0**-40, 2.0**-40
+        else:
+            row[a] = 1.0 - 2.0**-32 if kind == "short" else 1.0
+        rows.append(row)
+    return inst, Policy(tuple(rows))
+
+
+def _closed_classes_by_reachability(P):
+    """Closed classes from the transitive closure: i is recurrent when every
+    state it reaches reaches it back."""
+    n = len(P)
+    reach = (P > EDGE_TOL) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    classes = {
+        tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist())
+        for i in range(n)
+        if (reach[i] <= reach[:, i]).all()
+    }
+    return sorted(map(list, classes))
+
+
+def _swap_and_absorbing():
+    """A periodic swap chain beside two absorbing states, under the policy
+    that swaps, and under the one that stays (two closed classes)."""
+    inst = MdpInstance(num_states=2, actions=(("stay", "go"), ("stay", "go")),
+                       kernel=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+                       reward_r=np.zeros(4), reward_z=np.zeros(4), mode="average")
+    return inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_chains())
+@example(drawn=(_swap_and_absorbing(), deterministic_policy(_swap_and_absorbing(), [1, 1])))
+@example(drawn=(_swap_and_absorbing(), deterministic_policy(_swap_and_absorbing(), [0, 0])))
+@example(drawn=(_swap_and_absorbing(), Policy((np.array([0.5, 0.5]), np.array([0.0, 1.0])))))
+def test_policy_kernel_and_class_search_match_references(drawn):
+    """The kernel's bits equal the per-state products; the class search and
+    the unichain test agree with the transitive closure of those products."""
+    inst, policy = drawn
+    offsets = inst.pair_offsets
+    want = np.array([policy.rows[s] @ inst.kernel[offsets[s] : offsets[s + 1]]
+                     for s in range(inst.num_states)])
+    got = policy_kernel(policy, inst)
+    assert got.tobytes() == want.tobytes()
+    classes = recurrent_classes(want)
+    assert classes == _closed_classes_by_reachability(want)
+    assert is_unichain(got) == (len(classes) == 1)
+
+
+def test_policy_kernel_refuses_rows_that_do_not_match_the_action_sets():
+    inst = _swap_and_absorbing()
+    with pytest.raises(ValueError, match="one entry per action"):
+        policy_kernel(Policy((np.array([1.0]), np.array([0.5, 0.5]), np.array([1.0]))), inst)
