@@ -22,6 +22,7 @@ from .dominance import UtilityFunction
 from .lp import LpProblem, solve_lp
 from .mdp import AVERAGE, Benchmark, MdpInstance, require_valid
 from .results import DualSolution
+from .simulate import _ranker, _uniforms
 
 RANK_TOL = 1e-10
 VIOLATION_TOL = 1e-9
@@ -86,20 +87,19 @@ def sample_constraints(
 ) -> np.ndarray:
     """m i.i.d. pair indices drawn from psi (uniform when None); duplicates kept.
 
-    Reproducible: draws come from Philox keyed by (seed, stream), so training
-    (stream 0) and test (stream 1) samples never overlap streams.
+    Reproducible: the uniforms come from Philox keyed by (seed, 2**32 + stream),
+    so training (stream 0) and test (stream 1) samples never overlap streams.
+    A uniform u draws the number of cumulative psi entries below u, capped at
+    the last pair, through the simulator's guide-table ranker.
     """
     K = inst.num_pairs
     if psi is None:
         psi = np.full(K, 1.0 / K)
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (K,) or np.any(psi < 0) or abs(psi.sum() - 1.0) > 1e-9:
+    if psi.shape != (K,) or not np.all(psi >= 0) or abs(psi.sum() - 1.0) > 1e-9:
         raise ValueError("psi must be a probability vector over feasible pairs")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (1 << 32) + stream], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(m)
-    cum = np.cumsum(psi)
-    idx = np.searchsorted(cum, u, side="left")
-    return np.minimum(idx, K - 1)
+    (u,) = _uniforms(seed, [(1 << 32) + stream], m)
+    return np.minimum(_ranker(np.cumsum(psi), m)(u), K - 1)
 
 
 @dataclass
@@ -227,12 +227,13 @@ def solve_alp(
     beta = float(y[bases.num_h]) if inst.mode == AVERAGE else None
     u_of_z = alpha @ _utility_rows(inst, bases)
     dual = DualSolution(beta or 0.0, gamma @ bases.h_bases, alpha, None, u_of_z)
-    # A test pair is violated when r + sum_i alpha_i u_i(z) exceeds the dual's
-    # right-hand side by more than VIOLATION_TOL relative to that side.
+    # A pair is violated when r + sum_i alpha_i u_i(z) exceeds the dual's
+    # right-hand side by more than VIOLATION_TOL relative to that side. Every
+    # pair is tested once, and the test sample gathers the outcomes.
+    rhs = dual.pair_rhs(inst)
+    violated = inst.reward_r + u_of_z > rhs + VIOLATION_TOL * (1.0 + np.abs(rhs))
     test = sample_constraints(inst, psi, 10 * m, seed, stream=1)
-    rhs = dual.pair_rhs(inst, test)
-    violated = inst.reward_r[test] + u_of_z[test] > rhs + VIOLATION_TOL * (1.0 + np.abs(rhs))
     return replace(
         report, objective=sol.objective, gamma=gamma, beta=beta, alpha=alpha,
-        h_approx=dual.h, violation_fraction=float(np.mean(violated)),
+        h_approx=dual.h, violation_fraction=float(np.mean(violated[test])),
     )

@@ -252,6 +252,17 @@ def relative_value_iteration(
     gain is then within tol/2 of optimal for unichain instances.
     """
     require_valid(inst)
+    solution = _relative_sweeps(inst, max_iter, tol)
+    if solution is None:
+        raise RuntimeError("relative value iteration did not converge")
+    return solution
+
+
+def _relative_sweeps(
+    inst: MdpInstance, max_iter: int, tol: float = 1e-9
+) -> tuple[float, np.ndarray] | None:
+    """(gain, h) of at most max_iter damped relative sweeps from h = 0, or
+    None when the span of the update is still above tol."""
     kernel = 0.5 * inst.kernel
     kernel[np.arange(inst.num_pairs), inst.state_of_pair()] += 0.5
     h = np.zeros(inst.num_states)
@@ -263,7 +274,7 @@ def relative_value_iteration(
             g = float(0.5 * (w.max() + w.min()))
             return g, Th - Th[0]
         h = Th - Th[0]
-    raise RuntimeError("relative value iteration did not converge")
+    return None
 
 
 def value_iteration_unconstrained(
@@ -313,10 +324,10 @@ def _greedy_start(inst: MdpInstance, num_rows: int) -> np.ndarray | None:
     See the module docstring for the layout and when there is no start.
     """
     if inst.mode == AVERAGE:
-        try:
-            _, h = relative_value_iteration(inst, max_iter=CRASH_SWEEPS)
-        except RuntimeError:
+        solution = _relative_sweeps(inst, CRASH_SWEEPS)
+        if solution is None:
             return None
+        h = solution[1]
         # Greedy for RVI's damped kernel (I + P)/2: the h(s)/2 term is the
         # same for every action of s.
         q = inst.reward_r + 0.5 * (inst.kernel @ h)

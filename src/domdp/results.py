@@ -87,10 +87,10 @@ class DualSolution:
     def v(self) -> np.ndarray:
         return self.h
 
-    def pair_rhs(self, inst: MdpInstance, pairs: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Bound g + h(s) - delta sum_j P(j|s,a) h(j) on r + u(z) at the pairs given (all)."""
+    def pair_rhs(self, inst: MdpInstance) -> np.ndarray:
+        """Bound g + h(s) - delta sum_j P(j|s,a) h(j) on r + u(z), one entry per pair."""
         h = self.h
-        return self.g + h[inst.state_of_pair()[pairs]] - inst.delta * (inst.kernel[pairs] @ h)
+        return self.g + h[inst.state_of_pair()] - inst.delta * (inst.kernel @ h)
 
     def feasibility_residual(self, inst: MdpInstance) -> float:
         """Max violation of r(s,a) + u(z(s,a)) <= g + h(s) - delta sum_j P(j|s,a) h(j)."""

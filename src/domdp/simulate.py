@@ -35,7 +35,9 @@ rank(u) = cnt[b] for every u in it. G is a power of two, so b = floor(u * G)
 is exact, and only the uniforms of the at most len(values) occupied buckets
 (a few percent) are searched. The table is built only when its G + 1
 entries are no more than the run's paths * T ranks; otherwise every uniform
-is searched.
+is searched. The same holds for any nondecreasing values, ties included, so
+``domdp.alp`` draws its constraint samples through this ranker too, on the
+cumulative sampling distribution.
 
 Every key is an integer below S * span - 1. When the table's S * span keys
 are no more than the paths * T ranks the run holds anyway, the table
@@ -132,23 +134,26 @@ class Trajectories:
         return self.inst.reward_z[self.pairs]
 
 
-def _uniforms(seed: int, num_paths: int, count: int):
-    """Yield path p's count uniforms, p = 0 ... num_paths - 1: Philox keyed by
-    (seed, p) from counter 0, one bit generator re-keyed for each path."""
+def _uniforms(seed: int, streams, count: int):
+    """Yield count uniforms for each stream in streams: Philox keyed by
+    (seed, stream) from counter 0, one bit generator re-keyed for each.
+    Path p of a simulation is stream p."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state   # counter 0, empty buffer
     state["state"]["key"] = key
-    for p in range(num_paths):
-        key[1] = p
+    for stream in streams:
+        key[1] = stream
         bitgen.state = state
         yield gen.random(count)
 
 
 def _ranker(values: np.ndarray, size: int):
-    """The function u -> searchsorted(values, u), through a guide table when
-    its G + 1 entries fit in size (see the module docstring)."""
+    """The function u -> searchsorted(values, u, side="left") for uniforms u in
+    [0, 1) and nondecreasing values (ties allowed), through a guide table when
+    its G + 1 entries fit in size, the count of uniforms it will rank (see the
+    module docstring)."""
     G = 1 << (16 * values.size - 1).bit_length()
     if G >= size:
         return values.searchsorted
@@ -319,7 +324,7 @@ def simulate(
     first = np.empty(num_paths)
     keys = np.empty((T, num_paths), dtype=np.int64)
     batch = max(1, RANK_BATCH // (1 + T))   # paths ranked per call
-    draws = _uniforms(seed, num_paths, 1 + T)
+    draws = _uniforms(seed, range(num_paths), 1 + T)
     for p in range(0, num_paths, batch):
         rows = list(itertools.islice(draws, batch))
         u = np.stack(rows) if len(rows) > 1 else rows[0][None]

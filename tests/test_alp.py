@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domdp.alp import (
+    VIOLATION_TOL,
     BasisSet,
     build_alp,
     complete_basis,
@@ -16,6 +19,7 @@ from domdp.discounted import solve_discounted
 from domdp.dominance import UtilityFunction
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance
+from domdp.simulate import _ranker
 from helpers import TI1_BENCH, feasible_pair, random_benchmark, random_instance, ti1
 
 
@@ -58,6 +62,17 @@ def test_sample_constraints_determinism_and_point_mass():
     assert np.all(c == 1)
 
 
+@pytest.mark.parametrize(
+    "psi",
+    [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [1.5, -0.5, 0.0], [0.5, 0.5], [0.5, 0.25, 0.2],
+     [np.inf, 0.0, 0.0]],
+)
+def test_sample_constraints_rejects_psi_that_is_not_a_distribution(psi):
+    inst = _one_state(3)
+    with pytest.raises(ValueError, match="probability vector"):
+        sample_constraints(inst, np.array(psi), 10, seed=0)
+
+
 def test_sample_constraints_uniform_frequencies():
     inst = MdpInstance(
         num_states=2,
@@ -71,6 +86,88 @@ def test_sample_constraints_uniform_frequencies():
     counts = np.bincount(draws, minlength=4)
     sigma = math.sqrt(4000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 1000) <= 4 * sigma)
+
+
+def _one_state(K):
+    """An instance whose only state has K self-loop actions: K pairs."""
+    return MdpInstance(
+        num_states=1,
+        actions=(tuple(f"a{i}" for i in range(K)),),
+        kernel=np.ones((K, 1)),
+        reward_r=np.zeros(K),
+        reward_z=np.zeros(K),
+        mode="average",
+    )
+
+
+def _reference_draws(psi, m, seed, stream):
+    """Inverse-CDF draws by binary search on fresh Philox uniforms keyed by
+    (seed, 2**32 + stream)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (1 << 32) + stream], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(m)
+    return np.minimum(np.searchsorted(np.cumsum(psi), u, side="left"), len(psi) - 1)
+
+
+@st.composite
+def _sampling_cases(draw):
+    """(psi, m): psi uniform, one-hot, or with zero entries (tied cumulative
+    values), its sum up to 1e-9 from 1 either way; m is 1, at the guide table's
+    size G (no table), at G + 1 (a table), or anywhere up to 3 G."""
+    K = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["uniform", "one-hot", "weights"]))
+    if kind == "uniform":
+        psi = np.full(K, 1.0 / K)
+    elif kind == "one-hot":
+        psi = np.zeros(K)
+        psi[draw(st.integers(0, K - 1))] = 1.0
+    else:
+        w = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.0, 1.0, 3.0, 1e-12]) | st.floats(0.0, 1.0),
+            min_size=K, max_size=K,
+        )))
+        if not w.sum() > 0.0:
+            w[draw(st.integers(0, K - 1))] = 1.0
+        psi = w / w.sum()
+    psi *= draw(st.sampled_from([1.0, 1.0 - 9e-10, 1.0 + 9e-10]))
+    G = 1 << (16 * K - 1).bit_length()
+    m = draw(st.sampled_from([1, G, G + 1]) | st.integers(1, 3 * G))
+    return psi, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_sampling_cases(),
+    seed=st.integers(-(2**63), 2**64 - 1),
+    stream=st.sampled_from([0, 1]),
+)
+def test_sample_constraints_equal_the_binary_search(case, seed, stream):
+    psi, m = case
+    inst = _one_state(psi.size)
+    got = sample_constraints(inst, psi, m, seed, stream)
+    want = _reference_draws(psi, m, seed, stream)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    uniform = sample_constraints(inst, None, m, seed, stream)
+    assert np.array_equal(uniform, _reference_draws(np.full(psi.size, 1.0 / psi.size), m, seed, stream))
+
+
+def test_sample_constraints_rank_bucket_edges_and_the_gap_below_one(monkeypatch):
+    # Uniforms on the guide table's bucket edges, at and beside every tied
+    # cumulative value, and in the gap above a cumulative sum that ends below 1.
+    K = 12
+    psi = np.array([0.0, 0.25, 0.0, 0.0, 0.125, 0.125, 0.0, 0.25, 0.0, 0.125, 0.125, 0.0])
+    psi *= 1.0 - 2.0**-31
+    cum = np.cumsum(psi)
+    G = 1 << (16 * K - 1).bit_length()
+    u = np.concatenate([
+        np.arange(G) / G, cum[:-1], np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+        [0.5 * (cum[-1] + 1.0), 1.0 - 2.0**-53],
+    ])
+    assert cum[-1] < 1.0 and u.size > G
+    monkeypatch.setattr("domdp.alp._uniforms", lambda seed, streams, count: iter([u[:count]]))
+    got = sample_constraints(_one_state(K), psi, u.size, seed=0)
+    assert _ranker(cum, u.size) != cum.searchsorted   # the guide table is used
+    assert np.array_equal(got, np.minimum(np.searchsorted(cum, u, side="left"), K - 1))
+    assert got[-2:].tolist() == [K - 1, K - 1]
 
 
 def test_basis_rank_check():
@@ -259,6 +356,28 @@ def test_violation_fraction_matches_a_per_pair_loop(mode):
         train = sample_constraints(inst, None, m, seed, stream=0)
         assert _loop_violation_fraction(inst, report, bases, train) == 0.0
     assert optimal >= 6 and violated >= 3
+
+
+def test_violation_fraction_equals_the_per_sample_formula_on_criterion_9_draws():
+    # The acceptance suite's criterion-9 runs: each test draw's kernel row is
+    # gathered and its right-hand side taken on its own.
+    inst = fixed_50_state_instance()
+    bench = Benchmark(support=[-0.5, 0.0], probs=[0.5, 0.5])
+    bases = small_bases(inst, bench)
+    state_of = inst.state_of_pair()
+    rows = np.array([u(inst.reward_z) for u in bases.u_bases])
+    fractions = set()
+    for seed in range(100):
+        report = solve_alp(inst, bench, bases, epsilon=0.25, delta=0.1, seed=seed)
+        assert report.status == "optimal"
+        test = sample_constraints(inst, None, 10 * report.num_samples, seed, stream=1)
+        h = report.h_approx
+        rhs = report.beta + h[state_of[test]] - inst.delta * (inst.kernel[test] @ h)
+        lhs = inst.reward_r[test] + (report.alpha @ rows)[test]
+        violated = lhs > rhs + VIOLATION_TOL * (1.0 + np.abs(rhs))
+        assert report.violation_fraction == float(np.mean(violated))
+        fractions.add(report.violation_fraction)
+    assert len(fractions) > 10 and 0.0 in fractions
 
 
 def test_infeasible_alp_with_infeasible_dual_reports_infeasible():

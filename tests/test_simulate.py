@@ -93,13 +93,13 @@ def _philox(seed, path, count):
 
 def _per_path(draws):
     """A stand-in for SIM._uniforms: path p's uniforms are draws(seed, p, count)."""
-    return lambda seed, num_paths, count: (draws(seed, p, count) for p in range(num_paths))
+    return lambda seed, streams, count: (draws(seed, p, count) for p in streams)
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, -1])
 @pytest.mark.parametrize("count", [51, 137])   # 1 + T of the two discounted benchmark ops
 def test_rekeyed_streams_equal_fresh_philox(seed, count):
-    got = list(SIM._uniforms(seed, 7, count))
+    got = list(SIM._uniforms(seed, range(7), count))
     assert len(got) == 7
     for p, u in enumerate(got):
         assert u.tobytes() == _philox(seed, p, count).tobytes()
@@ -123,7 +123,7 @@ def _reference_simulate(inst, policy, nu, T, num_paths, seed):
     counts = np.diff(inst.pair_offsets)
     nu_cum = np.cumsum(np.asarray(nu, dtype=float))
 
-    U = np.stack(list(SIM._uniforms(seed, num_paths, 1 + T)))
+    U = np.stack(list(SIM._uniforms(seed, range(num_paths), 1 + T)))
     state = np.searchsorted(nu_cum, U[:, 0], side="left")
     np.clip(state, 0, S - 1, out=state)
     states = np.empty((num_paths, T), dtype=np.int64)
