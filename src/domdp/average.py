@@ -363,7 +363,7 @@ def _solve(
         if sol.status == "infeasible":
             cert = sol.certificate
             scale = float(np.abs(cert).max(initial=0.0))
-            keep = [i for i in range(len(cert)) if abs(cert[i]) > 1e-9 * (1.0 + scale)]
+            keep = np.flatnonzero(np.abs(cert) > 1e-9 * (1.0 + scale))
             etas = grid if family is None else None
             report.certificate = [(row_name(inst, i, etas), float(cert[i])) for i in keep]
             report.binding_etas = [float(grid[i - first]) for i in keep if i >= first]

@@ -2,10 +2,11 @@
 
 Problem form. ``LpProblem`` is max or min c.x over x >= 0, subject to rows
 A_i x = b_i, A_i x <= b_i or A_i x >= b_i: the form of every LP the package
-builds, all over occupation measures. ``to_standard_form`` appends one slack
-column per inequality row and negates the rows with b < 0, so the simplex
-solves min c.x, A x = b, x >= 0 with b >= 0, and the first n entries of its
-x are the problem's x.
+builds, all over occupation measures. ``to_standard_form`` turns the
+objective into a min and gives each inequality row a slack: +e_i on a <= row,
+-e_i on a >= row. The simplex solves min c.x, A x + slacks = b, x >= 0 on
+the problem's own A and b: no row is negated and a C-ordered A is not
+copied, and the first n entries of its x are the problem's x.
 
 The solver is deterministic: identical inputs produce identical pivot
 sequences. Duals are read from the final basis and mapped back to the
@@ -57,10 +58,12 @@ feas_tol of feasibility. After 5 (m + n) degenerate pivots the solver
 switches to Bland's rule, with the exact ratio test and ties to the lowest
 basic column.
 
-Phases. Phase 1 minimizes the sum of the artificials. They are not stored
-as columns of A: an artificial is +-e_i on its row i, so pricing reads
-+-y_i, the entering column is +-B^-1 e_i and a refactorization writes the
-unit column into its slot; one that leaves gets sign 0 and never returns.
+Phases. Phase 1 minimizes the sum of the artificials. Neither they nor the
+slacks are stored as columns of A: each is a unit column +-e_i on its row i
+(a logical variable; Maros, Computational Techniques of the Simplex Method,
+2003), the slacks first, so pricing reads +-y_i, the entering column is
++-B^-1 e_i and a refactorization writes the unit column into its slot. An
+artificial that leaves gets sign 0 and never returns.
 Phase 1's certificate and, in phase 2, the final x and y go through FTRAN
 and BTRAN; the tableau rows that drive artificials out are rows of the
 inverse (``row``). One that cannot be driven out stays basic at 0 on its
@@ -68,18 +71,18 @@ redundant row, whose dual is 0 (Dantzig, Linear Programming and
 Extensions, 1963). Phase 2 prices the artificials at 0 and goes on from
 phase 1's A and inverse, refactorized when an artificial stayed basic.
 
-Start basis. Basis slot i belongs to row i. Without a start, each row takes
-its unit start, which ``to_standard_form`` records: the row's slack when
-the slack is +1 after the row flip (a <= row with b >= 0, or a >= row with
-b < 0), or else an artificial +e_i, so the basis inverse is the identity.
-A caller may place structural start columns on some rows
-(``solve_lp(start=...)``); the occupation-measure LP places a deterministic
-policy's pair columns on its balance rows. Every other row keeps its slack when the slack's value is
-nonnegative and otherwise takes an artificial, negated where the row's
-residual is negative so that every artificial starts at a value >= 0. The
-start is dropped in favour of the unit one when its columns are singular
-or one of their values is below -feas_tol. An artificial always sits in its
-own row's slot, so the slot of one left basic names its redundant row.
+Start basis. Basis slot i belongs to row i. A caller may place structural
+start columns on some rows (``solve_lp(start=...)``); the
+occupation-measure LP places a deterministic policy's pair columns on its
+balance rows. Every other row holds +e_i while the basic values
+x = B^-1 b are found, so x = b when no column is placed. Such a row then
+takes the sign of its value, or of b_i where the value is 0: it starts on
+its slack when the slack has that sign, and otherwise on an artificial of
+that sign, and its row of the inverse is negated to match. So every slack
+and artificial starts at a value >= 0. The start columns are not placed
+when they are singular or one of their values is below -feas_tol. An
+artificial always sits in its own row's slot, so the slot of one left basic
+names its redundant row.
 
 The start matrix is B = [[M, 0], [D, I]] under a permutation, M the start
 columns on their own rows. When M's nonzero pattern (M | M^T) falls into
@@ -191,48 +194,29 @@ class LpSolution:
 
 @dataclass
 class StandardForm:
-    """How a standard form relates to its problem; ``solve_lp`` maps solutions back by it."""
+    """The slacks of a standard form, and the objective's sign for mapping duals back."""
 
     obj_sign: float
-    n: int                   # the original columns, first in the standard form
-    slack_col: np.ndarray    # -1 for equality rows
-    row_flip: np.ndarray
-    unit_start: np.ndarray   # per row its slack where that is +1 after the flip, else -1
+    slack_rows: np.ndarray   # the inequality rows; slack k is column n + k
+    slack_sign: np.ndarray   # +1 on a <= row, -1 on a >= row
 
 
 def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
-    """Slack or surplus per inequality row, rows with b < 0 negated.
+    """The min-sense problem over p's own A and b, and one slack per inequality row.
 
-    Columns: p's n columns, then one slack per inequality row in row order.
-    A is C-ordered: the summation order of the products the simplex takes
-    follows the layout.
+    Slack k is the unit column slack_sign[k] * e_{slack_rows[k]}; it is not
+    stored in A. A is C-ordered, not copied when p's already is: the
+    summation order of the products the simplex takes follows the layout.
     """
-    m, n = p.num_rows, p.num_cols
-    obj_sign = 1.0 if p.sense == "min" else -1.0
     senses = np.asarray(p.row_senses, dtype=str)
-    ineq = np.flatnonzero(senses != EQ)
-    slack_col = np.full(m, -1)
-    slack_col[ineq] = n + np.arange(ineq.size)
-    slack_sign = np.where(senses == LE, 1.0, -1.0)
-    A = np.zeros((m, n + ineq.size))
-    A[:, :n] = p.A
-    A[ineq, slack_col[ineq]] = slack_sign[ineq]
-    flip = p.b < 0
-    row_flip = np.where(flip, -1.0, 1.0)
-    A[flip] *= -1.0
-    unit_start = np.where(slack_sign * row_flip == 1.0, slack_col, -1)
-    std = LpProblem(
-        sense="min",
-        c=np.concatenate([obj_sign * p.c, np.zeros(ineq.size)]),
-        A=A,
-        row_senses=[EQ] * m,
-        b=p.b * row_flip,
-    )
-    return std, StandardForm(obj_sign, n, slack_col, row_flip, unit_start)
+    slack_rows = np.flatnonzero(senses != EQ)
+    obj_sign = 1.0 if p.sense == "min" else -1.0
+    std = LpProblem("min", obj_sign * p.c, np.ascontiguousarray(p.A), p.row_senses, p.b)
+    return std, StandardForm(obj_sign, slack_rows, np.where(senses[slack_rows] == LE, 1.0, -1.0))
 
 
 class _Simplex:
-    """Revised simplex on A x = b, x >= 0, from a given basis; see the module docstring.
+    """Revised simplex on A x + U u = b, x, u >= 0, from a given basis; see the module docstring.
 
     Eta k stands for the pivot in row R[k] with entering column d = B^-1 a:
     it multiplies B^-1 from the left by I - G[k]^T e_{R[k]}^T, where
@@ -240,18 +224,20 @@ class _Simplex:
     etas is I - G^T T E_R^T, with T = (I + L)^-1 and L[k, j] = G[j, R[k]]
     for j < k; T is unit lower triangular, one row added per pivot.
 
-    Columns n + k are the artificials: art_sign[k] * e_{art_rows[k]}, with
-    art_sign[k] = 0 once artificial k has left the basis.
+    Columns n + k are the unit columns of U: unit_sign[k] * e_{unit_rows[k]}.
+    The first n_slack are the slacks; from column first_art on they are the
+    artificials, with unit_sign[k] = 0 once artificial k has left the basis.
     """
 
     def __init__(
         self, A: np.ndarray, b: np.ndarray, feas_tol: float, basis, B_inv: np.ndarray,
-        art_rows=np.zeros(0, dtype=int), art_sign=np.zeros(0),
+        unit_rows=np.zeros(0, dtype=int), unit_sign=np.zeros(0), n_slack: int = 0,
     ):
         self.A = A
         self.b = b
         self.m, self.n = A.shape
-        self.art_rows, self.art_sign = art_rows, art_sign
+        self.unit_rows, self.unit_sign = unit_rows, unit_sign
+        self.first_art = self.n + n_slack
         self.cols = _compressed(A)
         self.feas_tol = feas_tol
         self.basis = basis
@@ -278,7 +264,7 @@ class _Simplex:
         k = self.basis[slots] - self.n
         B = self.A[:, np.where(self.basis < self.n, self.basis, 0)]
         B[:, slots] = 0.0
-        B[self.art_rows[k], slots] = self.art_sign[k]
+        B[self.unit_rows[k], slots] = self.unit_sign[k]
         self._restart(np.linalg.inv(B))
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
@@ -314,7 +300,7 @@ class _Simplex:
         """
         if q >= self.n:
             k = q - self.n
-            return self._forward(self.B_inv[:, self.art_rows[k]] * self.art_sign[k])
+            return self._forward(self.B_inv[:, self.unit_rows[k]] * self.unit_sign[k])
         if self.cols is not None:
             ptr, rows, vals = self.cols
             lo, hi = ptr[q], ptr[q + 1]
@@ -323,22 +309,22 @@ class _Simplex:
         return self._forward(self.B_inv @ self.A[:, q])
 
     def price(self, y: np.ndarray) -> np.ndarray:
-        """A.T @ y, then the artificials' entries."""
+        """A.T @ y, then the unit columns' entries."""
         if self.cols is None:
             p = self.A.T @ y
         else:
             ptr, rows, vals = self.cols
             p = np.add.reduceat(vals * y.take(rows), ptr[:-1])
-        if self.art_rows.size:
-            p = np.concatenate([p, y.take(self.art_rows) * self.art_sign])
+        if self.unit_rows.size:
+            p = np.concatenate([p, y.take(self.unit_rows) * self.unit_sign])
         return p
 
     def _pivot(self, leave_row: int, enter: int, d: np.ndarray, theta: float) -> None:
         """Basis change with entering value theta; refactorizes when the eta
         file is full, at ETA_SHARE of the basis size. An artificial that
         leaves gets sign 0: its column prices at 0 and never enters again."""
-        if self.basis[leave_row] >= self.n:
-            self.art_sign[self.basis[leave_row] - self.n] = 0.0
+        if self.basis[leave_row] >= self.first_art:
+            self.unit_sign[self.basis[leave_row] - self.n] = 0.0
         self.basis[leave_row] = enter
         self.x_B -= theta * d
         self.x_B[leave_row] = theta
@@ -488,63 +474,67 @@ def _start_inverse(B: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return B_inv
 
 
-def _crash(A: np.ndarray, b: np.ndarray, basis: np.ndarray, start: np.ndarray, feas_tol: float):
-    """The start columns in their rows' slots; None when they cannot start.
+def _start(A: np.ndarray, b: np.ndarray, form: StandardForm, start, feas_tol: float):
+    """The start basis: (basis, B_inv, unit_rows, unit_sign, crash).
 
-    basis is the unit start. Returns (basis, B_inv, negate): the basis with -1
-    on every row that takes an artificial, its inverse, and the rows whose
-    artificial is -e_i. Rows outside the start keep +e_i in the start
-    matrix; a negative value there turns the slot into -e_i, which negates
-    that row of the inverse.
+    start holds a column per row, -1 where none is placed, or is None. Its
+    columns sit in their rows' slots when they can start, and crash says
+    whether they do. Every other row holds +e_i while x = B^-1 b is found,
+    then takes the sign of its value, or of b_i where the value is 0: its
+    slack where the slack has that sign, else an artificial of that sign,
+    numbered after the slacks in row order. Its row of B_inv is negated to
+    match.
     """
+    m, n = A.shape
+    start = np.full(m, -1) if start is None else start
     rows = np.flatnonzero(start >= 0)
-    if rows.size == 0:
-        return None
-    B = np.eye(A.shape[0])
-    B[:, rows] = A[:, start[rows]]
-    try:
-        B_inv = _start_inverse(B, rows)
-    except np.linalg.LinAlgError:
-        return None
-    x_B = B_inv @ b
-    if not np.isfinite(x_B).all() or x_B[rows].min() < -feas_tol:
-        return None
-    negate = x_B < 0.0
-    negate[rows] = False
-    B_inv[negate] *= -1.0
-    basis = basis.copy()
+    x = None
+    if rows.size:
+        B = np.eye(m)
+        B[:, rows] = A[:, start[rows]]
+        try:
+            B_inv = _start_inverse(B, rows)
+            x = B_inv @ b
+        except np.linalg.LinAlgError:
+            pass
+    if x is None or not np.isfinite(x).all() or x[rows].min() < -feas_tol:
+        rows, B_inv, x = rows[:0], np.eye(m), b
+    sign = np.where((x < 0.0) | ((x == 0.0) & (b < 0.0)), -1.0, 1.0)
+    sign[rows] = 1.0
+    B_inv[sign < 0.0] *= -1.0
+    basis = np.full(m, -1)
+    fits = form.slack_sign == sign[form.slack_rows]
+    basis[form.slack_rows[fits]] = n + np.flatnonzero(fits)
     basis[rows] = start[rows]
-    basis[negate] = -1
-    return basis, B_inv, negate
+    art = np.flatnonzero(basis < 0)
+    basis[art] = n + form.slack_rows.size + np.arange(art.size)
+    unit_rows = np.concatenate([form.slack_rows, art])
+    unit_sign = np.concatenate([form.slack_sign, sign[art]])
+    return basis, B_inv, unit_rows, unit_sign, rows.size > 0
 
 
 def _solve_standard(
-    std: LpProblem, unit_start: np.ndarray, feas_tol: float, start: np.ndarray | None
+    std: LpProblem, form: StandardForm, feas_tol: float, start: np.ndarray | None
 ) -> LpSolution:
     """Two-phase simplex on a standard-form problem.
 
-    Returns x, y_raw and the certificate or ray over the standard form's
-    columns and rows, with the counters; a redundant row, whose artificial
-    stays basic at 0, carries dual 0. unit_start and start hold a column
-    per row, -1 where none is placed.
+    Returns x and the ray over the problem's columns, y_raw and the
+    certificate over its rows (of the min-sense problem), with the
+    counters; a redundant row, whose artificial stays basic at 0, carries
+    dual 0. start holds a column per row, -1 where none is placed.
     """
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
-    max_iter = 5000 + 200 * (m + n)
-    crash = None if start is None else _crash(A, b, unit_start, start, feas_tol)
-    # The unit start's columns are all +e_i, so its inverse is the identity.
-    basis, B_inv, negate = crash or (unit_start.copy(), np.eye(m), np.zeros(m, dtype=bool))
-    # An artificial column covers each row left without a basic column.
-    need_art = np.flatnonzero(basis == -1)
-    n_art = need_art.size
-    basis[need_art] = n + np.arange(n_art)
-    art_sign = np.where(negate[need_art], -1.0, 1.0)
-    sx = _Simplex(A, b, feas_tol, basis, B_inv, need_art, art_sign)
-    counts = dict(crash=crash is not None)
+    n_slack = form.slack_rows.size
+    max_iter = 5000 + 200 * (m + n + n_slack)
+    basis, B_inv, unit_rows, unit_sign, crash = _start(A, b, form, start, feas_tol)
+    sx = _Simplex(A, b, feas_tol, basis, B_inv, unit_rows, unit_sign, n_slack)
+    first_art, n_all = sx.first_art, n + unit_rows.size
+    counts = dict(crash=crash)
 
-    if n_art:
-        c1 = np.zeros(n + n_art)
-        c1[n:] = 1.0
+    if n_all > first_art:
+        c1 = np.zeros(n_all)
+        c1[first_art:] = 1.0
         status, _, _ = sx.run(c1, max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 reported unbounded")
@@ -556,31 +546,31 @@ def _solve_standard(
         # Drive artificials out of the basis; one that resists stays basic at
         # 0 on its redundant row. A pivot only changes its own row's basic
         # column, so the rows to visit are known up front.
-        for row in np.flatnonzero(sx.basis >= n):
-            tableau_row = sx.price(sx.row(row))[:n]
-            tableau_row[sx.basis[sx.basis < n]] = 0.0
+        for row in np.flatnonzero(sx.basis >= first_art):
+            tableau_row = sx.price(sx.row(row))[:first_art]
+            tableau_row[sx.basis[sx.basis < first_art]] = 0.0
             cands = np.flatnonzero(np.abs(tableau_row) > PIVOT_TOL)
             if cands.size:
                 d = sx.column(int(cands[0]))
                 sx._pivot(row, int(cands[0]), d, sx.x_B[row] / d[row])
-        if (sx.basis >= n).any():
+        if (sx.basis >= first_art).any():
             # A fresh inverse recomputes the basic values from b, which
             # re-checks phase 1's claim that the artificials still basic sit at 0.
             sx.refactorize()
 
-    # Phase 2 prices the artificials at 0; the ones that left have sign 0.
-    c2 = np.concatenate([c, np.zeros(n_art)])
+    # Phase 2 prices the unit columns at 0; the artificials that left have sign 0.
+    c2 = np.concatenate([c, np.zeros(n_all - n)])
     status, enter, d = sx.run(c2, max_iter)
     if status == "unbounded":
-        ray = np.zeros(n + n_art)
+        ray = np.zeros(n_all)
         ray[enter] = 1.0
         ray[sx.basis] = -d
         return LpSolution("unbounded", ray=ray[:n], **counts, **_counters(sx))
-    x = np.zeros(n + n_art)
+    x = np.zeros(n_all)
     x[sx.basis] = sx.ftran(b)
     y = sx.btran(c2[sx.basis])
     # An artificial sits in its own row's slot: its redundant row's dual is 0.
-    y[sx.basis >= n] = 0.0
+    y[sx.basis >= first_art] = 0.0
     return LpSolution("optimal", x=np.maximum(x[:n], 0.0), y_raw=y, **counts, **_counters(sx))
 
 
@@ -615,14 +605,12 @@ def solve_lp(
     from; see the module docstring for how the rest of the basis is filled
     in and when the start is dropped.
     """
-    std, rec = to_standard_form(p)
-    res = _solve_standard(std, rec.unit_start, feas_tol, start)
-    if res.status == "infeasible":
-        return replace(res, certificate=rec.row_flip * res.certificate)
-    if res.status == "unbounded":
-        return replace(res, ray=res.ray[: rec.n])
-    x = res.x[: rec.n]
-    y_raw = rec.obj_sign * rec.row_flip * res.y_raw
+    std, form = to_standard_form(p)
+    res = _solve_standard(std, form, feas_tol, start)
+    if res.status != "optimal":
+        return res
+    x = res.x
+    y_raw = form.obj_sign * res.y_raw
     # Inequality rows that oppose the objective's sense get their sign flipped.
     against = GE if p.sense == "max" else LE
     y = np.where(np.asarray(p.row_senses, dtype=str) == against, -1.0, 1.0) * y_raw

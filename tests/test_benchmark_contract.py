@@ -69,9 +69,10 @@ def test_traced_solve_records_its_lp_spans(tmp_path):
     counts = spans[lp_solve][5]
     assert {k: counts[k] for k in ("rows", "cols", "nnz")} == {"rows": 3, "cols": 2, "nnz": 3}
     assert counts["iterations"] >= 1
-    # The standard form adds the dominance row's surplus, -1, so no row has
-    # a +1 unit column: 3 x (3 + 3 artificials), plus the 3 x 3 inverse.
-    assert spans[std][5] == {"dense_bytes": 8 * (3 * 6 + 3 * 3)}
+    # The standard form's matrix is the LP's own, with no slack column, and
+    # none of its columns is a +1 unit column: 3 x (2 + 3 artificials), plus
+    # the 3 x 3 inverse.
+    assert spans[std][5] == {"dense_bytes": 8 * (3 * 5 + 3 * 3)}
 
 
 def _load(name: str):

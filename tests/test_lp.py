@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ def box_problem():
 
 
 def test_standard_form_max_box():
-    std, rec = to_standard_form(box_problem())
+    std, form = to_standard_form(box_problem())
     assert std.sense == "min"
-    assert std.row_senses == [EQ, EQ]
-    assert std.num_cols == 4  # two structural + two slacks
-    assert np.allclose(std.c, [-1.0, -1.0, 0.0, 0.0])
+    assert std.row_senses == [LE, LE]
+    assert std.num_cols == 2  # the two slacks are unit columns outside A
+    assert np.allclose(std.c, [-1.0, -1.0])
+    assert form.slack_rows.tolist() == [0, 1]
+    assert form.slack_sign.tolist() == [1.0, 1.0]
 
 
 def test_standard_form_surplus_for_ge_row():
@@ -38,13 +41,15 @@ def test_standard_form_surplus_for_ge_row():
         row_senses=[GE],
         b=np.array([2.0]),
     )
-    std, rec = to_standard_form(p)
-    assert std.A[0, rec.slack_col[0]] == -1.0
+    std, form = to_standard_form(p)
+    assert form.slack_rows.tolist() == [0]
+    assert form.slack_sign.tolist() == [-1.0]
 
 
 def test_standard_form_layout():
-    # Columns: the variables, then one slack per inequality row; rows with
-    # b < 0 are negated, slacks too.
+    # The problem's own A and b, not copied and no row negated; costs in the
+    # min sense; one slack per inequality row, +1 on a <= row and -1 on a >=
+    # row, whatever the sign of b. A Fortran-ordered A is copied C-ordered.
     p = LpProblem(
         sense="max",
         c=np.array([1.0, 2.0, -3.0]),
@@ -52,21 +57,15 @@ def test_standard_form_layout():
         row_senses=[LE, GE, EQ],
         b=np.array([4.0, -3.0, -2.0]),
     )
-    std, rec = to_standard_form(p)
-    assert np.array_equal(
-        std.A,
-        [
-            [1.0, 2.0, 0.0, 1.0, 0.0],
-            [0.0, 1.0, -3.0, 0.0, 1.0],
-            [-4.0, 0.0, -5.0, 0.0, 0.0],
-        ],
-    )
+    std, form = to_standard_form(p)
+    assert std.A is p.A and std.b is p.b
     assert std.A.flags.c_contiguous
-    assert np.array_equal(std.c, [-1.0, -2.0, 3.0, 0.0, 0.0])
-    assert np.array_equal(std.b, [4.0, 3.0, 2.0])
-    assert rec.n == 3
-    assert rec.slack_col.tolist() == [3, 4, -1]
-    assert rec.row_flip.tolist() == [1.0, -1.0, -1.0]
+    assert np.array_equal(std.c, [-1.0, -2.0, 3.0])
+    assert form.obj_sign == -1.0
+    assert form.slack_rows.tolist() == [0, 1]
+    assert form.slack_sign.tolist() == [1.0, -1.0]
+    fortran, _ = to_standard_form(replace(p, A=np.asfortranarray(p.A)))
+    assert fortran.A.flags.c_contiguous and np.array_equal(fortran.A, p.A)
 
 
 def test_problem_has_no_free_variables_or_column_labels():
@@ -270,16 +269,32 @@ def test_blands_rule_from_the_first_pivot(monkeypatch):
 
 
 def _loop_unit_start(p):
-    """Reference: the slack of each <= row with b >= 0 and each >= row with b < 0."""
-    start = []
-    col = p.num_cols  # the first slack
-    for sense, b in zip(p.row_senses, p.b):
-        if sense == EQ:
-            start.append(-1)
-            continue
-        start.append(col if (sense == LE) == (b >= 0) else -1)
-        col += 1
-    return start
+    """Reference for a start without placed columns: (slacks, basis, artificials).
+
+    slacks holds (row, sign) per inequality row, +1 on a <= row and -1 on a
+    >= row. A row starts on its slack when the slack's sign is b's (+1 at
+    b >= 0), else on an artificial of b's sign, numbered after the slacks;
+    artificials holds their (row, sign).
+    """
+    slacks = [(i, 1.0 if s == LE else -1.0) for i, s in enumerate(p.row_senses) if s != EQ]
+    slack_of = {i: (p.num_cols + k, sign) for k, (i, sign) in enumerate(slacks)}
+    basis, artificials = [], []
+    for i, b in enumerate(p.b):
+        sign = 1.0 if b >= 0 else -1.0
+        if i in slack_of and slack_of[i][1] == sign:
+            basis.append(slack_of[i][0])
+        else:
+            basis.append(p.num_cols + len(slacks) + len(artificials))
+            artificials.append((i, sign))
+    return slacks, basis, artificials
+
+
+def _start_signs(basis, unit_sign, n):
+    """Per row the sign of its start column: +1 for a placed column, else its unit column's."""
+    sign = np.ones(basis.size)
+    units = basis >= n
+    sign[units] = unit_sign[basis[units] - n]
+    return sign
 
 
 def _loop_residuals(p, x, y_raw):
@@ -303,16 +318,44 @@ def test_array_glue_matches_loop_reference():
     for _ in range(200):
         p = _random_feasible_bounded(rng)
         p.b[: p.num_rows // 2] *= -1.0  # flip some rows, whatever their sense
-        std, rec = to_standard_form(p)
-        assert rec.unit_start.tolist() == _loop_unit_start(p)
-        rows = np.flatnonzero(rec.unit_start >= 0)
-        assert np.array_equal(std.A[:, rec.unit_start[rows]], np.eye(p.num_rows)[:, rows])
-        assert np.all(std.c[rec.unit_start[rows]] == 0.0)
+        std, form = to_standard_form(p)
+        slacks, basis, artificials = _loop_unit_start(p)
+        assert list(zip(form.slack_rows.tolist(), form.slack_sign.tolist())) == slacks
+        got, B_inv, unit_rows, unit_sign, crash = lp._start(std.A, std.b, form, None, lp.FEAS_TOL)
+        assert got.tolist() == basis and not crash
+        assert list(zip(unit_rows.tolist(), unit_sign.tolist())) == slacks + artificials
+        # The start columns are unit columns with nonnegative values: B_inv
+        # is diagonal, each row's sign, and B_inv b = |b|.
+        sign = _start_signs(got, unit_sign, p.num_cols)
+        assert np.array_equal(B_inv, np.diag(sign))
+        assert np.array_equal(B_inv @ std.b, np.abs(p.b))
     for _ in range(50):
         p = _random_feasible_bounded(rng)
         sol = solve_lp(p)
         for x, y in ((sol.x, sol.y_raw), (sol.x + rng.normal(size=p.num_cols), -sol.y_raw)):
             assert _residuals(p, x, y) == _loop_residuals(p, x, y)
+
+
+def test_negating_rows_is_bit_exact():
+    # Negating a row with b != 0, coefficients and b, and swapping <= and >=
+    # gives the row the opposite start sign, and every later product the
+    # simplex takes changes sign exactly: status, x and objective are
+    # bit-identical and y_raw is negated on those rows. At b = 0 both forms
+    # start on +e_i, so such rows stay as drawn.
+    rng = np.random.default_rng(29)
+    swap = {LE: GE, GE: LE, EQ: EQ}
+    for _ in range(200):
+        p = _random_feasible_bounded(rng)
+        neg = (np.arange(p.num_rows) < p.num_rows // 2) & (p.b != 0.0)
+        q = LpProblem(
+            p.sense, p.c, np.where(neg[:, None], -p.A, p.A),
+            [swap[s] if f else s for s, f in zip(p.row_senses, neg)], np.where(neg, -p.b, p.b),
+        )
+        a, b = solve_lp(p), solve_lp(q)
+        assert a.status == b.status == "optimal"
+        assert np.array_equal(a.x, b.x) and a.objective == b.objective
+        assert np.array_equal(b.y_raw, np.where(neg, -a.y_raw, a.y_raw))
+        assert a.iterations == b.iterations
 
 
 def test_start_columns_are_used_when_they_form_a_feasible_basis():
@@ -366,6 +409,23 @@ def test_start_row_whose_slack_would_be_negative_gets_an_artificial():
     assert sol.status == "infeasible"
     cert = sol.certificate
     assert cert @ p.b > 0 and cert @ p.A[:, 0] <= 1e-12 and cert[1] <= 0.0
+
+
+def test_start_row_with_surplus_starts_on_its_slack():
+    # x1 = 3 from row 0 leaves row 1, x1 >= 1 with b > 0, a surplus of 2:
+    # its value on +e_1 is -2, the sign of its slack -e_1, so the row starts
+    # on the slack and the start is feasible, with no phase 1.
+    p = LpProblem(
+        sense="max",
+        c=np.array([1.0, 0.0]),
+        A=np.array([[1.0, 1.0], [1.0, 0.0]]),
+        row_senses=[EQ, GE],
+        b=np.array([3.0, 1.0]),
+    )
+    sol = solve_lp(p, start=np.array([0, -1]))
+    assert sol.crash and sol.status == "optimal"
+    assert sol.phase1_iterations == 0 and sol.iterations == 1
+    assert sol.x.tolist() == [3.0, 0.0]
 
 
 @pytest.mark.parametrize("side", ["primal", "dual"])
@@ -446,28 +506,37 @@ def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
     assert etas_at
 
 
-def test_phase_one_keeps_one_copy_of_the_matrix():
-    # Equality rows only, so every row starts on an artificial. The solve
-    # may hold the standard form's matrix once; a copy with the artificial
-    # columns appended, or a gathered temporary in the standard form, passes
-    # the limit. Every feasible x has cost sum(b), so phase 2 barely pivots.
-    # The second input repeats row 0: an artificial stays basic on the
-    # redundant row, and phase 2 runs on the same matrix, not on a copy
-    # without that row.
+def test_solve_keeps_no_copy_of_the_matrix():
+    # The solve works on the problem's own matrix: a copy of it, with or
+    # without slack or artificial columns appended, or a gathered temporary
+    # of its size, passes the limit. The first input has equality rows
+    # only, so every row starts on an artificial; every feasible x has cost
+    # sum(b), so phase 2 barely pivots. The second repeats row 0: an
+    # artificial stays basic on the redundant row, and phase 2 runs on the
+    # same matrix, not on a copy without that row. The third has inequality
+    # rows only, half of them >= rows with b < 0, which every row's slack
+    # starts, and phase 2 pivots towards max sum(A) x.
     rng = np.random.default_rng(11)
     m, n = 100, 16_000
     A = rng.uniform(0.0, 1.0, size=(m, n))
     b = A[:, :m] @ rng.uniform(0.5, 1.0, size=m)
-    for A, b in ((A, b), (np.vstack([A, A[:1]]), np.append(b, b[0]))):
-        p = LpProblem("min", A.sum(axis=0), A, [EQ] * len(b), b)
+    half = np.arange(m) >= m // 2
+    problems = [
+        LpProblem("min", A.sum(axis=0), A, [EQ] * m, b),
+        LpProblem("min", A.sum(axis=0), np.vstack([A, A[:1]]), [EQ] * (m + 1), np.append(b, b[0])),
+        LpProblem("max", A.sum(axis=0), np.where(half[:, None], -A, A),
+                  [GE if h else LE for h in half], np.where(half, -b, b)),
+    ]
+    for p in problems:
         tracemalloc.start()
         try:
             sol = solve_lp(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sol.status == "optimal" and sol.phase1_iterations >= m
-        assert peak <= 1.5 * A.nbytes
+        assert sol.status == "optimal"
+        assert sol.phase1_iterations >= m if EQ in p.row_senses else sol.iterations >= m
+        assert peak <= 0.5 * p.A.nbytes
 
 
 def test_phase_two_keeps_the_redundant_rows_artificial_basic(monkeypatch):
@@ -479,16 +548,16 @@ def test_phase_two_keeps_the_redundant_rows_artificial_basic(monkeypatch):
     phase2_entering, basic_artificials, redundant_duals = [], [], []
 
     def spied_run(self, c, max_iter):
-        self.phase2 = not c[self.n :].any()
+        self.phase2 = not c[self.first_art :].any()
         result = run(self, c, max_iter)
         if self.phase2:
-            basic_artificials.extend(self.x_B[self.basis >= self.n] / self.feas_tol)
-            spied_run.redundant = np.flatnonzero(self.basis >= self.n)
+            basic_artificials.extend(self.x_B[self.basis >= self.first_art] / self.feas_tol)
+            spied_run.redundant = np.flatnonzero(self.basis >= self.first_art)
         return result
 
     def spied_pivot(self, leave_row, enter, d, theta):
         if getattr(self, "phase2", False):
-            phase2_entering.append(enter - self.n)
+            phase2_entering.append(enter - self.first_art)
         return pivot(self, leave_row, enter, d, theta)
 
     def spied_solve_standard(*args):
@@ -624,8 +693,8 @@ def test_optimality_is_declared_on_a_fresh_dual_vector(monkeypatch):
     inst, p = _benchmark_portfolio_lp(2)
     start = _greedy_start(inst, p.num_rows)
     reference = solve_lp(p, start=start)
-    std, rec = to_standard_form(p)
-    y_star = lp._solve_standard(std, rec.unit_start, lp.FEAS_TOL, start).y_raw
+    std, form = to_standard_form(p)
+    y_star = lp._solve_standard(std, form, lp.FEAS_TOL, start).y_raw
     entering = lp._Simplex._entering
     overruled = 0
 
@@ -761,10 +830,10 @@ def test_one_component_start_inverts_the_full_matrix(monkeypatch, case):
     A = np.vstack([A, rng.normal(size=A.shape[1])])   # a dominance row
     b = np.append(M @ rng.uniform(0.5, 1.0, S), -100.0)
     p = LpProblem("max", rng.normal(size=A.shape[1]), A, [EQ] * S + [GE], b)
-    std, rec = to_standard_form(p)
+    std, form = to_standard_form(p)
     start = np.append(np.arange(S), -1)
     B = np.eye(S + 1)
-    B[:, :S] = std.A[:, :S]
+    B[:, :S] = A[:, :S]
     components, searched = lp._components, []
 
     def spied_components(nz):
@@ -773,10 +842,13 @@ def test_one_component_start_inverts_the_full_matrix(monkeypatch, case):
 
     monkeypatch.setattr(lp, "_components", spied_components)
     args, inv = _spy_inverses(monkeypatch)
-    crash = lp._crash(std.A, std.b, rec.unit_start, start, lp.FEAS_TOL)
-    assert crash is not None
+    basis, B_inv, _, unit_sign, crash = lp._start(std.A, std.b, form, start, lp.FEAS_TOL)
+    assert crash
     assert len(args) == 1 and np.array_equal(args[0], B)
-    assert np.array_equal(crash[1][~crash[2]], inv(B)[~crash[2]])
+    # The dominance row starts on its slack, -e_i: its row of the inverse is negated.
+    sign = _start_signs(basis, unit_sign, A.shape[1])
+    assert sign.tolist() == [1.0] * S + [-1.0]
+    assert np.array_equal(B_inv, sign[:, None] * inv(B))
     assert searched == ([] if case == "full-row" else [(S, S)])
 
 
@@ -784,13 +856,12 @@ def test_portfolio_resolution_2_start_inverts_six_blocks(monkeypatch):
     # The greedy policy's chain has six closed classes of 64 states.
     inst, p = _benchmark_portfolio_lp(2)
     start = _greedy_start(inst, p.num_rows)
-    std, rec = to_standard_form(p)
+    std, form = to_standard_form(p)
     args, inv = _spy_inverses(monkeypatch)
-    crash = lp._crash(std.A, std.b, rec.unit_start, start, lp.FEAS_TOL)
-    assert [a.shape for a in args] == [(6, 64, 64)]
+    basis, B_inv, _, unit_sign, crash = lp._start(std.A, std.b, form, start, lp.FEAS_TOL)
+    assert crash and [a.shape for a in args] == [(6, 64, 64)]
     rows = np.flatnonzero(start >= 0)
     B = np.eye(p.num_rows)
-    B[:, rows] = std.A[:, start[rows]]
-    want = inv(B)
-    want[crash[2]] *= -1.0
-    assert np.abs(crash[1] - want).max() <= 1e-12 * np.abs(want).max()
+    B[:, rows] = p.A[:, start[rows]]
+    want = _start_signs(basis, unit_sign, p.num_cols)[:, None] * inv(B)
+    assert np.abs(B_inv - want).max() <= 1e-12 * np.abs(want).max()
