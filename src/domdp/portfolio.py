@@ -12,6 +12,13 @@ future prices. The budget constraint <p, a> = 0 is enforced by enumerating
 grid moves and dropping violations; a = 0 (hold) is always feasible, and with
 coarse grids and unequal prices it is often the only move.
 
+The joint price chain is the Kronecker product of the asset chains, over
+profiles in lexicographic order of the assets' level indices. States run
+over the (previous, current profile) pairs with positive joint probability
+in row-major order of the joint chain, then over the grid points, so state
+pair * grid_size + g holds grid point g. One wealth table, grid point by
+profile, serves both the budget test and the return rate z.
+
 Benchmark units follow the discounted solver: the dominance rows constrain
 the discounted SUM of per-period return shortfalls, so a per-period return
 benchmark must be scaled by 1/(1-discount) by the caller.
@@ -19,6 +26,7 @@ benchmark must be scaled by 1/(1-discount) by the caller.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,10 +57,14 @@ class PortfolioConfig:
         object.__setattr__(self, "price_transitions", chains)
         for i, (levels, T) in enumerate(zip(self.price_levels, chains)):
             L = len(levels)
+            if not np.all(np.isfinite(levels)):
+                raise ValueError(f"asset {i} price_levels must be finite")
             if L == 0 or any(p <= 0 for p in levels):
                 raise ValueError(f"asset {i} needs positive price levels")
             if T.shape != (L, L):
                 raise ValueError(f"asset {i} transition must be {L}x{L}")
+            if not np.all(np.isfinite(T)):
+                raise ValueError(f"asset {i} price_transitions must be finite")
             if np.any(T < 0) or np.any(np.abs(T.sum(axis=1) - 1.0) > 1e-12):
                 raise ValueError(f"asset {i} transition rows must be distributions")
         if self.resolution < 1:
@@ -64,26 +76,16 @@ class PortfolioConfig:
             object.__setattr__(self, "initial_holdings", x0)
             if x0.shape != (self.n_assets,):
                 raise ValueError("initial_holdings must have one entry per asset")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError("initial_holdings must be finite")
             scaled = x0 * self.resolution
-            if np.any(np.abs(scaled - np.round(scaled)) > 1e-9) or abs(x0.sum() - 1.0) > 1e-9:
+            off_grid = np.any(np.abs(scaled - np.round(scaled)) > 1e-9) or np.any(x0 < 0)
+            if off_grid or abs(x0.sum() - 1.0) > 1e-9:
                 raise ValueError("initial_holdings must be grid fractions summing to 1")
 
     @property
     def n_assets(self) -> int:
         return len(self.price_levels)
-
-    def profiles(self) -> list[tuple[int, ...]]:
-        """Joint price profiles as per-asset level indices, lexicographic."""
-        return list(itertools.product(*(range(len(lv)) for lv in self.price_levels)))
-
-    def profile_prices(self, profile: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.price_levels[i][li] for i, li in enumerate(profile)])
-
-    def profile_transition(self, a: tuple[int, ...], b: tuple[int, ...]) -> float:
-        prob = 1.0
-        for i, (la, lb) in enumerate(zip(a, b)):
-            prob *= float(self.price_transitions[i][la, lb])
-        return prob
 
     @property
     def grid_size(self) -> int:
@@ -107,14 +109,6 @@ class PortfolioConfig:
         """Price profiles times grid points; reported before building."""
         return math.prod(len(lv) for lv in self.price_levels) * self.grid_size
 
-    def default_initial_holdings(self) -> np.ndarray:
-        if self.initial_holdings is not None:
-            return self.initial_holdings
-        grid = self.holdings_grid()
-        target = np.full(self.n_assets, 1.0 / self.n_assets)
-        dists = [float(np.sum((x - target) ** 2)) for x in grid]
-        return grid[int(np.argmin(dists))]
-
 
 def build_portfolio_instance(cfg: PortfolioConfig) -> MdpInstance:
     """Assemble the discounted MdpInstance from the discretized model.
@@ -122,72 +116,59 @@ def build_portfolio_instance(cfg: PortfolioConfig) -> MdpInstance:
     r(s,a) = -sum_i a(i)^2 (negated transaction cost) and z(s,a) is the
     return rate realized across the state's price move. The initial
     distribution draws the previous profile uniformly and the current one
-    from the chain, with fixed initial holdings.
+    from the chain, with fixed initial holdings (by default the grid point
+    nearest equal weights).
     """
-    profiles = cfg.profiles()
-    pairs = [
-        (ia, ib)
-        for ia in range(len(profiles))
-        for ib in range(len(profiles))
-        if cfg.profile_transition(profiles[ia], profiles[ib]) > 0.0
-    ]
-    num_states = len(pairs) * cfg.grid_size
+    over = f"exceeds guard {MAX_KERNEL_ENTRIES} entries"
+    # Every profile moves somewhere and every state can hold, so the kernel has
+    # at least base_state_count**2 entries: refused before the joint chain.
+    if (base := cfg.base_state_count) ** 2 > MAX_KERNEL_ENTRIES:
+        raise ValueError(f"kernel of at least {base} pairs x {base} states {over}")
+    joint = functools.reduce(np.kron, cfg.price_transitions)
+    prev, cur = np.nonzero(joint > 0.0)
+    prob = joint[prev, cur]
+    size = cfg.grid_size
+    num_states = prev.size * size
     if num_states > MAX_STATES:
         raise ValueError(f"state count {num_states} exceeds guard {MAX_STATES}")
-    over = f"exceeds guard {MAX_KERNEL_ENTRIES} entries"
     # Every state can hold, so there are at least num_states pairs: the counts
     # alone refuse a kernel before the budget test's grid x grid array.
-    if num_states * cfg.grid_size > MAX_KERNEL_ENTRIES:
+    if num_states * size > MAX_KERNEL_ENTRIES:
         raise ValueError(f"kernel of at least {num_states} pairs x {num_states} states {over}")
     grid = cfg.holdings_grid()
-    prices = [cfg.profile_prices(p) for p in profiles]
-    # The budget test per current profile: budget[ib][g, g2] holds when the
-    # move from grid point g to g2 keeps the wealth at prices[ib].
-    wealth = {ib: grid @ prices[ib] for _, ib in pairs}
-    budget = {ib: np.abs(w[None, :] - w[:, None]) <= BUDGET_TOL for ib, w in wealth.items()}
-    num_pairs = sum(int(np.count_nonzero(budget[ib])) for _, ib in pairs)
+    # wealth[g, q] is grid point g's wealth at price profile q; budget[q][g, g2]
+    # holds when the move from g to g2 keeps that wealth.
+    wealth = grid @ np.array(list(itertools.product(*cfg.price_levels))).T
+    budget = np.array([np.abs(w[None, :] - w[:, None]) <= BUDGET_TOL for w in wealth.T])
+    num_pairs = int(np.count_nonzero(budget, axis=(1, 2))[cur].sum())
     if num_pairs * num_states > MAX_KERNEL_ENTRIES:
         raise ValueError(f"kernel of {num_pairs} pairs x {num_states} states {over}")
-    pair_index = {pair: pi for pi, pair in enumerate(pairs)}
-    size = len(grid)
 
-    actions: list[tuple[str, ...]] = []
+    # Move k takes state pair[k] * size + g[k] to grid point g2[k], in state order.
+    pair, g, g2 = np.nonzero(budget[cur])
     kernel = np.zeros((num_pairs, num_states))
-    reward_r: list[float] = []
-    reward_z: list[float] = []
-    for ia, ib in pairs:
-        p_prev, p_cur = prices[ia], prices[ib]
-        next_probs = np.array([cfg.profile_transition(profiles[ib], pc) for pc in profiles])
-        nxt = np.flatnonzero(next_probs > 0.0)
-        # State (ib, ic, g2) is number pair_index[(ib, ic)] * size + g2.
-        nxt_first = np.array([pair_index[(ib, ic)] for ic in nxt.tolist()]) * size
-        for g, x in enumerate(grid):
-            wealth_prev = float(p_prev @ x)
-            z = (float(p_cur @ x) - wealth_prev) / wealth_prev
-            labels = []
-            for g2 in np.flatnonzero(budget[ib][g]).tolist():
-                a = grid[g2] - x
-                labels.append("hold" if g2 == g else f"to{g2}")
-                kernel[len(reward_r), nxt_first + g2] = next_probs[nxt]
-                reward_r.append(-float(np.sum(a * a)))
-                reward_z.append(z)
-            actions.append(tuple(labels))
+    # Its next states are the pairs leaving its current profile, each at g2[k].
+    rows, nxt = np.nonzero(prev == cur[pair][:, None])
+    kernel[rows, nxt * size + g2[rows]] = prob[nxt]
+    trade = grid[g2] - grid[g]
+    wealth_prev = wealth[g, prev[pair]]
+    labels = "to" + g2.astype(str).astype(object)
+    labels[g2 == g] = "hold"
 
-    initial = np.zeros(num_states)
-    x0 = cfg.default_initial_holdings()
-    g0_candidates = [g for g, x in enumerate(grid) if np.allclose(x, x0)]
-    g0 = g0_candidates[0]
-    uniform = 1.0 / len(profiles)
-    for pi, (ia, ib) in enumerate(pairs):
-        initial[pi * size + g0] = uniform * cfg.profile_transition(profiles[ia], profiles[ib])
+    target = cfg.initial_holdings
+    if target is None:
+        target = np.full(cfg.n_assets, 1.0 / cfg.n_assets)
+    g0 = np.argmin(np.sum((grid - target) ** 2, axis=1))
+    initial = np.zeros((prev.size, size))
+    initial[:, g0] = (1.0 / len(joint)) * prob
 
     return MdpInstance(
         num_states=num_states,
-        actions=tuple(actions),
+        actions=tuple(map(tuple, np.split(labels, np.flatnonzero(np.diff(pair * size + g)) + 1))),
         kernel=kernel,
-        reward_r=np.array(reward_r),
-        reward_z=np.array(reward_z),
+        reward_r=-np.sum(trade * trade, axis=1),
+        reward_z=(wealth[g, cur[pair]] - wealth_prev) / wealth_prev,
         mode="discounted",
         discount=cfg.discount,
-        initial=initial,
+        initial=initial.ravel(),
     )

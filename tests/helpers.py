@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from domdp.average import ZERO_MARGINAL, solve_average
 from domdp.discounted import solve_discounted
 from domdp.mdp import AVERAGE, Benchmark, MdpInstance, Policy
-from domdp.portfolio import PortfolioConfig
+from domdp.portfolio import BUDGET_TOL, PortfolioConfig
 
 
 def ti1(mode="average", discount=None):
@@ -212,3 +213,78 @@ def reference_merge(support, probs) -> tuple[np.ndarray, np.ndarray]:
             keep_s.append(v)
             keep_p.append(p)
     return np.array(keep_s), np.array(keep_p)
+
+
+def reference_build_portfolio_instance(cfg: PortfolioConfig) -> MdpInstance:
+    """``domdp.portfolio.build_portfolio_instance`` as a loop over price-profile
+    pairs, grid points and moves, with every transition a left-to-right product
+    of the asset chains' entries and z taken by a per-row dot."""
+    profiles = list(itertools.product(*(range(len(lv)) for lv in cfg.price_levels)))
+
+    def profile_prices(profile):
+        return np.array([cfg.price_levels[i][li] for i, li in enumerate(profile)])
+
+    def profile_transition(a, b):
+        prob = 1.0
+        for i, (la, lb) in enumerate(zip(a, b)):
+            prob *= float(cfg.price_transitions[i][la, lb])
+        return prob
+
+    pairs = [
+        (ia, ib)
+        for ia in range(len(profiles))
+        for ib in range(len(profiles))
+        if profile_transition(profiles[ia], profiles[ib]) > 0.0
+    ]
+    num_states = len(pairs) * cfg.grid_size
+    grid = cfg.holdings_grid()
+    prices = [profile_prices(p) for p in profiles]
+    wealth = {ib: grid @ prices[ib] for _, ib in pairs}
+    budget = {ib: np.abs(w[None, :] - w[:, None]) <= BUDGET_TOL for ib, w in wealth.items()}
+    num_pairs = sum(int(np.count_nonzero(budget[ib])) for _, ib in pairs)
+    pair_index = {pair: pi for pi, pair in enumerate(pairs)}
+    size = len(grid)
+
+    actions: list[tuple[str, ...]] = []
+    kernel = np.zeros((num_pairs, num_states))
+    reward_r: list[float] = []
+    reward_z: list[float] = []
+    for ia, ib in pairs:
+        p_prev, p_cur = prices[ia], prices[ib]
+        next_probs = np.array([profile_transition(profiles[ib], pc) for pc in profiles])
+        nxt = np.flatnonzero(next_probs > 0.0)
+        # State (ib, ic, g2) is number pair_index[(ib, ic)] * size + g2.
+        nxt_first = np.array([pair_index[(ib, ic)] for ic in nxt.tolist()]) * size
+        for g, x in enumerate(grid):
+            wealth_prev = float(p_prev @ x)
+            z = (float(p_cur @ x) - wealth_prev) / wealth_prev
+            labels = []
+            for g2 in np.flatnonzero(budget[ib][g]).tolist():
+                a = grid[g2] - x
+                labels.append("hold" if g2 == g else f"to{g2}")
+                kernel[len(reward_r), nxt_first + g2] = next_probs[nxt]
+                reward_r.append(-float(np.sum(a * a)))
+                reward_z.append(z)
+            actions.append(tuple(labels))
+
+    initial = np.zeros(num_states)
+    if cfg.initial_holdings is not None:
+        x0 = cfg.initial_holdings
+    else:
+        target = np.full(cfg.n_assets, 1.0 / cfg.n_assets)
+        x0 = grid[int(np.argmin([float(np.sum((x - target) ** 2)) for x in grid]))]
+    g0 = [g for g, x in enumerate(grid) if np.allclose(x, x0)][0]
+    uniform = 1.0 / len(profiles)
+    for pi, (ia, ib) in enumerate(pairs):
+        initial[pi * size + g0] = uniform * profile_transition(profiles[ia], profiles[ib])
+
+    return MdpInstance(
+        num_states=num_states,
+        actions=tuple(actions),
+        kernel=kernel,
+        reward_r=np.array(reward_r),
+        reward_z=np.array(reward_z),
+        mode="discounted",
+        discount=cfg.discount,
+        initial=initial,
+    )

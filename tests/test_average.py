@@ -20,7 +20,7 @@ from domdp.average import (
     stationary_distribution,
     value_iteration_unconstrained,
 )
-from domdp.discounted import solve_discounted
+from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.dominance import weighted_kink_family
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
@@ -88,10 +88,20 @@ def test_lp_labels_carry_identities():
         assert [label for label, _ in report.certificate] == labels
 
 
-def test_build_rejects_wrong_mode():
-    inst = ti1(mode="discounted", discount=0.5)
-    with pytest.raises(ValueError):
-        build_average_primal(inst, TI1_BENCH)
+@pytest.mark.parametrize(
+    "entry, mode, message",
+    [
+        (build_average_primal, "discounted", "average builder got mode 'discounted'"),
+        (solve_average, "discounted", "average builder got mode 'discounted'"),
+        (build_discounted_primal, "average", "discounted builder got mode 'average'"),
+        (solve_discounted, "average", "discounted builder got mode 'average'"),
+    ],
+    ids=["build_average_primal", "solve_average", "build_discounted_primal", "solve_discounted"],
+)
+def test_builders_and_solves_refuse_the_other_mode(entry, mode, message):
+    inst = ti1(mode=mode, discount=0.5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(inst, TI1_BENCH)
 
 
 def test_solve_ti1_binding():

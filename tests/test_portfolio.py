@@ -1,11 +1,19 @@
+import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from domdp.cli import run
+from domdp.io import parse_portfolio_config
 from domdp.discounted import solve_discounted
 from domdp.mdp import Benchmark, validate_instance
 from domdp.portfolio import PortfolioConfig, build_portfolio_instance
+from helpers import benchmark_portfolio, reference_build_portfolio_instance
 
 
 def constant_price_config(d=2, delta=0.9):
@@ -123,6 +131,21 @@ def test_kernel_entry_guard_refuses_before_enumerating_a_large_grid():
         build_portfolio_instance(cfg)
 
 
+def test_kernel_entry_guard_refuses_before_the_joint_chain():
+    # 200 levels per asset: the joint chain alone would be 40000 x 40000
+    # doubles (12.8 GB), and the 80000 base states already need 80000**2
+    # kernel entries, refused from the counts.
+    cfg = PortfolioConfig(
+        price_levels=(tuple(np.linspace(1.0, 2.0, 200)),) * 2,
+        price_transitions=(np.eye(200),) * 2,
+        resolution=1,
+        discount=0.9,
+        benchmark=Benchmark(support=[0.0], probs=[1.0]),
+    )
+    with pytest.raises(ValueError, match="kernel of at least 80000 pairs x 80000 states"):
+        build_portfolio_instance(cfg)
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 6), (4, 3)])
 def test_holdings_grid_matches_the_filtered_product(n, d):
     cfg = PortfolioConfig(
@@ -167,3 +190,111 @@ def test_return_rate_matches_price_move():
     assert validate_instance(inst) == []
     z_values = set(np.round(inst.reward_z, 12))
     assert z_values == {1.0, -0.5}
+
+
+NAN, INF = float("nan"), float("inf")
+SHIPPED_CONFIG = json.loads(
+    (Path(__file__).parents[1] / "instances" / "portfolio_config.json").read_text()
+)
+
+
+def held_config():
+    chain = np.array([[0.7, 0.3], [0.4, 0.6]])
+    return PortfolioConfig(
+        price_levels=((1.0, 1.2), (1.0, 0.8), (1.0, 1.1)),
+        price_transitions=(chain,) * 3,
+        resolution=2,
+        discount=0.9,
+        benchmark=Benchmark(support=[-1.0], probs=[1.0]),
+        initial_holdings=np.array([0.5, 0.0, 0.5]),
+    )
+
+
+def assert_same_instance(inst, ref, z_ulps=0):
+    assert inst.num_states == ref.num_states
+    assert inst.actions == ref.actions
+    for name in ("kernel", "reward_r", "initial"):
+        got, want = getattr(inst, name), getattr(ref, name)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    if z_ulps == 0:
+        assert np.array_equal(inst.reward_z.view(np.uint64), ref.reward_z.view(np.uint64))
+    else:
+        np.testing.assert_array_max_ulp(inst.reward_z, ref.reward_z, maxulp=z_ulps)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_portfolio_config(SHIPPED_CONFIG),
+        lambda: benchmark_portfolio(2),
+        lambda: benchmark_portfolio(3),
+        held_config,
+    ],
+    ids=["shipped", "benchmark-r2", "benchmark-r3", "initial-holdings"],
+)
+def test_builder_matches_the_loop_reference_bit_for_bit(make):
+    cfg = make()
+    assert_same_instance(build_portfolio_instance(cfg), reference_build_portfolio_instance(cfg))
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 3))
+    price = st.one_of(st.sampled_from((0.5, 0.8, 1.0, 1.1, 1.2, 2.0)), st.floats(0.1, 10.0))
+    weight = st.sampled_from((0.0, 0.0, 0.25, 1.0, 3.0))
+    levels, chains = [], []
+    for _ in range(n):
+        L = draw(st.integers(1, 3))
+        levels.append(tuple(draw(st.lists(price, min_size=L, max_size=L))))
+        w = np.array(draw(st.lists(weight, min_size=L * L, max_size=L * L))).reshape(L, L)
+        w[np.arange(L), draw(st.lists(st.integers(0, L - 1), min_size=L, max_size=L))] += 1.0
+        chains.append(w / w.sum(axis=1, keepdims=True))
+    cfg = PortfolioConfig(
+        price_levels=tuple(levels),
+        price_transitions=tuple(chains),
+        resolution=draw(st.integers(1, 5)),
+        discount=0.9,
+        benchmark=Benchmark(support=[0.0], probs=[1.0]),
+    )
+    # Keep the reference's dense kernel small: at most 40 profiles x grid points.
+    assume(cfg.base_state_count <= 40)
+    if draw(st.booleans()):
+        grid = cfg.holdings_grid()
+        held = grid[draw(st.integers(0, len(grid) - 1))]
+        cfg = dataclasses.replace(cfg, initial_holdings=held)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_configs())
+def test_builder_matches_the_loop_reference_on_random_configs(cfg):
+    # The reference takes z by a per-row dot, the builder from one wealth table.
+    inst = build_portfolio_instance(cfg)
+    assert_same_instance(inst, reference_build_portfolio_instance(cfg), z_ulps=1)
+    assert validate_instance(inst) == []
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"initial_holdings": [NAN, 0.5]}, "initial_holdings must be finite"),
+        ({"price_levels": [[1.0, NAN], [1.0, 0.8]]}, "asset 0 price_levels must be finite"),
+        ({"price_levels": [[1.0, 1.2], [INF, 0.8]]}, "asset 1 price_levels must be finite"),
+        (
+            {"price_transitions": [[[0.7, 0.3], [0.4, 0.6]], [[0.7, NAN], [0.4, 0.6]]]},
+            "asset 1 price_transitions must be finite",
+        ),
+        ({"initial_holdings": [1.5, -0.5]}, "initial_holdings must be grid fractions summing to 1"),
+    ],
+    ids=["nan-holdings", "nan-level", "inf-level", "nan-transition", "negative-holdings"],
+)
+def test_gen_portfolio_refuses_non_finite_config_values(tmp_path, capsys, edit, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SHIPPED_CONFIG, **edit}))  # NaN and Infinity literals
+    out = tmp_path / "inst.json"
+    assert run(["gen-portfolio", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
