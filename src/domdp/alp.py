@@ -89,8 +89,9 @@ def sample_constraints(
 
     Reproducible: the uniforms come from Philox keyed by (seed, 2**32 + stream),
     so training (stream 0) and test (stream 1) samples never overlap streams.
-    A uniform u draws the number of cumulative psi entries below u, capped at
-    the last pair, through the simulator's guide-table ranker.
+    Only pairs of positive psi are drawn, as the simulator draws its cells: a
+    uniform u draws the first whose cumulative psi reaches u, the last with
+    its cumulative psi set to 1.0, through the simulator's guide-table ranker.
     """
     K = inst.num_pairs
     if psi is None:
@@ -99,7 +100,10 @@ def sample_constraints(
     if psi.shape != (K,) or not np.all(psi >= 0) or abs(psi.sum() - 1.0) > 1e-9:
         raise ValueError("psi must be a probability vector over feasible pairs")
     (u,) = _uniforms(seed, [(1 << 32) + stream], m)
-    return np.minimum(_ranker(np.cumsum(psi), m)(u), K - 1)
+    pairs = np.flatnonzero(psi > 0.0)
+    cum = np.cumsum(psi[pairs])
+    cum[-1] = 1.0
+    return pairs.take(_ranker(cum, m)(u))
 
 
 @dataclass

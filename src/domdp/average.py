@@ -211,7 +211,8 @@ def stationary_distribution(policy: Policy, inst: MdpInstance) -> np.ndarray:
 def check_slackness(report: SolveReport) -> SlacknessSummary:
     """Complementary slackness residuals: multiplier times constraint slack.
 
-    Dominance side: |lam_q (sum_x row_q - rhs_q)| per row. Pair side:
+    Dominance side: |lam_q margin_q| per row, with the report's margins
+    sum_x row_q - rhs_q. Pair side:
     |x(s,a) (g + h(s) - delta sum_j P h - r - u(z))| per pair.
     """
     if report.status != "optimal":
@@ -219,8 +220,7 @@ def check_slackness(report: SolveReport) -> SlacknessSummary:
     occ = report.occupation
     inst = occ.inst
     dual = report.dual
-    row_vals = report.dominance_matrix @ occ.weights
-    dom = np.abs(dual.lam * (row_vals - report.dominance_rhs))
+    dom = np.abs(dual.lam * report.dominance_margins)
     slack = dual.pair_rhs(inst) - inst.reward_r - dual.u_of_z
     pairs = np.abs(occ.weights * slack)
     return SlacknessSummary(dominance=dom, pairs=pairs)
@@ -368,8 +368,8 @@ def _solve(
             report.certificate = [(row_name(inst, i, etas), float(cert[i])) for i in keep]
             report.binding_etas = [float(grid[i - first]) for i in keep if i >= first]
         return report
-    D, rhs = lp.A[first:], lp.b[first:]
-    occ = OccupationMeasure(inst=inst, weights=np.maximum(sol.x, 0.0))
+    D, rhs = lp.A[first:].copy(), lp.b[first:].copy()   # views would keep the LP alive
+    occ = OccupationMeasure(inst=inst, weights=sol.x)
     lam = np.maximum(sol.y[first:], 0.0)
     dual = DualSolution(
         g=float(sol.y[S]) if mode == AVERAGE else 0.0,

@@ -66,7 +66,7 @@ def _distribution(values, probs) -> tuple[np.ndarray, np.ndarray]:
     return values, probs
 
 
-def _check(values, probs, bench: Benchmark, kink, tol: float) -> DominanceCheck:
+def _check(values, probs, bench: Benchmark, kink) -> DominanceCheck:
     """Margins E[kink(X-eta)] - E[kink(Y-eta)] at every eta in supp Y."""
     if bench.is_vector:
         raise ValueError("vector benchmark requires a generator family")
@@ -76,7 +76,7 @@ def _check(values, probs, bench: Benchmark, kink, tol: float) -> DominanceCheck:
     margins = _expected_kink(values, probs, kink, etas) - bench_side
     worst = int(np.argmin(margins))
     return DominanceCheck(
-        satisfied=bool(np.all(margins >= -tol)),
+        satisfied=bool(np.all(margins >= -CHECK_TOL)),
         worst_eta=float(etas[worst]),
         margin=float(margins[worst]),
         etas=etas,
@@ -84,23 +84,23 @@ def _check(values, probs, bench: Benchmark, kink, tol: float) -> DominanceCheck:
     )
 
 
-def check_icv(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> DominanceCheck:
+def check_icv(values, probs, bench: Benchmark) -> DominanceCheck:
     """Does the given distribution dominate the benchmark in increasing concave order?
 
-    Checks E[(X-eta)_-] >= E[(Y-eta)_-] - tol at every eta in supp Y, which is
+    Checks E[(X-eta)_-] >= E[(Y-eta)_-] - CHECK_TOL at every eta in supp Y, which is
     sufficient for finitely supported benchmarks.
     """
-    return _check(values, probs, bench, shortfall_minus, tol)
+    return _check(values, probs, bench, shortfall_minus)
 
 
-def check_icx(values, probs, bench: Benchmark, tol: float = CHECK_TOL) -> DominanceCheck:
+def check_icx(values, probs, bench: Benchmark) -> DominanceCheck:
     """Increasing convex analog; reports E[(X-eta)_+] - E[(Y-eta)_+] per eta.
 
     satisfied refers to X >=_icx Y. The cost variant constrains the opposite
     direction (shortfalls at most the benchmark's) and reads the per-eta
     margins directly.
     """
-    return _check(values, probs, bench, shortfall_plus, tol)
+    return _check(values, probs, bench, shortfall_plus)
 
 
 @dataclass(frozen=True)

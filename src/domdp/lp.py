@@ -45,9 +45,9 @@ SPARSE_DENSITY of A is nonzero, A is also held as compressed columns
 otherwise it is one dense ``A.T @ y`` and the compressed arrays are never
 built. On one core the compressed product takes 0.4-0.7 of the dense
 product's time at 4-6 % nonzero and breaks even at 12-14 %, on random
-400 x 2400, 642 x 1952 and 1794 x 11506 matrices. An entering column with
-less than SPARSE_DENSITY of its entries nonzero is formed from them, as
-``B_inv[:, rows] @ vals``; a denser one as ``B_inv @ a``.
+400 x 2400, 642 x 1952 and 1794 x 11506 matrices. The entering column is
+formed the same way: from its nonzeros, as ``B_inv[:, rows] @ vals``, when
+A is compressed, and as ``B_inv @ a`` otherwise.
 
 Ratio test. Harris's two passes (Math. Prog. 5, 1973): the step is the
 smallest ratio with every basic value relaxed by feas_tol, and among the
@@ -293,20 +293,15 @@ class _Simplex:
         return self.B_inv[r] - (self.G[:k, r] @ self.T[:k, :k]) @ self.B_inv[self.R[:k]]
 
     def column(self, q: int) -> np.ndarray:
-        """B^-1 times column q of A; from the column's nonzeros when they are few.
-
-        Gathering the inverse's columns copies m x nnz values, so a column
-        as dense as SPARSE_DENSITY takes the dense product instead.
-        """
+        """B^-1 times column q of A; from the column's nonzeros when A is compressed."""
         if q >= self.n:
             k = q - self.n
             return self._forward(self.B_inv[:, self.unit_rows[k]] * self.unit_sign[k])
-        if self.cols is not None:
-            ptr, rows, vals = self.cols
-            lo, hi = ptr[q], ptr[q + 1]
-            if hi - lo < SPARSE_DENSITY * self.m:
-                return self._forward(self.B_inv[:, rows[lo:hi]] @ vals[lo:hi])
-        return self._forward(self.B_inv @ self.A[:, q])
+        if self.cols is None:
+            return self._forward(self.B_inv @ self.A[:, q])
+        ptr, rows, vals = self.cols
+        lo, hi = ptr[q], ptr[q + 1]
+        return self._forward(self.B_inv[:, rows[lo:hi]] @ vals[lo:hi])
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """A.T @ y, then the unit columns' entries."""

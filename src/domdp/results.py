@@ -61,12 +61,12 @@ class OccupationMeasure:
         balance = float(np.abs(self.state_marginal() - delta * inflow - b).max())
         return {"mass": mass, "balance": balance}
 
-    def is_valid(self, tol: float = MASS_TOL) -> bool:
+    def is_valid(self) -> bool:
         r = self.residuals()
         return (
-            r["mass"] <= tol
-            and r["balance"] <= tol
-            and float(self.weights.min(initial=0.0)) >= -tol
+            r["mass"] <= MASS_TOL
+            and r["balance"] <= MASS_TOL
+            and float(self.weights.min(initial=0.0)) >= -MASS_TOL
         )
 
 

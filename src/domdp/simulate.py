@@ -3,30 +3,35 @@
 Randomness is counter-based and splittable: path p of a run seeded with s
 draws from Philox keyed by (s, p) from counter 0 (one bit generator,
 re-keyed for each path), so trajectories are bit-reproducible across runs
-and platforms. The first uniform of a path selects the starting
-state by inverse CDF; each subsequent uniform u selects the joint
-(action, next state) cell of the current state's distribution
-phi(a|s) P(j|s,a), flattened action-major: the cell is the number of
-entries of the state's cumulative row that are below u.
+and platforms. The first uniform of a path selects the starting state and
+each subsequent uniform u the joint (action, next state) cell of the current
+state's distribution phi(a|s) P(j|s,a), both by inverse CDF over the entries
+of positive probability only: a state's cells are its positive ones in
+action-major order, and u selects the first whose running sum reaches u, the
+number of running sums below u. The last running sum is 1.0, so a draw of 0
+takes the first positive entry, a draw above a sum that ends below 1 the
+last, and no entry of probability 0 is ever drawn.
 
 Each step finds that count for all paths exactly through a sorted integer
 table keyed by ranks (the table-lookup form of inverse-CDF sampling, Chen &
 Asau, J. Chinese Inst. Engineers, 1974; Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. III):
 
-- Every cumulative entry is capped at 1.0, and a state's last real cell and
-  its padding up to W = max_a * S cells are 1.0. A uniform lies in [0, 1), so
-  it never counts an entry >= 1: the counts are unchanged, and every row is
-  nondecreasing.
+- The table holds the policy's positive cells, state by state. Adding 0.0
+  is exact, so their running sums are those over all of a state's cells.
+  Every running sum is capped at 1.0 and a state's last one is 1.0. A
+  uniform lies in [0, 1), so it never counts an entry >= 1: the counts are
+  unchanged, and every row is nondecreasing.
 - With ``values`` the distinct entries in increasing order and an entry's
   rank its position there, an entry is below u exactly when its rank is
   below rank(u) = searchsorted(values, u), the number of values below u.
   1.0 is a value and u < 1, so rank(u) < len(values).
 - Row s's ranks plus s * span, with span = len(values) + 1, lie in
   [s * span, (s + 1) * span), so the rows laid end to end form one sorted
-  table. The number of its entries below the key s * span + rank(u) is
-  s * W plus the count, and the next key's row offset is span times the
-  cell's next state.
+  table. The number of its entries below the key s * span + rank(u) is the
+  cell count of the states before s plus the count, the drawn cell's
+  position, and the next key's row offset is span times the cell's next
+  state.
 
 A uniform's rank comes from a guide table (Chen & Asau's index table) of G
 buckets, G the smallest power of two >= 16 * len(values): with
@@ -45,8 +50,8 @@ position and next state of every key are found once, and a step is one
 gather for all paths: the key state * span + rank gives span times the next
 state, the next key's row offset. Otherwise each step searches the table
 with one ``searchsorted`` and keeps the table position. Either way one
-gather through a table of S * span keys or S * W positions maps every step
-to its dense (state, action) pair, the output.
+gather through a table of S * span keys or of the cells maps every step to
+its dense (state, action) pair, the output.
 
 A table-step run goes by coupled segments where it can, with no
 approximation: copies of the chain driven by the same uniforms from every
@@ -59,13 +64,13 @@ start state merge, and from then on the state does not depend on the start
   loop, keeping one copy of each state a probe holds (the work is the sum
   of the image sizes). When a probe's copies meet at step t, the path's
   state at t is known, whatever its state was at the segment's start.
-- A probe stops when its copies meet or have taken L steps. All probing
-  stops early once L plus the probe steps reach T, or once the probes have
-  stepped more copies than the run has steps (paths * T). The copies of a
-  periodic chain, or of one with two closed classes, never meet, so its
-  probing ends there. It also stops once a segment-1 probe is still open
-  after i steps with L + 2 i >= T: that path's run from its start is then
-  longer than L + i, so the loop count of the runs would reach T.
+- A probe stops when its copies meet or have taken L steps, and a probe of
+  the last segment at step T - 1. All probing stops early once the probes
+  have stepped more copies than the run has steps (paths * T). The copies
+  of a periodic chain, or of one with two closed classes, never meet, so
+  its probing ends there. It also stops once a segment-1 probe is still
+  open after i steps with L + 2 i >= T: that path's run from its start is
+  then longer than L + i, so the loop count of the runs would reach T.
 - One loop then steps every path's runs at once: from the path's start, and
   from each meeting point, to the path's next meeting point. Each step's
   rank becomes its table key in place, once. A segment whose copies did not
@@ -195,9 +200,9 @@ def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int):
     keys holds the (T, paths) ranks and nxt[state * span + rank] is the next
     state. Returns the positions t * paths + p in keys and the states of the
     steps where a probe's copies met, and the probe steps taken. Probing
-    stops after L steps, once L plus its steps reach T, once it has stepped
-    more copies than keys has entries, or once a segment-1 probe is still
-    open after i steps with L + 2 i >= T.
+    stops after L steps, once it has stepped more copies than keys has
+    entries, or once a segment-1 probe is still open after i steps with
+    L + 2 i >= T; the last segment's probes are dropped at step T - 1.
     """
     T, paths = keys.shape
     span = nxt.size // S
@@ -225,7 +230,7 @@ def _meetings(keys: np.ndarray, nxt: np.ndarray, S: int, L: int):
         if steps == last:
             alive &= pid < probes - paths
         pid, cur, pos = pid[alive], cur[alive], pos[alive]
-        if not pid.size or steps == L or L + steps >= T or work > keys.size:
+        if not pid.size or steps == L or work > keys.size:
             break
         if pid[0] < paths and L + 2 * steps >= T:
             # A segment-1 probe still open: its path's run from the start
@@ -302,19 +307,29 @@ def simulate(
     if num_paths < 1 or T < 1:
         raise ValueError("num_paths and T must be at least 1")
     S = inst.num_states
-    W = max(len(a) for a in inst.actions) * S
-    # Joint per-state cumulative over (action, next state), capped at 1.0 and
-    # padded with ones, then the rank-keyed table (see the module docstring).
-    joint = np.ones((S, W))
-    for s, row in enumerate(policy.rows):
-        block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
-        probs = (row[:, None] * block).ravel()
-        np.minimum(np.cumsum(probs)[:-1], 1.0, out=joint[s, : probs.size - 1])
-    values, ranks = np.unique(joint, return_inverse=True)
+    # The policy's positive cells (pair, next state) in each state's
+    # action-major order, their running sums within the state capped at 1.0
+    # and the state's last one 1.0, then the rank-keyed table (see the module
+    # docstring).
+    pair, next_state = np.divmod(np.flatnonzero(inst.kernel > 0.0), S)
+    probs = policy.probs.take(pair) * inst.kernel[pair, next_state]
+    keep = np.flatnonzero(probs > 0.0)
+    pair, next_state, probs = pair.take(keep), next_state.take(keep), probs.take(keep)
+    state = inst.state_of_pair().take(pair)
+    at = np.arange(pair.size) - state.searchsorted(state)
+    sums = np.zeros((S, at.max() + 1))
+    sums[state, at] = probs
+    cum = np.minimum(np.cumsum(sums, axis=1)[state, at], 1.0)
+    cum[state.searchsorted(state, "right") - 1] = 1.0
+    values, ranks = np.unique(cum, return_inverse=True)
     span = values.size + 1
-    table = (ranks.reshape(S, W) + span * np.arange(S)[:, None]).ravel()
-    del joint, ranks
-    nu_cum = np.cumsum(np.asarray(nu, dtype=float))
+    table = ranks + span * state
+    del sums, ranks
+    nu = np.asarray(nu, dtype=float)
+    starts = np.flatnonzero(nu > 0.0)
+    if not starts.size:
+        raise ValueError("nu must have a positive entry")
+    nu_cum = np.cumsum(nu[starts])
     nu_cum[-1] = 1.0
 
     # keys[t] holds the ranks of step t's uniforms until the step loop makes
@@ -331,19 +346,13 @@ def simulate(
         first[p : p + len(u)] = u[:, 0]
         keys[:, p : p + len(u)] = rank(u[:, 1:].ravel()).reshape(len(u), T).T
     del rows, u, rank
-    start = np.searchsorted(nu_cum, first, side="left")
-    next_state = np.arange(S * W) % S
-    # The dense pair of every table position s * W + action * S + next state.
-    # A state's padding cells would map past its pairs, but no uniform
-    # reaches them (see the module docstring).
-    pair_of = (inst.pair_offsets[:-1, None] + np.arange(W) // S).ravel()
+    start = starts.take(np.searchsorted(nu_cum, first, side="left"))
     if S * span <= size:
         # Table position and next state of every key state * span + rank. The
         # last key, past the table's end, never occurs: every rank is below span - 1.
         cell_of = _positions(table, S * span)
         cell_of[-1] = 0
         nxt = next_state.take(cell_of)
-        del table, next_state
         runs = _coupled_runs(keys, start, nxt, S)
         nxt *= span   # the step table: key -> the next key's row offset
         if runs is None:
@@ -352,19 +361,17 @@ def simulate(
             pos, state, length = runs
             _run_steps(keys, pos, span * state, length, nxt)
         del nxt
-        pair_of = pair_of.take(cell_of)
+        pair = pair.take(cell_of)
         del cell_of
     else:
         next_base = span * next_state
-        del next_state
         find = table.searchsorted   # the bound method skips np.searchsorted's dispatch
         base = span * start
         for column in keys:
             g = find(base + column)
             column[:] = g
             base = next_base[g]
-        del table, next_base, column   # the last row is a view that keeps keys alive
-    pairs = pair_of.take(keys)
+    pairs = pair.take(keys)
     return Trajectories(inst=inst, pairs=pairs.T)
 
 

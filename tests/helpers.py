@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from domdp import lp
 from domdp.average import ZERO_MARGINAL, solve_average
 from domdp.discounted import solve_discounted
 from domdp.mdp import AVERAGE, Benchmark, MdpInstance, Policy
@@ -288,3 +291,81 @@ def reference_build_portfolio_instance(cfg: PortfolioConfig) -> MdpInstance:
         discount=cfg.discount,
         initial=initial,
     )
+
+
+@dataclass(frozen=True)
+class FinalBasis:
+    """The basis a phase-2 run of ``lp._Simplex`` ended optimal on, with the
+    data it claims optimality for: the min-sense standard form A x + U u = b,
+    c over every column (structurals, then the unit columns of U)."""
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    basis: np.ndarray
+    unit_rows: np.ndarray
+    unit_sign: np.ndarray
+    first_art: int
+
+
+def record_final_bases(monkeypatch) -> list:
+    """Spy on ``lp._Simplex.run``: the returned list gains a FinalBasis for
+    every phase-2 run (artificials priced at 0) that ends optimal."""
+    run = lp._Simplex.run
+    found = []
+
+    def spied(self, c, max_iter):
+        result = run(self, c, max_iter)
+        if result[0] == "optimal" and not c[self.first_art :].any():
+            found.append(FinalBasis(self.A, self.b, c.copy(), self.basis.copy(),
+                                    self.unit_rows.copy(), self.unit_sign.copy(), self.first_art))
+        return result
+
+    monkeypatch.setattr(lp._Simplex, "run", spied)
+    return found
+
+
+def _exact_solve(M: list, v: list) -> list:
+    """x with M x = v for a square nonsingular M of Fractions, by Gauss-Jordan."""
+    rows = [row + [e] for row, e in zip(M, v)]
+    for col in range(len(rows)):
+        pivot = next(i for i in range(col, len(rows)) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [e / head for e in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col] != 0:
+                f = row[col]
+                rows[i] = [a - f * e for a, e in zip(row, rows[col])]
+    return [row[-1] for row in rows]
+
+
+def exact_basis_infeasibility(fb: FinalBasis) -> tuple[float, float]:
+    """(relative primal, relative dual infeasibility) of a final basis, exact.
+
+    B x_B = b and y^T B = c_B are solved again in rational arithmetic on the
+    float data. The primal figure is -min x_B / max |x_B|, the dual one
+    -min d_j / max |c_j| over the reduced costs d_j of the nonbasic
+    structurals and slacks; 0 when nothing is negative.
+    """
+    m, n = fb.A.shape
+    A = [[Fraction(float(a)) for a in row] for row in fb.A]
+
+    def column(j):
+        if j < n:
+            return [A[i][j] for i in range(m)]
+        k = j - n
+        return [Fraction(float(fb.unit_sign[k])) if i == fb.unit_rows[k] else Fraction(0)
+                for i in range(m)]
+
+    cols = [column(int(j)) for j in fb.basis]
+    B = [[cols[k][i] for k in range(m)] for i in range(m)]
+    x_B = _exact_solve(B, [Fraction(float(v)) for v in fb.b])
+    y = _exact_solve([list(col) for col in cols], [Fraction(float(fb.c[j])) for j in fb.basis])
+    basic = set(fb.basis.tolist())
+    d = [Fraction(float(fb.c[j])) - sum(a * w for a, w in zip(column(j), y) if a)
+         for j in range(fb.first_art) if j not in basic]
+    primal = max(0.0, float(-min(x_B))) / (float(max(map(abs, x_B))) or 1.0)
+    c_max = float(np.abs(fb.c[:n]).max(initial=0.0)) or 1.0
+    dual = max(0.0, float(-min(d, default=0))) / c_max
+    return primal, dual

@@ -100,12 +100,18 @@ def _one_state(K):
     )
 
 
+def _inverse_cdf(psi, u):
+    """Inverse-CDF draws over the positive entries of psi by binary search:
+    the first whose cumulative sum reaches u, else the last."""
+    pairs = np.flatnonzero(psi > 0.0)
+    at = np.searchsorted(np.cumsum(psi)[pairs], u, side="left")
+    return pairs[np.minimum(at, pairs.size - 1)]
+
+
 def _reference_draws(psi, m, seed, stream):
-    """Inverse-CDF draws by binary search on fresh Philox uniforms keyed by
-    (seed, 2**32 + stream)."""
+    """Inverse-CDF draws on fresh Philox uniforms keyed by (seed, 2**32 + stream)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (1 << 32) + stream], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(m)
-    return np.minimum(np.searchsorted(np.cumsum(psi), u, side="left"), len(psi) - 1)
+    return _inverse_cdf(psi, np.random.Generator(np.random.Philox(key=key)).random(m))
 
 
 @st.composite
@@ -152,7 +158,8 @@ def test_sample_constraints_equal_the_binary_search(case, seed, stream):
 
 def test_sample_constraints_rank_bucket_edges_and_the_gap_below_one(monkeypatch):
     # Uniforms on the guide table's bucket edges, at and beside every tied
-    # cumulative value, and in the gap above a cumulative sum that ends below 1.
+    # cumulative value, and in the gap above a cumulative sum that ends below
+    # 1, which draw the last pair of positive psi, 10, not the last pair.
     K = 12
     psi = np.array([0.0, 0.25, 0.0, 0.0, 0.125, 0.125, 0.0, 0.25, 0.0, 0.125, 0.125, 0.0])
     psi *= 1.0 - 2.0**-31
@@ -165,9 +172,11 @@ def test_sample_constraints_rank_bucket_edges_and_the_gap_below_one(monkeypatch)
     assert cum[-1] < 1.0 and u.size > G
     monkeypatch.setattr("domdp.alp._uniforms", lambda seed, streams, count: iter([u[:count]]))
     got = sample_constraints(_one_state(K), psi, u.size, seed=0)
-    assert _ranker(cum, u.size) != cum.searchsorted   # the guide table is used
-    assert np.array_equal(got, np.minimum(np.searchsorted(cum, u, side="left"), K - 1))
-    assert got[-2:].tolist() == [K - 1, K - 1]
+    drawn = cum[psi > 0.0]   # the cumulative values sample_constraints ranks
+    assert _ranker(drawn, u.size) != drawn.searchsorted   # the guide table is used
+    assert np.array_equal(got, _inverse_cdf(psi, u))
+    assert np.all(psi[got] > 0.0)
+    assert got[-2:].tolist() == [10, 10]
 
 
 def test_basis_rank_check():

@@ -673,6 +673,75 @@ def test_simulate_rejects_invalid_instance_as_solve_does(tmp_path, capsys, conte
     assert capsys.readouterr().err == err
 
 
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+GUARDED = [
+    # (the instance, or for a "simulate"/"alp"/"check-dominance" id the file
+    # named by the id's role, and the error line's text)
+    pytest.param("solve", ti1_obj(actions=[["a", "a"]]),
+                 "invalid instance (1 violations): state 0 repeats an action label",
+                 id="duplicate-action-label"),
+    pytest.param("solve", ti1_obj(z=[[[], []]]),
+                 "invalid instance (1 violations): z has dimension 0", id="z-dimension"),
+    pytest.param("solve", ti1_obj(mode="discounted", discount=0.5, initial=[0.5]),
+                 "invalid instance (1 violations): initial sums to 1-5.000e-01",
+                 id="initial-sum"),
+    pytest.param("solve", _without(ti1_obj(), "mode"), "instance file missing key 'mode'",
+                 id="missing-key"),
+    pytest.param("solve", ti1_obj(actions=[["a", "b"], ["a"]]),
+                 "'actions' must list one action set per state", id="actions-length"),
+    pytest.param("solve", _without(ti1_obj(family={"weights": [1.0], "etas": [4.0]}), "benchmark"),
+                 "a generator family requires a benchmark", id="family-without-benchmark"),
+    pytest.param("solve", ti1_obj(family={"etas": [4.0]}),
+                 "'family' needs 'weights' and 'etas'", id="family-without-weights"),
+    pytest.param("solve", ti1_obj(family={"weights": [1.0]}),
+                 "'family' needs 'weights' and 'etas'", id="family-without-etas"),
+    pytest.param("alp", {"u_lambdas": []},
+                 "basis file needs 'h': list of per-state value rows", id="basis-without-h"),
+    pytest.param("simulate", {"rows": []},
+                 "policy file needs a 'policy' key or a bare list", id="policy-dict-without-key"),
+    pytest.param("simulate", {"policy": "x"},
+                 "policy must be a list of [state, [probs...]] entries", id="policy-not-a-list"),
+    pytest.param("simulate", [[1, [1.0, 0.0]]], "policy references unknown state 1",
+                 id="policy-unknown-state"),
+    pytest.param("check-dominance", {"support": [1.0, 2.0], "probs": [0.5, 0.6]},
+                 "'probs' must be a probability vector", id="probs-not-a-distribution"),
+    pytest.param("simulate-no-grid", _without(ti1_obj(), "benchmark"),
+                 "no --grid given and the instance has no benchmark", id="simulate-without-grid"),
+]
+
+
+@pytest.mark.parametrize("command, content, message", GUARDED)
+def test_input_guards_exit_one_with_their_line(tmp_path, capsys, command, content, message):
+    bad = write_json(tmp_path / "bad.json", content)
+    inst = write_json(tmp_path / "ti1.json", ti1_obj())
+    policy = write_json(tmp_path / "pol.json", [[0, [1.0, 0.0]]])
+    argv = {
+        "solve": ["solve", "--instance", bad],
+        "alp": ["alp", "--instance", inst, "--epsilon", "0.25", "--delta", "0.1", "--basis", bad],
+        "simulate": ["simulate", "--instance", inst, "--policy", bad, "--horizon", "10"],
+        "check-dominance": ["check-dominance", "--x", bad, "--benchmark", bad],
+        "simulate-no-grid": ["simulate", "--instance", bad, "--policy", policy, "--horizon", "10"],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_module_runs_as_a_script():
+    # python -m domdp.cli runs the CLI, as the domdp entry point does.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["solve", "--instance", str(root / "instances" / "ti1.json")]
+    done = subprocess.run(
+        [sys.executable, "-m", "domdp.cli", *argv], capture_output=True, text=True, env=env,
+        check=False,
+    )
+    assert done.returncode == 0
+    assert done.stdout == (root / "tests" / "golden" / "ti1.json").read_text()
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle", "alp", "simulate"])
 @pytest.mark.parametrize("extra_grid", [[[1.0]], 1.0], ids=["2-d", "scalar"])
 def test_extra_grid_must_be_a_list_of_numbers(tmp_path, capsys, command, extra_grid):

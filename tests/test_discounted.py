@@ -1,4 +1,6 @@
+import gc
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from domdp.discounted import (
     value_iteration_unconstrained,
 )
 from domdp.mdp import Benchmark, MdpInstance
-from helpers import feasible_pair, ti1
+from domdp.portfolio import build_portfolio_instance
+from helpers import benchmark_portfolio, feasible_pair, ti1
 
 
 def one_state_one_action(r=-1.0, delta=0.9):
@@ -138,3 +141,21 @@ def test_constraint_can_only_lower_objective():
             strict_seen = True
             assert report.objective < unconstrained.objective + 1e-9
     assert strict_seen, "random family never produced a binding constraint"
+
+
+def test_solve_report_keeps_no_part_of_its_lp():
+    # The resolution-3 portfolio LP is 642 x 1952, 9.6 MiB dense. A report
+    # that held its dominance rows as a view of the LP's matrix would keep
+    # all of it alive; the rows themselves are 2 x 1952.
+    cfg = benchmark_portfolio(3)
+    inst = build_portfolio_instance(cfg)
+    tracemalloc.start()
+    try:
+        report = solve_discounted(inst, cfg.benchmark)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "optimal"
+    assert report.dominance_matrix.base is None
+    assert held < 2 * 2**20

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from domdp import lp
-from domdp.average import _greedy_start
-from domdp.discounted import build_discounted_primal
+from domdp.average import _greedy_start, solve_average
+from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.lp import EQ, GE, LE, LpProblem, _residuals, solve_lp, to_standard_form
+from domdp.mdp import Benchmark
 from domdp.portfolio import build_portfolio_instance
-from helpers import benchmark_portfolio, feasible_pair
+from helpers import (
+    benchmark_portfolio,
+    exact_basis_infeasibility,
+    feasible_pair,
+    record_final_bases,
+)
 
 
 def box_problem():
@@ -428,24 +434,34 @@ def test_start_row_with_surplus_starts_on_its_slack():
     assert sol.x.tolist() == [3.0, 0.0]
 
 
-@pytest.mark.parametrize("side", ["primal", "dual"])
-def test_residual_guard_rejects_a_drifted_solution(monkeypatch, side):
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        pytest.param("primal", "residuals", id="primal"),
+        pytest.param("dual", "residuals", id="dual"),
+        pytest.param("objective", r"duality gap 1\.000e-03 exceeds tolerance", id="objective"),
+    ],
+)
+def test_residual_guard_rejects_a_drifted_solution(monkeypatch, side, message):
     # Shift the box problem's optimal x along (1, -1), or y along (2, -1):
     # both objectives stay at 3, so the duality-gap guard passes, but the
     # shifted x breaks x1 <= 1 and the shifted y leaves x1 a positive
-    # reduced profit.
+    # reduced profit. Lowering x2 by 1e-3 keeps x feasible and y optimal,
+    # but c.x = 2.999 against b.y = 3: the duality-gap guard refuses it.
     solve_standard = lp._solve_standard
 
     def drifted(*args):
         res = solve_standard(*args)
         if side == "primal":
             res.x[:2] += [1e-3, -1e-3]
-        else:
+        elif side == "dual":
             res.y_raw[:] += [2e-3, -1e-3]
+        else:
+            res.x[1] -= 1e-3
         return res
 
     monkeypatch.setattr(lp, "_solve_standard", drifted)
-    with pytest.raises(ArithmeticError, match="residuals"):
+    with pytest.raises(ArithmeticError, match=message):
         solve_lp(box_problem())
 
 
@@ -865,3 +881,61 @@ def test_portfolio_resolution_2_start_inverts_six_blocks(monkeypatch):
     B[:, rows] = p.A[:, start[rows]]
     want = _start_signs(basis, unit_sign, p.num_cols)[:, None] * inv(B)
     assert np.abs(B_inv - want).max() <= 1e-12 * np.abs(want).max()
+
+
+EXACT_TOL = 1e-12
+# The scales of ROADMAP item 1's sweep, applied to r, z and the benchmark support.
+SCALES = {
+    "average": [1e3, 1e-3, 1e6, 1e-6, 1e-5, 1e-7, 1e-8],
+    "discounted": [1e3, 1e-3, 1e6, 1e-6],
+}
+
+
+def _exact_verdicts(monkeypatch, cases):
+    """The larger exact infeasibility of the final basis of every optimal solve."""
+    finals = record_final_bases(monkeypatch)
+    verdicts = []
+    for inst, bench in cases:
+        solve = solve_average if inst.mode == "average" else solve_discounted
+        before = len(finals)
+        try:
+            report = solve(inst, bench)
+        except ArithmeticError:
+            continue   # refused by solve_lp's guards: no answer to check
+        if report.status == "optimal":
+            assert len(finals) == before + 1
+            verdicts.append(max(exact_basis_infeasibility(finals[-1])))
+    return verdicts
+
+
+def test_final_basis_is_exactly_optimal_on_small_draws(monkeypatch):
+    # Up to 10 states and 5 support points: at most 16 rows. Every optimal
+    # basis, checked in rational arithmetic on the float data, is primal and
+    # dual feasible to 1e-12 relative.
+    cases = []
+    for mode in SCALES:
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            cases.append(feasible_pair(rng, max_states=10, max_actions=4, mode=mode)[:2])
+    verdicts = _exact_verdicts(monkeypatch, cases)
+    assert len(verdicts) == 20
+    assert max(verdicts) < EXACT_TOL
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: absolute simplex tolerances return wrong optima on scaled data",
+)
+def test_final_basis_is_exactly_optimal_across_scales(monkeypatch):
+    # ROADMAP item 1's sweep: 20 seeded draws per mode, unscaled and with r,
+    # z and the support scaled; some scaled solves end on a wrong "optimal" basis.
+    cases = []
+    for seed in range(20):
+        for mode, scales in SCALES.items():
+            inst, bench, _ = feasible_pair(np.random.default_rng(seed), max_states=10, mode=mode)
+            cases.append((inst, bench))
+            for k in scales:
+                scaled = replace(inst, reward_r=inst.reward_r * k, reward_z=inst.reward_z * k)
+                cases.append((scaled, Benchmark(support=bench.support * k, probs=bench.probs)))
+    verdicts = _exact_verdicts(monkeypatch, cases)
+    assert max(verdicts) < EXACT_TOL

@@ -13,6 +13,7 @@ from domdp.io import parse_portfolio_config
 from domdp.discounted import solve_discounted
 from domdp.mdp import Benchmark, validate_instance
 from domdp.portfolio import PortfolioConfig, build_portfolio_instance
+from domdp.simulate import estimate_discounted_shortfalls, simulate
 from helpers import benchmark_portfolio, reference_build_portfolio_instance
 
 
@@ -298,3 +299,23 @@ def test_gen_portfolio_refuses_non_finite_config_values(tmp_path, capsys, edit, 
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_simulated_portfolio_policy_meets_its_dominance_rows(resolution):
+    # The paper's portfolio example end to end: the solved policy, simulated
+    # from the initial distribution, reads every row's discounted shortfall
+    # within 4 standard errors plus the truncation bound (criterion 7's
+    # rule). At eta = -0.4 no path falls short, so the stderr is 0 and the
+    # bound alone, 8.9e-7 at delta = 0.9 and T = 150, is the tolerance.
+    cfg = benchmark_portfolio(resolution)
+    inst = build_portfolio_instance(cfg)
+    report = solve_discounted(inst, cfg.benchmark)
+    assert report.status == "optimal"
+    trajs = simulate(inst, report.policy, inst.initial, T=150, num_paths=2000, seed=resolution)
+    rows = report.dominance_margins + report.dominance_rhs
+    ests = estimate_discounted_shortfalls(trajs, report.dominance_grid)
+    assert [e.eta for e in ests] == [-0.4, 0.0]
+    assert ests[0].stderr == 0.0 and ests[0].truncation_bound < 1e-6
+    for est, row in zip(ests, rows):
+        assert abs(est.estimate - row) <= 4 * est.stderr + est.truncation_bound

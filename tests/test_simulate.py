@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domdp import io as jsonio
+from domdp.alp import sample_constraints
 from domdp.average import solve_average
 from domdp.discounted import solve_discounted
 from domdp.dominance import shortfall_minus
@@ -73,6 +74,12 @@ def test_empty_simulation_is_rejected(T, num_paths):
         simulate(inst, uniform_policy(inst), nu, T=T, num_paths=num_paths, seed=0)
 
 
+def test_start_distribution_without_a_positive_entry_is_rejected():
+    inst = ti2()
+    with pytest.raises(ValueError, match="positive entry"):
+        simulate(inst, uniform_policy(inst), np.zeros(2), T=5, num_paths=1, seed=0)
+
+
 def test_same_seed_reproduces_trajectories():
     rng = np.random.default_rng(5)
     inst, _, report = feasible_pair(rng, max_states=5, max_actions=3)
@@ -106,32 +113,43 @@ def test_rekeyed_streams_equal_fresh_philox(seed, count):
 
 
 def _reference_simulate(inst, policy, nu, T, num_paths, seed):
-    """The per-step loop the simulator used to run, kept as a reference.
+    """The per-step loop the simulator used to run, kept as a reference, with
+    draws from the entries of positive probability only.
 
-    Joint rows hold the full cumulative sums padded with ones; a draw past a
-    sum that ends below 1 is clamped to the state's last real cell, the cell
-    splits by divmod, and the start state is clipped to S - 1.
+    A state's row holds the uncapped cumulative sums of its cells at its
+    positive cells, padded with inf; a draw past a sum that ends below 1 is
+    clamped to the state's last positive cell, and the cell splits by divmod.
+    The start state is the first positive entry of nu whose cumulative sum
+    reaches the first draw, clamped to the last positive entry.
     """
     S = inst.num_states
-    max_a = max(len(a) for a in inst.actions)
-    joint = np.ones((S, max_a * S))
+    cums, cells = [], []
     for s, row in enumerate(policy.rows):
         block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
         probs = (row[:, None] * block).ravel()
-        joint[s, : probs.size] = np.cumsum(probs)
+        cells.append(np.flatnonzero(probs > 0.0))
+        cums.append(np.cumsum(probs)[cells[-1]])
+    width = max(c.size for c in cells)
+    joint = np.full((S, width), np.inf)
+    cell = np.zeros((S, width), dtype=np.int64)
+    for s in range(S):
+        joint[s, : cells[s].size] = cums[s]
+        cell[s, : cells[s].size] = cells[s]
+    last = np.array([c.size - 1 for c in cells])
     offsets = inst.pair_offsets[:-1]
-    counts = np.diff(inst.pair_offsets)
-    nu_cum = np.cumsum(np.asarray(nu, dtype=float))
+    nu = np.asarray(nu, dtype=float)
+    starts = np.flatnonzero(nu > 0.0)
+    nu_cum = np.cumsum(nu)[starts]
 
     U = np.stack(list(SIM._uniforms(seed, range(num_paths), 1 + T)))
-    state = np.searchsorted(nu_cum, U[:, 0], side="left")
-    np.clip(state, 0, S - 1, out=state)
+    first = np.searchsorted(nu_cum, U[:, 0], side="left")
+    state = starts[np.minimum(first, starts.size - 1)]
     states = np.empty((num_paths, T), dtype=np.int64)
     actions = np.empty((num_paths, T), dtype=np.int64)
     for t in range(T):
         idx = (joint[state] < U[:, 1 + t, None]).sum(axis=1)
-        np.minimum(idx, counts[state] * S - 1, out=idx)
-        a, nxt = np.divmod(idx, S)
+        np.minimum(idx, last[state], out=idx)
+        a, nxt = np.divmod(cell[state, idx], S)
         states[:, t] = state
         actions[:, t] = a
         state = nxt
@@ -141,13 +159,14 @@ def _reference_simulate(inst, policy, nu, T, num_paths, seed):
 def _values(inst, policy):
     """The distinct entries of the simulator's rank table, in increasing order.
 
-    Those are every row's cumulative sums capped at 1.0, without the row's
-    last cell, and the 1.0 of the last cell and the padding.
+    Those are the running sums capped at 1.0 at every state's positive cells
+    but its last, and the 1.0 of every state's last positive cell.
     """
     cums = [[1.0]]
     for s, row in enumerate(policy.rows):
         block = inst.kernel[inst.pair_offsets[s] : inst.pair_offsets[s + 1]]
-        cums.append(np.minimum(np.cumsum(row[:, None] * block)[:-1], 1.0))
+        probs = (row[:, None] * block).ravel()
+        cums.append(np.minimum(np.cumsum(probs)[probs > 0.0][:-1], 1.0))
     return np.unique(np.concatenate(cums))
 
 
@@ -203,7 +222,7 @@ def test_step_loop_matches_reference(monkeypatch, uniforms):
 
         monkeypatch.setattr(SIM, "_uniforms", _per_path(tail_heavy))
     cases = list(_reference_cases())
-    # The cases must exercise padded rows, zero-probability cells, and start
+    # The cases must exercise ragged action sets, zero-probability cells, and start
     # and joint rows whose cumulative sum ends below the largest uniform.
     assert any(len({len(a) for a in inst.actions}) > 1 for inst, _, _ in cases)
     assert any(np.any(np.concatenate(pol.rows) == 0.0) for _, pol, _ in cases)
@@ -226,6 +245,39 @@ def test_step_loop_matches_reference(monkeypatch, uniforms):
         assert np.array_equal(got.states, states)
         assert np.array_equal(got.actions, actions)
         assert np.array_equal(got.z, z)
+
+
+@pytest.mark.parametrize("T", [1, 200], ids=["search-step", "table-step"])
+@pytest.mark.parametrize("u", [0.0, BELOW_ONE], ids=["zero", "below-one"])
+def test_draws_take_only_entries_of_positive_probability(monkeypatch, u, T):
+    # Every distribution has an entry of probability 0 first and last, and
+    # sums to within its tolerance below 1: nu and psi 1e-13 and 5e-10 below,
+    # the policy rows 5e-10 below. A draw of 0 or of the largest uniform
+    # still takes an entry of positive probability: a start state, an action,
+    # a next state and a sampled pair.
+    def constant(seed, streams, count):
+        return (np.full(count, u) for _ in streams)
+
+    monkeypatch.setattr(SIM, "_uniforms", constant)
+    monkeypatch.setattr("domdp.alp._uniforms", constant)
+    row = [0.0, 0.5, 0.5 - 5e-10, 0.0]
+    inst = MdpInstance(
+        num_states=3,
+        actions=(("a", "b", "c", "d"),) * 3,
+        kernel=np.tile([0.0, 0.5, 0.5], (12, 1)),
+        reward_r=np.zeros(12),
+        reward_z=np.arange(12.0),
+        mode="average",
+    )
+    policy = Policy((np.array(row),) * 3)
+    nu = np.array([0.0, 1.0 - 1e-13, 0.0])
+    trajs = simulate(inst, policy, nu, T=T, num_paths=2, seed=0)
+    assert np.all(nu[trajs.states[:, 0]] > 0.0)
+    assert np.all(policy.probs[trajs.pairs] > 0.0)
+    assert np.all(inst.kernel[trajs.pairs[:, :-1], trajs.states[:, 1:]] > 0.0)
+    psi = np.concatenate([row, np.zeros(8)])
+    samples = sample_constraints(inst, psi, 50, seed=0)
+    assert np.all(psi[samples] > 0.0)
 
 
 def _weights_to_distribution(weights, fuzz=0.0):
@@ -500,11 +552,11 @@ STEP_CASES = [
     pytest.param(_clustered_case, 1001, 4, True, True, True, True, id="clustered-j2-tail1"),
     pytest.param(_two_state_case, 21, 5, True, False, True, True, id="guide-capped-j2-tail1"),
     pytest.param(_wide_dyadic_case, 100, 3, False, True, True, False, id="search-step-guide"),
-    # Chains whose copies never meet take the one-step loop. (A uniform of
-    # 0.0 would take every state to cell 0, which has probability 0 here.)
-    pytest.param(lambda: _cycle_case(2), 1001, 4, True, True, False, False, id="swap"),
-    pytest.param(lambda: _cycle_case(5), 1001, 4, True, True, False, False, id="cycle5"),
-    pytest.param(_two_class_case, 1001, 4, True, True, False, False, id="two-class"),
+    # Chains whose copies never meet take the one-step loop, also with
+    # uniforms of 0.0, which take every state to its first positive cell.
+    pytest.param(lambda: _cycle_case(2), 1001, 4, True, True, True, False, id="swap"),
+    pytest.param(lambda: _cycle_case(5), 1001, 4, True, True, True, False, id="cycle5"),
+    pytest.param(_two_class_case, 1001, 4, True, True, True, False, id="two-class"),
     # The discounted benchmark ops' shape, 200 short paths.
     pytest.param(_clustered_case, 50, 200, True, True, True, True, id="clustered-open-probe"),
     pytest.param(_two_state_case, 90, 200, True, True, True, True, id="two-state-open-probe"),
@@ -714,8 +766,7 @@ def test_count_estimators_match_per_step_formula(key, mode, T, num_paths):
     nu = rng.dirichlet(np.ones(inst.num_states))
     trajs = simulate(inst, policy, nu, T=T, num_paths=num_paths, seed=key)
     states, actions = trajs.states, trajs.actions
-    # A step's action lies within its own state's actions: no padding cell
-    # maps into the next state's pairs.
+    # A step's action lies within its own state's actions.
     sizes = np.array([len(a) for a in inst.actions])
     assert np.all((actions >= 0) & (actions < sizes[states]))
     assert np.array_equal(inst.pair_offsets[states] + actions, trajs.pairs)
