@@ -19,20 +19,24 @@ holds at every state the optimal measure visits.
 
 The simplex starts from the unconstrained greedy policy phi, found by value
 iteration (relative value iteration in average mode): phi's pair columns
-go on the balance rows, the dominance rows keep their slacks, and only a
-dominance row that phi violates takes an artificial. In discounted mode the
-block I - delta P_phi^T is nonsingular and its solution is phi's discounted
-occupation measure for every deterministic phi, so when value iteration
-does not converge within CRASH_SWEEPS sweeps the last sweep's greedy
-policy starts the simplex all the same. In average mode the S balance rows
-sum to zero, so phi's columns go on balance rows 1..S-1 and the
-normalization row, and balance row 0 keeps an artificial that phase 1 finds
-redundant; it stays basic at 0 and the row's dual is 0, which fixes the
-gauge of the cost-to-go at h(0) = 0, the gauge relative value iteration
-uses. The LP starts as it would without phi (artificials on
-every balance row) when relative value iteration does not converge within
-CRASH_SWEEPS sweeps, when phi is multichain in average mode, or when the
-simplex rejects the start (see ``domdp.lp``).
+go on the balance rows and the dominance rows keep their slacks, negative
+on the rows phi violates. phi is optimal without the dominance rows, so
+this basis is dual feasible, and the dual phase of ``domdp.lp`` pivots
+those rows feasible. Where the basis is not dual feasible (value iteration
+stopped short) or the dual phase finds the LP infeasible, a row phi
+violates takes an artificial instead and phase 1 repairs it. In discounted
+mode the block I - delta P_phi^T is nonsingular and its solution is phi's
+discounted occupation measure for every deterministic phi, so when value
+iteration does not converge within CRASH_SWEEPS sweeps the last sweep's
+greedy policy starts the simplex all the same. In average mode the S
+balance rows sum to zero, so phi's columns go on balance rows 1..S-1 and
+the normalization row, and balance row 0, which the other balance rows make
+redundant, keeps an artificial; it stays basic at 0 and the row's dual is
+0, which fixes the gauge of the cost-to-go at h(0) = 0, the gauge relative
+value iteration uses. The LP starts as it would without phi (artificials
+on every balance row) when relative value iteration does not converge
+within CRASH_SWEEPS sweeps, when phi is multichain in average mode, or
+when the simplex rejects the start (see ``domdp.lp``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Two-phase revised simplex returning primal and dual optimal solutions.
+"""Revised simplex returning primal and dual optimal solutions: a dual phase
+from a caller's start where it is dual feasible, two phases otherwise.
 
 Problem form. ``LpProblem`` is max or min c.x over x >= 0, subject to rows
 A_i x = b_i, A_i x <= b_i or A_i x >= b_i: the form of every LP the package
@@ -58,31 +59,61 @@ feas_tol of feasibility. After 5 (m + n) degenerate pivots the solver
 switches to Bland's rule, with the exact ratio test and ties to the lowest
 basic column.
 
-Phases. Phase 1 minimizes the sum of the artificials. Neither they nor the
-slacks are stored as columns of A: each is a unit column +-e_i on its row i
-(a logical variable; Maros, Computational Techniques of the Simplex Method,
-2003), the slacks first, so pricing reads +-y_i, the entering column is
-+-B^-1 e_i and a refactorization writes the unit column into its slot. An
-artificial that leaves gets sign 0 and never returns.
+Phases. Phase 2 minimizes c.x from a primal feasible basis, which either
+the dual phase or phase 1 hands it. Phase 1 minimizes the sum of the
+artificials. Neither they nor the slacks are stored as columns of A: each
+is a unit column +-e_i on its row i (a logical variable; Maros,
+Computational Techniques of the Simplex Method, 2003), the slacks first, so
+pricing reads +-y_i, the entering column is +-B^-1 e_i and a
+refactorization writes the unit column into its slot. An artificial that
+leaves gets sign 0 and never returns.
 Phase 1's certificate and, in phase 2, the final x and y go through FTRAN
 and BTRAN; the tableau rows that drive artificials out are rows of the
 inverse (``row``). One that cannot be driven out stays basic at 0 on its
 redundant row, whose dual is 0 (Dantzig, Linear Programming and
 Extensions, 1963). Phase 2 prices the artificials at 0 and goes on from
 phase 1's A and inverse, refactorized when an artificial stayed basic.
+Without a start, as in every ALP solve, or when the dual phase gives up,
+the solve takes these two phases.
+
+Dual phase. When the caller's start columns are placed, every inequality
+row starts on its slack, even where the slack's value is negative, and only
+an equality row without a start column keeps an artificial (in average mode
+the redundant balance row 0, which stays basic at 0 and never leaves). If
+that basis is dual feasible, every reduced cost at least -dual_tol with
+phase 2's dual_tol = PIVOT_TOL (1 + max|c|), the dual simplex (Lemke, Naval
+Res. Logist. Q. 1, 1954) runs from it: the only primal infeasible rows are
+the rows whose slacks start negative, such as the dominance rows the
+greedy policy violates. Each pivot takes as leaving row the one with the
+largest x_r^2 / w_r among the rows below -feas_tol, where w_r = |e_r^T
+B^-1|^2 is the dual steepest edge weight (Forrest and Goldfarb, Math. Prog.
+57, 1992): exact from the start's inverse, then updated with one FTRAN of
+rho_r = e_r^T B^-1 per pivot. The pivot row alpha = rho_r^T [A U] comes
+from ``row`` and ``price``, and a Harris two-pass ratio test on rc_j /
+-alpha_j over the columns with alpha_j < -PIVOT_TOL picks the entering
+column: the longest dual step that no reduced cost relaxed by dual_tol
+blocks, then the largest |alpha_j| within it. Both choices take the lowest
+index among those within TIE_TOL of the best, so dense and compressed
+pricing pivot alike. The reduced costs follow rc += t alpha for the dual
+step t. Once no row is violated, phase 2 runs from the basis as a cleanup,
+on a y from BTRAN. A violated row without an entering column proves the LP
+infeasible; the solve then takes two phases from the same start, which
+return phase 1's certificate.
 
 Start basis. Basis slot i belongs to row i. A caller may place structural
 start columns on some rows (``solve_lp(start=...)``); the
 occupation-measure LP places a deterministic policy's pair columns on its
 balance rows. Every other row holds +e_i while the basic values
-x = B^-1 b are found, so x = b when no column is placed. Such a row then
-takes the sign of its value, or of b_i where the value is 0: it starts on
-its slack when the slack has that sign, and otherwise on an artificial of
-that sign, and its row of the inverse is negated to match. So every slack
-and artificial starts at a value >= 0. The start columns are not placed
-when they are singular or one of their values is below -feas_tol. An
-artificial always sits in its own row's slot, so the slot of one left basic
-names its redundant row.
+x = B^-1 b are found, so x = b when no column is placed. For the two
+phases such a row then takes the sign of its value, or of b_i where the
+value is 0: it starts on its slack when the slack has that sign, and
+otherwise on an artificial of that sign, and its row of the inverse is
+negated to match. So every slack and artificial starts at a value >= 0.
+The dual phase starts an inequality row on its slack whatever its sign (see
+above), from the same inverse with that row negated. The start columns are
+not placed when they are singular or one of their values is below
+-feas_tol. An artificial always sits in its own row's slot, so the slot of
+one left basic names its redundant row.
 
 The start matrix is B = [[M, 0], [D, I]] under a permutation, M the start
 columns on their own rows. When M's nonzero pattern (M | M^T) falls into
@@ -118,6 +149,10 @@ ETA_SHARE = 0.25
 # nonzero, and as one dense A.T @ y above it; see the module docstring.
 # domdp.io writes an instance's kernel rows sparse by the same rule.
 SPARSE_DENSITY = 0.12
+# The dual phase's leaving row and entering column: among the choices within
+# this share of the best, the lowest index, so products that differ in their
+# last bits (dense or compressed pricing) pick the same pivot.
+TIE_TOL = 1e-9
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -184,8 +219,10 @@ class LpSolution:
     slackness_residual: float = 0.0
     ray: np.ndarray | None = None         # unbounded direction, original variables
     certificate: np.ndarray | None = None  # phase-1 dual weights per original row
-    iterations: int = 0                   # both phases together
+    basis: np.ndarray | None = None       # column per row slot; unit column k is n + k
+    iterations: int = 0                   # the phases that gave the answer, together
     phase1_iterations: int = 0
+    dual_iterations: int = 0              # dual pivots, also when phase 1 took over
     crash: bool = False                   # the caller's start columns were used
     degenerate_pivots: int = 0
     bland: bool = False                   # the solve switched to Bland's rule
@@ -350,6 +387,62 @@ class _Simplex:
                 enter = -1
         return rc, enter, None if enter < 0 else self.column(enter)
 
+    def dual(self, c: np.ndarray) -> str:
+        """Dual simplex with dual steepest edge for min c.x from the current
+        basis; see the module docstring.
+
+        Returns "feasible" when it ends primal feasible, "dual infeasible"
+        when the basis it starts from is not dual feasible, "infeasible" when
+        a violated row has no entering column, which proves the LP
+        infeasible, and "stalled" when the pivots run out or an artificial
+        ends off 0.
+        """
+        dual_tol = PIVOT_TOL * (1.0 + np.abs(c).max(initial=0.0))
+        rc = c - self.price(self.btran(c[self.basis]))
+        rc[self.basis] = 0.0
+        if rc.min() < -dual_tol:
+            return "dual infeasible"
+        # w_i = |e_i^T B^-1|^2, exact from the start's inverse, then updated.
+        w = np.einsum("ij,ij->i", self.B_inv, self.B_inv)
+        for _ in range(5 * (self.m + c.size)):
+            x = self.x_B
+            viol = np.flatnonzero((x < -self.feas_tol) & (self.basis < self.first_art))
+            if viol.size == 0:
+                off = np.abs(x[self.basis >= self.first_art]).max(initial=0.0) > self.feas_tol
+                return "stalled" if off else "feasible"
+            score = x[viol] ** 2 / w[viol]
+            r = int(viol[np.argmax(score >= (1.0 - TIE_TOL) * score.max())])
+            rho = self.row(r)
+            alpha = self.price(rho)
+            alpha[self.basis] = 0.0
+            cand = np.flatnonzero(alpha < -PIVOT_TOL)
+            if cand.size == 0:
+                return "infeasible"
+            # Harris: the longest dual step that no reduced cost relaxed by
+            # dual_tol blocks, then the largest |alpha| within it.
+            a = -alpha[cand]
+            step = ((rc[cand] + dual_tol) / a).min()
+            within = rc[cand] / a <= step
+            cand, a = cand[within], a[within]
+            q = int(cand[np.argmax(a >= (1.0 - TIE_TOL) * a.max())])
+            t = max(rc[q], 0.0) / -alpha[q]
+            d, tau = self.column(q), self.ftran(rho)
+            # Forrest and Goldfarb's update. Row i of the new inverse is
+            # rho_i - (d_i / d_r) rho_r, and its product with the leaving
+            # column is -d_i / d_r, which bounds its norm from below.
+            leave = self.basis[r]
+            norm2 = 1.0 if leave >= self.n else float(self.A[:, leave] @ self.A[:, leave])
+            ratio = d / d[r]
+            w_r = w[r]
+            w += ratio * (ratio * w_r - 2.0 * tau)
+            np.maximum(w, ratio * ratio / norm2, out=w)
+            w[r] = w_r / d[r] ** 2
+            rc += t * alpha
+            rc[leave], rc[q] = t, 0.0
+            self.iterations += 1
+            self._pivot(r, q, d, x[r] / d[r])
+        return "stalled"
+
     def run(self, c: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray | None]:
         """Minimize c.x from the current basis.
 
@@ -511,66 +604,88 @@ def _start(A: np.ndarray, b: np.ndarray, form: StandardForm, start, feas_tol: fl
 def _solve_standard(
     std: LpProblem, form: StandardForm, feas_tol: float, start: np.ndarray | None
 ) -> LpSolution:
-    """Two-phase simplex on a standard-form problem.
+    """Dual phase or phase 1, then phase 2, on a standard-form problem.
 
     Returns x and the ray over the problem's columns, y_raw and the
-    certificate over its rows (of the min-sense problem), with the
-    counters; a redundant row, whose artificial stays basic at 0, carries
-    dual 0. start holds a column per row, -1 where none is placed.
+    certificate over its rows (of the min-sense problem), with the final
+    basis and the counters; a redundant row, whose artificial stays basic at
+    0, carries dual 0. start holds a column per row, -1 where none is placed.
     """
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
     n_slack = form.slack_rows.size
     max_iter = 5000 + 200 * (m + n + n_slack)
     basis, B_inv, unit_rows, unit_sign, crash = _start(A, b, form, start, feas_tol)
-    sx = _Simplex(A, b, feas_tol, basis, B_inv, unit_rows, unit_sign, n_slack)
-    first_art, n_all = sx.first_art, n + unit_rows.size
-    counts = dict(crash=crash)
-
-    if n_all > first_art:
-        c1 = np.zeros(n_all)
-        c1[first_art:] = 1.0
-        status, _, _ = sx.run(c1, max_iter)
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-            raise RuntimeError("phase 1 reported unbounded")
-        counts["phase1_iterations"] = sx.iterations
-        obj1 = c1[sx.basis] @ sx.ftran(b)
-        if obj1 > feas_tol * (1.0 + np.abs(b).max(initial=0.0)):
-            cert = sx.btran(c1[sx.basis])
-            return LpSolution("infeasible", certificate=cert, **counts, **_counters(sx))
-        # Drive artificials out of the basis; one that resists stays basic at
-        # 0 on its redundant row. A pivot only changes its own row's basic
-        # column, so the rows to visit are known up front.
-        for row in np.flatnonzero(sx.basis >= first_art):
-            tableau_row = sx.price(sx.row(row))[:first_art]
-            tableau_row[sx.basis[sx.basis < first_art]] = 0.0
-            cands = np.flatnonzero(np.abs(tableau_row) > PIVOT_TOL)
-            if cands.size:
-                d = sx.column(int(cands[0]))
-                sx._pivot(row, int(cands[0]), d, sx.x_B[row] / d[row])
-        if (sx.basis >= first_art).any():
-            # A fresh inverse recomputes the basic values from b, which
-            # re-checks phase 1's claim that the artificials still basic sit at 0.
-            sx.refactorize()
-
+    first_art, n_all = n + n_slack, n + unit_rows.size
     # Phase 2 prices the unit columns at 0; the artificials that left have sign 0.
     c2 = np.concatenate([c, np.zeros(n_all - n)])
+    counts = dict(crash=crash)
+    sx = None
+    if crash:
+        # The dual phase starts every inequality row on its slack: where the
+        # start gave the row an artificial, the slack takes its slot, its row
+        # of B_inv is negated and the artificial gets sign 0, as one that left.
+        slack = np.full(m, -1)
+        slack[form.slack_rows] = np.arange(n_slack)
+        swap = np.flatnonzero((basis >= first_art) & (slack >= 0))
+        dual_basis, dual_sign = basis.copy(), unit_sign.copy()
+        dual_basis[swap] = n + slack[swap]
+        dual_sign[basis[swap] - n] = 0.0
+        B_inv[swap] *= -1.0
+        sx = _Simplex(A, b, feas_tol, dual_basis, B_inv, unit_rows, dual_sign, n_slack)
+        status = sx.dual(c2)
+        counts["dual_iterations"] = sx.iterations
+        if status != "feasible":
+            # Two phases from the start instead; they also give the
+            # certificate when the dual phase found a row infeasible.
+            B_inv[swap] *= -1.0
+            sx = None
+    if sx is None:
+        sx = _Simplex(A, b, feas_tol, basis, B_inv, unit_rows, unit_sign, n_slack)
+        if n_all > first_art:
+            c1 = np.zeros(n_all)
+            c1[first_art:] = 1.0
+            status, _, _ = sx.run(c1, max_iter)
+            if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+                raise RuntimeError("phase 1 reported unbounded")
+            counts["phase1_iterations"] = sx.iterations
+            obj1 = c1[sx.basis] @ sx.ftran(b)
+            if obj1 > feas_tol * (1.0 + np.abs(b).max(initial=0.0)):
+                cert = sx.btran(c1[sx.basis])
+                return LpSolution("infeasible", certificate=cert, **counts, **_final(sx))
+            # Drive artificials out of the basis; one that resists stays basic at
+            # 0 on its redundant row. A pivot only changes its own row's basic
+            # column, so the rows to visit are known up front.
+            for row in np.flatnonzero(sx.basis >= first_art):
+                tableau_row = sx.price(sx.row(row))[:first_art]
+                tableau_row[sx.basis[sx.basis < first_art]] = 0.0
+                cands = np.flatnonzero(np.abs(tableau_row) > PIVOT_TOL)
+                if cands.size:
+                    d = sx.column(int(cands[0]))
+                    sx._pivot(row, int(cands[0]), d, sx.x_B[row] / d[row])
+            if (sx.basis >= first_art).any():
+                # A fresh inverse recomputes the basic values from b, which
+                # re-checks phase 1's claim that the artificials still basic sit at 0.
+                sx.refactorize()
+
     status, enter, d = sx.run(c2, max_iter)
     if status == "unbounded":
         ray = np.zeros(n_all)
         ray[enter] = 1.0
         ray[sx.basis] = -d
-        return LpSolution("unbounded", ray=ray[:n], **counts, **_counters(sx))
+        return LpSolution("unbounded", ray=ray[:n], **counts, **_final(sx))
     x = np.zeros(n_all)
     x[sx.basis] = sx.ftran(b)
     y = sx.btran(c2[sx.basis])
     # An artificial sits in its own row's slot: its redundant row's dual is 0.
     y[sx.basis >= first_art] = 0.0
-    return LpSolution("optimal", x=np.maximum(x[:n], 0.0), y_raw=y, **counts, **_counters(sx))
+    return LpSolution("optimal", x=np.maximum(x[:n], 0.0), y_raw=y, **counts, **_final(sx))
 
 
-def _counters(sx: _Simplex) -> dict:
+def _final(sx: _Simplex) -> dict:
+    """The final basis and the counters of a solve's last simplex."""
     return dict(
+        basis=sx.basis,
         iterations=sx.iterations,
         degenerate_pivots=sx.degenerate_pivots,
         bland=sx.bland,

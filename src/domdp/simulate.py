@@ -103,6 +103,7 @@ import numpy as np
 from .dominance import _expected_kink, benchmark_curve, shortfall_minus
 from .mdp import (
     AVERAGE,
+    KERNEL_TOL,
     Benchmark,
     MdpInstance,
     Policy,
@@ -302,11 +303,19 @@ def simulate(
     num_paths: int,
     seed: int,
 ) -> Trajectories:
-    """num_paths independent length-T trajectories; path p is keyed by (seed, p)."""
+    """num_paths independent length-T trajectories; path p is keyed by (seed, p).
+
+    nu is the start distribution, checked as ``validate_instance`` checks an
+    instance's initial: no entry below -KERNEL_TOL, a sum within KERNEL_TOL of 1.
+    """
     require_valid(inst)
     if num_paths < 1 or T < 1:
         raise ValueError("num_paths and T must be at least 1")
     S = inst.num_states
+    nu = np.asarray(nu, dtype=float)
+    if (nu.shape != (S,) or not np.isfinite(nu).all() or nu.min() < -KERNEL_TOL
+            or abs(nu.sum() - 1.0) > KERNEL_TOL):
+        raise ValueError(f"nu must be a distribution over the {S} states: finite, >= 0, sum 1")
     # The policy's positive cells (pair, next state) in each state's
     # action-major order, their running sums within the state capped at 1.0
     # and the state's last one 1.0, then the rank-keyed table (see the module
@@ -325,10 +334,7 @@ def simulate(
     span = values.size + 1
     table = ranks + span * state
     del sums, ranks
-    nu = np.asarray(nu, dtype=float)
     starts = np.flatnonzero(nu > 0.0)
-    if not starts.size:
-        raise ValueError("nu must have a positive entry")
     nu_cum = np.cumsum(nu[starts])
     nu_cum[-1] = 1.0
 

@@ -306,22 +306,29 @@ class FinalBasis:
     unit_rows: np.ndarray
     unit_sign: np.ndarray
     first_art: int
+    dual_phase: bool   # the dual phase, not phase 1, led to this phase-2 run
 
 
 def record_final_bases(monkeypatch) -> list:
     """Spy on ``lp._Simplex.run``: the returned list gains a FinalBasis for
     every phase-2 run (artificials priced at 0) that ends optimal."""
-    run = lp._Simplex.run
+    run, dual = lp._Simplex.run, lp._Simplex.dual
     found = []
 
     def spied(self, c, max_iter):
         result = run(self, c, max_iter)
         if result[0] == "optimal" and not c[self.first_art :].any():
             found.append(FinalBasis(self.A, self.b, c.copy(), self.basis.copy(),
-                                    self.unit_rows.copy(), self.unit_sign.copy(), self.first_art))
+                                    self.unit_rows.copy(), self.unit_sign.copy(), self.first_art,
+                                    getattr(self, "dual_status", None) == "feasible"))
         return result
 
+    def spied_dual(self, c):
+        self.dual_status = dual(self, c)
+        return self.dual_status
+
     monkeypatch.setattr(lp._Simplex, "run", spied)
+    monkeypatch.setattr(lp._Simplex, "dual", spied_dual)
     return found
 
 

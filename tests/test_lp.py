@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from domdp import lp
-from domdp.average import _greedy_start, solve_average
+from domdp import average, lp
+from domdp.average import CRASH_SWEEPS, _greedy_start, solve_average
 from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.lp import EQ, GE, LE, LpProblem, _residuals, solve_lp, to_standard_form
 from domdp.mdp import Benchmark
@@ -15,6 +15,7 @@ from helpers import (
     exact_basis_infeasibility,
     feasible_pair,
     record_final_bases,
+    ti1,
 )
 
 
@@ -471,6 +472,13 @@ def _benchmark_portfolio_lp(resolution):
     return inst, build_discounted_primal(inst, cfg.benchmark)
 
 
+def _primal_path_start(inst, num_rows):
+    """The greedy start for inst with its reward negated: a policy that
+    minimizes reward. Its basis is not dual feasible, so the solve leaves the
+    dual phase at once and runs phase 1 and phase 2 from the same start."""
+    return _greedy_start(replace(inst, reward_r=-inst.reward_r), num_rows)
+
+
 def test_portfolio_resolution_4_solves_from_the_unit_start():
     # Slacks and artificials only: 1670 pivots through long degenerate runs,
     # long enough to refactorize. Before the Harris ratio test this basis
@@ -486,8 +494,9 @@ def test_portfolio_resolution_4_solves_from_the_unit_start():
 def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
     # The discounted balance rows have full rank, so phase 1 drops no row
     # and phase 2 continues from its inverse: the only inverses are the
-    # start's and one each time the eta file reaches ETA_SHARE of the basis
-    # size. At the default share this solve does not reach it; at 1/16 it does.
+    # start's, which the dual phase's attempt shares, and one each time the
+    # eta file reaches ETA_SHARE of the basis size: twice at the default
+    # share, 11 times at 1/16.
     inst, p = _benchmark_portfolio_lp(2)
     inverses = pivots = 0
     etas_at = []
@@ -514,7 +523,7 @@ def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
         monkeypatch.setattr(lp, "ETA_SHARE", share)
         inverses = pivots = 0
         etas_at.clear()
-        sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+        sol = solve_lp(p, start=_primal_path_start(inst, p.num_rows))
         assert sol.status == "optimal" and sol.crash and sol.phase1_iterations > 0
         trigger = int(np.ceil(share * p.num_rows))
         assert etas_at == [trigger] * (pivots // trigger)
@@ -559,7 +568,9 @@ def test_phase_two_keeps_the_redundant_rows_artificial_basic(monkeypatch):
     # Average-mode balance rows sum to zero, so each draw has a redundant
     # row. In phase 2 (artificials priced at 0) no artificial enters, one
     # left basic sits within feas_tol of 0 at the end, and its row's dual
-    # is exactly 0.
+    # is exactly 0. The solves start from the reward-minimizing policy (or
+    # the unit start where that policy is multichain), so they take phase 1.
+    monkeypatch.setattr(average, "_greedy_start", _primal_path_start)
     run, pivot, solve_standard = lp._Simplex.run, lp._Simplex._pivot, lp._solve_standard
     phase2_entering, basic_artificials, redundant_duals = [], [], []
 
@@ -628,6 +639,102 @@ def test_pricing_by_density_reaches_the_same_optimum(monkeypatch, density):
     assert np.allclose(sol.y, reference.y, rtol=1e-9, atol=1e-12)
 
 
+def _dual_statuses(monkeypatch):
+    """Spy on ``lp._Simplex.dual``: the returned list gains each status it returns."""
+    dual, statuses = lp._Simplex.dual, []
+
+    def spied(self, c):
+        statuses.append(dual(self, c))
+        return statuses[-1]
+
+    monkeypatch.setattr(lp._Simplex, "dual", spied)
+    return statuses
+
+
+def _without_dual_phase(monkeypatch):
+    """Solves from here on take two phases from every start, as without a dual phase."""
+    monkeypatch.setattr(lp._Simplex, "dual", lambda self, c: "dual infeasible")
+
+
+@pytest.mark.parametrize("resolution", [2, 3])
+def test_dual_phase_solves_the_portfolio_lps_from_the_greedy_start(monkeypatch, resolution):
+    # The greedy start with every dominance row on its slack is dual feasible;
+    # dual steepest edge reaches the two-phase primal's objective in a few
+    # pivots (about 60 and 140 for the primal), the cleanup phase 2 makes
+    # none and nothing refactorizes.
+    inst, p = _benchmark_portfolio_lp(resolution)
+    start = _greedy_start(inst, p.num_rows)
+    statuses = _dual_statuses(monkeypatch)
+    sol = solve_lp(p, start=start)
+    assert statuses == ["feasible"]
+    assert sol.status == "optimal" and sol.crash and sol.phase1_iterations == 0
+    assert 0 < sol.dual_iterations <= 25
+    assert sol.iterations == sol.dual_iterations + 1   # phase 2 prices once, no pivot
+    assert sol.refactorizations == 0
+    # The final basis holds a column per row; every structural outside it is 0.
+    assert sol.basis.shape == (p.num_rows,)
+    assert not sol.x[np.setdiff1d(np.arange(p.num_cols), sol.basis)].any()
+    _without_dual_phase(monkeypatch)
+    primal = solve_lp(p, start=start)
+    assert primal.phase1_iterations > 0 and primal.iterations > 2 * sol.iterations
+    assert sol.objective == pytest.approx(primal.objective, rel=1e-12)
+
+
+def test_start_that_is_not_dual_feasible_takes_two_phases(monkeypatch):
+    # With no value iteration sweep the discounted greedy start maximizes
+    # the immediate reward alone. Where that basis is not dual feasible the
+    # dual phase makes no pivot and two phases from the same start reach
+    # the objective of the converged start's dual phase.
+    rng = np.random.default_rng(0)
+    cases = [feasible_pair(rng, max_states=10, max_actions=4, mode="discounted")[:2]
+             for _ in range(8)]
+    statuses = _dual_statuses(monkeypatch)
+    checked = 0
+    for inst, bench in cases:
+        p = build_discounted_primal(inst, bench)
+        reference = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+        monkeypatch.setattr(average, "CRASH_SWEEPS", 0)
+        sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+        monkeypatch.setattr(average, "CRASH_SWEEPS", CRASH_SWEEPS)
+        assert statuses[-2] == "feasible" and sol.status == "optimal"
+        if statuses[-1] == "dual infeasible":
+            assert sol.crash and sol.dual_iterations == 0 and sol.iterations > 1
+            assert sol.objective == pytest.approx(reference.objective, rel=1e-12)
+            checked += 1
+    assert checked >= 3
+
+
+def test_infeasibility_found_by_the_dual_phase_keeps_the_primal_certificate(monkeypatch):
+    # x1 = 3 from row 0 violates x1 <= 2, and no nonbasic column can repair
+    # row 1: the dual phase proves the LP infeasible, and the two phases
+    # that follow return the certificate they return without it. So does
+    # the golden unattainable TI-1 benchmark, from its greedy start.
+    p = LpProblem("max", np.array([1.0]), np.array([[1.0], [1.0]]), [EQ, LE], np.array([3.0, 2.0]))
+    statuses = _dual_statuses(monkeypatch)
+    sol = solve_lp(p, start=np.array([0, -1]))
+    report = solve_average(ti1(), Benchmark(support=[11.0], probs=[1.0]))
+    assert statuses == ["infeasible", "infeasible"]
+    assert sol.status == report.status == "infeasible"
+    _without_dual_phase(monkeypatch)
+    primal = solve_lp(p, start=np.array([0, -1]))
+    primal_report = solve_average(ti1(), Benchmark(support=[11.0], probs=[1.0]))
+    assert np.array_equal(sol.certificate, primal.certificate)
+    assert report.certificate == primal_report.certificate
+    assert report.binding_etas == primal_report.binding_etas == [11.0]
+
+
+def test_start_that_leaves_an_artificial_off_zero_takes_two_phases(monkeypatch):
+    # Row 1, x2 = 1, has no start column: its artificial starts basic at 1.
+    # The dual phase never moves an artificial, so it hands this basis on as
+    # "stalled", and phase 1 pivots x2 in.
+    p = LpProblem("max", np.array([1.0, -1.0]), np.eye(2), [EQ, EQ], np.array([1.0, 1.0]))
+    statuses = _dual_statuses(monkeypatch)
+    sol = solve_lp(p, start=np.array([0, -1]))
+    assert statuses == ["stalled"]
+    assert sol.crash and sol.phase1_iterations > 0
+    assert sol.x.tolist() == [1.0, 1.0] and sol.objective == 0.0
+
+
 def _loop_ftran(B_inv, etas, v):
     """Reference: B^-1 v through a list of (r, g) etas, one at a time."""
     w = B_inv @ v
@@ -685,7 +792,8 @@ def test_compact_eta_file_matches_the_list_of_etas(monkeypatch):
 
 def test_updated_duals_follow_a_fresh_btran(monkeypatch):
     # y is updated per pivot; at every iteration of the resolution-2
-    # portfolio solve it stays within 1e-9 max|y| of a BTRAN of the basic costs.
+    # portfolio solve's two phases it stays within 1e-9 max|y| of a BTRAN of
+    # the basic costs.
     inst, p = _benchmark_portfolio_lp(2)
     entering = lp._Simplex._entering
     drift = []
@@ -696,7 +804,7 @@ def test_updated_duals_follow_a_fresh_btran(monkeypatch):
         return entering(self, c, y, dual_tol)
 
     monkeypatch.setattr(lp._Simplex, "_entering", checked)
-    sol = solve_lp(p, start=_greedy_start(inst, p.num_rows))
+    sol = solve_lp(p, start=_primal_path_start(inst, p.num_rows))
     assert sol.status == "optimal"
     assert len(drift) >= sol.iterations and max(drift) <= 1e-9
 
@@ -707,7 +815,7 @@ def test_optimality_is_declared_on_a_fresh_dual_vector(monkeypatch):
     # declared on an updated y, the solve would stop after its first pivot;
     # a fresh BTRAN overrules it each time.
     inst, p = _benchmark_portfolio_lp(2)
-    start = _greedy_start(inst, p.num_rows)
+    start = _primal_path_start(inst, p.num_rows)
     reference = solve_lp(p, start=start)
     std, form = to_standard_form(p)
     y_star = lp._solve_standard(std, form, lp.FEAS_TOL, start).y_raw
@@ -892,7 +1000,8 @@ SCALES = {
 
 
 def _exact_verdicts(monkeypatch, cases):
-    """The larger exact infeasibility of the final basis of every optimal solve."""
+    """The larger exact infeasibility of the final basis of every optimal
+    solve, and how many of those bases the dual phase led to."""
     finals = record_final_bases(monkeypatch)
     verdicts = []
     for inst, bench in cases:
@@ -905,20 +1014,21 @@ def _exact_verdicts(monkeypatch, cases):
         if report.status == "optimal":
             assert len(finals) == before + 1
             verdicts.append(max(exact_basis_infeasibility(finals[-1])))
-    return verdicts
+    return verdicts, sum(fb.dual_phase for fb in finals)
 
 
 def test_final_basis_is_exactly_optimal_on_small_draws(monkeypatch):
     # Up to 10 states and 5 support points: at most 16 rows. Every optimal
     # basis, checked in rational arithmetic on the float data, is primal and
-    # dual feasible to 1e-12 relative.
+    # dual feasible to 1e-12 relative. Every one of them ends the dual phase
+    # from the greedy start.
     cases = []
     for mode in SCALES:
         rng = np.random.default_rng(31)
         for _ in range(10):
             cases.append(feasible_pair(rng, max_states=10, max_actions=4, mode=mode)[:2])
-    verdicts = _exact_verdicts(monkeypatch, cases)
-    assert len(verdicts) == 20
+    verdicts, dual_phase = _exact_verdicts(monkeypatch, cases)
+    assert len(verdicts) == dual_phase == 20
     assert max(verdicts) < EXACT_TOL
 
 
@@ -937,5 +1047,5 @@ def test_final_basis_is_exactly_optimal_across_scales(monkeypatch):
             for k in scales:
                 scaled = replace(inst, reward_r=inst.reward_r * k, reward_z=inst.reward_z * k)
                 cases.append((scaled, Benchmark(support=bench.support * k, probs=bench.probs)))
-    verdicts = _exact_verdicts(monkeypatch, cases)
+    verdicts, _ = _exact_verdicts(monkeypatch, cases)
     assert max(verdicts) < EXACT_TOL

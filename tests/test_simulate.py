@@ -74,10 +74,35 @@ def test_empty_simulation_is_rejected(T, num_paths):
         simulate(inst, uniform_policy(inst), nu, T=T, num_paths=num_paths, seed=0)
 
 
+NU_MESSAGE = r"^nu must be a distribution over the 2 states: finite, >= 0, sum 1$"
+
+
 def test_start_distribution_without_a_positive_entry_is_rejected():
     inst = ti2()
-    with pytest.raises(ValueError, match="positive entry"):
+    with pytest.raises(ValueError, match=NU_MESSAGE):
         simulate(inst, uniform_policy(inst), np.zeros(2), T=5, num_paths=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [[0.0, 0.0, 1.0], [0.5], [0.25, 0.25], [1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0],
+     [1.0 + 2e-12, 0.0]],
+    ids=["longer", "shorter", "sums-to-half", "negative", "nan", "inf", "sum-past-tol"],
+)
+def test_start_distribution_that_is_not_a_distribution_is_rejected(nu):
+    # A nu longer than S used to start a path past the last state (IndexError
+    # in the step loop); one that sums to 0.5 used to be taken as given.
+    inst = ti2()
+    with pytest.raises(ValueError, match=NU_MESSAGE):
+        simulate(inst, uniform_policy(inst), np.array(nu), T=5, num_paths=1, seed=0)
+
+
+def test_start_distribution_within_the_initial_tolerance_is_accepted():
+    # The tolerance validate_instance allows an instance's initial.
+    inst = ti2()
+    nu = np.array([1.0 + 5e-13, -5e-13])
+    trajs = simulate(inst, uniform_policy(inst), nu, T=4, num_paths=3, seed=0)
+    assert (trajs.states[:, 0] == 0).all()
 
 
 def test_same_seed_reproduces_trajectories():
