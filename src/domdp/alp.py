@@ -159,7 +159,7 @@ def build_alp(
     largest[: bases.num_h] = np.abs(H).max(axis=1)
     scale = np.ldexp(1.0, 1 - np.frexp(largest)[1])
     return AlpLp(
-        **{**vars(lp), "A": lp.A * scale[:, None], "b": lp.b * scale}, row_scale=scale
+        lp.sense, lp.c, lp.A * scale[:, None], lp.row_senses, lp.b * scale, row_scale=scale
     )
 
 

@@ -37,6 +37,14 @@ value iteration uses. The LP starts as it would without phi (artificials
 on every balance row) when relative value iteration does not converge
 within CRASH_SWEEPS sweeps, when phi is multichain in average mode, or
 when the simplex rejects the start (see ``domdp.lp``).
+
+A sparse instance (see ``domdp.mdp``) stays compressed through the solve:
+the sweeps, the greedy start and the residuals take the kernel's compressed
+products (the damped sweep as 0.5 (P h) + 0.5 h(s)), and the LP's matrix is
+built as compressed columns, column k being e_{s(k)} - delta P(.|k), then
+the normalization entry, then the nonzeros of column k of the dominance
+rows, which the simplex reads as they are. A dense instance keeps its
+dense BLAS products and a dense LP matrix.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .dominance import (
     shortfall_minus,
     shortfall_plus,
 )
+from . import sparse
 from .lp import EQ, FEAS_TOL, GE, LE, LpProblem, solve_lp
 from .mdp import (
     AVERAGE,
@@ -84,8 +93,8 @@ def _occupation_lp(
     family: GeneratorFamily | None,
     mode: str,
     convex: bool = False,
-) -> tuple[LpProblem, np.ndarray]:
-    """(LP, dominance grid): etas, or parameter indices for a family.
+) -> tuple[LpProblem, np.ndarray, np.ndarray]:
+    """(LP, dominance grid, dominance rows D): etas, or parameter indices for a family.
 
     convex=True gives the cost variant: minimize, with E[(z-eta)_+] rows
     capped at the benchmark's.
@@ -105,7 +114,7 @@ def _occupation_lp(
         kink = shortfall_plus if convex else shortfall_minus
         D = kink(inst.reward_z, grid[:, None])
         rhs = benchmark_plus_curve(bench, grid) if convex else benchmark_curve(bench, grid)
-    return occupation_lp(inst, D, rhs, convex=convex), grid
+    return occupation_lp(inst, D, rhs, convex=convex), grid, D
 
 
 def occupation_lp(
@@ -118,24 +127,60 @@ def occupation_lp(
     mode only, then one dominance row per entry of rhs. D has a column per
     pair. pairs keeps one column per entry, duplicates included; project
     turns the balance rows B x = b into project @ B x = project @ b.
+
+    A sparse instance's LP, without pairs or project, is built as
+    compressed columns (see the module docstring), the others dense.
     """
     S, K = inst.num_states, inst.num_pairs
-    B = -inst.delta * inst.kernel.T
-    B[inst.state_of_pair(), np.arange(K)] += 1.0
     b = np.zeros(S) if inst.mode == AVERAGE else inst.initial
     c = inst.reward_r.copy()
-    if pairs is not None:
-        B, D, c = B[:, pairs], D[:, pairs], c[pairs]
-    if project is not None:
-        B, b = project @ B, project @ b
     normalize = int(inst.mode == AVERAGE)
+    if inst.kernel_rows is not None and pairs is None and project is None:
+        A = _occupation_columns(inst, D, normalize)
+    else:
+        B = -inst.delta * inst.kernel.T
+        B[inst.state_of_pair(), np.arange(K)] += 1.0
+        if pairs is not None:
+            B, D, c = B[:, pairs], D[:, pairs], c[pairs]
+        if project is not None:
+            B, b = project @ B, project @ b
+        A = np.vstack([B, np.ones((normalize, c.size)), D])
     return LpProblem(
         sense="min" if convex else "max",
         c=c,
-        A=np.vstack([B, np.ones((normalize, c.size)), D]),
+        A=A,
         row_senses=[EQ] * (len(b) + normalize) + [LE if convex else GE] * len(rhs),
         b=np.concatenate([b, [1.0] * normalize, rhs]),
     )
+
+
+def _occupation_columns(inst: MdpInstance, D: np.ndarray, normalize: int) -> sparse.Rows:
+    """The occupation LP's matrix as compressed columns, from inst's kernel rows.
+
+    Column k holds 1 - delta P(s(k)|k) on its own state's balance row and
+    -delta P(j|k) on the others, then 1 on the normalization row when
+    normalize is 1, then the nonzeros of D[:, k]: the entries, bit for bit,
+    of the dense matrix's column k.
+    """
+    S, K = inst.num_states, inst.num_pairs
+    pair, to, p = inst.kernel_rows.entries()
+    key = pair * S + to
+    value = -inst.delta * p
+    own = np.arange(K) * S + inst.state_of_pair()
+    at = np.searchsorted(key, own)
+    hit = at < key.size
+    hit[hit] = key[at[hit]] == own[hit]
+    value[at[hit]] += 1.0
+    key = np.insert(key, at[~hit], own[~hit])
+    value = np.insert(value, at[~hit], 1.0)
+    dom_col, dom_row = np.nonzero(D.T)
+    first = S + normalize
+    col = np.concatenate([key // S, np.arange(normalize * K), dom_col])
+    row = np.concatenate([key % S, np.full(normalize * K, S), first + dom_row])
+    val = np.concatenate([value, np.ones(normalize * K), D[dom_row, dom_col]])
+    # Stable: within a column the balance, normalization and D entries stay in row order.
+    order = np.argsort(col, kind="stable")
+    return sparse.from_entries(col[order], row[order], val[order], K, first + len(D))
 
 
 def row_name(inst: MdpInstance, i: int, etas: np.ndarray | None) -> str:
@@ -192,6 +237,8 @@ def stationary_distribution(policy: Policy, inst: MdpInstance) -> np.ndarray:
     classes = recurrent_classes(P)
     if len(classes) != 1:
         raise ValueError(f"multichain policy: recurrent classes {classes}")
+    if isinstance(P, sparse.Rows):
+        P = P.dense()
     S = inst.num_states
     for replace in range(S - 1, -1, -1):
         M = (np.eye(S) - P).T
@@ -241,7 +288,7 @@ def optimality_residual(report: SolveReport, inst: MdpInstance) -> tuple[np.ndar
     if report.status != "optimal":
         raise ValueError("optimality residuals require an optimal report")
     dual = report.dual
-    q = inst.reward_r + dual.u_of_z + inst.delta * (inst.kernel @ dual.h)
+    q = inst.reward_r + dual.u_of_z + inst.delta * (inst.P @ dual.h)
     residuals = np.abs(dual.g + dual.h - np.maximum.reduceat(q, inst.pair_offsets[:-1]))
     return residuals, report.occupation.state_marginal() > VISIT_TOL
 
@@ -266,12 +313,24 @@ def _relative_sweeps(
     inst: MdpInstance, max_iter: int, tol: float = 1e-9
 ) -> tuple[float, np.ndarray] | None:
     """(gain, h) of at most max_iter damped relative sweeps from h = 0, or
-    None when the span of the update is still above tol."""
-    kernel = 0.5 * inst.kernel
-    kernel[np.arange(inst.num_pairs), inst.state_of_pair()] += 0.5
+    None when the span of the update is still above tol.
+
+    The damped kernel (I + P)/2 is formed once when dense; compressed rows
+    take 0.5 (P h) + 0.5 h(s) per sweep instead.
+    """
+    state = inst.state_of_pair()
+    if inst.kernel_rows is None:
+        kernel = 0.5 * inst.kernel
+        kernel[np.arange(inst.num_pairs), state] += 0.5
+
+        def damped(h):
+            return kernel @ h
+    else:
+        def damped(h):
+            return 0.5 * (inst.kernel_rows @ h) + 0.5 * h.take(state)
     h = np.zeros(inst.num_states)
     for _ in range(max_iter):
-        Th = np.maximum.reduceat(inst.reward_r + kernel @ h, inst.pair_offsets[:-1])
+        Th = np.maximum.reduceat(inst.reward_r + damped(h), inst.pair_offsets[:-1])
         w = Th - h
         span = float(w.max() - w.min())
         if span <= tol:
@@ -293,7 +352,7 @@ def value_iteration_unconstrained(
     v, converged = _value_sweeps(inst, max_iter, tol)
     if not converged:
         raise RuntimeError("value iteration did not converge")
-    q = inst.reward_r + inst.delta * (inst.kernel @ v)
+    q = inst.reward_r + inst.delta * (inst.P @ v)
     return v, deterministic_policy(inst, _greedy_pairs(inst, q) - inst.pair_offsets[:-1])
 
 
@@ -301,12 +360,12 @@ def _value_sweeps(
     inst: MdpInstance, max_iter: int, tol: float = 1e-8
 ) -> tuple[np.ndarray, bool]:
     """(last v, converged) of at most max_iter discounted Bellman sweeps from v = 0."""
-    delta = inst.delta
+    delta, P = inst.delta, inst.P
     threshold = tol * (1.0 - delta) / (2.0 * delta)
     v = np.zeros(inst.num_states)
     for _ in range(max_iter):
         v_new = np.maximum.reduceat(
-            inst.reward_r + delta * (inst.kernel @ v), inst.pair_offsets[:-1]
+            inst.reward_r + delta * (P @ v), inst.pair_offsets[:-1]
         )
         step = float(np.abs(v_new - v).max())
         v = v_new
@@ -334,15 +393,15 @@ def _greedy_start(inst: MdpInstance, num_rows: int) -> np.ndarray | None:
         h = solution[1]
         # Greedy for RVI's damped kernel (I + P)/2: the h(s)/2 term is the
         # same for every action of s.
-        q = inst.reward_r + 0.5 * (inst.kernel @ h)
+        q = inst.reward_r + 0.5 * (inst.P @ h)
     else:
         # Every deterministic policy is a valid discounted start, so the
         # last sweep's greedy policy serves even when the sweeps run out.
         v, _ = _value_sweeps(inst, CRASH_SWEEPS)
-        q = inst.reward_r + inst.delta * (inst.kernel @ v)
+        q = inst.reward_r + inst.delta * (inst.P @ v)
     pairs = _greedy_pairs(inst, q)
     first = int(inst.mode == AVERAGE)
-    if first and not is_unichain(inst.kernel[pairs]):
+    if first and not is_unichain(inst.P[pairs]):
         return None
     start = np.full(num_rows, -1)
     start[first : first + inst.num_states] = pairs
@@ -357,7 +416,7 @@ def _solve(
     feas_tol: float,
 ) -> SolveReport:
     """Either mode's solve: LP, then dual recovery and every residual filled in."""
-    lp, grid = _occupation_lp(inst, bench, family, mode)
+    lp, grid, D = _occupation_lp(inst, bench, family, mode)
     S = inst.num_states
     first = S + (mode == AVERAGE)
     sol = solve_lp(lp, feas_tol=feas_tol, start=_greedy_start(inst, lp.num_rows))
@@ -372,7 +431,7 @@ def _solve(
             report.certificate = [(row_name(inst, i, etas), float(cert[i])) for i in keep]
             report.binding_etas = [float(grid[i - first]) for i in keep if i >= first]
         return report
-    D, rhs = lp.A[first:].copy(), lp.b[first:].copy()   # views would keep the LP alive
+    D, rhs = D.copy(), lp.b[first:].copy()   # views would keep their bases alive
     occ = OccupationMeasure(inst=inst, weights=sol.x)
     lam = np.maximum(sol.y[first:], 0.0)
     dual = DualSolution(

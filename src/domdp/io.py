@@ -44,12 +44,15 @@ Kernel rows. A pair's row of P is either dense, one number per state, or
 sparse, ``{"to": [j, ...], "p": [p, ...]}``: ``to`` holds JSON integers,
 strictly increasing, in [0, states), ``p`` holds numbers, and the two lists
 have equal lengths; the entries not listed are zero. One file may mix the
-two forms row by row. ``parse_instance`` scatters sparse rows into the dense
-kernel, bit for bit the kernel of the same numbers written dense.
-``instance_to_obj`` writes every row sparse when fewer than
-``lp.SPARSE_DENSITY`` of the kernel's entries are nonzero (the rule by which
-``lp._compressed`` holds a matrix as compressed columns), and every row
-dense otherwise.
+two forms row by row. ``parse_instance`` hands a file whose rows are all
+sparse to the instance as compressed rows (``sparse.Rows``), built from the
+indices it checks, and every other file as a dense kernel; either way the
+instance holds the kernel by its own nonzero count (``domdp.mdp``), so the
+same numbers written sparse or dense give the same instance, bit for bit.
+``instance_to_obj`` writes the rows an instance holds compressed sparse,
+the nonzeros each (fewer than ``sparse.SPARSE_DENSITY`` of the kernel's
+entries, the rule by which ``lp._compressed`` holds a matrix as compressed
+columns), and a dense kernel's rows dense.
 """
 
 from __future__ import annotations
@@ -68,10 +71,11 @@ import orjson
 
 from .alp import BasisSet
 from .dominance import GeneratorFamily, _distribution, reconstruct_utility, weighted_kink_family
-from .lp import _compressed
 from .mdp import Benchmark, MdpInstance, Policy
 from .portfolio import PortfolioConfig
+from . import sparse
 from .results import PairTable
+from .sparse import Rows
 
 _ARRAY_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
@@ -262,8 +266,8 @@ def _check_block(P, r, z, actions, s: int) -> None:
         raise ValueError(f"state {s}: P/r/z must have one entry per action")
 
 
-def _scatter(rows: list, num_states: int) -> np.ndarray:
-    """Sparse rows as one dense kernel, through one flat index/value scatter.
+def _scatter(rows: list, num_states: int) -> Rows:
+    """Sparse rows as one compressed kernel, from flat index and value arrays.
 
     Raises on the first row that is not a well-formed sparse row, without
     naming it: the one-by-one path then names the fault in file order.
@@ -284,16 +288,15 @@ def _scatter(rows: list, num_states: int) -> np.ndarray:
     if flat_to and not (0 <= min(flat_to) and max(flat_to) < num_states):
         raise ValueError("sparse row index out of range")
     # Row-major keys increase strictly exactly when every row's indices do.
-    keys = np.repeat(np.arange(len(rows)) * num_states, counts)
-    keys += np.array(flat_to, dtype=np.int64)
+    row = np.repeat(np.arange(len(rows)), counts)
+    to = np.array(flat_to, dtype=np.int64)
+    keys = row * num_states + to
     if np.any(keys[1:] <= keys[:-1]):
         raise ValueError("sparse row indices not strictly increasing")
-    kernel = np.zeros((len(rows), num_states))
-    kernel.flat[keys] = np.array(flat_p, dtype=float)
-    return kernel
+    return sparse.from_entries(row, to, np.array(flat_p, dtype=float), len(rows), num_states)
 
 
-def _stack(rows: list, num_states: int) -> np.ndarray:
+def _stack(rows: list, num_states: int) -> np.ndarray | Rows:
     """The kernel from rows that are all sparse or all dense; raises otherwise.
 
     Dense rows are decoded whole, and a dtype other than float or integer (a
@@ -394,7 +397,7 @@ def parse_instance(obj: dict) -> LoadedInstance:
     inst = MdpInstance(
         num_states=num_states,
         actions=actions,
-        kernel=np.asarray(kernel),
+        kernel=kernel if isinstance(kernel, Rows) else np.asarray(kernel),
         reward_r=np.array(r_flat),
         reward_z=reward_z,
         mode=mode,
@@ -425,16 +428,14 @@ def parse_instance(obj: dict) -> LoadedInstance:
 
 
 def _kernel_blocks(inst: MdpInstance) -> list:
-    """P as one block of rows per state: every row sparse when fewer than
-    lp.SPARSE_DENSITY of the kernel's entries are nonzero, else every row dense."""
+    """P as one block of rows per state: every row sparse when the instance
+    holds compressed rows, else every row dense."""
     offsets = inst.pair_offsets
-    rows = _compressed(inst.kernel.T)  # the kernel's rows are its transpose's columns
+    rows = inst.kernel_rows
     if rows is None:
         return np.split(inst.kernel, offsets[1:-1])
-    starts, to, p = rows
-    bounds = starts.tolist()
-    sparse = [{"to": to[lo:hi], "p": p[lo:hi]} for lo, hi in zip(bounds, bounds[1:])]
-    return [sparse[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    written = [{"to": to, "p": p} for to, p in map(rows.row, range(inst.num_pairs))]
+    return [written[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def instance_to_obj(inst: MdpInstance, bench: Benchmark | None = None) -> dict:

@@ -40,15 +40,24 @@ recomputes y from scratch at the start of each ``run``, after each
 refactorization, and whenever an updated y finds no entering column or an
 unbounded one: optimal and unbounded are declared on a recomputed y only,
 and with a candidate left the solve goes on from it. The phase-1
-certificate and the final duals are BTRANs too. When less than
-SPARSE_DENSITY of A is nonzero, A is also held as compressed columns
-(int32 row indices) and the product is one ``np.add.reduceat`` over them;
-otherwise it is one dense ``A.T @ y`` and the compressed arrays are never
-built. On one core the compressed product takes 0.4-0.7 of the dense
-product's time at 4-6 % nonzero and breaks even at 12-14 %, on random
-400 x 2400, 642 x 1952 and 1794 x 11506 matrices. The entering column is
-formed the same way: from its nonzeros, as ``B_inv[:, rows] @ vals``, when
-A is compressed, and as ``B_inv @ a`` otherwise.
+certificate and the final duals are BTRANs too.
+
+Compressed columns. A is held as compressed columns, the ``domdp.sparse``
+rows of its transpose, when a builder passes it so (the occupation LP of a
+sparse instance, from ``domdp.average``) or when a dense A has less than
+SPARSE_DENSITY of its entries nonzero; then pricing is one
+``np.add.reduceat`` over the columns, otherwise one dense ``A.T @ y``, and
+the compressed arrays are never built. On one core the compressed product
+takes 0.4-0.7 of the dense product's time at 4-6 % nonzero and breaks even
+at 12-14 %, on random 400 x 2400, 642 x 1952 and 1794 x 11506 matrices. The
+entering column is formed the same way: from its nonzeros, as
+``B_inv[:, rows] @ vals``, when A is compressed, and as ``B_inv @ a``
+otherwise. A refactorization and the start basis gather only their own
+columns, the dual phase takes a leaving column's norm from its nonzeros,
+and the residual checks take the compressed products, so an LP built
+compressed is never held dense by the solve: ``LpProblem.A`` builds its
+dense copy only for a reader outside the solve, such as an independent
+solver or a test.
 
 Ratio test. Harris's two passes (Math. Prog. 5, 1973): the step is the
 smallest ratio with every basic value relaxed by feas_tol, and among the
@@ -133,9 +142,12 @@ dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from . import sparse
+from .sparse import SPARSE_DENSITY, Rows
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -145,10 +157,6 @@ GAP_TOL = 1e-7
 # unit start (about 1700 pivots) in 3.5 s, against 3.7, 3.9 and 6.0 s at
 # 1/8, 1/2 and 1.
 ETA_SHARE = 0.25
-# Pricing runs over compressed columns when less than this share of A is
-# nonzero, and as one dense A.T @ y above it; see the module docstring.
-# domdp.io writes an instance's kernel rows sparse by the same rule.
-SPARSE_DENSITY = 0.12
 # The dual phase's leaving row and entering column: among the choices within
 # this share of the best, the lowest index, so products that differ in their
 # last bits (dense or compressed pricing) pick the same pivot.
@@ -161,6 +169,10 @@ LE, EQ, GE = "<=", "=", ">="
 class LpProblem:
     """max or min c.x over x >= 0 with one sense per row; see the module docstring.
 
+    A is given dense, or as ``sparse.Rows`` of its columns, which are then
+    kept in ``cols``: the dense A of such a problem is built on its first
+    read, and the solve never reads it.
+
     Rows are known by their index only: a caller that reports on rows, such
     as the certificate of an infeasible solve, names them from its own layout.
     """
@@ -170,17 +182,25 @@ class LpProblem:
     A: np.ndarray
     row_senses: list[str]
     b: np.ndarray
+    cols: Rows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
+        if isinstance(self.A, Rows):
+            self.cols = self.A
+            del self.A   # built by __getattr__ when read
+            shape = self.cols.shape[::-1]
+        else:
+            self.cols = None
+            self.A = np.asarray(self.A, dtype=float)
+            shape = self.A.shape
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown objective sense {self.sense!r}")
-        m, n = self.A.shape if self.A.ndim == 2 else (len(self.b), self.c.size)
-        if self.A.shape != (m, n) or self.c.shape != (n,) or self.b.shape != (m,):
+        m, n = shape if len(shape) == 2 else (len(self.b), self.c.size)
+        if shape != (m, n) or self.c.shape != (n,) or self.b.shape != (m,):
             raise ValueError(
-                f"dimension mismatch: A {self.A.shape}, c {self.c.shape}, b {self.b.shape}"
+                f"dimension mismatch: A {shape}, c {self.c.shape}, b {self.b.shape}"
             )
         if len(self.row_senses) != m:
             raise ValueError("row senses must match the number of rows")
@@ -188,13 +208,26 @@ class LpProblem:
             if s not in (LE, EQ, GE):
                 raise ValueError(f"unknown row sense {s!r}")
 
+    def __getattr__(self, name: str):
+        # Reached only for the dense A of a problem given compressed columns.
+        cols = self.__dict__.get("cols")
+        if name != "A" or cols is None:
+            raise AttributeError(name)
+        self.A = cols.dense().T
+        return self.A
+
+    @property
+    def matrix(self) -> np.ndarray | Rows:
+        """A as the solve reads it: the compressed columns when given, else dense."""
+        return self.A if self.cols is None else self.cols
+
     @property
     def num_rows(self) -> int:
-        return self.A.shape[0]
+        return self.b.size
 
     @property
     def num_cols(self) -> int:
-        return self.A.shape[1]
+        return self.c.size
 
     @property
     def lower(self) -> np.ndarray:
@@ -242,13 +275,15 @@ def to_standard_form(p: LpProblem) -> tuple[LpProblem, StandardForm]:
     """The min-sense problem over p's own A and b, and one slack per inequality row.
 
     Slack k is the unit column slack_sign[k] * e_{slack_rows[k]}; it is not
-    stored in A. A is C-ordered, not copied when p's already is: the
+    stored in A. A dense A is C-ordered, not copied when p's already is: the
     summation order of the products the simplex takes follows the layout.
+    Compressed columns are shared as they are.
     """
     senses = np.asarray(p.row_senses, dtype=str)
     slack_rows = np.flatnonzero(senses != EQ)
     obj_sign = 1.0 if p.sense == "min" else -1.0
-    std = LpProblem("min", obj_sign * p.c, np.ascontiguousarray(p.A), p.row_senses, p.b)
+    A = np.ascontiguousarray(p.A) if p.cols is None else p.cols
+    std = LpProblem("min", obj_sign * p.c, A, p.row_senses, p.b)
     return std, StandardForm(obj_sign, slack_rows, np.where(senses[slack_rows] == LE, 1.0, -1.0))
 
 
@@ -264,18 +299,25 @@ class _Simplex:
     Columns n + k are the unit columns of U: unit_sign[k] * e_{unit_rows[k]}.
     The first n_slack are the slacks; from column first_art on they are the
     artificials, with unit_sign[k] = 0 once artificial k has left the basis.
+
+    A is dense, or ``sparse.Rows`` of its columns, which the simplex reads
+    as they are (self.A is then None). A dense A is also held as compressed
+    columns when less than SPARSE_DENSITY of it is nonzero.
     """
 
     def __init__(
-        self, A: np.ndarray, b: np.ndarray, feas_tol: float, basis, B_inv: np.ndarray,
+        self, A: np.ndarray | Rows, b: np.ndarray, feas_tol: float, basis, B_inv: np.ndarray,
         unit_rows=np.zeros(0, dtype=int), unit_sign=np.zeros(0), n_slack: int = 0,
     ):
-        self.A = A
+        if isinstance(A, Rows):
+            self.A, self.cols = None, A
+            self.n, self.m = A.shape
+        else:
+            self.A, self.cols = A, _compressed(A)
+            self.m, self.n = A.shape
         self.b = b
-        self.m, self.n = A.shape
         self.unit_rows, self.unit_sign = unit_rows, unit_sign
         self.first_art = self.n + n_slack
-        self.cols = _compressed(A)
         self.feas_tol = feas_tol
         self.basis = basis
         self.bland = False
@@ -299,7 +341,8 @@ class _Simplex:
         self.refactorizations += 1
         slots = np.flatnonzero(self.basis >= self.n)
         k = self.basis[slots] - self.n
-        B = self.A[:, np.where(self.basis < self.n, self.basis, 0)]
+        structural = np.where(self.basis < self.n, self.basis, 0)
+        B = _columns(self.cols if self.A is None else self.A, structural)
         B[:, slots] = 0.0
         B[self.unit_rows[k], slots] = self.unit_sign[k]
         self._restart(np.linalg.inv(B))
@@ -336,17 +379,12 @@ class _Simplex:
             return self._forward(self.B_inv[:, self.unit_rows[k]] * self.unit_sign[k])
         if self.cols is None:
             return self._forward(self.B_inv @ self.A[:, q])
-        ptr, rows, vals = self.cols
-        lo, hi = ptr[q], ptr[q + 1]
-        return self._forward(self.B_inv[:, rows[lo:hi]] @ vals[lo:hi])
+        rows, vals = self.cols.row(q)
+        return self._forward(self.B_inv[:, rows] @ vals)
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """A.T @ y, then the unit columns' entries."""
-        if self.cols is None:
-            p = self.A.T @ y
-        else:
-            ptr, rows, vals = self.cols
-            p = np.add.reduceat(vals * y.take(rows), ptr[:-1])
+        p = self.A.T @ y if self.cols is None else self.cols @ y
         if self.unit_rows.size:
             p = np.concatenate([p, y.take(self.unit_rows) * self.unit_sign])
         return p
@@ -431,7 +469,7 @@ class _Simplex:
             # rho_i - (d_i / d_r) rho_r, and its product with the leaving
             # column is -d_i / d_r, which bounds its norm from below.
             leave = self.basis[r]
-            norm2 = 1.0 if leave >= self.n else float(self.A[:, leave] @ self.A[:, leave])
+            norm2 = 1.0 if leave >= self.n else self._norm2(leave)
             ratio = d / d[r]
             w_r = w[r]
             w += ratio * (ratio * w_r - 2.0 * tau)
@@ -442,6 +480,13 @@ class _Simplex:
             self.iterations += 1
             self._pivot(r, q, d, x[r] / d[r])
         return "stalled"
+
+    def _norm2(self, j: int) -> float:
+        """|a_j|^2 of structural column j; from its nonzeros when A is not dense."""
+        if self.A is not None:
+            return float(self.A[:, j] @ self.A[:, j])
+        _, a = self.cols.row(j)
+        return float(a @ a)
 
     def run(self, c: np.ndarray, max_iter: int) -> tuple[str, int, np.ndarray | None]:
         """Minimize c.x from the current basis.
@@ -492,19 +537,21 @@ class _Simplex:
         raise RuntimeError(f"simplex exceeded {max_iter} iterations")
 
 
-def _compressed(A: np.ndarray):
-    """A's columns as (starts, int32 rows, values); None when A is too dense.
-
-    starts has one entry per column plus the end. An empty column keeps one
-    explicit zero, so every column owns a segment of np.add.reduceat.
-    """
+def _compressed(A: np.ndarray) -> Rows | None:
+    """A's columns as ``sparse.Rows`` of its transpose; None when A is too dense."""
     if np.count_nonzero(A) >= SPARSE_DENSITY * A.size:
         return None
-    nz = A != 0.0
-    nz[0, ~nz.any(axis=0)] = True
-    cols, rows = np.nonzero(nz.T)
-    ptr = np.searchsorted(cols, np.arange(A.shape[1] + 1))
-    return ptr, rows.astype(np.int32), A[rows, cols]
+    return sparse.from_dense(A.T)
+
+
+def _columns(A: np.ndarray | Rows, idx: np.ndarray) -> np.ndarray:
+    """The columns idx of A as a dense array; A dense or compressed columns."""
+    if not isinstance(A, Rows):
+        return A[:, idx]
+    k, rows, vals = A[idx].entries()
+    out = np.zeros((A.width, len(idx)))
+    out[rows, k] = vals
+    return out
 
 
 def _components(nz: np.ndarray) -> np.ndarray:
@@ -562,7 +609,7 @@ def _start_inverse(B: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return B_inv
 
 
-def _start(A: np.ndarray, b: np.ndarray, form: StandardForm, start, feas_tol: float):
+def _start(A: np.ndarray | Rows, b: np.ndarray, form: StandardForm, start, feas_tol: float):
     """The start basis: (basis, B_inv, unit_rows, unit_sign, crash).
 
     start holds a column per row, -1 where none is placed, or is None. Its
@@ -573,13 +620,13 @@ def _start(A: np.ndarray, b: np.ndarray, form: StandardForm, start, feas_tol: fl
     numbered after the slacks in row order. Its row of B_inv is negated to
     match.
     """
-    m, n = A.shape
+    m, n = b.size, A.shape[0] if isinstance(A, Rows) else A.shape[1]
     start = np.full(m, -1) if start is None else start
     rows = np.flatnonzero(start >= 0)
     x = None
     if rows.size:
         B = np.eye(m)
-        B[:, rows] = A[:, start[rows]]
+        B[:, rows] = _columns(A, start[rows])
         try:
             B_inv = _start_inverse(B, rows)
             x = B_inv @ b
@@ -611,8 +658,8 @@ def _solve_standard(
     basis and the counters; a redundant row, whose artificial stays basic at
     0, carries dual 0. start holds a column per row, -1 where none is placed.
     """
-    A, b, c = std.A, std.b, std.c
-    m, n = A.shape
+    A, b, c = std.matrix, std.b, std.c
+    m, n = std.num_rows, std.num_cols
     n_slack = form.slack_rows.size
     max_iter = 5000 + 200 * (m + n + n_slack)
     basis, B_inv, unit_rows, unit_sign, crash = _start(A, b, form, start, feas_tol)
@@ -695,10 +742,14 @@ def _final(sx: _Simplex) -> dict:
 
 def _residuals(p: LpProblem, x: np.ndarray, y_raw: np.ndarray):
     """Largest primal violation, dual violation and complementary product."""
-    gap = p.A @ x - p.b
+    if p.cols is None:
+        Ax, ATy = p.A @ x, p.A.T @ y_raw
+    else:
+        Ax, ATy = x @ p.cols, p.cols @ y_raw
+    gap = Ax - p.b
     senses = np.asarray(p.row_senses, dtype=str)
     row_viol = np.where(senses == LE, gap, np.where(senses == GE, -gap, np.abs(gap)))
-    rc = p.c - p.A.T @ y_raw
+    rc = p.c - ATy
     col_viol = rc if p.sense == "max" else -rc
     prim = max(0.0, row_viol.max(initial=0.0), (-x).max(initial=0.0))
     dual = max(0.0, col_viol.max(initial=0.0))

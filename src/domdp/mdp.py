@@ -3,6 +3,20 @@
 States are dense integers 0..num_states-1. Actions are opaque string labels
 per state; all numeric work uses dense pair indices in state-major order
 (state 0's actions first, in the order listed, then state 1's, ...).
+
+Kernel. An instance holds its kernel as compressed pair rows
+(``sparse.Rows``, one row per pair) when fewer than ``sparse.SPARSE_DENSITY``
+of its entries are nonzero, and as a dense (pairs, states) array otherwise,
+whichever form it was given in: one nonzero count decides. ``MdpInstance.P``
+is the kernel as held, and the solvers read it through the products P @ v
+and x @ P and the row subsets P[pairs], which both forms take. A dense
+kernel thus keeps its BLAS products; a sparse one is never held dense on
+the way through ``solve``. ``MdpInstance.kernel`` is always the dense
+array, built from the rows on its first read for a sparse kernel, for
+readers outside the solve path (the oracle, the ALP, tests).
+``validate_instance`` reads a sparse kernel's nonzeros only, and
+``policy_kernel`` gives a sparse instance's policy kernel as compressed
+rows too, from the rows of the pairs the policy uses.
 """
 
 from __future__ import annotations
@@ -11,6 +25,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from . import sparse
+from .sparse import Rows
 
 KERNEL_TOL = 1e-12
 EDGE_TOL = 1e-15  # a transition counts as an edge of the chain above this
@@ -48,13 +65,24 @@ def _freeze(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     return a
 
 
+def _freeze_rows(rows: Rows) -> Rows:
+    """``_freeze`` with KERNEL_TOL on a kernel's compressed rows; the zeros it makes are dropped."""
+    row, to, p = rows.entries()
+    p = _freeze(p, KERNEL_TOL)
+    frozen = sparse.from_entries(row, to, p, rows.shape[0], rows.width)
+    for a in (frozen.ptr, frozen.to, frozen.p):
+        a.flags.writeable = False
+    return frozen
+
+
 @dataclass(frozen=True)
 class MdpInstance:
     """Finite MDP with a primary reward r and a secondary reward z.
 
     kernel, reward_r and reward_z are indexed by dense pair index; kernel row
     k is P(. | s,a) for the k-th feasible pair. reward_z is (K,) for scalar z
-    or (K, n) for vector z.
+    or (K, n) for vector z. kernel is given as a dense array or as
+    ``sparse.Rows``; see the module docstring for how it is held.
     """
 
     num_states: int
@@ -66,6 +94,7 @@ class MdpInstance:
     discount: float | None = None
     initial: np.ndarray | None = None
     pair_offsets: np.ndarray = field(init=False, repr=False)
+    kernel_rows: Rows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_states <= 0:
@@ -78,13 +107,24 @@ class MdpInstance:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         num_pairs = int(offsets[-1])
         object.__setattr__(self, "pair_offsets", offsets)
-        object.__setattr__(self, "kernel", _freeze(self.kernel, KERNEL_TOL))
+        given_rows = isinstance(self.kernel, Rows)
+        kernel = _freeze_rows(self.kernel) if given_rows else _freeze(self.kernel, KERNEL_TOL)
         object.__setattr__(self, "reward_r", _freeze(self.reward_r))
         object.__setattr__(self, "reward_z", _freeze(self.reward_z))
-        if self.kernel.shape != (num_pairs, self.num_states):
-            raise ValueError(
-                f"kernel shape {self.kernel.shape} != ({num_pairs}, {self.num_states})"
-            )
+        if kernel.shape != (num_pairs, self.num_states):
+            raise ValueError(f"kernel shape {kernel.shape} != ({num_pairs}, {self.num_states})")
+        # One nonzero count decides the form, whichever form was given.
+        nonzeros = np.count_nonzero(kernel.p if given_rows else kernel)
+        rows = None
+        if sparse.is_sparse(nonzeros, num_pairs * self.num_states):
+            rows = kernel if given_rows else _freeze_rows(sparse.from_dense(kernel))
+        elif given_rows:
+            kernel = _freeze(kernel.dense())
+        object.__setattr__(self, "kernel_rows", rows)
+        if given_rows and rows is not None:
+            object.__delattr__(self, "kernel")  # the dense copy is built when read
+        else:
+            object.__setattr__(self, "kernel", kernel)
         if self.reward_r.shape != (num_pairs,):
             raise ValueError("reward_r must have one entry per feasible pair")
         if self.reward_z.ndim not in (1, 2) or self.reward_z.shape[0] != num_pairs:
@@ -93,6 +133,20 @@ class MdpInstance:
             object.__setattr__(self, "initial", _freeze(self.initial))
             if self.initial.shape != (self.num_states,):
                 raise ValueError("initial must be a distribution over states")
+
+    def __getattr__(self, name: str):
+        # Reached only for the dense kernel of an instance given sparse rows.
+        rows = self.__dict__.get("kernel_rows")
+        if name != "kernel" or rows is None:
+            raise AttributeError(name)
+        kernel = _freeze(rows.dense())
+        object.__setattr__(self, "kernel", kernel)
+        return kernel
+
+    @property
+    def P(self) -> np.ndarray | Rows:
+        """The kernel as held: compressed rows when sparse, else the dense array."""
+        return self.kernel if self.kernel_rows is None else self.kernel_rows
 
     @property
     def num_pairs(self) -> int:
@@ -211,11 +265,24 @@ class Policy:
 
 
 def validate_instance(inst: MdpInstance) -> list[Violation]:
-    """Check every MdpInstance invariant; violations are data, not failures."""
+    """Check every MdpInstance invariant; violations are data, not failures.
+
+    A sparse kernel is checked over its nonzeros; the violations and their
+    order are those of the same kernel held dense.
+    """
     out: list[Violation] = []
     state_of = inst.state_of_pair()
-    for name, values in (("P", inst.kernel), ("r", inst.reward_r), ("z", inst.reward_z)):
-        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    P = inst.P
+    if isinstance(P, Rows):
+        kernel_finite = P.reduce(np.logical_and, np.isfinite(P.p))
+        sums = P.reduce(np.add, P.p)
+        negative = P.reduce(np.logical_or, P.p < -KERNEL_TOL)
+    else:
+        kernel_finite = np.isfinite(P).all(axis=1)
+        sums = P.sum(axis=1)
+        negative = (P < -KERNEL_TOL).any(axis=1)
+    z_finite = np.isfinite(inst.reward_z).all(axis=tuple(range(1, inst.reward_z.ndim)))
+    for name, finite in (("P", kernel_finite), ("r", np.isfinite(inst.reward_r)), ("z", z_finite)):
         for k in np.flatnonzero(~finite):
             s = int(state_of[k])
             label = inst.actions[s][k - int(inst.pair_offsets[s])]
@@ -242,21 +309,22 @@ def validate_instance(inst: MdpInstance) -> list[Violation]:
                     message=f"state {s} repeats an action label",
                 )
             )
-    defects = inst.kernel.sum(axis=1) - 1.0
-    suspect = (inst.kernel < -KERNEL_TOL).any(axis=1) | (np.abs(defects) > KERNEL_TOL)
+    defects = sums - 1.0
+    suspect = negative | (np.abs(defects) > KERNEL_TOL)
     for k in np.flatnonzero(suspect):
         s = int(state_of[k])
         label = inst.actions[s][k - int(inst.pair_offsets[s])]
-        row = inst.kernel[k]
-        for j in np.flatnonzero(row < -KERNEL_TOL):
+        to, row = P.row(k) if isinstance(P, Rows) else (np.arange(inst.num_states), P[k])
+        for i in np.flatnonzero(row < -KERNEL_TOL):
+            j, value = int(to[i]), float(row[i])
             out.append(
                 Violation(
                     kind="negative_transition",
                     state=s,
                     action=label,
-                    next_state=int(j),
-                    magnitude=float(row[j]),
-                    message=f"P({int(j)}|{s},{label}) = {float(row[j])!r} < 0",
+                    next_state=j,
+                    magnitude=value,
+                    message=f"P({j}|{s},{label}) = {value!r} < 0",
                 )
             )
         defect = float(defects[k])
@@ -331,16 +399,25 @@ def deterministic_policy(inst: MdpInstance, choices: Sequence[int]) -> Policy:
     return Policy(tuple(split_rows(probs, inst.pair_offsets)))
 
 
-def policy_kernel(policy: Policy, inst: MdpInstance) -> np.ndarray:
+def policy_kernel(policy: Policy, inst: MdpInstance) -> np.ndarray | Rows:
     """State-to-state kernel induced by a policy: P_phi(j|s) = sum_a phi(a|s) P(j|s,a).
 
-    A row that puts probability exactly 1 on one action copies that pair's
-    kernel row: 1 p + 0 q = p, the bits of the product. Other rows take the
-    product row @ block, one state at a time.
+    Held as inst's kernel is. Dense: a row that puts probability exactly 1
+    on one action copies that pair's kernel row (1 p + 0 q = p, the bits of
+    the product), and other rows take the product row @ block, one state at
+    a time. Sparse: compressed rows summed from the rows of the pairs the
+    policy uses; a pure row's entries are its pair's.
     """
     offsets = inst.pair_offsets
     if not np.array_equal(policy.offsets, offsets):
         raise ValueError("policy rows must have one entry per action of each state")
+    if inst.kernel_rows is not None:
+        S = inst.num_states
+        used = np.flatnonzero(policy.probs != 0.0)
+        pair, to, p = inst.kernel_rows[used].entries()
+        keys, at = np.unique(inst.state_of_pair()[used][pair] * S + to, return_inverse=True)
+        weights = np.bincount(at, weights=policy.probs[used][pair] * p)
+        return sparse.from_entries(keys // S, keys % S, weights, S, S)
     probs, starts = policy.probs, offsets[:-1]
     ones = probs == 1.0
     pure = (np.add.reduceat(ones, starts) == 1) & (np.add.reduceat(probs != 0.0, starts) == 1)
@@ -353,10 +430,16 @@ def policy_kernel(policy: Policy, inst: MdpInstance) -> np.ndarray:
     return P
 
 
-def recurrent_classes(P: np.ndarray) -> list[list[int]]:
-    """Closed communicating classes of a row-stochastic matrix (edges P > EDGE_TOL)."""
+def recurrent_classes(P: np.ndarray | Rows) -> list[list[int]]:
+    """Closed communicating classes of a row-stochastic matrix (edges P > EDGE_TOL),
+    dense or compressed rows."""
     n = P.shape[0]
-    tails, heads = np.nonzero(P > EDGE_TOL)
+    if isinstance(P, Rows):
+        tails, heads, p = P.entries()
+        edge = p > EDGE_TOL
+        tails, heads = tails[edge], heads[edge]
+    else:
+        tails, heads = np.nonzero(P > EDGE_TOL)
     adj = split_rows(heads.tolist(), np.searchsorted(tails, np.arange(n + 1)))
     index = [-1] * n
     low = [0] * n
@@ -409,10 +492,12 @@ def recurrent_classes(P: np.ndarray) -> list[list[int]]:
     return sorted(scc for ci, scc in enumerate(sccs) if ci not in leaving)
 
 
-def is_unichain(P: np.ndarray) -> bool:
-    """Whether P has exactly one closed class.
+def is_unichain(P: np.ndarray | Rows) -> bool:
+    """Whether P (dense or compressed rows) has exactly one closed class.
 
     A state entered from every state lies in every closed class, which
     settles dense kernels without the class search.
     """
-    return bool((P > EDGE_TOL).all(axis=0).any()) or len(recurrent_classes(P)) == 1
+    if not isinstance(P, Rows) and (P > EDGE_TOL).all(axis=0).any():
+        return True
+    return len(recurrent_classes(P)) == 1

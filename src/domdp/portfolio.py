@@ -17,7 +17,10 @@ profiles in lexicographic order of the assets' level indices. States run
 over the (previous, current profile) pairs with positive joint probability
 in row-major order of the joint chain, then over the grid points, so state
 pair * grid_size + g holds grid point g. One wealth table, grid point by
-profile, serves both the budget test and the return rate z.
+profile, serves both the budget test and the return rate z. The kernel is
+built as compressed rows (``domdp.sparse``) from its (pair, next state,
+probability) coordinates, which the instance holds as they are unless the
+kernel is too dense for that (``domdp.mdp``).
 
 Benchmark units follow the discounted solver: the dominance rows constrain
 the discounted SUM of per-period return shortfalls, so a per-period return
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sparse
 from .mdp import Benchmark, MdpInstance
 
 MAX_STATES = 10**5
@@ -146,10 +150,10 @@ def build_portfolio_instance(cfg: PortfolioConfig) -> MdpInstance:
 
     # Move k takes state pair[k] * size + g[k] to grid point g2[k], in state order.
     pair, g, g2 = np.nonzero(budget[cur])
-    kernel = np.zeros((num_pairs, num_states))
-    # Its next states are the pairs leaving its current profile, each at g2[k].
+    # Its next states are the pairs leaving its current profile, each at g2[k],
+    # in increasing order: the kernel's compressed rows.
     rows, nxt = np.nonzero(prev == cur[pair][:, None])
-    kernel[rows, nxt * size + g2[rows]] = prob[nxt]
+    kernel = sparse.from_entries(rows, nxt * size + g2[rows], prob[nxt], num_pairs, num_states)
     trade = grid[g2] - grid[g]
     wealth_prev = wealth[g, prev[pair]]
     labels = "to" + g2.astype(str).astype(object)

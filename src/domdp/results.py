@@ -55,7 +55,7 @@ class OccupationMeasure:
         """Invariant residuals: mass defect and flow-balance sup norm."""
         delta = self.inst.delta
         average = self.inst.mode == AVERAGE
-        inflow = self.weights @ self.inst.kernel
+        inflow = self.weights @ self.inst.P
         b = 0.0 if average else self.inst.initial
         mass = abs(float(self.weights.sum()) - (1.0 if average else 1.0 / (1.0 - delta)))
         balance = float(np.abs(self.state_marginal() - delta * inflow - b).max())
@@ -90,7 +90,7 @@ class DualSolution:
     def pair_rhs(self, inst: MdpInstance) -> np.ndarray:
         """Bound g + h(s) - delta sum_j P(j|s,a) h(j) on r + u(z), one entry per pair."""
         h = self.h
-        return self.g + h[inst.state_of_pair()] - inst.delta * (inst.kernel @ h)
+        return self.g + h[inst.state_of_pair()] - inst.delta * (inst.P @ h)
 
     def feasibility_residual(self, inst: MdpInstance) -> float:
         """Max violation of r(s,a) + u(z(s,a)) <= g + h(s) - delta sum_j P(j|s,a) h(j)."""

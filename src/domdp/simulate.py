@@ -17,8 +17,11 @@ table keyed by ranks (the table-lookup form of inverse-CDF sampling, Chen &
 Asau, J. Chinese Inst. Engineers, 1974; Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. III):
 
-- The table holds the policy's positive cells, state by state. Adding 0.0
-  is exact, so their running sums are those over all of a state's cells.
+- The table holds the policy's positive cells, state by state, read from
+  the positive kernel entries: the dense kernel's, or the compressed rows'
+  of a sparse instance (``domdp.mdp``), in the same order and with the same
+  values. Adding 0.0 is exact, so their running sums are those over all of
+  a state's cells.
   Every running sum is capped at 1.0 and a state's last one is 1.0. A
   uniform lies in [0, 1), so it never counts an entry >= 1: the counts are
   unchanged, and every row is nondecreasing.
@@ -320,8 +323,14 @@ def simulate(
     # action-major order, their running sums within the state capped at 1.0
     # and the state's last one 1.0, then the rank-keyed table (see the module
     # docstring).
-    pair, next_state = np.divmod(np.flatnonzero(inst.kernel > 0.0), S)
-    probs = policy.probs.take(pair) * inst.kernel[pair, next_state]
+    if inst.kernel_rows is None:
+        pair, next_state = np.divmod(np.flatnonzero(inst.kernel > 0.0), S)
+        p = inst.kernel[pair, next_state]
+    else:
+        pair, next_state, p = inst.kernel_rows.entries()
+        cell = np.flatnonzero(p > 0.0)
+        pair, next_state, p = pair.take(cell), next_state.take(cell), p.take(cell)
+    probs = policy.probs.take(pair) * p
     keep = np.flatnonzero(probs > 0.0)
     pair, next_state, probs = pair.take(keep), next_state.take(keep), probs.take(keep)
     state = inst.state_of_pair().take(pair)

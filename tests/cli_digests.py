@@ -40,7 +40,8 @@ an instance and a policy written with ``indent=2``, ``-0.0`` and ``1e400``
 in r, action labels holding ``]`` and ``"``, 20-digit integers in a basis,
 blocks past the last state and a policy that lists a state twice, and kernels
 in sparse rows: two instances (one per mode) passed to ``solve`` and
-``oracle``, and one malformed row of each kind, beside strings, booleans and
+``oracle``, a 120-state average-mode instance 3.3 % nonzero passed to
+``solve`` and ``simulate``, and one malformed row of each kind, beside strings, booleans and
 a 400-digit integer where the schema needs a number, and a discounted
 instance split into closed classes, whose greedy start is inverted block by
 block.
@@ -64,7 +65,7 @@ import numpy as np
 
 from domdp.cli import run
 from domdp.mdp import MdpInstance
-from helpers import random_benchmark, random_instance
+from helpers import random_benchmark, random_instance, sparse_average_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 NAN = float("nan")
@@ -638,6 +639,17 @@ def _sparse_cases(c: _Corpus) -> None:
     }
     for name, obj in malformed.items():
         c.add(f"type-{name}/solve", ["solve", "--instance", c.file(f"type-{name}", obj)])
+    # An average-mode kernel 3.3 % nonzero, held as compressed rows through the solve.
+    inst, bench = sparse_average_instance()
+    path = c.file("sparse-average-120", _sparse_obj(inst, bench))
+    c.add("sparse-average-120/solve", ["solve", "--instance", path])
+    policy = c.file("sparse-average-120-policy",
+                    [[s, rng.dirichlet(np.ones(3)).tolist()] for s in range(inst.num_states)])
+    c.add(
+        "sparse-average-120/simulate",
+        ["simulate", "--instance", path, "--policy", policy, "--paths", "3",
+         "--horizon", "5000", "--seed", "5"],
+    )
 
 
 def _closed_class_cases(c: _Corpus) -> None:

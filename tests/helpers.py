@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from domdp import lp
+from domdp import lp, sparse
 from domdp.average import ZERO_MARGINAL, solve_average
 from domdp.discounted import solve_discounted
 from domdp.mdp import AVERAGE, Benchmark, MdpInstance, Policy
@@ -78,6 +79,41 @@ def blocks_instance(sizes, mode="average"):
         discount=0.5 if discounted else None,
         initial=np.full(S, 1.0 / S) if discounted else None,
     )
+
+
+def sparse_average_instance(seed: int = 0) -> tuple[MdpInstance, Benchmark]:
+    """An average-mode instance below lp.SPARSE_DENSITY, with a benchmark that binds.
+
+    120 states with 3 actions each, and 4 next states per pair (3.3 % of the
+    kernel nonzero): s + 1 (mod 120), so every policy is unichain, and three
+    others drawn at random. The benchmark's two points sit in the lower half
+    of the z range, and at seed 0 the lower one binds.
+    """
+    rng = np.random.default_rng(seed)
+    S, A, fanout = 120, 3, 4
+    kernel = np.zeros((S * A, S))
+    for k in range(S * A):
+        ahead = (k // A + 1) % S
+        others = rng.choice(np.delete(np.arange(S), ahead), size=fanout - 1, replace=False)
+        kernel[k, np.append(others, ahead)] = rng.dirichlet(np.ones(fanout))
+    z = rng.uniform(-2.0, 2.0, size=S * A)
+    inst = MdpInstance(
+        num_states=S,
+        actions=(("a0", "a1", "a2"),) * S,
+        kernel=kernel,
+        reward_r=rng.normal(size=S * A) - 0.5 * z,
+        reward_z=z,
+        mode=AVERAGE,
+    )
+    return inst, Benchmark(support=[-1.8, -0.8], probs=[0.5, 0.5])
+
+
+def held_dense(inst: MdpInstance, monkeypatch) -> MdpInstance:
+    """inst rebuilt from its dense kernel with every kernel held dense, as
+    one above sparse.SPARSE_DENSITY is."""
+    with monkeypatch.context() as m:
+        m.setattr(sparse, "SPARSE_DENSITY", 0.0)
+        return dataclasses.replace(inst)
 
 
 def random_instance(rng, max_states=20, max_actions=5, mode="average"):

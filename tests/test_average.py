@@ -22,6 +22,7 @@ from domdp.average import (
 )
 from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.dominance import weighted_kink_family
+from domdp import lp
 from domdp.lp import solve_lp
 from domdp.mdp import Benchmark, MdpInstance, Policy, deterministic_policy
 from domdp.portfolio import PortfolioConfig, build_portfolio_instance
@@ -29,11 +30,14 @@ from domdp.results import OccupationMeasure
 from helpers import (
     TI1_BENCH,
     VACUOUS_BENCH,
+    benchmark_portfolio,
     blocks_instance,
     feasible_pair,
+    held_dense,
     random_benchmark,
     random_instance,
     reference_extract_policy,
+    sparse_average_instance,
     ti1,
     ti2,
 )
@@ -485,3 +489,63 @@ def test_average_gauge_is_h0_zero():
     for _ in range(5):
         inst, _, report = feasible_pair(rng, max_states=6, max_actions=3)
         assert report.dual.h[0] == 0.0
+
+
+def _sparse_cases():
+    """(instance, benchmark, family, builder) below sparse.SPARSE_DENSITY, both modes."""
+    inst, bench = sparse_average_instance()
+    family = weighted_kink_family([[1.0], [0.5]], bench.support, bench)
+    cfg = benchmark_portfolio(2)
+    return [
+        pytest.param(inst, bench, None, build_average_primal, id="average"),
+        pytest.param(inst, bench, family, build_average_primal, id="average-family"),
+        pytest.param(build_portfolio_instance(cfg), cfg.benchmark, None,
+                     build_discounted_primal, id="portfolio-r2"),
+    ]
+
+
+@pytest.mark.parametrize("inst, bench, family, build", _sparse_cases())
+def test_sparse_instance_builds_the_dense_lps_columns(monkeypatch, inst, bench, family, build):
+    """The compressed columns are, bit for bit, those the simplex takes from
+    the same LP built dense, and the LP's dense copy is that LP's matrix
+    (whose -0.0 entries read 0.0)."""
+    dense_inst = held_dense(inst, monkeypatch)
+    assert inst.kernel_rows is not None and dense_inst.kernel_rows is None
+    p = build(inst, bench) if family is None else build(inst, bench, family)
+    q = build(dense_inst, bench) if family is None else build(dense_inst, bench, family)
+    assert p.cols is not None and q.cols is None
+    want = lp._compressed(q.A)
+    for got, ref in ((p.cols.ptr, want.ptr), (p.cols.to, want.to), (p.cols.p, want.p)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert np.array_equal(p.A, q.A)
+    assert (p.c.tobytes(), p.b.tobytes(), p.row_senses) == (q.c.tobytes(), q.b.tobytes(),
+                                                            q.row_senses)
+
+
+@pytest.mark.parametrize("inst, bench, family, build", _sparse_cases())
+def test_sparse_instance_solves_as_dense(monkeypatch, inst, bench, family, build):
+    """The same optimum, held compressed or dense: x and the duals within
+    rounding, the same policy; the residuals are read from compressed products."""
+    solver = solve_average if inst.mode == "average" else solve_discounted
+    args = (bench,) if family is None else (bench, family)
+    got = solver(inst, *args)
+    want = solver(held_dense(inst, monkeypatch), *args)
+    assert got.status == want.status == "optimal"
+    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    assert np.allclose(got.occupation.weights, want.occupation.weights, rtol=0.0, atol=1e-12)
+    assert np.allclose(got.dual.h, want.dual.h, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got.dual.lam, want.dual.lam, rtol=1e-12, atol=1e-12)
+    assert got.policy.probs.tobytes() == want.policy.probs.tobytes()
+    assert got.multichain == want.multichain is False
+    assert np.allclose(got.optimality_residuals, want.optimality_residuals, rtol=0.0, atol=1e-12)
+    assert np.allclose(got.slackness.pairs, want.slackness.pairs, rtol=0.0, atol=1e-12)
+    assert got.occupation.residuals() == pytest.approx(want.occupation.residuals(), abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="phase 1 accepts an LP infeasible by less than its absolute tolerance")
+def test_marginally_infeasible_sparse_instance_is_reported_infeasible():
+    # HiGHS reports this LP infeasible; the solve ends in a duality gap of 0.21.
+    inst, _ = sparse_average_instance()
+    report = solve_average(inst, Benchmark(support=[-1.5, -0.5], probs=[0.5, 0.5]))
+    assert report.status == "infeasible"

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import domdp
+from domdp import average, sparse
 from domdp.cli import run
 from domdp.io import dumps, instance_to_obj, parse_instance, parse_portfolio_config
 from domdp.portfolio import build_portfolio_instance
-from helpers import TI1_BENCH, ti1
+from helpers import TI1_BENCH, benchmark_portfolio, sparse_average_instance, ti1
 
 
 def write_json(path, obj):
@@ -923,6 +924,40 @@ def test_gen_portfolio_writes_sparse_rows_that_solve_as_dense(tmp_path, capsys):
     report = capsys.readouterr().out
     assert run(["solve", "--instance", str(dense_path)]) == 0
     assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("which", ["portfolio-r2", "sparse-average"])
+def test_sparse_solve_builds_no_dense_kernel_or_lp_matrix(tmp_path, monkeypatch, capsys, which):
+    """A solve of a sparse instance file never builds the dense copy of its
+    kernel or of its LP's matrix: both stay compressed rows throughout."""
+    if which == "portfolio-r2":
+        cfg = benchmark_portfolio(2)
+        inst, bench = build_portfolio_instance(cfg), cfg.benchmark
+    else:
+        inst, bench = sparse_average_instance()
+    path = tmp_path / "instance.json"
+    path.write_text(dumps(instance_to_obj(inst, bench)))
+
+    def refuse(self):
+        raise AssertionError("a dense copy of compressed rows was built")
+
+    seen = []
+    solve_lp = average.solve_lp
+
+    def spied_solve_lp(p, *args, **kwargs):
+        seen.append(p)
+        return solve_lp(p, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.Rows, "dense", refuse)
+    monkeypatch.setattr(average, "solve_lp", spied_solve_lp)
+    build, instances = average._occupation_lp, []
+    monkeypatch.setattr(average, "_occupation_lp",
+                        lambda inst, *a: instances.append(inst) or build(inst, *a))
+    assert run(["solve", "--instance", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "optimal"
+    (p,), (parsed,) = seen, instances
+    assert p.cols is not None and "A" not in vars(p)
+    assert parsed.kernel_rows is not None and "kernel" not in vars(parsed)
 
 
 @pytest.mark.parametrize(

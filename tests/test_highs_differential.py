@@ -16,7 +16,7 @@ from domdp.dominance import weighted_kink_family
 from domdp.lp import EQ, GE, LE
 from domdp.mdp import Benchmark
 from domdp.portfolio import build_portfolio_instance
-from helpers import benchmark_portfolio, random_benchmark, random_instance
+from helpers import benchmark_portfolio, random_benchmark, random_instance, sparse_average_instance
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -74,6 +74,8 @@ def _draws():
         yield pytest.param(inst, bench, family, id=f"{mode}-{i:02d}-k{kind}")
     cfg = benchmark_portfolio(2)
     yield pytest.param(build_portfolio_instance(cfg), cfg.benchmark, None, id="portfolio-r2")
+    # Average mode below lp.SPARSE_DENSITY: a compressed LP with the normalization row.
+    yield pytest.param(*sparse_average_instance(), None, id="sparse-average-120")
 
 
 def _farkas_problems(lp, report, inst, etas):

@@ -22,7 +22,7 @@ from domdp.lp import SPARSE_DENSITY
 from domdp.mdp import MdpInstance, Policy, enumerate_pairs, split_rows
 from domdp.portfolio import build_portfolio_instance
 from domdp.results import OccupationMeasure
-from helpers import VACUOUS_BENCH, benchmark_portfolio, reference_dumps
+from helpers import VACUOUS_BENCH, benchmark_portfolio, reference_dumps, sparse_average_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -404,6 +404,40 @@ def test_positive_kernels_are_written_dense():
                        reward_z=np.zeros(80), mode="average")
     P = instance_to_obj(inst)["P"]
     assert dumps(P) == reference_dumps(np.split(kernel, np.arange(2, 80, 2)))
+
+
+@pytest.mark.parametrize("which", ["sparse-average", "portfolio-r2", "positive"])
+def test_one_kernel_in_sparse_or_dense_rows_is_held_alike(which):
+    """The kernel's nonzero count alone decides whether the instance holds
+    it as compressed rows: the same numbers written as sparse rows, as dense
+    rows or mixed give the same form, the same rows and the same dense kernel."""
+    if which == "sparse-average":
+        inst, bench = sparse_average_instance()
+    elif which == "portfolio-r2":
+        cfg = benchmark_portfolio(2)
+        inst, bench = build_portfolio_instance(cfg), cfg.benchmark
+    else:
+        rng = np.random.default_rng(0)
+        kernel = 0.999 * rng.dirichlet(np.full(40, 0.4), size=80) + 0.001 / 40
+        inst = MdpInstance(num_states=40, actions=(("a", "b"),) * 40, kernel=kernel,
+                           reward_r=np.zeros(80), reward_z=np.zeros(80), mode="average")
+        bench = VACUOUS_BENCH
+    obj = instance_to_obj(inst, bench)
+    kernel, cuts = inst.kernel, inst.pair_offsets[1:-1]
+    rows = [{"to": np.flatnonzero(row), "p": row[row != 0.0]} for row in kernel]
+    sparse_blocks = [rows[lo:hi] for lo, hi in zip(inst.pair_offsets[:-1], inst.pair_offsets[1:])]
+    dense_blocks = np.split(kernel, cuts)
+    mixed = [block if s % 2 else dense for s, (block, dense) in
+             enumerate(zip(sparse_blocks, dense_blocks))]
+    held = [parse_instance(loads(dumps({**obj, "P": P}))).instance
+            for P in (sparse_blocks, dense_blocks, mixed)]
+    for back in held:
+        assert (back.kernel_rows is None) == (which == "positive")
+        assert back.kernel.tobytes() == kernel.tobytes()
+        if back.kernel_rows is not None:
+            for name in ("ptr", "to", "p"):
+                assert (getattr(back.kernel_rows, name).tobytes()
+                        == getattr(inst.kernel_rows, name).tobytes())
 
 
 def _recursive_format(value) -> str:

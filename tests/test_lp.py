@@ -627,13 +627,14 @@ def test_compressed_columns_match_the_dense_products(monkeypatch):
 
 @pytest.mark.parametrize("density", [0.0, 1.0], ids=["dense", "compressed"])
 def test_pricing_by_density_reaches_the_same_optimum(monkeypatch, density):
-    # The resolution-2 portfolio LP is 1.6 % nonzero. Density 0 forces the
-    # dense products, 1 the compressed ones for every column.
+    # The resolution-2 portfolio LP is 1.6 % nonzero, built as compressed
+    # columns. The same LP given dense takes the dense products at density
+    # 0 and compressed ones, taken from the dense matrix, at density 1.
     inst, p = _benchmark_portfolio_lp(2)
     start = _greedy_start(inst, p.num_rows)
     reference = solve_lp(p, start=start)
     monkeypatch.setattr(lp, "SPARSE_DENSITY", density)
-    sol = solve_lp(p, start=start)
+    sol = solve_lp(replace(p, A=p.A), start=start)
     assert sol.status == reference.status == "optimal"
     assert sol.objective == pytest.approx(reference.objective, rel=1e-12)
     assert np.allclose(sol.y, reference.y, rtol=1e-9, atol=1e-12)

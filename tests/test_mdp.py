@@ -20,7 +20,7 @@ from domdp.mdp import (
     recurrent_classes,
     validate_instance,
 )
-from helpers import blocks_instance, reference_deterministic_policy, reference_merge
+from helpers import blocks_instance, held_dense, reference_deterministic_policy, reference_merge
 
 
 def single_state(p_self=1.0, mode="average"):
@@ -458,3 +458,64 @@ def test_policy_kernel_refuses_rows_that_do_not_match_the_action_sets():
     inst = _swap_and_absorbing()
     with pytest.raises(ValueError, match="one entry per action"):
         policy_kernel(Policy((np.array([1.0]), np.array([0.5, 0.5]), np.array([1.0]))), inst)
+
+
+def _sparse_instance(rng, S=40, max_actions=3, max_successors=3, absorbing=()):
+    """A random instance below sparse.SPARSE_DENSITY; the states in absorbing
+    only loop on themselves."""
+    sizes = rng.integers(1, max_actions + 1, size=S)
+    kernel = np.zeros((sizes.sum(), S))
+    for k, s in enumerate(np.repeat(np.arange(S), sizes)):
+        to = [s] if s in absorbing else rng.choice(S, size=int(rng.integers(1, max_successors + 1)),
+                                                   replace=False)
+        kernel[k, to] = rng.dirichlet(np.ones(len(to)))
+    return MdpInstance(num_states=S, actions=tuple(tuple(f"a{i}" for i in range(n)) for n in sizes),
+                       kernel=kernel, reward_r=np.zeros(kernel.shape[0]),
+                       reward_z=np.zeros(kernel.shape[0]), mode="average")
+
+
+def test_sparse_kernel_reports_the_violations_of_the_dense_one(monkeypatch):
+    """Non-finite entries, negative entries, row sums off 1 and an empty row
+    give the same violations, in the same order, from the nonzeros alone."""
+    S = 40
+    kernel = np.zeros((S, S))
+    kernel[np.arange(S), (np.arange(S) + 1) % S] = 1.0
+    for k, to, p in [(3, [0, 1, 2], [0.5, np.nan, 0.5]), (7, [1, 9, 30], [-0.25, 0.75, 0.5]),
+                     (11, [2, 5], [0.5, 0.375]), (12, [], []), (20, [0, 1], [np.inf, 0.25]),
+                     (25, [4, 8], [-1e-13, 1.0])]:   # the last within KERNEL_TOL: stored as 0
+        kernel[k] = 0.0
+        kernel[k, to] = p
+    inst = MdpInstance(num_states=S, actions=(("a",),) * S, kernel=kernel, reward_r=np.zeros(S),
+                       reward_z=np.zeros(S), mode="average")
+    dense = held_dense(inst, monkeypatch)
+    assert inst.kernel_rows is not None and dense.kernel_rows is None
+    got, want = validate_instance(inst), validate_instance(dense)
+    assert [(v.kind, v.state) for v in got] == [
+        ("non_finite", 3), ("non_finite", 20), ("negative_transition", 7),
+        ("kernel_row_sum", 11), ("kernel_row_sum", 12), ("kernel_row_sum", 20)]
+    assert got == want
+
+
+def test_sparse_policy_kernel_matches_the_dense_one(monkeypatch):
+    """Compressed policy kernels hold the dense one's entries (a pure row's
+    bit for bit) and give the same classes, on unichain and multichain draws."""
+    rng = np.random.default_rng(12)
+    for draw in range(12):
+        inst = _sparse_instance(rng, absorbing=(0, 1) if draw % 3 == 0 else ())
+        dense = held_dense(inst, monkeypatch)
+        assert inst.kernel_rows is not None and dense.kernel_rows is None
+        rows = []
+        for s, acts in enumerate(inst.actions):
+            row = np.zeros(len(acts))
+            if draw % 2 or s % 3:
+                row[rng.integers(len(acts))] = 1.0
+            else:
+                row = rng.dirichlet(np.ones(len(acts)))
+            rows.append(row)
+        policy = Policy(tuple(rows))
+        got, want = policy_kernel(policy, inst), policy_kernel(policy, dense)
+        assert np.allclose(got.dense(), want, rtol=0.0, atol=1e-15)
+        pure = np.array([np.count_nonzero(row) == 1 for row in rows])
+        assert got.dense()[pure].tobytes() == want[pure].tobytes()
+        assert recurrent_classes(got) == recurrent_classes(want)
+        assert is_unichain(got) == is_unichain(want)

@@ -24,12 +24,16 @@ from domdp.simulate import (
     estimate_discounted_shortfalls,
     simulate,
 )
+from domdp.portfolio import build_portfolio_instance
 from helpers import (
     TI1_BENCH,
     VACUOUS_BENCH,
     all_rows_slack,
+    benchmark_portfolio,
     feasible_pair,
+    held_dense,
     random_instance,
+    sparse_average_instance,
     ti1,
     ti2,
     uniform_policy,
@@ -695,6 +699,25 @@ def test_criterion7_runs_take_the_coupled_runs():
         _, coupled = _simulate_spied(inst, report.policy, nu, T=100_000, num_paths=20,
                                      seed=1000 + i)
         assert coupled
+
+
+@pytest.mark.parametrize("which", ["portfolio-r2", "sparse-average"])
+def test_sparse_kernel_simulates_bit_for_bit_as_dense(monkeypatch, which):
+    """The table's cells come from the compressed rows in the dense kernel's
+    order and with its values: the solved policy's trajectories are the same."""
+    if which == "portfolio-r2":
+        cfg = benchmark_portfolio(2)
+        inst, bench = build_portfolio_instance(cfg), cfg.benchmark
+        policy, nu = solve_discounted(inst, bench).policy, inst.initial
+    else:
+        inst, bench = sparse_average_instance()
+        policy = solve_average(inst, bench).policy
+        nu = np.full(inst.num_states, 1.0 / inst.num_states)
+    dense = held_dense(inst, monkeypatch)
+    assert inst.kernel_rows is not None and dense.kernel_rows is None
+    got = simulate(inst, policy, nu, T=5000, num_paths=4, seed=17)
+    want = simulate(dense, policy, nu, T=5000, num_paths=4, seed=17)
+    assert got.pairs.tobytes() == want.pairs.tobytes()
 
 
 def test_average_shortfall_constant_z():
