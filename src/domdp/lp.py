@@ -14,30 +14,49 @@ sequences. Duals are read from the final basis and mapped back to the
 original rows, both raw (signed, for duality checks) and normalized per row
 sense (nonnegative multipliers for inequality rows).
 
-Basis inverse. ``_Simplex`` keeps the explicit inverse of the basis from its
-last refactorization and, after it, an eta file: one eta per pivot since
-then, in product form (Forrest and Tomlin, Math. Prog. 2, 1972), stored in
-compact form (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).
-The etas' vectors are the rows of a preallocated matrix G, their pivot rows
-the entries of R, and their product is I - G^T T E_R^T with T unit lower
-triangular, so FTRAN (B^-1 v) is the inverse's product followed by
-w - ((T w[R]) @ G), and BTRAN (B^-T v) subtracts T^T (G v) at the rows R
+Basis inverse. ``_Simplex`` keeps the inverse of the basis from its last
+factorization (``_factorize``) and, after it, an eta file: one eta per
+pivot since then, in product form (Forrest and Tomlin, Math. Prog. 2, 1972),
+stored in compact form (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput.
+10, 1989). The etas' vectors are the rows of a preallocated matrix G, their
+pivot rows the entries of R, and their product is I - G^T T E_R^T with T
+unit lower triangular, so FTRAN (B^-1 v) is the inverse's product followed
+by w - ((T w[R]) @ G), and BTRAN (B^-T v) subtracts T^T (G v) at the rows R
 (R can repeat a row) before the inverse's product: two matrix products each,
-whatever the number of etas. Row r of B^-1 has nonzero weights on the rows
-R and r of the inverse only, so ``row`` reads just those rows. T gains one
-row per pivot at O(K^2) for K etas. The basic values follow the pivot
-formula. Once the eta file holds ETA_SHARE of the basis size m,
-``np.linalg.inv`` rebuilds the inverse, which empties the eta file and
-recomputes the basic values from b. An inverse costs O(m^3) and each eta
-O(m) per FTRAN or BTRAN, so the interval between inverses grows with m.
-Drift between refactorizations is caught by the residual check of
-``solve_lp``.
+whatever the number of etas. Row r of B^-1 is row r of the inverse less a
+combination of its rows R. T gains one row per pivot at O(K^2) for K etas.
+The basic values follow the pivot formula. Once the eta file holds
+ETA_SHARE of the basis size m, the basis is factored afresh, which empties
+the eta file and recomputes the basic values from b. The interval between
+factorizations grows with m. Drift between them is caught by the residual
+check of ``solve_lp``.
+
+The factorization (``_Inverse``) writes the basis, under permutations, as
+B = [[M, 0], [D, S]]: S the unit columns (slacks and artificials, S a
+diagonal of signs), M the structural columns on the rows no unit column
+covers, D their entries on the unit columns' rows. Then
+B^-1 = [[M^-1, 0], [S C, S]] with C = -D M^-1. When the bipartite nonzero
+graph of M (an edge from row i to slot j wherever M_ij != 0) falls into
+several connected components, M is block diagonal under permutations (the
+block triangular form of Duff and Reid, ACM TOMS 4, 1978), and M^-1 is held
+as its blocks' inverses, one batched inverse per block size. The components
+come from hooking and pointer jumping over M's nonzeros, with no loop per
+row. FTRAN, BTRAN, a row or a column of the inverse and the row norms are
+then products with the blocks and with C, which has a row per unit column:
+at resolution 6 the greedy start of the portfolio LP is 28 blocks of 64
+and 2 unit rows, 0.9 MB of factors against 25.7 MB for a dense inverse of
+its 1794 rows. A discounted policy's balance block I - delta P^T splits so
+along the closed classes of its chain. A connected M, and a dense A whose
+M has a fully nonzero row or column (the average-mode normalization row,
+sent there before any edge list is built), is one block: B is then
+inverted whole by ``np.linalg.inv`` and held dense, as every dense-average
+start and the ALP's 7-row bases are. A singular block makes B singular.
 
 Pricing. Each iteration prices c - A^T y. y is updated per pivot,
 y += (rc_q / d_r) e_r^T B^-1 for entering column q and pivot row r, from
 the row of the inverse the pivot creates. A BTRAN of the basic costs
 recomputes y from scratch at the start of each ``run``, after each
-refactorization, and whenever an updated y finds no entering column or an
+factorization, and whenever an updated y finds no entering column or an
 unbounded one: optimal and unbounded are declared on a recomputed y only,
 and with a candidate left the solve goes on from it. The phase-1
 certificate and the final duals are BTRANs too.
@@ -50,12 +69,11 @@ SPARSE_DENSITY of its entries nonzero; then pricing is one
 the compressed arrays are never built. On one core the compressed product
 takes 0.4-0.7 of the dense product's time at 4-6 % nonzero and breaks even
 at 12-14 %, on random 400 x 2400, 642 x 1952 and 1794 x 11506 matrices. The
-entering column is formed the same way: from its nonzeros, as
-``B_inv[:, rows] @ vals``, when A is compressed, and as ``B_inv @ a``
-otherwise. A refactorization and the start basis gather only their own
-columns, the dual phase takes a leaving column's norm from its nonzeros,
-and the residual checks take the compressed products, so an LP built
-compressed is never held dense by the solve: ``LpProblem.A`` builds its
+entering column is formed the same way: from its nonzeros when A is
+compressed, and from the dense column otherwise. A factorization reads
+only its basis's columns, the dual phase takes a leaving column's norm from
+its nonzeros, and the residual checks take the compressed products, so an
+LP built compressed is never held dense by the solve: ``LpProblem.A`` builds its
 dense copy only for a reader outside the solve, such as an independent
 solver or a test.
 
@@ -74,7 +92,7 @@ artificials. Neither they nor the slacks are stored as columns of A: each
 is a unit column +-e_i on its row i (a logical variable; Maros,
 Computational Techniques of the Simplex Method, 2003), the slacks first, so
 pricing reads +-y_i, the entering column is +-B^-1 e_i and a
-refactorization writes the unit column into its slot. An artificial that
+factorization holds the unit column in S. An artificial that
 leaves gets sign 0 and never returns.
 Phase 1's certificate and, in phase 2, the final x and y go through FTRAN
 and BTRAN; the tableau rows that drive artificials out are rows of the
@@ -96,7 +114,7 @@ the rows whose slacks start negative, such as the dominance rows the
 greedy policy violates. Each pivot takes as leaving row the one with the
 largest x_r^2 / w_r among the rows below -feas_tol, where w_r = |e_r^T
 B^-1|^2 is the dual steepest edge weight (Forrest and Goldfarb, Math. Prog.
-57, 1992): exact from the start's inverse, then updated with one FTRAN of
+57, 1992): exact from the start's factors, then updated with one FTRAN of
 rho_r = e_r^T B^-1 per pivot. The pivot row alpha = rho_r^T [A U] comes
 from ``row`` and ``price``, and a Harris two-pass ratio test on rc_j /
 -alpha_j over the columns with alpha_j < -PIVOT_TOL picks the entering
@@ -117,26 +135,15 @@ x = B^-1 b are found, so x = b when no column is placed. For the two
 phases such a row then takes the sign of its value, or of b_i where the
 value is 0: it starts on its slack when the slack has that sign, and
 otherwise on an artificial of that sign, and its row of the inverse is
-negated to match. So every slack and artificial starts at a value >= 0.
-The dual phase starts an inequality row on its slack whatever its sign (see
-above), from the same inverse with that row negated. The start columns are
-not placed when they are singular or one of their values is below
--feas_tol. An artificial always sits in its own row's slot, so the slot of
-one left basic names its redundant row.
-
-The start matrix is B = [[M, 0], [D, I]] under a permutation, M the start
-columns on their own rows. When M's nonzero pattern (M | M^T) falls into
-several connected components, M is block diagonal under a permutation (the
-block triangular form of Duff and Reid, ACM TOMS 4, 1978), and
-B^-1 = [[M^-1, 0], [-D M^-1, I]] is formed one block at a time, with one
-batched inverse per block size. A discounted policy's balance block
-I - delta P^T splits so along the closed classes of its chain. The
-components come from hooking and pointer jumping over M's nonzeros, with
-no loop per row. A start with one component is inverted whole by
-``np.linalg.inv(B)``; a start with a fully nonzero row or column, such as
-the average-mode normalization row, has one, and is sent there before any
-edge list is built. A singular block makes B singular, and the start is
-dropped.
+negated to match (its sign in S). So every slack and artificial starts at
+a value >= 0. The dual phase starts an inequality row on its slack
+whatever its sign (see above), from the same factors with that row
+negated. The start columns are not placed when they are singular or one
+of their values is below -feas_tol. An artificial always sits in its own
+row's slot, so the slot of one left basic names its redundant row. The
+start is factored like any basis: M is the start columns on their own
+rows and S the identity on the others, so a start without placed columns
+is S alone, with no block.
 """
 
 from __future__ import annotations
@@ -259,7 +266,7 @@ class LpSolution:
     crash: bool = False                   # the caller's start columns were used
     degenerate_pivots: int = 0
     bland: bool = False                   # the solve switched to Bland's rule
-    refactorizations: int = 0             # np.linalg.inv calls of the simplex itself
+    refactorizations: int = 0             # factorizations after the start
 
 
 @dataclass
@@ -306,7 +313,7 @@ class _Simplex:
     """
 
     def __init__(
-        self, A: np.ndarray | Rows, b: np.ndarray, feas_tol: float, basis, B_inv: np.ndarray,
+        self, A: np.ndarray | Rows, b: np.ndarray, feas_tol: float, basis, inv: _Inverse,
         unit_rows=np.zeros(0, dtype=int), unit_sign=np.zeros(0), n_slack: int = 0,
     ):
         if isinstance(A, Rows):
@@ -330,26 +337,26 @@ class _Simplex:
         self.G = np.empty((cap, self.m))
         self.R = np.empty(cap, dtype=np.intp)
         self.T = np.eye(cap)
-        self._restart(B_inv)
+        self._restart(inv)
 
-    def _restart(self, B_inv: np.ndarray) -> None:
-        self.B_inv = B_inv
+    def _restart(self, inv: _Inverse) -> None:
+        self.inv = inv
         self.num_etas = 0
-        self.x_B = B_inv @ self.b
+        self.x_B = inv.ftran(self.b)
 
     def refactorize(self) -> None:
+        """Factor the basis afresh, its slacks and artificials as the unit columns."""
         self.refactorizations += 1
-        slots = np.flatnonzero(self.basis >= self.n)
-        k = self.basis[slots] - self.n
-        structural = np.where(self.basis < self.n, self.basis, 0)
-        B = _columns(self.cols if self.A is None else self.A, structural)
-        B[:, slots] = 0.0
-        B[self.unit_rows[k], slots] = self.unit_sign[k]
-        self._restart(np.linalg.inv(B))
+        unit = self.basis >= self.n
+        slots, unit_slots = np.flatnonzero(~unit), np.flatnonzero(unit)
+        k = self.basis[unit_slots] - self.n
+        A = self.cols if self.A is None else self.A
+        unit_rows, unit_sign = self.unit_rows[k], self.unit_sign[k]
+        self._restart(_factorize(A, slots, self.basis[slots], unit_slots, unit_rows, unit_sign))
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """B^-1 v."""
-        return self._forward(self.B_inv @ v)
+        return self._forward(self.inv.ftran(v))
 
     def _forward(self, w: np.ndarray) -> np.ndarray:
         """The eta file applied to w: w - G^T T w[R]."""
@@ -365,22 +372,22 @@ class _Simplex:
         if k:
             # A row can pivot more than once, so R can repeat: scatter-add.
             np.subtract.at(v, self.R[:k], (self.G[:k] @ v) @ self.T[:k, :k])
-        return v @ self.B_inv
+        return self.inv.btran(v)
 
     def row(self, r: int) -> np.ndarray:
-        """e_r^T B^-1, from the rows R and r of the inverse only."""
+        """e_r^T B^-1: row r of the last factorization's inverse less a
+        combination of its rows R."""
         k = self.num_etas
-        return self.B_inv[r] - (self.G[:k, r] @ self.T[:k, :k]) @ self.B_inv[self.R[:k]]
+        return self.inv.row(r, self.R[:k], self.G[:k, r] @ self.T[:k, :k])
 
     def column(self, q: int) -> np.ndarray:
         """B^-1 times column q of A; from the column's nonzeros when A is compressed."""
         if q >= self.n:
             k = q - self.n
-            return self._forward(self.B_inv[:, self.unit_rows[k]] * self.unit_sign[k])
+            return self._forward(self.inv.unit(self.unit_rows[k]) * self.unit_sign[k])
         if self.cols is None:
-            return self._forward(self.B_inv @ self.A[:, q])
-        rows, vals = self.cols.row(q)
-        return self._forward(self.B_inv[:, rows] @ vals)
+            return self._forward(self.inv.ftran(self.A[:, q]))
+        return self._forward(self.inv.column(*self.cols.row(q)))
 
     def price(self, y: np.ndarray) -> np.ndarray:
         """A.T @ y, then the unit columns' entries."""
@@ -440,8 +447,8 @@ class _Simplex:
         rc[self.basis] = 0.0
         if rc.min() < -dual_tol:
             return "dual infeasible"
-        # w_i = |e_i^T B^-1|^2, exact from the start's inverse, then updated.
-        w = np.einsum("ij,ij->i", self.B_inv, self.B_inv)
+        # w_i = |e_i^T B^-1|^2, exact from the start's factors, then updated.
+        w = self.inv.norms2()
         for _ in range(5 * (self.m + c.size)):
             x = self.x_B
             viol = np.flatnonzero((x < -self.feas_tol) & (self.basis < self.first_art))
@@ -544,27 +551,109 @@ def _compressed(A: np.ndarray) -> Rows | None:
     return sparse.from_dense(A.T)
 
 
-def _columns(A: np.ndarray | Rows, idx: np.ndarray) -> np.ndarray:
-    """The columns idx of A as a dense array; A dense or compressed columns."""
-    if not isinstance(A, Rows):
-        return A[:, idx]
-    k, rows, vals = A[idx].entries()
-    out = np.zeros((A.width, len(idx)))
-    out[rows, k] = vals
-    return out
+@dataclass
+class _Inverse:
+    """B^-1 as block factors, or whole; see "Basis inverse" in the module docstring.
+
+    Under permutations B = [[M, 0], [D, S]]. M holds the structural columns,
+    in the slots ``slots``, on the rows ``rows`` that no unit column covers;
+    both are listed block by block, and ``blocks`` holds (lo, hi, inverses)
+    per block size: the inverses, of shape (count, size, size), of the blocks
+    at the positions lo ... hi - 1. The unit column in slot unit_slots[k] is
+    sign[unit_slots[k]] e_{unit_rows[k]}, so row i of B^-1 carries the
+    factor sign[i], which is 1 on M's slots, and C = -D M^-1 has a row per
+    unit column and a column per position of ``rows``. When M is connected,
+    ``dense`` is B^-1 itself and the factors are None.
+    """
+
+    dense: np.ndarray | None
+    slots: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    blocks: list | None = None
+    unit_slots: np.ndarray | None = None
+    unit_rows: np.ndarray | None = None
+    C: np.ndarray | None = None
+    sign: np.ndarray | None = None
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v."""
+        if self.dense is not None:
+            return self.dense @ v
+        v_m = v.take(self.rows)
+        w = np.empty(v.size)
+        w[self.unit_slots] = v.take(self.unit_rows) + self.C @ v_m
+        for lo, hi, inv in self.blocks:
+            w[self.slots[lo:hi]] = (inv @ v_m[lo:hi].reshape(len(inv), -1, 1)).ravel()
+        w *= self.sign
+        return w
+
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        """v^T B^-1."""
+        if self.dense is not None:
+            return v @ self.dense
+        v = v * self.sign
+        v_u = v.take(self.unit_slots)
+        y_m = v_u @ self.C
+        for lo, hi, inv in self.blocks:
+            y_m[lo:hi] += (v.take(self.slots[lo:hi]).reshape(len(inv), 1, -1) @ inv).ravel()
+        y = np.empty(v.size)
+        y[self.rows] = y_m
+        y[self.unit_rows] = v_u
+        return y
+
+    def row(self, r: int, R: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Row r of B^-1 less coef's combination of its rows R (R may repeat)."""
+        if self.dense is not None:
+            return self.dense[r] - coef @ self.dense[R]
+        u = np.zeros(self.sign.size)
+        u[r] = 1.0
+        np.subtract.at(u, R, coef)
+        return self.btran(u)
+
+    def column(self, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """B^-1 a for the column a with entries vals on rows."""
+        if self.dense is not None:
+            return self.dense[:, rows] @ vals
+        a = np.zeros(self.sign.size)
+        a[rows] = vals
+        return self.ftran(a)
+
+    def unit(self, r: int) -> np.ndarray:
+        """Column r of B^-1."""
+        if self.dense is not None:
+            return self.dense[:, r]
+        a = np.zeros(self.sign.size)
+        a[r] = 1.0
+        return self.ftran(a)
+
+    def norms2(self) -> np.ndarray:
+        """|e_i^T B^-1|^2 per row i."""
+        if self.dense is not None:
+            return np.einsum("ij,ij->i", self.dense, self.dense)
+        w = np.empty(self.sign.size)
+        w[self.unit_slots] = 1.0 + np.einsum("ij,ij->i", self.C, self.C)
+        for lo, hi, inv in self.blocks:
+            w[self.slots[lo:hi]] = np.einsum("bij,bij->bi", inv, inv).ravel()
+        return w
+
+    def negate(self, slots: np.ndarray) -> None:
+        """Negate rows slots of B^-1, as when their unit columns change sign."""
+        if self.dense is not None:
+            self.dense[slots] *= -1.0
+        else:
+            self.sign[slots] *= -1.0
 
 
-def _components(nz: np.ndarray) -> np.ndarray:
-    """Connected components of the graph with an edge i - j wherever nz[i, j]:
-    a label in 0 ... count - 1 per vertex.
+def _components(i: np.ndarray, j: np.ndarray, count: int) -> np.ndarray:
+    """Connected components of the graph on the vertices 0 ... count - 1 with
+    an edge i[e] - j[e] for each e: a label in 0 ... components - 1 per vertex.
 
     Each round hooks every root to the smallest root across its edges, both
     ways, and pointer jumping makes every tree a star again. A root only
     moves to a smaller one, so no pointer cycle forms, and every root with
     an edge to another tree merges, which halves the trees each round.
     """
-    i, j = np.divmod(np.flatnonzero(nz), nz.shape[1])
-    parent = np.arange(nz.shape[0])
+    parent = np.arange(count)
     while True:
         pi, pj = parent[i], parent[j]
         cross = pi != pj
@@ -580,63 +669,128 @@ def _components(nz: np.ndarray) -> np.ndarray:
             parent = grand
 
 
-def _start_inverse(B: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """B^-1 for the identity B with the start columns on the rows ``rows``.
+def _factorize(
+    A: np.ndarray | Rows, slots: np.ndarray, cols: np.ndarray,
+    unit_slots: np.ndarray, unit_rows: np.ndarray, unit_sign: np.ndarray,
+) -> _Inverse:
+    """B^-1 for the basis B with column cols[k] of A in slot slots[k]
+    (ascending) and unit_sign[k] e_{unit_rows[k]} in slot unit_slots[k].
 
-    Under a permutation B = [[M, 0], [D, I]], M = B[rows, rows]. Where M's
-    nonzero pattern splits into components, M is block diagonal and
-    B^-1 = [[M^-1, 0], [-D M^-1, I]] comes one block at a time, one batched
-    inverse per block size; one component, and so any start with a fully
-    nonzero row or column, takes ``np.linalg.inv(B)`` itself. Raises
-    LinAlgError when a block is singular.
+    M, the structural columns on the rows no unit column covers, is split
+    into the components of its bipartite nonzero graph (rows to slots),
+    each a block, with one batched inverse per block size; one component
+    takes ``np.linalg.inv(B)`` whole, and so does a dense A whose M has a
+    fully nonzero row or column, found before any edge list is built.
+    Raises LinAlgError when B is singular.
     """
-    nz = (B[rows] != 0.0)[:, rows]
-    if nz.all(axis=0).any() or nz.all(axis=1).any():
-        return np.linalg.inv(B)
-    label = _components(nz)
+    m = slots.size + unit_slots.size
+
+    def whole(columns: np.ndarray) -> _Inverse:
+        B = np.zeros((m, m))
+        B[:, slots] = columns
+        B[unit_rows, unit_slots] = unit_sign
+        return _Inverse(np.linalg.inv(B))
+
+    if not isinstance(A, Rows) and slots.size:
+        # A column nonzero on every row makes M connected; tested before
+        # M's rows are formed, as on the ALP's small dense bases.
+        columns = A[:, cols]
+        nz = columns != 0.0
+        if nz.all(axis=0).any():
+            return whole(columns)
+    free = np.ones(m, dtype=bool)
+    free[unit_rows] = False
+    rows = np.flatnonzero(free)
+    if rows.size != slots.size:
+        raise np.linalg.LinAlgError("Singular matrix")
+    sign = np.ones(m)
+    sign[unit_slots] = unit_sign
+    if not slots.size:
+        return _Inverse(None, slots, rows, [], unit_slots, unit_rows, np.zeros((m, 0)), sign)
+    # B's structural entries: row i, slot position k, value v.
+    if isinstance(A, Rows):
+        k, i, v = A[cols].entries()
+    else:
+        nz = nz[rows]
+        if nz.all(axis=0).any() or nz.all(axis=1).any():
+            return whole(columns)
+        i, k = np.nonzero(columns)
+        v = columns[i, k]
+    at = np.full(m, -1)
+    at[rows] = np.arange(rows.size)
+    in_m = at[i] >= 0
+    label = _components(at[i[in_m]], rows.size + k[in_m], 2 * rows.size)
     if label.max() == 0:
-        return np.linalg.inv(B)
-    unit = np.setdiff1d(np.arange(B.shape[0]), rows, assume_unique=True)
-    sizes = np.bincount(label)
-    by_label = rows[np.argsort(label, kind="stable")]
-    B_inv = np.eye(B.shape[0])
+        if isinstance(A, Rows):
+            columns = np.zeros((m, slots.size))
+            columns[i, k] = v
+        return whole(columns)
+    row_label, slot_label = label[: rows.size], label[rows.size :]
+    sizes = np.bincount(row_label, minlength=label.max() + 1)
+    if not np.array_equal(sizes, np.bincount(slot_label, minlength=sizes.size)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    # Number the blocks by size, then by label: block j lists its rows and
+    # its slots in order from position first[j].
+    order = np.argsort(sizes, kind="stable")
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    row_label, slot_label, sizes = renumber[row_label], renumber[slot_label], sizes[order]
+    first = np.cumsum(sizes) - sizes
+    row_order = np.argsort(row_label, kind="stable")
+    slot_order = np.argsort(slot_label, kind="stable")
+    row_pos, slot_pos = np.empty_like(row_order), np.empty_like(slot_order)
+    row_pos[row_order] = slot_pos[slot_order] = np.arange(rows.size)
+    mi, mk, mv = at[i[in_m]], k[in_m], v[in_m]
+    block = row_label[mi]
+    unit_of = np.full(m, -1)
+    unit_of[unit_rows] = np.arange(unit_rows.size)
+    D = np.zeros((unit_rows.size, rows.size))
+    D[unit_of[i[~in_m]], slot_pos[k[~in_m]]] = v[~in_m]
+    C = np.empty_like(D)
+    blocks = []
     for size in np.unique(sizes):
-        # One row of B's indices per component of this size.
-        at = by_label[np.repeat(sizes == size, sizes)].reshape(-1, size)
-        block_inv = np.linalg.inv(B[at[:, :, None], at[:, None, :]])
-        B_inv[at[:, :, None], at[:, None, :]] = block_inv
-        B_inv[unit[:, None], at[:, None, :]] = -(B[unit[:, None], at[:, None, :]] @ block_inv)
-    return B_inv
+        of = np.flatnonzero(sizes == size)   # consecutive blocks
+        lo, hi = first[of[0]], first[of[-1]] + size
+        stack = np.zeros((of.size, size, size))
+        e = sizes[block] == size
+        stack.reshape(-1, size)[row_pos[mi[e]] - lo, slot_pos[mk[e]] - first[block[e]]] = mv[e]
+        inv = np.linalg.inv(stack)
+        D_blocks = D[:, lo:hi].reshape(-1, of.size, size).transpose(1, 0, 2)
+        C[:, lo:hi] = -(D_blocks @ inv).transpose(1, 0, 2).reshape(-1, hi - lo)
+        blocks.append((lo, hi, inv))
+    return _Inverse(
+        None, slots[slot_order], rows[row_order], blocks, unit_slots, unit_rows, C, sign
+    )
 
 
 def _start(A: np.ndarray | Rows, b: np.ndarray, form: StandardForm, start, feas_tol: float):
-    """The start basis: (basis, B_inv, unit_rows, unit_sign, crash).
+    """The start basis: (basis, inverse, unit_rows, unit_sign, crash).
 
     start holds a column per row, -1 where none is placed, or is None. Its
     columns sit in their rows' slots when they can start, and crash says
     whether they do. Every other row holds +e_i while x = B^-1 b is found,
     then takes the sign of its value, or of b_i where the value is 0: its
     slack where the slack has that sign, else an artificial of that sign,
-    numbered after the slacks in row order. Its row of B_inv is negated to
-    match.
+    numbered after the slacks in row order. Its row of the inverse is
+    negated to match.
     """
     m, n = b.size, A.shape[0] if isinstance(A, Rows) else A.shape[1]
     start = np.full(m, -1) if start is None else start
     rows = np.flatnonzero(start >= 0)
     x = None
     if rows.size:
-        B = np.eye(m)
-        B[:, rows] = _columns(A, start[rows])
+        units = np.flatnonzero(start < 0)
         try:
-            B_inv = _start_inverse(B, rows)
-            x = B_inv @ b
+            inv = _factorize(A, rows, start[rows], units, units, np.ones(units.size))
+            x = inv.ftran(b)
         except np.linalg.LinAlgError:
             pass
     if x is None or not np.isfinite(x).all() or x[rows].min() < -feas_tol:
-        rows, B_inv, x = rows[:0], np.eye(m), b
+        rows, x = rows[:0], b
+        inv = _factorize(A, rows, rows, np.arange(m), np.arange(m), np.ones(m))
     sign = np.where((x < 0.0) | ((x == 0.0) & (b < 0.0)), -1.0, 1.0)
     sign[rows] = 1.0
-    B_inv[sign < 0.0] *= -1.0
+    inv.negate(sign < 0.0)
     basis = np.full(m, -1)
     fits = form.slack_sign == sign[form.slack_rows]
     basis[form.slack_rows[fits]] = n + np.flatnonzero(fits)
@@ -645,7 +799,7 @@ def _start(A: np.ndarray | Rows, b: np.ndarray, form: StandardForm, start, feas_
     basis[art] = n + form.slack_rows.size + np.arange(art.size)
     unit_rows = np.concatenate([form.slack_rows, art])
     unit_sign = np.concatenate([form.slack_sign, sign[art]])
-    return basis, B_inv, unit_rows, unit_sign, rows.size > 0
+    return basis, inv, unit_rows, unit_sign, rows.size > 0
 
 
 def _solve_standard(
@@ -662,7 +816,7 @@ def _solve_standard(
     m, n = std.num_rows, std.num_cols
     n_slack = form.slack_rows.size
     max_iter = 5000 + 200 * (m + n + n_slack)
-    basis, B_inv, unit_rows, unit_sign, crash = _start(A, b, form, start, feas_tol)
+    basis, inv, unit_rows, unit_sign, crash = _start(A, b, form, start, feas_tol)
     first_art, n_all = n + n_slack, n + unit_rows.size
     # Phase 2 prices the unit columns at 0; the artificials that left have sign 0.
     c2 = np.concatenate([c, np.zeros(n_all - n)])
@@ -671,24 +825,24 @@ def _solve_standard(
     if crash:
         # The dual phase starts every inequality row on its slack: where the
         # start gave the row an artificial, the slack takes its slot, its row
-        # of B_inv is negated and the artificial gets sign 0, as one that left.
+        # of the inverse is negated and the artificial gets sign 0, as one that left.
         slack = np.full(m, -1)
         slack[form.slack_rows] = np.arange(n_slack)
         swap = np.flatnonzero((basis >= first_art) & (slack >= 0))
         dual_basis, dual_sign = basis.copy(), unit_sign.copy()
         dual_basis[swap] = n + slack[swap]
         dual_sign[basis[swap] - n] = 0.0
-        B_inv[swap] *= -1.0
-        sx = _Simplex(A, b, feas_tol, dual_basis, B_inv, unit_rows, dual_sign, n_slack)
+        inv.negate(swap)
+        sx = _Simplex(A, b, feas_tol, dual_basis, inv, unit_rows, dual_sign, n_slack)
         status = sx.dual(c2)
         counts["dual_iterations"] = sx.iterations
         if status != "feasible":
             # Two phases from the start instead; they also give the
             # certificate when the dual phase found a row infeasible.
-            B_inv[swap] *= -1.0
+            inv.negate(swap)
             sx = None
     if sx is None:
-        sx = _Simplex(A, b, feas_tol, basis, B_inv, unit_rows, unit_sign, n_slack)
+        sx = _Simplex(A, b, feas_tol, basis, inv, unit_rows, unit_sign, n_slack)
         if n_all > first_art:
             c1 = np.zeros(n_all)
             c1[first_art:] = 1.0

@@ -38,8 +38,9 @@ Generation, 1986, ch. III):
 
 A uniform's rank comes from a guide table (Chen & Asau's index table) of G
 buckets, G the smallest power of two >= 16 * len(values): with
-cnt[b] = rank(b / G), a bucket [b / G, (b + 1) / G) holding no value has
-rank(u) = cnt[b] for every u in it. G is a power of two, so b = floor(u * G)
+cnt[b] = rank(b / G), counted from each value's bucket floor(v * G), a
+bucket [b / G, (b + 1) / G) holding no value has rank(u) = cnt[b] for every
+u in it. G is a power of two, so b = floor(u * G)
 is exact, and only the uniforms of the at most len(values) occupied buckets
 (a few percent) are searched. The table is built only when its G + 1
 entries are no more than the run's paths * T ranks; otherwise every uniform
@@ -166,7 +167,9 @@ def _ranker(values: np.ndarray, size: int):
     G = 1 << (16 * values.size - 1).bit_length()
     if G >= size:
         return values.searchsorted
-    cnt = values.searchsorted(np.arange(G + 1) / G)
+    # cnt[b] = searchsorted(values, b / G), counted by bucket: G is a power
+    # of two, so floor(v * G) < b exactly when v < b / G.
+    cnt = _positions((values * G).astype(np.intp), G + 1)
     guide = np.where(cnt[:-1] == cnt[1:], cnt[:-1], -1)   # -1: occupied bucket
 
     def rank(u: np.ndarray) -> np.ndarray:

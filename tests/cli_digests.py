@@ -23,7 +23,7 @@ benchmark), the shipped ``instances/ti1*`` files, ``solve --out`` (also into a
 missing directory), ``gen-portfolio`` on the shipped config (also at
 resolutions 400 and 1000, whose kernels are too large to build) and on one
 with ``initial_holdings``, ``gen-portfolio`` and ``solve`` on the benchmark's
-3-asset config at resolution 3 (a sparse LP), ``alp`` with a
+3-asset config at resolutions 3 and 4 (sparse LPs), ``alp`` with a
 block-aggregation basis in both modes, non-finite and otherwise invalid
 instances passed to ``solve``, ``oracle`` and ``simulate``, a generator
 family with non-dyadic weights in both modes, an infeasible generator family
@@ -254,6 +254,12 @@ def _shipped_cases(c: _Corpus) -> None:
         "portfolio-r3/gen", ["gen-portfolio", "--config", c.file("portfolio-r3", bench_config)]
     )
     c.add("portfolio-r3/solve", ["solve", "--instance", r3])
+    # Resolution 4, a 962-row LP: a larger start, inverted as block factors.
+    r4 = c.add_written(
+        "portfolio-r4/gen",
+        ["gen-portfolio", "--config", c.file("portfolio-r4", {**bench_config, "resolution": 4})],
+    )
+    c.add("portfolio-r4/solve", ["solve", "--instance", r4])
 
 
 def _edge_cases(c: _Corpus) -> None:

@@ -10,6 +10,7 @@ from domdp.discounted import build_discounted_primal, solve_discounted
 from domdp.lp import EQ, GE, LE, LpProblem, _residuals, solve_lp, to_standard_form
 from domdp.mdp import Benchmark
 from domdp.portfolio import build_portfolio_instance
+from domdp.sparse import from_dense
 from helpers import (
     benchmark_portfolio,
     exact_basis_infeasibility,
@@ -304,6 +305,12 @@ def _start_signs(basis, unit_sign, n):
     return sign
 
 
+def _dense_inverse(inv, m):
+    """The B^-1 that an ``lp._Inverse`` stands for, as a dense array, row by row."""
+    none = np.zeros(0, dtype=np.intp)
+    return np.array([inv.row(r, none, np.zeros(0)) for r in range(m)])
+
+
 def _loop_residuals(p, x, y_raw):
     """Reference: the residual maxima taken one row and one column at a time."""
     Ax = p.A @ x
@@ -328,14 +335,14 @@ def test_array_glue_matches_loop_reference():
         std, form = to_standard_form(p)
         slacks, basis, artificials = _loop_unit_start(p)
         assert list(zip(form.slack_rows.tolist(), form.slack_sign.tolist())) == slacks
-        got, B_inv, unit_rows, unit_sign, crash = lp._start(std.A, std.b, form, None, lp.FEAS_TOL)
+        got, inv, unit_rows, unit_sign, crash = lp._start(std.A, std.b, form, None, lp.FEAS_TOL)
         assert got.tolist() == basis and not crash
         assert list(zip(unit_rows.tolist(), unit_sign.tolist())) == slacks + artificials
-        # The start columns are unit columns with nonnegative values: B_inv
-        # is diagonal, each row's sign, and B_inv b = |b|.
+        # The start columns are unit columns with nonnegative values: B^-1
+        # is diagonal, each row's sign, and B^-1 b = |b|.
         sign = _start_signs(got, unit_sign, p.num_cols)
-        assert np.array_equal(B_inv, np.diag(sign))
-        assert np.array_equal(B_inv @ std.b, np.abs(p.b))
+        assert np.array_equal(_dense_inverse(inv, p.num_rows), np.diag(sign))
+        assert np.array_equal(inv.ftran(std.b), np.abs(p.b))
     for _ in range(50):
         p = _random_feasible_bounded(rng)
         sol = solve_lp(p)
@@ -493,19 +500,19 @@ def test_portfolio_resolution_4_solves_from_the_unit_start():
 
 def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
     # The discounted balance rows have full rank, so phase 1 drops no row
-    # and phase 2 continues from its inverse: the only inverses are the
-    # start's, which the dual phase's attempt shares, and one each time the
-    # eta file reaches ETA_SHARE of the basis size: twice at the default
+    # and phase 2 continues from its inverse: the only factorizations are
+    # the start's, which the dual phase's attempt shares, and one each time
+    # the eta file reaches ETA_SHARE of the basis size: twice at the default
     # share, 11 times at 1/16.
     inst, p = _benchmark_portfolio_lp(2)
-    inverses = pivots = 0
+    factorizations = pivots = 0
     etas_at = []
-    inv, pivot, refactorize = np.linalg.inv, lp._Simplex._pivot, lp._Simplex.refactorize
+    factorize, pivot, refactorize = lp._factorize, lp._Simplex._pivot, lp._Simplex.refactorize
 
-    def counted_inv(a):
-        nonlocal inverses
-        inverses += 1
-        return inv(a)
+    def counted_factorize(*args):
+        nonlocal factorizations
+        factorizations += 1
+        return factorize(*args)
 
     def counted_pivot(self, *args):
         nonlocal pivots
@@ -516,18 +523,18 @@ def test_crash_start_reuses_the_phase1_inverse(monkeypatch):
         etas_at.append(self.num_etas)
         refactorize(self)
 
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(lp, "_factorize", counted_factorize)
     monkeypatch.setattr(lp._Simplex, "_pivot", counted_pivot)
     monkeypatch.setattr(lp._Simplex, "refactorize", recorded_refactorize)
     for share in (lp.ETA_SHARE, 1 / 16):
         monkeypatch.setattr(lp, "ETA_SHARE", share)
-        inverses = pivots = 0
+        factorizations = pivots = 0
         etas_at.clear()
         sol = solve_lp(p, start=_primal_path_start(inst, p.num_rows))
         assert sol.status == "optimal" and sol.crash and sol.phase1_iterations > 0
         trigger = int(np.ceil(share * p.num_rows))
         assert etas_at == [trigger] * (pivots // trigger)
-        assert inverses == 1 + sol.refactorizations == 1 + len(etas_at)
+        assert factorizations == 1 + sol.refactorizations == 1 + len(etas_at)
     assert etas_at
 
 
@@ -562,6 +569,24 @@ def test_solve_keeps_no_copy_of_the_matrix():
         assert sol.status == "optimal"
         assert sol.phase1_iterations >= m if EQ in p.row_senses else sol.iterations >= m
         assert peak <= 0.5 * p.A.nbytes
+
+
+def test_compressed_solve_holds_no_dense_basis_matrix():
+    # The resolution-4 portfolio LP, 962 rows, from the greedy start: its 15
+    # closed classes of 64 states are held as block factors, so the solve's
+    # traced peak stays below one dense m x m float64 array, which the start
+    # matrix, its inverse and the gather of its columns each took when the
+    # inverse was held dense.
+    inst, p = _benchmark_portfolio_lp(4)
+    start = _greedy_start(inst, p.num_rows)
+    tracemalloc.start()
+    try:
+        sol = solve_lp(p, start=start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.crash
+    assert peak < 8 * p.num_rows**2
 
 
 def test_phase_two_keeps_the_redundant_rows_artificial_basic(monkeypatch):
@@ -614,7 +639,8 @@ def test_compressed_columns_match_the_dense_products(monkeypatch):
     kernels = []
     for density in (lp.SPARSE_DENSITY, 0.0):
         monkeypatch.setattr(lp, "SPARSE_DENSITY", density)
-        sx = lp._Simplex(A, np.ones(30), lp.FEAS_TOL, np.arange(40, 70), np.eye(30))
+        inv = lp._factorize(A, np.arange(30), np.arange(40, 70), *[np.zeros(0, dtype=int)] * 3)
+        sx = lp._Simplex(A, np.ones(30), lp.FEAS_TOL, np.arange(40, 70), inv)
         kernels.append(sx)
     sparse, dense = kernels
     assert sparse.cols is not None and dense.cols is None
@@ -779,10 +805,11 @@ def test_compact_eta_file_matches_the_list_of_etas(monkeypatch):
         repeated += any(r == leave_row for r, _ in etas)
         etas.append((leave_row, g))
         v = rng.normal(size=self.m)
-        assert close(self.ftran(v.copy()), _loop_ftran(self.B_inv, etas, v))
-        assert close(self.btran(v), _loop_btran(self.B_inv, etas, v))
+        B_inv = _dense_inverse(self.inv, self.m)
+        assert close(self.ftran(v.copy()), _loop_ftran(B_inv, etas, v))
+        assert close(self.btran(v), _loop_btran(B_inv, etas, v))
         for r, unit in enumerate(np.eye(self.m)):
-            assert close(self.row(r), _loop_btran(self.B_inv, etas, unit))
+            assert close(self.row(r), _loop_btran(B_inv, etas, unit))
         checked += 1
 
     monkeypatch.setattr(lp._Simplex, "_pivot", checked_pivot)
@@ -865,9 +892,9 @@ def test_components_match_a_depth_first_search():
     for n, density in [(1, 1.0), (7, 0.0), (40, 0.02), (60, 0.03), (30, 0.5)]:
         for _ in range(10):
             nz = rng.random((n, n)) < density
-            assert np.array_equal(lp._components(nz), _loop_components(nz))
+            assert np.array_equal(lp._components(*np.nonzero(nz), n), _loop_components(nz))
     chain = np.eye(200, k=1, dtype=bool)   # one component of diameter 199
-    assert np.array_equal(lp._components(chain[::-1, ::-1]), np.zeros(200))
+    assert np.array_equal(lp._components(*np.nonzero(chain[::-1, ::-1]), 200), np.zeros(200))
 
 
 def _block_start(rng, sizes, units):
@@ -905,17 +932,84 @@ def _spy_inverses(monkeypatch):
     return args, inv
 
 
+def _check_factors(inv, want, rng):
+    """An ``lp._Inverse`` against the dense inverse want: its dense form at
+    1e-12 relative, and each of its products at 1e-12 of the reference's
+    largest entry."""
+    m = want.shape[0]
+    got = _dense_inverse(inv, m)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    v, R, coef = rng.normal(size=m), rng.integers(0, m, 4), rng.normal(size=4)
+    rows = np.sort(rng.permutation(m)[:3])
+    products = [
+        (inv.ftran(v), want @ v),
+        (inv.btran(v), v @ want),
+        (inv.row(m // 2, R, coef), want[m // 2] - coef @ want[R]),
+        (inv.column(rows, v[:3]), want[:, rows] @ v[:3]),
+        (inv.unit(m - 1), want[:, m - 1]),
+        (inv.norms2(), np.einsum("ij,ij->i", want, want)),
+    ]
+    for got, ref in products:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_block_start_inverse_matches_the_full_inverse(monkeypatch):
-    # Five closed classes in three sizes; one inverse call per size.
+    # Five closed classes in three sizes, one inverse call per size, from
+    # dense and compressed columns; the unit columns take either sign.
     rng = np.random.default_rng(7)
     args, inv = _spy_inverses(monkeypatch)
     for units in (4, 0, 1, 4, 9):
         B, rows = _block_start(rng, [3, 5, 3, 1, 5], units)
-        args.clear()
-        got = lp._start_inverse(B, rows)
-        assert sorted(a.shape for a in args) == [(1, 1, 1), (2, 3, 3), (2, 5, 5)]
+        unit = np.setdiff1d(np.arange(B.shape[0]), rows)
+        sign = rng.choice([-1.0, 1.0], size=units)
+        B[unit, unit] = sign
         want = inv(B)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for A in (B[:, rows], from_dense(B[:, rows].T)):
+            args.clear()
+            got = lp._factorize(A, rows, np.arange(rows.size), unit, unit, sign)
+            assert sorted(a.shape for a in args) == [(1, 1, 1), (2, 3, 3), (2, 5, 5)]
+            assert got.dense is None
+            _check_factors(got, want, rng)
+
+
+def test_refactorized_basis_matches_the_full_inverse(monkeypatch):
+    # Four independent sub-LPs of five rows: an equality row, a negated one
+    # (b < 0, so its artificial is -e_i), two <= rows and a negated >= row
+    # whose slack, -e_i, starts basic. Every basis is block diagonal along
+    # the sub-LPs. From the unit start at ETA_SHARE 1/8, phase 1
+    # refactorizes every 3 pivots on bases of structurals, slacks and
+    # artificials of both signs. Each factorization matches the inverse of
+    # the dense basis, with one block per sub-LP that holds structurals on
+    # rows without a unit column.
+    rng = np.random.default_rng(17)
+    A = np.zeros((20, 32))
+    for k in range(4):
+        A[5 * k : 5 * k + 5, 8 * k : 8 * k + 8] = rng.uniform(0.1, 1.0, (5, 8))
+    negated = np.tile([False, True, False, False, True], 4)
+    A[negated] *= -1.0
+    senses = [EQ, EQ, LE, LE, GE] * 4
+    margin = np.where(np.asarray(senses) == EQ, 0.0, np.where(np.asarray(senses) == LE, 0.1, -0.1))
+    p = LpProblem("max", rng.normal(size=32), A, senses, A @ rng.uniform(0.5, 1.0, 32) + margin)
+    refactorize, mixed = lp._Simplex.refactorize, []
+
+    def checked(self):
+        refactorize(self)
+        B = np.zeros((self.m, self.m))
+        structural = np.flatnonzero(self.basis < self.n)
+        B[:, structural] = A[:, self.basis[structural]]
+        units = np.flatnonzero(self.basis >= self.n)
+        k = self.basis[units] - self.n
+        B[self.unit_rows[k], units] = self.unit_sign[k]
+        _check_factors(self.inv, np.linalg.inv(B), rng)
+        artificials = np.count_nonzero(self.basis >= self.first_art)
+        if self.inv.dense is None and 0 < artificials < units.size and structural.size:
+            mixed.append((sum(len(inv) for *_, inv in self.inv.blocks), set(self.unit_sign[k])))
+
+    monkeypatch.setattr(lp._Simplex, "refactorize", checked)
+    monkeypatch.setattr(lp, "ETA_SHARE", 1 / 8)
+    sol = solve_lp(p)
+    assert sol.status == "optimal" and sol.refactorizations >= 3
+    assert any(blocks > 1 and signs == {-1.0, 1.0} for blocks, signs in mixed)
 
 
 def test_singular_block_drops_the_start(monkeypatch):
@@ -961,20 +1055,21 @@ def test_one_component_start_inverts_the_full_matrix(monkeypatch, case):
     B[:, :S] = A[:, :S]
     components, searched = lp._components, []
 
-    def spied_components(nz):
-        searched.append(nz.shape)
-        return components(nz)
+    def spied_components(i, j, count):
+        searched.append(count)
+        return components(i, j, count)
 
     monkeypatch.setattr(lp, "_components", spied_components)
     args, inv = _spy_inverses(monkeypatch)
-    basis, B_inv, _, unit_sign, crash = lp._start(std.A, std.b, form, start, lp.FEAS_TOL)
+    basis, got, _, unit_sign, crash = lp._start(std.A, std.b, form, start, lp.FEAS_TOL)
     assert crash
     assert len(args) == 1 and np.array_equal(args[0], B)
     # The dominance row starts on its slack, -e_i: its row of the inverse is negated.
     sign = _start_signs(basis, unit_sign, A.shape[1])
     assert sign.tolist() == [1.0] * S + [-1.0]
-    assert np.array_equal(B_inv, sign[:, None] * inv(B))
-    assert searched == ([] if case == "full-row" else [(S, S)])
+    assert np.array_equal(_dense_inverse(got, S + 1), sign[:, None] * inv(B))
+    # The bipartite graph of the start columns: a vertex per row and per slot.
+    assert searched == ([] if case == "full-row" else [2 * S])
 
 
 def test_portfolio_resolution_2_start_inverts_six_blocks(monkeypatch):
@@ -983,13 +1078,14 @@ def test_portfolio_resolution_2_start_inverts_six_blocks(monkeypatch):
     start = _greedy_start(inst, p.num_rows)
     std, form = to_standard_form(p)
     args, inv = _spy_inverses(monkeypatch)
-    basis, B_inv, _, unit_sign, crash = lp._start(std.A, std.b, form, start, lp.FEAS_TOL)
+    basis, got, _, unit_sign, crash = lp._start(std.A, std.b, form, start, lp.FEAS_TOL)
     assert crash and [a.shape for a in args] == [(6, 64, 64)]
     rows = np.flatnonzero(start >= 0)
     B = np.eye(p.num_rows)
     B[:, rows] = p.A[:, start[rows]]
     want = _start_signs(basis, unit_sign, p.num_cols)[:, None] * inv(B)
-    assert np.abs(B_inv - want).max() <= 1e-12 * np.abs(want).max()
+    dense = _dense_inverse(got, p.num_rows)
+    assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
 
 
 EXACT_TOL = 1e-12

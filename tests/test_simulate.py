@@ -475,6 +475,24 @@ def test_guide_ranks_equal_the_binary_search():
     assert np.array_equal(rank(u), values.searchsorted(u))
 
 
+def test_guide_counts_by_bucket_equal_the_binary_search():
+    # The guide table counts the values per bucket floor(v * G); on 2000
+    # draws of up to 40 values, among them values on bucket edges b / G, ties,
+    # 0.0 and 1.0, every rank of a bucket edge, of a value and of the floats
+    # beside it equals the binary search.
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        size = int(rng.integers(1, 41))
+        G = 1 << (16 * size - 1).bit_length()
+        pool = np.concatenate([rng.random(size), rng.integers(0, G + 1, size) / G, [0.0, 1.0]])
+        values = np.sort(rng.choice(pool, size))
+        u = np.concatenate([np.arange(G) / G, values, np.nextafter(values, 0.0)])
+        u = u[u < 1.0]
+        rank = SIM._ranker(values, G + 1)
+        assert rank != values.searchsorted
+        assert np.array_equal(rank(u), values.searchsorted(u))
+
+
 def _dyadic_case():
     """Ragged actions, every probability a multiple of 1/8: the cumulative values
     are multiples of 1/32, so they sit on the guide table's bucket edges."""
